@@ -1,0 +1,13 @@
+//! Records the compiler version for the run metadata.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = std::process::Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .unwrap_or_default();
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={}", version.trim());
+    println!("cargo:rerun-if-env-changed=RUSTC");
+}
