@@ -106,7 +106,7 @@ cargo run "${profile_flag[@]}" --example quickstart >/dev/null
 step "smoke: cargo run --bin fbe -- --help"
 cargo run "${profile_flag[@]}" --bin fbe -- --help >/dev/null
 
-step "smoke: parallel engine — sorted output identical at 1 vs 4 threads"
+step "smoke: parallel engine — sorted, count, top-k and maximum output identical at 1 vs 4 threads"
 smokedir=$(mktemp -d)
 serve_pid=""
 shard1_pid=""
@@ -124,8 +124,18 @@ cargo run "${profile_flag[@]}" --bin fbe -- \
     enumerate "$smokedir/g" --alpha 2 --beta 1 --delta 1 --sorted --threads 4 \
     > "$smokedir/t4.out"
 diff "$smokedir/t1.out" "$smokedir/t4.out"
-cargo run "${profile_flag[@]}" --bin fbe -- \
-    maximum "$smokedir/g" --alpha 2 --beta 1 --delta 1 --threads 4 >/dev/null
+# Every streaming mode runs the same prepared path at any thread
+# count: count-only, top-k and maximum must match too.
+for mode in "enumerate --count-only" "enumerate --top 5" "maximum"; do
+    read -r cmd flags <<< "$mode"
+    for t in 1 4; do
+        # shellcheck disable=SC2086 # $flags holds zero or more words
+        cargo run "${profile_flag[@]}" --bin fbe -- \
+            "$cmd" "$smokedir/g" --alpha 2 --beta 1 --delta 1 $flags --threads "$t" \
+            > "$smokedir/mode_t$t.out"
+    done
+    diff "$smokedir/mode_t1.out" "$smokedir/mode_t4.out"
+done
 
 step "smoke: candidate substrates — sorted output identical bitset vs sorted-vec"
 cargo run "${profile_flag[@]}" --bin fbe -- \

@@ -14,9 +14,9 @@ use fair_biclique::fcore::PruneOutcome;
 use fair_biclique::mbea::maximal_bicliques;
 use fair_biclique::memory::{measure_bsfbc, measure_ssfbc};
 use fair_biclique::pipeline::{
-    prune_bi_side, prune_single_side, run_bsfbc, run_pbsfbc, run_pssfbc, run_ssfbc, BiAlgorithm,
-    SsAlgorithm,
+    prune_bi_side, prune_single_side, run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm,
 };
+use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use fbe_datasets::corpus::{spec, Dataset, DatasetSpec};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -494,6 +494,7 @@ pub fn exp4_fig6(opts: &Opts) -> Vec<Table> {
             min_r,
             VertexOrder::DegreeDesc,
             budget.clone(),
+            fair_biclique::config::Substrate::Auto,
             &mut sink,
         );
         if stats.aborted {
@@ -684,12 +685,14 @@ pub fn exp7_fig11_12(opts: &Opts) -> Vec<Table> {
         let pro_b =
             ProParams::new(s.default_bi.0, s.default_bi.1, s.default_delta, theta).expect("valid");
         let c = cfg(opts, VertexOrder::DegreeDesc);
-        let mut sink = CountSink::default();
-        let ((_, st_s), t_s) = timed(|| run_pssfbc(&g, pro_s, &c, &mut sink));
-        let n_s = sink.count;
-        let mut sink = CountSink::default();
-        let ((_, st_b), t_b) = timed(|| run_pbsfbc(&g, pro_b, &c, &mut sink));
-        let n_b = sink.count;
+        let count = |model| {
+            PreparedQuery::prepare(&g, model, c.prune, c.substrate)
+                .count(&c)
+                .stats
+        };
+        let (st_s, t_s) = timed(|| count(QueryModel::Pssfbc(pro_s)));
+        let (st_b, t_b) = timed(|| count(QueryModel::Pbsfbc(pro_b)));
+        let (n_s, n_b) = (st_s.emitted, st_b.emitted);
         counts.push(vec![theta.to_string(), n_s.to_string(), n_b.to_string()]);
         times.push(vec![
             theta.to_string(),
@@ -779,7 +782,7 @@ pub fn ablation_pruning(opts: &Opts) -> Vec<Table> {
 /// worker threads (1 = the serial pipeline; all runs on one shared
 /// global budget).
 pub fn exp8_parallel_scaling(opts: &Opts) -> Vec<Table> {
-    use fair_biclique::maximum::{max_ssfbc, SizeMetric};
+    use fair_biclique::maximum::SizeMetric;
     use fair_biclique::pipeline::{
         enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc,
     };
@@ -822,7 +825,9 @@ pub fn exp8_parallel_scaling(opts: &Opts) -> Vec<Table> {
         (
             "maximum (SSFBC)",
             Box::new(|cfg: &RunConfig| {
-                let (best, _) = max_ssfbc(&g, params, SizeMetric::Vertices, cfg);
+                let query =
+                    PreparedQuery::prepare(&g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
+                let (best, _) = query.maximum(SizeMetric::Vertices, cfg);
                 (usize::from(best.is_some()), false)
             }),
         ),

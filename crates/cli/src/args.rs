@@ -186,17 +186,6 @@ fn parse_pair_u16(s: &str, what: &str) -> Result<(u16, u16), String> {
     Ok((a, b))
 }
 
-fn parse_dataset(s: &str) -> Result<Dataset, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "youtube" => Ok(Dataset::Youtube),
-        "twitter" => Ok(Dataset::Twitter),
-        "imdb" => Ok(Dataset::Imdb),
-        "wiki-cat" | "wikicat" | "wiki" => Ok(Dataset::WikiCat),
-        "dblp" => Ok(Dataset::Dblp),
-        other => Err(format!("unknown dataset {other:?}")),
-    }
-}
-
 /// Parse `argv` (program name excluded).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut c = Cursor { args: argv, i: 0 };
@@ -231,7 +220,7 @@ fn parse_generate(c: &mut Cursor<'_>) -> Result<Command, String> {
     let mut out: Option<String> = None;
     while let Some(a) = c.next() {
         match a {
-            "--dataset" => dataset = Some(parse_dataset(c.value("--dataset")?)?),
+            "--dataset" => dataset = Some(c.value("--dataset")?.parse()?),
             "--uniform" => {
                 let v = c.value("--uniform")?;
                 let parts: Vec<&str> = v.split(',').collect();
@@ -901,7 +890,14 @@ mod tests {
 
     #[test]
     fn dataset_aliases() {
-        assert_eq!(parse_dataset("wiki").unwrap(), Dataset::WikiCat);
-        assert_eq!(parse_dataset("IMDB").unwrap(), Dataset::Imdb);
+        for (name, want) in [("wiki", Dataset::WikiCat), ("IMDB", Dataset::Imdb)] {
+            match parse(&sv(&["generate", "--dataset", name, "--out", "/tmp/x"])).unwrap() {
+                Command::Generate {
+                    kind: GenerateKind::Dataset(d),
+                    ..
+                } => assert_eq!(d, want),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 }

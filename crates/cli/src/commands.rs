@@ -8,18 +8,22 @@
 
 use crate::args::{bi_algo_of, Command, GenerateKind, GraphSource};
 use bigraph::{BipartiteGraph, Side};
-use fair_biclique::biclique::{CollectSink, CountSink, TopKSink};
+use fair_biclique::biclique::{Biclique, BicliqueSink, CollectSink, CountSink, TopKSink};
 use fair_biclique::config::{
-    Budget, FairParams, PrepareCtl, ProParams, RunConfig, Substrate, VertexOrder,
+    Budget, FairParams, PrepareCtl, ProParams, RunConfig, StopReason, Substrate, VertexOrder,
 };
 use fair_biclique::obs::SpanRecorder;
 use fair_biclique::pipeline::{
-    prune_bi_side, prune_single_side, run_bsfbc, run_pbsfbc, run_pssfbc, run_ssfbc, RunReport,
-    SsAlgorithm,
+    prune_bi_side, prune_single_side, run_bsfbc, run_ssfbc, SsAlgorithm,
 };
 use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+/// Appended to a result line when the budget cut the run short: the
+/// count (or maximum) is then a lower bound.
+const LOWER_BOUND: &str = " (budget hit; lower bound)";
 
 /// Why a CLI invocation failed.
 #[derive(Debug)]
@@ -238,43 +242,16 @@ fn prune(
     ))
 }
 
-/// Run the parallel engine for whichever model `(bi, pro)` selects,
-/// streaming into per-worker sinks built by `make_sink`.
-fn par_stream<S: fair_biclique::biclique::BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    params: FairParams,
-    pro: Option<ProParams>,
-    bi: bool,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (
-    Vec<S>,
-    fair_biclique::fcore::PruneStats,
-    fair_biclique::biclique::EnumStats,
-) {
-    use fair_biclique::parallel::{par_run_bsfbc, par_run_pbsfbc, par_run_pssfbc, par_run_ssfbc};
-    match (bi, pro) {
-        (false, None) => par_run_ssfbc(g, params, cfg, make_sink),
-        (true, None) => par_run_bsfbc(g, params, cfg, make_sink),
-        (false, Some(p)) => par_run_pssfbc(g, p, cfg, make_sink),
-        (true, Some(p)) => par_run_pbsfbc(g, p, cfg, make_sink),
-    }
-}
-
 /// Report a run's wall-clock phases on stderr (stdout stays
 /// byte-stable for diffing across runs, threads, and substrates).
 /// With `--trace` the recorder holds a span tree and its indented
 /// `span ...` lines follow the summary, so the one-line timing and
 /// the detailed breakdown read as one block.
-fn report_timing(report: &RunReport, rec: &SpanRecorder) {
+fn report_timing(total: Duration, prune: Duration, stop: Option<StopReason>, rec: &SpanRecorder) {
     eprintln!(
-        "timing: total {:.3?} (prune {:.3?}, enumerate {:.3?}){}",
-        report.elapsed,
-        report.prune_elapsed,
-        report.enumerate_elapsed,
-        report
-            .truncated_by
-            .map(|r| format!(" truncated by {r}"))
+        "timing: total {total:.3?} (prune {prune:.3?}, enumerate {:.3?}){}",
+        total.saturating_sub(prune),
+        stop.map(|r| format!(" truncated by {r}"))
             .unwrap_or_default(),
     );
     for line in rec.render() {
@@ -295,7 +272,7 @@ fn enumerate(
     order: VertexOrder,
     count_only: bool,
     top: Option<usize>,
-    budget: Option<std::time::Duration>,
+    budget: Option<Duration>,
     threads: usize,
     sorted: bool,
     substrate: Substrate,
@@ -311,137 +288,115 @@ fn enumerate(
         substrate,
         ..RunConfig::default()
     };
-    let model = match (bi, theta.is_some()) {
-        (false, false) => "SSFBC",
-        (false, true) => "PSSFBC",
-        (true, false) => "BSFBC",
-        (true, true) => "PBSFBC",
-    };
     let pro = match theta {
         Some(t) => Some(ProParams::new(alpha, beta, delta, t).map_err(|e| e.to_string())?),
         None => None,
     };
-    // Span recording covers the collect paths, which run the same
-    // prepare/execute pipeline the service traces; the streaming
-    // modes (--count-only, --top, non-default --algo) report only the
-    // total. A disabled recorder renders nothing.
-    let mut rec = if trace {
-        SpanRecorder::enabled()
-    } else {
-        SpanRecorder::disabled()
-    };
-
-    // The collected path (any thread count) goes through the
-    // prepare/execute pipelines, which report per-phase timings (and,
-    // with --trace, a per-stage span tree).
-    let qmodel = match (bi, pro) {
+    let model = match (bi, pro) {
         (false, None) => QueryModel::Ssfbc(params),
         (true, None) => QueryModel::Bsfbc(params),
         (false, Some(p)) => QueryModel::Pssfbc(p),
         (true, Some(p)) => QueryModel::Pbsfbc(p),
     };
-    let collect = |cfg: &RunConfig, rec: &mut SpanRecorder| -> RunReport {
-        let prepared = PreparedQuery::prepare_rec(
-            &g,
-            qmodel,
-            cfg.prune,
-            cfg.substrate,
-            &PrepareCtl::UNBOUNDED,
-            rec,
-        )
-        // fbe-lint: allow(no-panic-paths): PrepareCtl::UNBOUNDED never interrupts, so Err is unreachable — same contract PreparedQuery::prepare relies on
-        .expect("unbounded prepare is never interrupted");
-        prepared.execute_rec(cfg, rec)
-    };
-
-    // Multi-threaded runs go through the parallel engine (it works
-    // for every model); `--algo` selects among the serial algorithms
-    // only, so reject non-default choices.
-    if threads > 1 {
-        if algo != SsAlgorithm::FairBcemPP {
-            return Err(CliError::Usage(
-                "enumerate: --threads > 1 requires the default --algo bcem++".into(),
-            ));
-        }
-        // Counting and top-k stream into bounded per-worker sinks —
-        // no mode materializes more than it prints.
-        let t0 = std::time::Instant::now();
-        if count_only {
-            let (_, _, stats) = par_stream(&g, params, pro, bi, &cfg, &CountSink::default);
-            eprintln!("timing: total {:.3?}", t0.elapsed());
-            return render(out, model, stats.emitted, stats.aborted, true, None, &[]);
-        }
-        if let Some(k) = top {
-            let (sinks, _, stats) = par_stream(&g, params, pro, bi, &cfg, &|| TopKSink::new(k));
-            let mut merged = TopKSink::new(k);
-            for sink in sinks {
-                for bc in sink.into_sorted() {
-                    fair_biclique::biclique::BicliqueSink::emit(&mut merged, &bc.upper, &bc.lower);
-                }
-            }
-            eprintln!("timing: total {:.3?}", t0.elapsed());
-            return render(
-                out,
-                model,
-                stats.emitted,
-                stats.aborted,
-                false,
-                Some(k),
-                &merged.into_sorted(),
-            );
-        }
-        let report = collect(&cfg, &mut rec);
-        report_timing(&report, &rec);
-        let n = report.bicliques.len() as u64;
-        let aborted = report.stats.aborted;
-        return render(out, model, n, aborted, false, None, &report.bicliques);
+    // `--algo` selects among the paper's serial algorithms; only the
+    // default `++` miners run on the parallel engine. The proportion
+    // models have no baselines and ignore it.
+    if threads > 1 && algo != SsAlgorithm::FairBcemPP {
+        return Err(CliError::Usage(
+            "enumerate: --threads > 1 requires the default --algo bcem++".into(),
+        ));
     }
+    let (count, aborted, shown) = if algo != SsAlgorithm::FairBcemPP && pro.is_none() {
+        enumerate_baseline(&g, params, bi, algo, &cfg, count_only, top)
+    } else {
+        enumerate_prepared(&g, model, &cfg, count_only, top, trace)
+    };
+    render(out, model.name(), count, aborted, count_only, top, &shown)
+}
 
-    let run = |sink: &mut dyn fair_biclique::biclique::BicliqueSink| -> (u64, bool) {
-        let stats = match (bi, pro) {
-            (false, None) => run_ssfbc(&g, params, algo, &cfg, sink).1,
-            (true, None) => run_bsfbc(&g, params, bi_algo_of(algo), &cfg, sink).1,
-            (false, Some(p)) => run_pssfbc(&g, p, &cfg, sink).1,
-            (true, Some(p)) => run_pbsfbc(&g, p, &cfg, sink).1,
+/// Run a `++` miner on the prepared path at any thread count: every
+/// mode is a sink choice on [`PreparedQuery::stream`]. Counting and
+/// top-k stream into bounded per-worker sinks — no mode materializes
+/// more than it prints. Returns `(count, aborted, bicliques to show)`.
+fn enumerate_prepared(
+    g: &BipartiteGraph,
+    model: QueryModel,
+    cfg: &RunConfig,
+    count_only: bool,
+    top: Option<usize>,
+    trace: bool,
+) -> (u64, bool, Vec<Biclique>) {
+    // With --trace the recorder collects the same span tree the
+    // service's TRACE verb shows; a disabled recorder renders nothing.
+    let mut rec = if trace {
+        SpanRecorder::enabled()
+    } else {
+        SpanRecorder::disabled()
+    };
+    let t0 = Instant::now();
+    let prepared = PreparedQuery::prepare_rec(
+        g,
+        model,
+        cfg.prune,
+        cfg.substrate,
+        &PrepareCtl::UNBOUNDED,
+        &mut rec,
+    )
+    // fbe-lint: allow(no-panic-paths): PrepareCtl::UNBOUNDED never interrupts, so Err is unreachable — same contract PreparedQuery::prepare relies on
+    .expect("unbounded prepare is never interrupted");
+    let (stats, shown) = if count_only {
+        (prepared.count_rec(cfg, &mut rec).stats, Vec::new())
+    } else if let Some(k) = top {
+        let (sinks, stats) = rec.timed("enumerate", || prepared.stream(cfg, &|| TopKSink::new(k)));
+        let mut merged = TopKSink::new(k);
+        for bc in sinks.into_iter().flat_map(TopKSink::into_sorted) {
+            merged.emit(&bc.upper, &bc.lower);
+        }
+        (stats, merged.into_sorted())
+    } else {
+        let report = prepared.execute_rec(cfg, &mut rec);
+        (report.stats, report.bicliques)
+    };
+    report_timing(t0.elapsed(), prepared.prune_elapsed(), stats.stop, &rec);
+    (stats.emitted, stats.aborted, shown)
+}
+
+/// Run one of the paper's serial baselines (`--algo nsf|bcem`:
+/// `NSF` / `FairBCEM`, or `BNSF` / `BFairBCEM` with `--bi`).
+fn enumerate_baseline(
+    g: &BipartiteGraph,
+    params: FairParams,
+    bi: bool,
+    algo: SsAlgorithm,
+    cfg: &RunConfig,
+    count_only: bool,
+    top: Option<usize>,
+) -> (u64, bool, Vec<Biclique>) {
+    let t0 = Instant::now();
+    let run = |sink: &mut dyn BicliqueSink| {
+        let (_, stats) = if bi {
+            run_bsfbc(g, params, bi_algo_of(algo), cfg, sink)
+        } else {
+            run_ssfbc(g, params, algo, cfg, sink)
         };
-        (stats.emitted, stats.aborted)
+        stats
     };
-
-    let t0 = std::time::Instant::now();
-    if count_only {
-        let mut sink = CountSink::default();
-        let (n, aborted) = run(&mut sink);
-        eprintln!("timing: total {:.3?}", t0.elapsed());
-        return render(out, model, n, aborted, true, None, &[]);
-    }
-    if let Some(k) = top {
+    let (stats, shown) = if count_only {
+        (run(&mut CountSink::default()), Vec::new())
+    } else if let Some(k) = top {
         let mut sink = TopKSink::new(k);
-        let (n, aborted) = run(&mut sink);
-        eprintln!("timing: total {:.3?}", t0.elapsed());
-        return render(out, model, n, aborted, false, Some(k), &sink.into_sorted());
-    }
-    if algo == SsAlgorithm::FairBcemPP {
-        // Default algorithm: the prepared pipeline gives phase timings.
-        let report = collect(&cfg, &mut rec);
-        report_timing(&report, &rec);
-        return render(
-            out,
-            model,
-            report.stats.emitted,
-            report.stats.aborted,
-            false,
-            None,
-            &report.bicliques,
-        );
-    }
-    let mut sink = CollectSink::default();
-    let (n, aborted) = run(&mut sink);
+        (run(&mut sink), sink.into_sorted())
+    } else {
+        let mut sink = CollectSink::default();
+        let stats = run(&mut sink);
+        let mut bicliques = sink.bicliques;
+        if cfg.sorted {
+            fair_biclique::results::canonical_order(&mut bicliques);
+        }
+        (stats, bicliques)
+    };
     eprintln!("timing: total {:.3?}", t0.elapsed());
-    let mut bicliques = sink.bicliques;
-    if sorted {
-        fair_biclique::results::canonical_order(&mut bicliques);
-    }
-    render(out, model, n, aborted, false, None, &bicliques)
+    (stats.emitted, stats.aborted, shown)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -454,7 +409,7 @@ fn maximum(
     bi: bool,
     metric: fair_biclique::maximum::SizeMetric,
     order: VertexOrder,
-    budget: Option<std::time::Duration>,
+    budget: Option<Duration>,
     threads: usize,
     substrate: Substrate,
 ) -> Result<(), CliError> {
@@ -467,22 +422,41 @@ fn maximum(
         substrate,
         ..RunConfig::default()
     };
-    let t0 = std::time::Instant::now();
-    let (best, _) = if bi {
-        fair_biclique::maximum::max_bsfbc(&g, params, metric, &cfg)
+    let model = if bi {
+        QueryModel::Bsfbc(params)
     } else {
-        fair_biclique::maximum::max_ssfbc(&g, params, metric, &cfg)
+        QueryModel::Ssfbc(params)
     };
-    eprintln!("timing: total {:.3?}", t0.elapsed());
-    let model = if bi { "BSFBC" } else { "SSFBC" };
+    let t0 = Instant::now();
+    let prepared = PreparedQuery::prepare(&g, model, cfg.prune, cfg.substrate);
+    let (best, stats) = prepared.maximum(metric, &cfg);
+    report_timing(
+        t0.elapsed(),
+        prepared.prune_elapsed(),
+        stats.stop,
+        &SpanRecorder::disabled(),
+    );
+    render_max(out, model, metric, best.as_ref(), stats.aborted)
+}
+
+/// Print a maximum search's answer; a truncated search (`aborted`)
+/// reports its best-so-far — or "none" — as a lower bound.
+fn render_max(
+    out: &mut dyn Write,
+    model: QueryModel,
+    metric: fair_biclique::maximum::SizeMetric,
+    best: Option<&Biclique>,
+    aborted: bool,
+) -> Result<(), CliError> {
+    let suffix = if aborted { LOWER_BOUND } else { "" };
     match best {
         Some(bc) => writeln!(
             out,
-            "maximum {model} ({metric:?}): |L|={} |R|={}\n  {bc}",
+            "maximum {model} ({metric:?}): |L|={} |R|={}{suffix}\n  {bc}",
             bc.upper.len(),
             bc.lower.len()
         )?,
-        None => writeln!(out, "maximum {model} ({metric:?}): none")?,
+        None => writeln!(out, "maximum {model} ({metric:?}): none{suffix}")?,
     }
     Ok(())
 }
@@ -544,13 +518,9 @@ fn render(
     aborted: bool,
     count_only: bool,
     top: Option<usize>,
-    bicliques: &[fair_biclique::biclique::Biclique],
+    bicliques: &[Biclique],
 ) -> Result<(), CliError> {
-    let suffix = if aborted {
-        " (budget hit; lower bound)"
-    } else {
-        ""
-    };
+    let suffix = if aborted { LOWER_BOUND } else { "" };
     writeln!(out, "{model} count: {count}{suffix}")?;
     if count_only {
         return Ok(());
@@ -643,6 +613,114 @@ mod tests {
         );
         assert!(s.contains("top 2"));
         assert!(s.contains("L=[0]"));
+    }
+
+    fn cli(argv: &[&str]) -> String {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        crate::run(&argv).unwrap()
+    }
+
+    /// Generate a uniform random graph under a fresh temp directory;
+    /// returns the directory (for cleanup) and the graph stem.
+    fn uniform_graph(dir: &str, spec: &str, seed: &str) -> (PathBuf, String) {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let stem = dir.join("g").to_str().unwrap().to_string();
+        cli(&[
+            "generate",
+            "--uniform",
+            spec,
+            "--seed",
+            seed,
+            "--out",
+            &stem,
+        ]);
+        (dir, stem)
+    }
+
+    #[test]
+    fn streaming_modes_match_across_thread_counts() {
+        let (dir, stem) = uniform_graph("fbe_cli_streaming_modes", "30,30,220", "5");
+        let models: [&[&str]; 4] = [
+            &[],
+            &["--bi"],
+            &["--theta", "0.4"],
+            &["--bi", "--theta", "0.4"],
+        ];
+        for model in models {
+            let run = |mode: &[&str], threads: &str| {
+                let mut argv = vec![
+                    "enumerate",
+                    &stem,
+                    "--alpha",
+                    "2",
+                    "--beta",
+                    "1",
+                    "--delta",
+                    "1",
+                ];
+                argv.extend(model);
+                argv.extend(mode);
+                argv.extend(["--threads", threads]);
+                cli(&argv)
+            };
+            let count = run(&["--count-only"], "1");
+            assert!(!count.contains("count: 0"), "{model:?}: {count}");
+            assert_eq!(count, run(&["--count-only"], "4"), "{model:?}");
+            // The streamed count equals the collect-mode count line.
+            let collected = run(&[], "1");
+            assert_eq!(count.lines().next(), collected.lines().next(), "{model:?}");
+            let top = run(&["--top", "5"], "1");
+            assert!(top.contains("top 5 by size"), "{model:?}: {top}");
+            assert_eq!(top, run(&["--top", "5"], "4"), "{model:?}");
+        }
+        for model in [&[][..], &["--bi"]] {
+            let run = |threads: &str| {
+                let mut argv = vec![
+                    "maximum", &stem, "--alpha", "2", "--beta", "1", "--delta", "1",
+                ];
+                argv.extend(model);
+                argv.extend(["--threads", threads]);
+                cli(&argv)
+            };
+            let one = run("1");
+            assert!(one.contains("|L|="), "{model:?}: {one}");
+            assert_eq!(one, run("4"), "{model:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn maximum_marks_a_budget_cut_answer_as_lower_bound() {
+        // The deadline is probed once per 1024 ticks of a clock; at
+        // alpha 1 this graph's serial walk is longer than that, so a
+        // zero budget deterministically cuts it short. (Split across
+        // workers, each clock may finish its share under 1024 ticks.)
+        let (dir, stem) = uniform_graph("fbe_cli_maximum_budget", "40,40,300", "11");
+        let base = [
+            "maximum", &stem, "--alpha", "1", "--beta", "1", "--delta", "1",
+        ];
+        let full = cli(&base);
+        assert!(!full.contains("lower bound"), "{full}");
+        let mut argv = base.to_vec();
+        argv.extend(["--budget-secs", "0"]);
+        let cut = cli(&argv);
+        assert!(
+            cut.lines()
+                .next()
+                .unwrap()
+                .ends_with("(budget hit; lower bound)"),
+            "{cut}"
+        );
+        // The "none" answer of a truncated search carries the marker too.
+        let mut buf = Vec::new();
+        let model = QueryModel::Ssfbc(FairParams::unchecked(1, 1, 1));
+        render_max(&mut buf, model, Default::default(), None, true).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "maximum SSFBC (Vertices): none (budget hit; lower bound)\n"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! * `fbe batch` — run service-protocol scripts offline or against a
 //!   live server (`--connect`).
 //!
-//! Every mining subcommand takes `--threads <N>`: values above 1 run
-//! the model on the work-stealing parallel engine with a global
-//! budget ([`fair_biclique::parallel`]); `--sorted` makes enumerate
+//! Every mining subcommand runs the `++` miners through the same
+//! [`fair_biclique::prepared::PreparedQuery`] path the service uses,
+//! in every output mode; `--threads <N>` above 1 runs that path on the
+//! work-stealing parallel engine with a global budget
+//! ([`fair_biclique::parallel`]), and `--sorted` makes enumerate
 //! output byte-identical across thread counts.
 //!
 //! The binary is a thin wrapper around [`run`], which is fully unit
@@ -71,9 +73,12 @@ Results are identical across substrates — only speed/memory differ.
 tree (prepare: core-peel / 2hop / colorful peels, plan-resolve,
 enumerate, sort — the same vocabulary the service's TRACE verb and
 SLOWLOG use; see the README's Observability section). Stdout stays
-byte-identical with and without it. Spans cover the collect paths; the
-streaming modes (--count-only, --top, non-default --algo) keep the
+byte-identical with and without it. Spans cover every bcem++ run, in
+every output mode; the baselines (non-default --algo) keep the
 one-line total.
+
+--budget-secs bounds the search; a run it cuts short marks its count
+(enumerate) or best-so-far (maximum) with \"(budget hit; lower bound)\".
 
 fbe serve starts the resident query service on a TCP port (0 picks an
 ephemeral port, printed on startup): named graphs are loaded once

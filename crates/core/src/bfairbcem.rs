@@ -20,7 +20,6 @@ use crate::config::{
     Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, Substrate, VertexOrder,
 };
 use crate::fairbcem::fairbcem_with_clock;
-use crate::fairbcem_pp::fairbcem_pp_shared;
 use crate::fairset::{for_each_max_fair_subset, is_maximal_fair_subset, AttrCounts};
 use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
 use bigraph::{BipartiteGraph, Side, VertexId};
@@ -29,8 +28,8 @@ use bigraph::{BipartiteGraph, Side, VertexId};
 /// SSFBC `(L', R')`, emit the BSFBCs contained in it.
 ///
 /// Holds no sink — callers pass one per call ([`BiChainSink`] wires
-/// it behind an SSFBC enumerator; the parallel engine gives each
-/// worker its own expander + sink pair).
+/// it behind an SSFBC enumerator; every enumeration worker owns its
+/// own expander + sink pair).
 pub(crate) struct BiSideExpander<'a> {
     g: &'a BipartiteGraph,
     params: FairParams,
@@ -38,7 +37,7 @@ pub(crate) struct BiSideExpander<'a> {
     ops: AdjOps<'a>,
     /// Budget over upper-side expansion steps (one `Combination` can
     /// be binomially large).
-    clock: BudgetClock,
+    pub(crate) clock: BudgetClock,
     /// BSFBCs emitted so far.
     pub emitted: u64,
     groups: Vec<Vec<VertexId>>,
@@ -51,8 +50,8 @@ pub(crate) struct BiSideExpander<'a> {
 
 impl<'a> BiSideExpander<'a> {
     /// Constructor taking explicit upper-side candidate ops and a
-    /// clock — the parallel engine hands every worker its own handles
-    /// drawing from the shared rows and countdown.
+    /// clock — every worker gets its own handles drawing from the
+    /// run's shared rows and countdown.
     pub(crate) fn with_clock(
         g: &'a BipartiteGraph,
         params: FairParams,
@@ -72,16 +71,6 @@ impl<'a> BiSideExpander<'a> {
             base: AttrCounts::zeros(n_attrs_l),
             cand: AttrCounts::zeros(n_attrs_l),
         }
-    }
-
-    /// True when the expansion budget expired (results are a subset).
-    pub(crate) fn aborted(&self) -> bool {
-        self.clock.exhausted
-    }
-
-    /// Why the expansion stage stopped (None while unexhausted).
-    pub(crate) fn stop_reason(&self) -> Option<crate::config::StopReason> {
-        self.clock.stop_reason()
     }
 
     pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
@@ -147,20 +136,11 @@ impl BicliqueSink for BiChainSink<'_, '_> {
     }
 }
 
-/// `BFairBCEM`: bi-side enumeration driven by `FairBCEM`.
+/// `BFairBCEM`: bi-side enumeration driven by `FairBCEM`, with the
+/// upper-side expansion stage on the given candidate substrate.
+/// (`BFairBCEM++` runs on the prepared-query path,
+/// [`crate::prepared::PreparedQuery`].)
 pub fn bfairbcem_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    bfairbcem_on_pruned_with(g, params, order, budget, Substrate::Auto, sink)
-}
-
-/// [`bfairbcem_on_pruned`] with an explicit candidate substrate for
-/// the upper-side expansion stage.
-pub fn bfairbcem_on_pruned_with(
     g: &BipartiteGraph,
     params: FairParams,
     order: VertexOrder,
@@ -186,62 +166,7 @@ pub fn bfairbcem_on_pruned_with(
     let inner_clock = shared.clock(BudgetLane::Walk).exempt_results();
     let mut stats = fairbcem_with_clock(g, params, order, inner_clock, &mut chain);
     stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
-    stats
-}
-
-/// `BFairBCEM++`: bi-side enumeration driven by `FairBCEM++`.
-pub fn bfairbcem_pp_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    bfairbcem_pp_on_pruned_with(g, params, order, budget, Substrate::Auto, sink)
-}
-
-/// [`bfairbcem_pp_on_pruned`] with an explicit candidate substrate
-/// shared by the walker, the fair-side expansion, and the upper-side
-/// expansion.
-pub fn bfairbcem_pp_on_pruned_with(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    substrate: Substrate,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let plan = CandidatePlan::build(g, substrate, true);
-    bfairbcem_pp_planned(g, params, order, &SharedBudget::new(budget), &plan, sink)
-}
-
-/// `BFairBCEM++` on a pre-resolved [`CandidatePlan`] (built with upper
-/// rows) and an externally owned shared budget — the entry point the
-/// prepared-plan cache ([`crate::prepared`]) reuses across queries.
-pub(crate) fn bfairbcem_pp_planned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    shared: &std::sync::Arc<SharedBudget>,
-    plan: &CandidatePlan,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let mut expander = BiSideExpander::with_clock(
-        g,
-        params,
-        plan.ops(g, Side::Upper),
-        shared.clock(BudgetLane::Expand),
-    );
-    let mut chain = BiChainSink {
-        exp: &mut expander,
-        sink,
-    };
-    let mut stats = fairbcem_pp_shared(g, params, order, shared, true, plan, &mut chain);
-    stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
+    expander.clock.settle(&mut stats);
     stats
 }
 
@@ -249,6 +174,7 @@ pub(crate) fn bfairbcem_pp_planned(
 mod tests {
     use super::*;
     use crate::biclique::{Biclique, CollectSink};
+    use crate::prepared::{mine_unpruned, QueryModel};
     use crate::verify::oracle_bsfbc;
     use bigraph::generate::random_uniform;
     use bigraph::GraphBuilder;
@@ -260,15 +186,24 @@ mod tests {
         order: VertexOrder,
         pp: bool,
     ) -> BTreeSet<Biclique> {
-        let mut sink = CollectSink::default();
-        let stats = if pp {
-            bfairbcem_pp_on_pruned(g, params, order, Budget::UNLIMITED, &mut sink)
+        let (bicliques, stats) = if pp {
+            let report = mine_unpruned(g, QueryModel::Bsfbc(params), order, Budget::UNLIMITED);
+            (report.bicliques, report.stats)
         } else {
-            bfairbcem_on_pruned(g, params, order, Budget::UNLIMITED, &mut sink)
+            let mut sink = CollectSink::default();
+            let stats = bfairbcem_on_pruned(
+                g,
+                params,
+                order,
+                Budget::UNLIMITED,
+                Substrate::Auto,
+                &mut sink,
+            );
+            (sink.bicliques, stats)
         };
         assert!(!stats.aborted);
-        let set: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
-        assert_eq!(set.len(), sink.bicliques.len(), "no duplicate emissions");
+        let set: BTreeSet<Biclique> = bicliques.iter().cloned().collect();
+        assert_eq!(set.len(), bicliques.len(), "no duplicate emissions");
         assert_eq!(stats.emitted as usize, set.len());
         set
     }

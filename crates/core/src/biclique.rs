@@ -76,19 +76,32 @@ impl BicliqueSink for CollectSink {
     }
 }
 
+/// A borrowed sink is a sink: drivers that take `&mut dyn BicliqueSink`
+/// can hand it on to code generic over the sink type.
+impl<T: BicliqueSink + ?Sized> BicliqueSink for &mut T {
+    #[inline]
+    fn emit(&mut self, upper: &[VertexId], lower: &[VertexId]) {
+        (**self).emit(upper, lower);
+    }
+}
+
 /// Forwards results after translating pruned-subgraph ids back to the
 /// parent graph's ids (the enumerators run on compacted pruned graphs).
-pub struct MappingSink<'a, S: BicliqueSink + ?Sized> {
+///
+/// The sink owns its translation buffers, so one kept for a whole run
+/// (as every enumeration worker does) maps each emission without
+/// allocating.
+pub struct MappingSink<'a, S> {
     upper_map: &'a [VertexId],
     lower_map: &'a [VertexId],
-    inner: &'a mut S,
+    inner: S,
     upper_buf: Vec<VertexId>,
     lower_buf: Vec<VertexId>,
 }
 
-impl<'a, S: BicliqueSink + ?Sized> MappingSink<'a, S> {
+impl<'a, S> MappingSink<'a, S> {
     /// Wrap `inner` with `new_id -> parent_id` maps for both sides.
-    pub fn new(upper_map: &'a [VertexId], lower_map: &'a [VertexId], inner: &'a mut S) -> Self {
+    pub fn new(upper_map: &'a [VertexId], lower_map: &'a [VertexId], inner: S) -> Self {
         MappingSink {
             upper_map,
             lower_map,
@@ -97,9 +110,14 @@ impl<'a, S: BicliqueSink + ?Sized> MappingSink<'a, S> {
             lower_buf: Vec::new(),
         }
     }
+
+    /// The wrapped sink.
+    pub(crate) fn into_inner(self) -> S {
+        self.inner
+    }
 }
 
-impl<S: BicliqueSink + ?Sized> BicliqueSink for MappingSink<'_, S> {
+impl<S: BicliqueSink> BicliqueSink for MappingSink<'_, S> {
     fn emit(&mut self, upper: &[VertexId], lower: &[VertexId]) {
         self.upper_buf.clear();
         self.upper_buf

@@ -478,6 +478,13 @@ impl BudgetClock {
             .or_else(|| self.shared.as_ref().and_then(|(s, _)| s.stop_reason()))
     }
 
+    /// Fold this clock's stop state into a run's statistics (the
+    /// first recorded cause wins).
+    pub(crate) fn settle(&self, stats: &mut crate::biclique::EnumStats) {
+        stats.aborted |= self.exhausted;
+        stats.stop = stats.stop.or_else(|| self.stop_reason());
+    }
+
     /// Stop this clock for `reason`, propagating to the shared budget
     /// (and thereby every sibling worker) when there is one.
     #[cold]

@@ -18,95 +18,18 @@
 //! biclique (a vertex adjacent to all of `N(L*)` is adjacent to all of
 //! `R*`, hence in `N(R*) = L*`), and `R*` is one of its maximal fair
 //! subsets with `N(R*) = L*`.
+//!
+//! This module holds the expansion step; the walk and its drivers are
+//! shared by every `++` miner ([`crate::prepared`], [`crate::parallel`]).
 
-use crate::biclique::{BicliqueSink, EnumStats};
-use crate::config::{
-    Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, Substrate, VertexOrder,
-};
+use crate::biclique::BicliqueSink;
+use crate::config::{BudgetClock, FairParams};
 use crate::fairset::{for_each_max_fair_subset, is_fair, AttrCounts};
-use crate::mbea::{root_task, RBound, Walker};
-use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
+use bigraph::candidate::{AdjOps, CandidateOps};
 use bigraph::{BipartiteGraph, Side, VertexId};
-use std::sync::Arc;
 
-/// Run `FairBCEM++` on `g` (assumed already pruned; fair side = lower)
-/// on the adaptive candidate substrate.
-pub fn fairbcem_pp_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    fairbcem_pp_on_pruned_with(g, params, order, budget, Substrate::Auto, sink)
-}
-
-/// [`fairbcem_pp_on_pruned`] with an explicit candidate substrate
-/// (results are identical across substrates).
-pub fn fairbcem_pp_on_pruned_with(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    substrate: Substrate,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let plan = CandidatePlan::build(g, substrate, false);
-    fairbcem_pp_shared(
-        g,
-        params,
-        order,
-        &SharedBudget::new(budget),
-        false,
-        &plan,
-        sink,
-    )
-}
-
-/// `FairBCEM++` with walker and expander clocks drawn from one shared
-/// budget, so *any* exhausted limit — including the result cap, which
-/// only the expander's clock consumes — stops the whole walk.
-/// `intermediate` exempts emissions from the result budget (bi-side
-/// chains: SSFBCs feeding an upper-side expansion are not final
-/// results). Walker and expander both draw candidate ops from `plan`.
-pub(crate) fn fairbcem_pp_shared(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    shared: &Arc<SharedBudget>,
-    intermediate: bool,
-    plan: &CandidatePlan,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let expand_clock = if intermediate {
-        shared.clock(BudgetLane::Expand).exempt_results()
-    } else {
-        shared.clock(BudgetLane::Expand)
-    };
-    let mut expander = SsExpander::with_clock(g, params, plan.ops(g, Side::Lower), expand_clock);
-    let mut walker = Walker::new(
-        g,
-        params.alpha as usize,
-        RBound::AttrBeta {
-            attrs: g.attrs(Side::Lower),
-            beta: params.beta,
-        },
-        plan.ops(g, Side::Lower),
-        shared.clock(BudgetLane::Walk),
-    );
-    walker.run(root_task(g, order, plan.choice()), &mut |l, r| {
-        expander.expand(l, r, sink)
-    });
-    let mut stats = walker.stats();
-    stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
-    stats
-}
-
-/// The expansion step of Algorithm 6 (lines 23–28), factored out so
-/// the serial and parallel drivers share it: given a maximal biclique
-/// `(L, R)` with `|L| ≥ α`, emit the SSFBCs it contains.
+/// The expansion step of Algorithm 6 (lines 23–28): given a maximal
+/// biclique `(L, R)` with `|L| ≥ α`, emit the SSFBCs it contains.
 pub(crate) struct SsExpander<'a> {
     params: FairParams,
     attrs: &'a [bigraph::AttrValueId],
@@ -120,15 +43,15 @@ pub(crate) struct SsExpander<'a> {
     /// Budget over expansion steps: a single `Combination` can produce
     /// binomially many subsets, so the walker's node budget alone
     /// cannot bound a run.
-    clock: BudgetClock,
+    pub(crate) clock: BudgetClock,
     /// SSFBCs emitted so far.
     pub(crate) emitted: u64,
 }
 
 impl<'a> SsExpander<'a> {
-    /// Constructor taking explicit candidate ops and clock — the
-    /// parallel engine hands every worker its own handles drawing from
-    /// the shared rows and countdown.
+    /// Constructor taking explicit candidate ops and clock — every
+    /// worker gets its own handles drawing from the run's shared rows
+    /// and countdown.
     pub(crate) fn with_clock(
         g: &'a BipartiteGraph,
         params: FairParams,
@@ -145,17 +68,6 @@ impl<'a> SsExpander<'a> {
             clock,
             emitted: 0,
         }
-    }
-
-    /// True when the expansion budget expired mid-run (results are a
-    /// correct subset).
-    pub(crate) fn aborted(&self) -> bool {
-        self.clock.exhausted
-    }
-
-    /// Why the expansion stage stopped (None while unexhausted).
-    pub(crate) fn stop_reason(&self) -> Option<crate::config::StopReason> {
-        self.clock.stop_reason()
     }
 
     pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
@@ -208,18 +120,30 @@ impl<'a> SsExpander<'a> {
 mod tests {
     use super::*;
     use crate::biclique::{Biclique, CollectSink};
+    use crate::config::{Budget, Substrate, VertexOrder};
+    use crate::pipeline::RunReport;
+    use crate::prepared::{mine_unpruned, QueryModel};
     use crate::verify::oracle_ssfbc;
+    use bigraph::candidate::CandidatePlan;
     use bigraph::generate::{plant_bicliques, random_uniform};
     use bigraph::GraphBuilder;
     use std::collections::BTreeSet;
 
+    fn mine(
+        g: &BipartiteGraph,
+        params: FairParams,
+        order: VertexOrder,
+        budget: Budget,
+    ) -> RunReport {
+        mine_unpruned(g, QueryModel::Ssfbc(params), order, budget)
+    }
+
     fn run(g: &BipartiteGraph, params: FairParams, order: VertexOrder) -> BTreeSet<Biclique> {
-        let mut sink = CollectSink::default();
-        let stats = fairbcem_pp_on_pruned(g, params, order, Budget::UNLIMITED, &mut sink);
-        assert!(!stats.aborted);
-        let set: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
-        assert_eq!(set.len(), sink.bicliques.len(), "no duplicate emissions");
-        assert_eq!(stats.emitted as usize, set.len());
+        let report = mine(g, params, order, Budget::UNLIMITED);
+        assert!(!report.stats.aborted);
+        let set: BTreeSet<Biclique> = report.bicliques.iter().cloned().collect();
+        assert_eq!(set.len(), report.bicliques.len(), "no duplicate emissions");
+        assert_eq!(report.stats.emitted as usize, set.len());
         set
     }
 
@@ -328,22 +252,18 @@ mod tests {
         b.set_attrs_lower(&lattrs);
         let g = b.build().unwrap();
         let params = FairParams::unchecked(3, 1, 0);
-        let mut sink = CollectSink::default();
-        let stats =
-            fairbcem_pp_on_pruned(&g, params, VertexOrder::IdAsc, Budget::nodes(50), &mut sink);
-        assert!(stats.aborted, "expansion budget must fire");
+        let capped = mine(&g, params, VertexOrder::IdAsc, Budget::nodes(50));
+        assert!(capped.stats.aborted, "expansion budget must fire");
         assert!(
-            sink.bicliques.len() <= 60,
+            capped.bicliques.len() <= 60,
             "emission is bounded by the budget, got {}",
-            sink.bicliques.len()
+            capped.bicliques.len()
         );
         // And the unbounded run really is big (sanity check of the
         // setup): C(16,10) closure-filtered results still number
         // thousands.
-        let mut full = CollectSink::default();
-        let full_stats =
-            fairbcem_pp_on_pruned(&g, params, VertexOrder::IdAsc, Budget::UNLIMITED, &mut full);
-        assert!(!full_stats.aborted);
+        let full = mine(&g, params, VertexOrder::IdAsc, Budget::UNLIMITED);
+        assert!(!full.stats.aborted);
         assert!(full.bicliques.len() > 1000);
     }
 
@@ -351,15 +271,8 @@ mod tests {
     fn budget_abort_subset() {
         let g = random_uniform(12, 14, 90, 2, 2, 7);
         let params = FairParams::unchecked(1, 1, 2);
-        let mut capped = CollectSink::default();
-        let stats = fairbcem_pp_on_pruned(
-            &g,
-            params,
-            VertexOrder::IdAsc,
-            Budget::nodes(8),
-            &mut capped,
-        );
-        assert!(stats.aborted);
+        let capped = mine(&g, params, VertexOrder::IdAsc, Budget::nodes(8));
+        assert!(capped.stats.aborted);
         let full = oracle_ssfbc(&g, params);
         for b in capped.bicliques {
             assert!(full.contains(&b));

@@ -16,17 +16,24 @@
 //!   ([`bfairbcem`], Algorithm 9), proportion enumerators
 //!   ([`proportion`]), the naive baselines `NSF` / `BNSF` ([`naive`]),
 //!   and plain maximal biclique enumeration ([`mbea`]).
+//! * **One execution path** — the four `++` miners share one pipeline
+//!   (prune, walk the maximal bicliques with `|L| ≥ α`, expand each),
+//!   so they share one driver: a [`prepared::PreparedQuery`] prunes
+//!   and resolves the candidate plan once, and
+//!   [`prepared::PreparedQuery::stream`] runs the walk — on the calling
+//!   thread, or on the work-stealing engine ([`parallel`]) when
+//!   [`config::RunConfig::threads`] is above 1 — into per-worker sinks.
+//!   Collecting, counting, top-k and maximum search ([`maximum`]) are
+//!   sink choices; the CLI, the query service, the benches and the
+//!   [`pipeline`] wrappers all run this path. The paper's baselines
+//!   stay behind [`pipeline::run_ssfbc`] / [`pipeline::run_bsfbc`].
 //! * **Verification** — brute-force oracles ([`verify`]) used by the
 //!   test suite to certify every enumerator on thousands of random
 //!   graphs.
-//! * **Extensions** — a work-stealing parallel enumeration engine
-//!   driving all of the `++` miners and maximum search ([`parallel`];
-//!   opt in with [`config::RunConfig::threads`]), maximum fair
-//!   biclique search ([`maximum`]), and an adaptive bitset candidate
-//!   substrate for the enumeration hot path
-//!   ([`config::RunConfig::substrate`]; see [`bigraph::candidate`]),
-//!   and incremental fair-core maintenance for dynamic graphs
-//!   ([`incremental`]).
+//! * **Extensions** — an adaptive bitset candidate substrate for the
+//!   enumeration hot path ([`config::RunConfig::substrate`]; see
+//!   [`bigraph::candidate`]), incremental fair-core maintenance for
+//!   dynamic graphs ([`incremental`]), and span tracing ([`obs`]).
 //!
 //! ## Quickstart
 //!

@@ -2,15 +2,14 @@
 //!
 //! The paper's related work motivates *maximum* biclique search
 //! (\[17\]–\[20\]) next to enumeration; this module provides the fair
-//! analog: the single largest SSFBC/BSFBC under a size metric. It
-//! reuses the enumeration pipelines with a best-so-far sink — exact,
-//! and cheap whenever enumeration itself is feasible.
+//! analog: the single largest fair biclique of any of the four models
+//! under a size metric. It is a sink choice on the one enumeration
+//! path — [`crate::prepared::PreparedQuery::maximum`] streams into
+//! per-worker best-so-far [`MaxSink`]s and merges them — exact, and
+//! cheap whenever enumeration itself is feasible.
 
 use crate::biclique::{Biclique, BicliqueSink};
-use crate::config::{FairParams, RunConfig};
-use crate::fcore::PruneStats;
-use crate::pipeline::{run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm};
-use bigraph::{BipartiteGraph, VertexId};
+use bigraph::VertexId;
 use serde::{Deserialize, Serialize};
 
 /// What "largest" means.
@@ -78,50 +77,36 @@ impl BicliqueSink for MaxSink {
     }
 }
 
-/// The largest single-side fair biclique of `g` under `metric`
-/// (`None` when no SSFBC exists). Exact; runs the `FairBCEM++`
-/// pipeline under the hood. `cfg.threads > 1` searches on the
-/// parallel engine ([`crate::parallel`]) with per-worker best-so-far
-/// sinks merged under the same deterministic tie-break.
-pub fn max_ssfbc(
-    g: &BipartiteGraph,
-    params: FairParams,
-    metric: SizeMetric,
-    cfg: &RunConfig,
-) -> (Option<Biclique>, PruneStats) {
-    if cfg.threads > 1 {
-        let pruned = crate::pipeline::prune_single_side(g, params, cfg.prune);
-        let sink = crate::parallel::par_max_ssfbc(&pruned, params, metric, cfg);
-        return (sink.best, pruned.stats);
+/// Merge per-worker best-so-far sinks into one: the `(score,
+/// lexicographic)` tie-break is a total order, so the merged best is
+/// the one a single sink would have kept over the same emissions.
+pub(crate) fn merge_max(metric: SizeMetric, sinks: impl IntoIterator<Item = MaxSink>) -> MaxSink {
+    let mut merged = MaxSink::new(metric);
+    let mut seen = 0u64;
+    for s in sinks {
+        seen += s.seen;
+        if let Some(b) = s.best {
+            merged.emit(&b.upper, &b.lower);
+        }
     }
-    let mut sink = MaxSink::new(metric);
-    let (prune, _) = run_ssfbc(g, params, SsAlgorithm::FairBcemPP, cfg, &mut sink);
-    (sink.best, prune)
-}
-
-/// The largest bi-side fair biclique of `g` under `metric`.
-/// `cfg.threads > 1` searches on the parallel engine.
-pub fn max_bsfbc(
-    g: &BipartiteGraph,
-    params: FairParams,
-    metric: SizeMetric,
-    cfg: &RunConfig,
-) -> (Option<Biclique>, PruneStats) {
-    if cfg.threads > 1 {
-        let pruned = crate::pipeline::prune_bi_side(g, params, cfg.prune);
-        let sink = crate::parallel::par_max_bsfbc(&pruned, params, metric, cfg);
-        return (sink.best, pruned.stats);
-    }
-    let mut sink = MaxSink::new(metric);
-    let (prune, _) = run_bsfbc(g, params, BiAlgorithm::BFairBcemPP, cfg, &mut sink);
-    (sink.best, prune)
+    merged.seen = seen;
+    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{FairParams, RunConfig};
+    use crate::prepared::{PreparedQuery, QueryModel};
     use crate::verify::{oracle_bsfbc, oracle_ssfbc};
     use bigraph::generate::random_uniform;
+    use bigraph::BipartiteGraph;
+
+    fn max_of(g: &BipartiteGraph, model: QueryModel, metric: SizeMetric) -> Option<Biclique> {
+        let cfg = RunConfig::default();
+        let prepared = PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate);
+        prepared.maximum(metric, &cfg).0
+    }
 
     fn oracle_max(
         set: &std::collections::BTreeSet<Biclique>,
@@ -153,7 +138,7 @@ mod tests {
             let params = FairParams::unchecked(2, 1, 1);
             let all = oracle_ssfbc(&g, params);
             for metric in [SizeMetric::Vertices, SizeMetric::Edges] {
-                let (got, _) = max_ssfbc(&g, params, metric, &RunConfig::default());
+                let got = max_of(&g, QueryModel::Ssfbc(params), metric);
                 let want = oracle_max(&all, metric);
                 assert_eq!(got, want, "seed {seed} metric {metric:?}");
             }
@@ -166,7 +151,7 @@ mod tests {
             let g = random_uniform(7, 8, 26, 2, 2, seed);
             let params = FairParams::unchecked(1, 1, 1);
             let all = oracle_bsfbc(&g, params);
-            let (got, _) = max_bsfbc(&g, params, SizeMetric::Vertices, &RunConfig::default());
+            let got = max_of(&g, QueryModel::Bsfbc(params), SizeMetric::Vertices);
             assert_eq!(got, oracle_max(&all, SizeMetric::Vertices), "seed {seed}");
         }
     }
@@ -175,9 +160,13 @@ mod tests {
     fn none_when_infeasible() {
         let g = random_uniform(6, 6, 10, 2, 2, 1);
         let params = FairParams::unchecked(6, 6, 0);
-        let (got, prune) = max_ssfbc(&g, params, SizeMetric::Vertices, &RunConfig::default());
+        let cfg = RunConfig::default();
+        let prepared =
+            PreparedQuery::prepare(&g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
+        let (got, stats) = prepared.maximum(SizeMetric::Vertices, &cfg);
         assert!(got.is_none());
-        assert_eq!(prune.remaining_vertices(), 0);
+        assert!(!stats.aborted);
+        assert_eq!(prepared.prune_stats().remaining_vertices(), 0);
     }
 
     #[test]

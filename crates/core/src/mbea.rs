@@ -1,11 +1,11 @@
 //! Maximal biclique enumeration (the `MBEA++`-style core of
 //! Algorithm 6, and the plain `MBC` baseline of Exp-4).
 //!
-//! `walk_maximal_bicliques` visits every maximal biclique `(L, R)` of
-//! the graph with `|L| ≥ min_l`, exactly once, using the batch-
-//! absorption trick of Zhang et al. \[6\]: when expanding candidate `x`,
-//! every remaining candidate fully connected to the shrunken `L'` joins
-//! `R'` immediately, and the ones with no neighbors outside `L'`
+//! The `Walker` visits every maximal biclique `(L, R)` of the graph
+//! with `|L| ≥ min_l`, exactly once, using the batch-absorption trick
+//! of Zhang et al. \[6\]: when expanding candidate `x`, every remaining
+//! candidate fully connected to the shrunken `L'` joins `R'`
+//! immediately, and the ones with no neighbors outside `L'`
 //! (`N(v) = L'`) are *consumed* — removed from the candidate pool for
 //! all sibling branches, since every maximal biclique containing them
 //! lives in the current subtree.
@@ -50,26 +50,6 @@ impl RBound<'_> {
             }
         }
     }
-}
-
-/// Walk all maximal bicliques `(L, R)` of `g` with `|L| ≥ min_l ≥ 1`.
-///
-/// `visit(l, r)` receives `L` sorted and `R` **sorted** (a scratch copy;
-/// borrow only for the call). Returns the walk statistics; when the
-/// budget runs out, a correct subset has been visited.
-pub(crate) fn walk_maximal_bicliques(
-    g: &BipartiteGraph,
-    min_l: usize,
-    rbound: RBound<'_>,
-    order: VertexOrder,
-    budget: Budget,
-    substrate: Substrate,
-    visit: &mut dyn FnMut(&[VertexId], &[VertexId]),
-) -> EnumStats {
-    let plan = CandidatePlan::build(g, substrate, false);
-    let mut w = Walker::new(g, min_l, rbound, plan.ops(g, Side::Lower), budget.start());
-    w.run(root_task(g, order, plan.choice()), visit);
-    w.stats()
 }
 
 /// One independent unit of enumeration work: the subtree rooted at
@@ -437,21 +417,11 @@ impl<'a> Walker<'a> {
 
 /// Enumerate all maximal bicliques with `|L| ≥ min_l` and `|R| ≥ min_r`
 /// (the paper's `MBC` counts in Fig. 6 use this with
-/// `min_l = α, min_r = 2β` / `min_l = 2α, min_r = 2β`).
+/// `min_l = α, min_r = 2β` / `min_l = 2α, min_r = 2β`) on the given
+/// candidate substrate (`Auto` picks adaptively; results are identical
+/// either way). Each biclique is emitted exactly once, `L` and `R`
+/// sorted; when the budget runs out, a correct subset has been emitted.
 pub fn maximal_bicliques(
-    g: &BipartiteGraph,
-    min_l: usize,
-    min_r: usize,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    maximal_bicliques_with(g, min_l, min_r, order, budget, Substrate::Auto, sink)
-}
-
-/// [`maximal_bicliques`] on an explicit candidate substrate (the
-/// default picks adaptively; results are identical either way).
-pub fn maximal_bicliques_with(
     g: &BipartiteGraph,
     min_l: usize,
     min_r: usize,
@@ -462,25 +432,25 @@ pub fn maximal_bicliques_with(
 ) -> EnumStats {
     let min_l = min_l.max(1);
     let min_r = min_r.max(1);
-    let mut emitted = 0u64;
-    let mut results_clock = budget.start();
-    let mut stats = walk_maximal_bicliques(
+    let plan = CandidatePlan::build(g, substrate, false);
+    let mut walker = Walker::new(
         g,
         min_l,
         RBound::Size(min_r),
-        order,
-        budget.clone(),
-        substrate,
-        &mut |l, r| {
-            if r.len() >= min_r && results_clock.try_result() {
-                sink.emit(l, r);
-                emitted += 1;
-            }
-        },
+        plan.ops(g, Side::Lower),
+        budget.start(),
     );
+    let mut emitted = 0u64;
+    let mut results_clock = budget.start();
+    walker.run(root_task(g, order, plan.choice()), &mut |l, r| {
+        if r.len() >= min_r && results_clock.try_result() {
+            sink.emit(l, r);
+            emitted += 1;
+        }
+    });
+    let mut stats = walker.stats();
     stats.emitted = emitted;
-    stats.aborted |= results_clock.exhausted;
-    stats.stop = stats.stop.or_else(|| results_clock.stop_reason());
+    results_clock.settle(&mut stats);
     stats
 }
 
@@ -500,7 +470,15 @@ mod tests {
         order: VertexOrder,
     ) -> BTreeSet<Biclique> {
         let mut sink = CollectSink::default();
-        let stats = maximal_bicliques(g, min_l, min_r, order, Budget::UNLIMITED, &mut sink);
+        let stats = maximal_bicliques(
+            g,
+            min_l,
+            min_r,
+            order,
+            Budget::UNLIMITED,
+            Substrate::Auto,
+            &mut sink,
+        );
         assert!(!stats.aborted);
         let set: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
         assert_eq!(set.len(), sink.bicliques.len(), "no duplicates");
@@ -553,7 +531,15 @@ mod tests {
     fn budget_abort() {
         let g = random_uniform(12, 14, 90, 1, 1, 3);
         let mut sink = CollectSink::default();
-        let stats = maximal_bicliques(&g, 1, 1, VertexOrder::IdAsc, Budget::nodes(5), &mut sink);
+        let stats = maximal_bicliques(
+            &g,
+            1,
+            1,
+            VertexOrder::IdAsc,
+            Budget::nodes(5),
+            Substrate::Auto,
+            &mut sink,
+        );
         assert!(stats.aborted);
         let full = oracle_maximal_bicliques(&g, 1, 1);
         for b in sink.bicliques {

@@ -89,8 +89,7 @@ pub fn bnsf_on_pruned(
     let inner_clock = shared.clock(BudgetLane::Walk).exempt_results();
     let mut stats = nsf_with_clock(g, params, order, inner_clock, &mut chain);
     stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
+    expander.clock.settle(&mut stats);
     stats
 }
 

@@ -1,15 +1,24 @@
-//! Work-stealing parallel enumeration engine shared by every miner.
+//! The enumeration engine: one walk of the maximal-biclique tree,
+//! run on the calling thread or spread over work-stealing workers.
 //!
-//! The paper's extension section parallelizes only single-side
-//! `FairBCEM++`; this module generalizes that into one engine that
-//! drives `FairBCEM++`, `BFairBCEM++`, the proportion enumerators
-//! (`FairBCEMPro++` / `BFairBCEMPro++`), and maximum fair biclique
-//! search. The serial enumerators are untouched — the engine reuses
-//! their [`Walker`](crate::mbea) and expander components verbatim.
+//! Every `++` miner — `FairBCEM++`, `BFairBCEM++` and the proportion
+//! enumerators `FairBCEMPro++` / `BFairBCEMPro++` — runs one pipeline:
+//! walk the maximal bicliques with `|L| ≥ α` (Algorithm 6's
+//! `BackTrackFBCEM++` skeleton, the `Walker` of [`crate::mbea`]), then
+//! expand each one. Only the expansion differs between models; it lives
+//! with the prepared plan ([`crate::prepared`]), which hands this module
+//! one visitor per worker. A `Walk` drives those visitors two ways:
+//!
+//! * `Walk::run_serial` executes the root task to completion on the
+//!   calling thread — no spawn, no queue lock (`threads ≤ 1`);
+//! * `Walk::run_parallel` splits the same tree across up to
+//!   `RunConfig::threads` workers (the paper's extension section
+//!   parallelizes single-side `FairBCEM++`; this engine generalizes it
+//!   to every miner and to maximum search).
 //!
 //! # Design
 //!
-//! * **Shared branch deque.** Work units are [`BranchTask`]s: exact
+//! * **Shared branch deque.** Work units are `BranchTask`s: exact
 //!   search states `(L, R, P, Q)` of the serial enumeration tree,
 //!   held in a shared deque that idle workers steal from. The whole
 //!   run starts as one root task; a worker executing a task above
@@ -30,32 +39,33 @@
 //!   result sets are identical to serial runs, each result is emitted
 //!   exactly once, and the summed per-worker node counts equal the
 //!   serial node count (tested).
-//! * **Global budget.** All workers draw node ticks and result slots
-//!   from one [`SharedBudget`] — atomic countdowns acquired *before*
-//!   work happens. A `Budget::results(K)` therefore yields exactly
-//!   `min(K, total)` results regardless of thread count (the old
-//!   per-worker budgets could emit `threads × K`), and node/time
-//!   exhaustion in any worker stops all of them at their next tick.
+//! * **Global budget.** Serial or parallel, every walker and expander
+//!   draws node ticks and result slots from one `SharedBudget` —
+//!   atomic countdowns acquired *before* work happens. A
+//!   `Budget::results(K)` therefore yields exactly `min(K, total)`
+//!   results regardless of thread count, and node/time exhaustion in
+//!   any worker stops all of them at their next tick.
 //! * **Deterministic aggregation.** Per-worker [`EnumStats`] are
 //!   merged in worker order: node and emission counts sum, abort
 //!   flags OR, peak search bytes take the per-worker maximum (a
 //!   per-worker peak, *not* comparable to the serial peak).
 //! * **Sorted output.** Discovery order across workers is
 //!   nondeterministic; with [`RunConfig::sorted`] the collected
-//!   pipelines sort results into [`crate::results::canonical_order`],
+//!   runs sort results into [`crate::results::canonical_order`],
 //!   making output byte-identical across thread counts (and equal to
 //!   a sorted serial run).
 //!
 //! # Cancellation semantics
 //!
-//! A run whose [`Budget`] carries a [`crate::config::CancelToken`]
-//! ([`Budget::with_cancel`]) stops **cooperatively**: every worker's
+//! A run whose [`crate::config::Budget`] carries a
+//! [`crate::config::CancelToken`]
+//! ([`crate::config::Budget::with_cancel`]) stops **cooperatively**: every worker's
 //! clocks — the maximal-biclique walker's and each expansion stage's —
 //! check the token at *branch granularity* (once per
 //! `BudgetClock::tick`, i.e. per search-tree node or expansion step),
 //! so cancellation latency is bounded by a handful of branch
 //! expansions, not by subtree size. The first worker to observe the
-//! token trips the run's [`SharedBudget`], which stops every sibling
+//! token trips the run's `SharedBudget`, which stops every sibling
 //! worker at its next tick exactly like any other exhausted limit.
 //! Consequences:
 //!
@@ -73,52 +83,21 @@
 //!   in-flight query at shutdown) — each run observes it
 //!   independently.
 
-use crate::bfairbcem::{BiChainSink, BiSideExpander};
-use crate::biclique::{Biclique, BicliqueSink, CollectSink, EnumStats, MappingSink};
-use crate::config::{
-    Budget, BudgetClock, BudgetLane, FairParams, ProParams, RunConfig, SharedBudget, Substrate,
-    VertexOrder,
-};
-use crate::fairbcem_pp::SsExpander;
-use crate::fcore::{PruneOutcome, PruneStats};
-use crate::maximum::{MaxSink, SizeMetric};
+use crate::biclique::EnumStats;
+use crate::config::{BudgetClock, BudgetLane, RunConfig, SharedBudget};
 use crate::mbea::{root_task, BranchTask, RBound, Walker};
-use crate::pipeline::{prune_bi_side, prune_single_side, RunReport};
-use crate::proportion::{ProBiChainSink, ProBiSideExpander, ProSsExpander};
 use bigraph::candidate::CandidatePlan;
 use bigraph::{BipartiteGraph, Side, VertexId};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Hard ceiling on engine worker threads (values beyond this waste
 /// spawns and can hit OS thread limits long before they help).
 const MAX_THREADS: usize = 512;
 
-/// How a parallel run distributes work. The candidate substrate is no
-/// longer part of the options — workers draw it from the
-/// [`CandidatePlan`] the caller resolved (and possibly cached; see
-/// [`crate::prepared`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EngineOpts {
-    /// Worker thread count (≥ 1).
-    pub(crate) threads: usize,
-    /// Depth down to which tasks re-split instead of running to
-    /// completion (≥ 1; 1 = top-level branches only).
-    pub(crate) split_depth: u32,
-}
-
-impl EngineOpts {
-    pub(crate) fn from_run(cfg: &RunConfig) -> Self {
-        EngineOpts {
-            threads: cfg.threads.max(1),
-            split_depth: cfg.split_depth.max(1),
-        }
-    }
-}
-
-/// Per-worker enumeration state driven by the engine: receives every
-/// maximal biclique of the worker's stolen subtrees.
-pub(crate) trait WalkVisitor: Send {
+/// Per-worker enumeration state driven by a [`Walk`]: receives every
+/// maximal biclique of the worker's subtrees.
+pub(crate) trait WalkVisitor {
     /// One maximal biclique (both sides sorted; borrow only for the
     /// call).
     fn visit(&mut self, l: &[VertexId], r: &[VertexId]);
@@ -200,604 +179,171 @@ impl Drop for TaskGuard<'_> {
     }
 }
 
-/// Run the maximal-biclique walk across `opts.threads` workers, each
-/// owning a visitor built by `make` (which receives a clock drawing
-/// from the run's shared expansion countdown).
-///
-/// Returns the visitors in worker order plus the deterministically
-/// merged walk statistics (`emitted` counts *visited maximal
-/// bicliques*; drivers overwrite it with their emission counts).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn parallel_walk<V: WalkVisitor>(
-    g: &BipartiteGraph,
-    min_l: usize,
-    rbound: RBound<'_>,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
-    plan: &CandidatePlan,
-    make: &(dyn Fn(BudgetClock) -> V + Sync),
-) -> (Vec<V>, EnumStats) {
-    let split_depth = opts.split_depth.max(1);
-    let root = root_task(g, order, plan.choice());
-    // Clamp the worker count: with top-level-only splitting no more
-    // than one task per root candidate ever exists, and an absolute
-    // cap keeps a huge `--threads` from hitting OS spawn limits.
-    let task_bound = if split_depth == 1 {
-        root.p.len().max(1)
-    } else {
-        MAX_THREADS
-    };
-    let threads = opts.threads.clamp(1, task_bound.min(MAX_THREADS));
-    let shared = SharedBudget::new(budget);
-    let queue = TaskQueue::new(root);
+/// The maximal-biclique walk of one plan: the enumeration graph, the
+/// `|L| ≥ min_l` cut and `R` bound, and the resolved candidate plan
+/// every walker and expander draws its rows from.
+#[derive(Clone, Copy)]
+pub(crate) struct Walk<'g> {
+    pub(crate) g: &'g BipartiteGraph,
+    pub(crate) min_l: usize,
+    pub(crate) rbound: RBound<'g>,
+    pub(crate) plan: &'g CandidatePlan,
+}
 
-    let mut per_worker: Vec<(V, EnumStats)> = Vec::with_capacity(threads);
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let queue = &queue;
-            let shared = &shared;
-            handles.push(s.spawn(move || {
-                let mut visitor = make(shared.clock(BudgetLane::Expand));
-                let mut walker = Walker::new(
-                    g,
-                    min_l,
-                    rbound,
-                    plan.ops(g, Side::Lower),
-                    shared.clock(BudgetLane::Walk),
-                );
-                while let Some(task) = queue.steal() {
-                    // Release the task slot even if the visitor panics
-                    // (a stuck `active` count would deadlock peers).
-                    let _guard = TaskGuard { queue };
-                    // Drain without work once any global limit trips.
-                    if !shared.is_exhausted() {
-                        if task.depth < split_depth {
-                            walker.split(task, &mut |l, r| visitor.visit(l, r), &mut |t| {
-                                queue.push(t)
-                            });
-                        } else {
-                            walker.run(task, &mut |l, r| visitor.visit(l, r));
+impl<'g> Walk<'g> {
+    fn walker(&self, shared: &Arc<SharedBudget>) -> Walker<'g> {
+        Walker::new(
+            self.g,
+            self.min_l,
+            self.rbound,
+            self.plan.ops(self.g, Side::Lower),
+            shared.clock(BudgetLane::Walk),
+        )
+    }
+
+    fn root(&self, cfg: &RunConfig) -> BranchTask {
+        root_task(self.g, cfg.order, self.plan.choice())
+    }
+
+    /// Run the whole walk in `cfg.order` on the calling thread, under
+    /// `cfg.budget`, with one visitor built by `make` (which receives a
+    /// clock drawing from the run's expansion countdown). Spawns
+    /// nothing and takes no lock.
+    ///
+    /// Returns the visitor plus the walk statistics (`emitted` counts
+    /// *visited maximal bicliques*; callers overwrite it with their
+    /// emission counts).
+    pub(crate) fn run_serial<V: WalkVisitor>(
+        &self,
+        cfg: &RunConfig,
+        make: impl FnOnce(BudgetClock) -> V,
+    ) -> (V, EnumStats) {
+        let shared = SharedBudget::new(cfg.budget.clone());
+        let mut visitor = make(shared.clock(BudgetLane::Expand));
+        let mut walker = self.walker(&shared);
+        walker.run(self.root(cfg), &mut |l, r| visitor.visit(l, r));
+        (visitor, merge_shared(walker.stats(), &shared))
+    }
+
+    /// Run the walk across up to `cfg.threads` workers, each owning a
+    /// visitor built by `make`; tasks above `cfg.split_depth` re-split.
+    /// Returns the visitors in worker order plus the deterministically
+    /// merged walk statistics (see [`Walk::run_serial`]).
+    pub(crate) fn run_parallel<V: WalkVisitor + Send>(
+        &self,
+        cfg: &RunConfig,
+        make: &(dyn Fn(BudgetClock) -> V + Sync),
+    ) -> (Vec<V>, EnumStats) {
+        let split_depth = cfg.split_depth.max(1);
+        let root = self.root(cfg);
+        // Clamp the worker count: with top-level-only splitting no more
+        // than one task per root candidate ever exists, and an absolute
+        // cap keeps a huge `--threads` from hitting OS spawn limits.
+        let task_bound = if split_depth == 1 {
+            root.p.len().max(1)
+        } else {
+            MAX_THREADS
+        };
+        let threads = cfg.threads.clamp(1, task_bound.min(MAX_THREADS));
+        let shared = SharedBudget::new(cfg.budget.clone());
+        let queue = TaskQueue::new(root);
+
+        let mut per_worker: Vec<(V, EnumStats)> = Vec::with_capacity(threads);
+        std::thread::scope(|s| {
+            let mut handles = Vec::new();
+            for _ in 0..threads {
+                let queue = &queue;
+                let shared = &shared;
+                handles.push(s.spawn(move || {
+                    let mut visitor = make(shared.clock(BudgetLane::Expand));
+                    let mut walker = self.walker(shared);
+                    while let Some(task) = queue.steal() {
+                        // Release the task slot even if the visitor panics
+                        // (a stuck `active` count would deadlock peers).
+                        let _guard = TaskGuard { queue };
+                        // Drain without work once any global limit trips.
+                        if !shared.is_exhausted() {
+                            if task.depth < split_depth {
+                                walker.split(task, &mut |l, r| visitor.visit(l, r), &mut |t| {
+                                    queue.push(t)
+                                });
+                            } else {
+                                walker.run(task, &mut |l, r| visitor.visit(l, r));
+                            }
                         }
                     }
-                }
-                (visitor, walker.stats())
-            }));
-        }
-        // Join every worker before re-raising a panic: peers keep
-        // draining the queue (the panicked task's subtree is simply
-        // lost, which is fine — the run aborts anyway), so joins
-        // complete promptly instead of deadlocking the scope.
-        let mut panic_payload = None;
-        for h in handles {
-            match h.join() {
-                Ok(res) => per_worker.push(res),
-                Err(p) => panic_payload = Some(p),
+                    (visitor, walker.stats())
+                }));
             }
+            // Join every worker before re-raising a panic: peers keep
+            // draining the queue (the panicked task's subtree is simply
+            // lost, which is fine — the run aborts anyway), so joins
+            // complete promptly instead of deadlocking the scope.
+            let mut panic_payload = None;
+            for h in handles {
+                match h.join() {
+                    Ok(res) => per_worker.push(res),
+                    Err(p) => panic_payload = Some(p),
+                }
+            }
+            if let Some(p) = panic_payload {
+                std::panic::resume_unwind(p);
+            }
+        });
+
+        let mut agg = EnumStats::default();
+        let mut visitors = Vec::with_capacity(per_worker.len());
+        for (v, st) in per_worker {
+            agg.nodes += st.nodes;
+            agg.emitted += st.emitted;
+            agg.aborted |= st.aborted;
+            agg.stop = agg.stop.or(st.stop);
+            agg.peak_search_bytes = agg.peak_search_bytes.max(st.peak_search_bytes);
+            visitors.push(v);
         }
-        if let Some(p) = panic_payload {
-            std::panic::resume_unwind(p);
-        }
-    });
-
-    let mut agg = EnumStats::default();
-    let mut visitors = Vec::with_capacity(per_worker.len());
-    for (v, st) in per_worker {
-        agg.nodes += st.nodes;
-        agg.emitted += st.emitted;
-        agg.aborted |= st.aborted;
-        agg.stop = agg.stop.or(st.stop);
-        agg.peak_search_bytes = agg.peak_search_bytes.max(st.peak_search_bytes);
-        visitors.push(v);
-    }
-    agg.aborted |= shared.is_exhausted();
-    // The shared budget records the run-wide first cause; prefer it
-    // over whichever worker-local reason happened to merge first.
-    agg.stop = shared.stop_reason().or(agg.stop);
-    (visitors, agg)
-}
-
-fn fair_rbound(g: &BipartiteGraph, params: FairParams) -> RBound<'_> {
-    RBound::AttrBeta {
-        attrs: g.attrs(Side::Lower),
-        beta: params.beta,
+        (visitors, merge_shared(agg, &shared))
     }
 }
 
-// ---------------------------------------------------------------
-// Per-miner workers, generic over the per-worker sink.
-//
-// Emissions are translated to original-graph ids inline (the engine
-// runs on the compacted pruned graph), so every sink — counting,
-// top-k, best-so-far, collecting — sees final ids, and streaming
-// modes never materialize the result set.
-// ---------------------------------------------------------------
-
-struct SsWorker<'g, S> {
-    expander: SsExpander<'g>,
-    umap: &'g [VertexId],
-    lmap: &'g [VertexId],
-    sink: S,
-}
-
-impl<S: BicliqueSink + Send> WalkVisitor for SsWorker<'_, S> {
-    fn visit(&mut self, l: &[VertexId], r: &[VertexId]) {
-        let mut mapped = MappingSink::new(self.umap, self.lmap, &mut self.sink);
-        self.expander.expand(l, r, &mut mapped);
-    }
-}
-
-struct BiWorker<'g, S> {
-    ss: SsExpander<'g>,
-    bi: BiSideExpander<'g>,
-    umap: &'g [VertexId],
-    lmap: &'g [VertexId],
-    sink: S,
-}
-
-impl<S: BicliqueSink + Send> WalkVisitor for BiWorker<'_, S> {
-    fn visit(&mut self, l: &[VertexId], r: &[VertexId]) {
-        let mut mapped = MappingSink::new(self.umap, self.lmap, &mut self.sink);
-        let mut chain = BiChainSink {
-            exp: &mut self.bi,
-            sink: &mut mapped,
-        };
-        self.ss.expand(l, r, &mut chain);
-    }
-}
-
-struct ProSsWorker<'g, S> {
-    expander: ProSsExpander<'g>,
-    umap: &'g [VertexId],
-    lmap: &'g [VertexId],
-    sink: S,
-}
-
-impl<S: BicliqueSink + Send> WalkVisitor for ProSsWorker<'_, S> {
-    fn visit(&mut self, l: &[VertexId], r: &[VertexId]) {
-        let mut mapped = MappingSink::new(self.umap, self.lmap, &mut self.sink);
-        self.expander.expand(l, r, &mut mapped);
-    }
-}
-
-struct ProBiWorker<'g, S> {
-    ss: ProSsExpander<'g>,
-    bi: ProBiSideExpander<'g>,
-    umap: &'g [VertexId],
-    lmap: &'g [VertexId],
-    sink: S,
-}
-
-impl<S: BicliqueSink + Send> WalkVisitor for ProBiWorker<'_, S> {
-    fn visit(&mut self, l: &[VertexId], r: &[VertexId]) {
-        let mut mapped = MappingSink::new(self.umap, self.lmap, &mut self.sink);
-        let mut chain = ProBiChainSink {
-            exp: &mut self.bi,
-            sink: &mut mapped,
-        };
-        self.ss.expand(l, r, &mut chain);
-    }
-}
-
-// ---------------------------------------------------------------
-// Parallel miners on an already-pruned graph. Each returns the
-// per-worker sinks in worker order plus merged statistics.
-// ---------------------------------------------------------------
-
-/// The enumeration graph plus the id maps back to the caller's graph
-/// (identity maps when the graph was not pruned).
-pub(crate) struct MappedGraph<'g> {
-    pub(crate) g: &'g BipartiteGraph,
-    pub(crate) umap: &'g [VertexId],
-    pub(crate) lmap: &'g [VertexId],
-}
-
-impl<'g> MappedGraph<'g> {
-    pub(crate) fn of_pruned(pruned: &'g PruneOutcome) -> Self {
-        MappedGraph {
-            g: &pruned.sub.graph,
-            umap: &pruned.sub.upper_to_parent,
-            lmap: &pruned.sub.lower_to_parent,
-        }
-    }
-}
-
-pub(crate) fn par_ssfbc_workers<'g, S: BicliqueSink + Send>(
-    mg: &MappedGraph<'g>,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
-    plan: &CandidatePlan,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, EnumStats) {
-    let MappedGraph { g, umap, lmap } = *mg;
-    let (workers, mut stats) = parallel_walk(
-        g,
-        params.alpha as usize,
-        fair_rbound(g, params),
-        order,
-        budget,
-        opts,
-        plan,
-        &|clock| SsWorker {
-            expander: SsExpander::with_clock(g, params, plan.ops(g, Side::Lower), clock),
-            umap,
-            lmap,
-            sink: make_sink(),
-        },
-    );
-    let mut sinks = Vec::with_capacity(workers.len());
-    let mut emitted = 0u64;
-    for w in workers {
-        emitted += w.expander.emitted;
-        stats.aborted |= w.expander.aborted();
-        stats.stop = stats.stop.or_else(|| w.expander.stop_reason());
-        sinks.push(w.sink);
-    }
-    stats.emitted = emitted;
-    (sinks, stats)
-}
-
-pub(crate) fn par_bsfbc_workers<'g, S: BicliqueSink + Send>(
-    mg: &MappedGraph<'g>,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
-    plan: &CandidatePlan,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, EnumStats) {
-    let MappedGraph { g, umap, lmap } = *mg;
-    let (workers, mut stats) = parallel_walk(
-        g,
-        params.alpha as usize,
-        fair_rbound(g, params),
-        order,
-        budget,
-        opts,
-        plan,
-        &|clock| BiWorker {
-            // The SSFBC stage is intermediate: exempt from the result
-            // budget (only BSFBCs are final results).
-            ss: SsExpander::with_clock(
-                g,
-                params,
-                plan.ops(g, Side::Lower),
-                clock.clone().exempt_results(),
-            ),
-            bi: BiSideExpander::with_clock(g, params, plan.ops(g, Side::Upper), clock),
-            umap,
-            lmap,
-            sink: make_sink(),
-        },
-    );
-    let mut sinks = Vec::with_capacity(workers.len());
-    let mut emitted = 0u64;
-    for w in workers {
-        emitted += w.bi.emitted;
-        stats.aborted |= w.ss.aborted() | w.bi.aborted();
-        stats.stop = stats
-            .stop
-            .or_else(|| w.ss.stop_reason())
-            .or_else(|| w.bi.stop_reason());
-        sinks.push(w.sink);
-    }
-    stats.emitted = emitted;
-    (sinks, stats)
-}
-
-pub(crate) fn par_pssfbc_workers<'g, S: BicliqueSink + Send>(
-    mg: &MappedGraph<'g>,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
-    plan: &CandidatePlan,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, EnumStats) {
-    let MappedGraph { g, umap, lmap } = *mg;
-    let (workers, mut stats) = parallel_walk(
-        g,
-        pro.base.alpha as usize,
-        fair_rbound(g, pro.base),
-        order,
-        budget,
-        opts,
-        plan,
-        &|clock| ProSsWorker {
-            expander: ProSsExpander::with_clock(g, pro, plan.ops(g, Side::Lower), clock),
-            umap,
-            lmap,
-            sink: make_sink(),
-        },
-    );
-    let mut sinks = Vec::with_capacity(workers.len());
-    let mut emitted = 0u64;
-    for w in workers {
-        emitted += w.expander.emitted;
-        stats.aborted |= w.expander.aborted();
-        stats.stop = stats.stop.or_else(|| w.expander.stop_reason());
-        sinks.push(w.sink);
-    }
-    stats.emitted = emitted;
-    (sinks, stats)
-}
-
-pub(crate) fn par_pbsfbc_workers<'g, S: BicliqueSink + Send>(
-    mg: &MappedGraph<'g>,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
-    plan: &CandidatePlan,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, EnumStats) {
-    let MappedGraph { g, umap, lmap } = *mg;
-    let (workers, mut stats) = parallel_walk(
-        g,
-        pro.base.alpha as usize,
-        fair_rbound(g, pro.base),
-        order,
-        budget,
-        opts,
-        plan,
-        &|clock| ProBiWorker {
-            ss: ProSsExpander::with_clock(
-                g,
-                pro,
-                plan.ops(g, Side::Lower),
-                clock.clone().exempt_results(),
-            ),
-            bi: ProBiSideExpander::with_clock(g, pro, plan.ops(g, Side::Upper), clock),
-            umap,
-            lmap,
-            sink: make_sink(),
-        },
-    );
-    let mut sinks = Vec::with_capacity(workers.len());
-    let mut emitted = 0u64;
-    for w in workers {
-        emitted += w.bi.emitted;
-        stats.aborted |= w.ss.aborted() | w.bi.aborted();
-        stats.stop = stats
-            .stop
-            .or_else(|| w.ss.stop_reason())
-            .or_else(|| w.bi.stop_reason());
-        sinks.push(w.sink);
-    }
-    stats.emitted = emitted;
-    (sinks, stats)
-}
-
-// ---------------------------------------------------------------
-// Public streaming pipelines: prune → parallel enumerate into
-// per-worker sinks. The parallel analog of the `run_*` functions in
-// `pipeline` — counting or top-k runs never materialize the full
-// result set.
-// ---------------------------------------------------------------
-
-/// Parallel streaming SSFBC pipeline: prune, then enumerate across
-/// `cfg.threads` workers, each emitting (original ids) into its own
-/// sink from `make_sink`. Returns the sinks in worker order for the
-/// caller to merge, plus pruning and merged search statistics
-/// (`stats.emitted` is the total result count).
-pub fn par_run_ssfbc<S: BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    params: FairParams,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, PruneStats, EnumStats) {
-    let pruned = prune_single_side(g, params, cfg.prune);
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, false);
-    let (sinks, stats) = par_ssfbc_workers(
-        &MappedGraph::of_pruned(&pruned),
-        params,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        make_sink,
-    );
-    (sinks, pruned.stats, stats)
-}
-
-/// Parallel streaming BSFBC pipeline (see [`par_run_ssfbc`]).
-pub fn par_run_bsfbc<S: BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    params: FairParams,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, PruneStats, EnumStats) {
-    let pruned = prune_bi_side(g, params, cfg.prune);
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, true);
-    let (sinks, stats) = par_bsfbc_workers(
-        &MappedGraph::of_pruned(&pruned),
-        params,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        make_sink,
-    );
-    (sinks, pruned.stats, stats)
-}
-
-/// Parallel streaming PSSFBC pipeline (see [`par_run_ssfbc`]).
-pub fn par_run_pssfbc<S: BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, PruneStats, EnumStats) {
-    let pruned = prune_single_side(g, pro.base, cfg.prune);
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, false);
-    let (sinks, stats) = par_pssfbc_workers(
-        &MappedGraph::of_pruned(&pruned),
-        pro,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        make_sink,
-    );
-    (sinks, pruned.stats, stats)
-}
-
-/// Parallel streaming PBSFBC pipeline (see [`par_run_ssfbc`]).
-pub fn par_run_pbsfbc<S: BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, PruneStats, EnumStats) {
-    let pruned = prune_bi_side(g, pro.base, cfg.prune);
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, true);
-    let (sinks, stats) = par_pbsfbc_workers(
-        &MappedGraph::of_pruned(&pruned),
-        pro,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        make_sink,
-    );
-    (sinks, pruned.stats, stats)
-}
-
-// ---------------------------------------------------------------
-// Maximum fair biclique search.
-// ---------------------------------------------------------------
-
-pub(crate) fn merge_max(metric: SizeMetric, sinks: impl IntoIterator<Item = MaxSink>) -> MaxSink {
-    let mut merged = MaxSink::new(metric);
-    let mut seen = 0u64;
-    for s in sinks {
-        seen += s.seen;
-        if let Some(b) = s.best {
-            merged.emit(&b.upper, &b.lower);
-        }
-    }
-    merged.seen = seen;
-    merged
-}
-
-/// Parallel maximum-SSFBC search over an already-pruned graph; the
-/// returned sink holds the best biclique in *original* ids (the
-/// per-worker sinks rank translated emissions, so the `(score,
-/// lexicographic)` tie-break matches the serial pipeline).
-pub(crate) fn par_max_ssfbc(
-    pruned: &PruneOutcome,
-    params: FairParams,
-    metric: SizeMetric,
-    cfg: &RunConfig,
-) -> MaxSink {
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, false);
-    let (sinks, _) = par_ssfbc_workers(
-        &MappedGraph::of_pruned(pruned),
-        params,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        &|| MaxSink::new(metric),
-    );
-    merge_max(metric, sinks)
-}
-
-/// Parallel maximum-BSFBC search over an already-pruned graph.
-pub(crate) fn par_max_bsfbc(
-    pruned: &PruneOutcome,
-    params: FairParams,
-    metric: SizeMetric,
-    cfg: &RunConfig,
-) -> MaxSink {
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, true);
-    let (sinks, _) = par_bsfbc_workers(
-        &MappedGraph::of_pruned(pruned),
-        params,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        &|| MaxSink::new(metric),
-    );
-    merge_max(metric, sinks)
-}
-
-// ---------------------------------------------------------------
-// Back-compat wrappers around the engine.
-// ---------------------------------------------------------------
-
-/// Run `FairBCEM++` on an already-pruned graph across `n_threads`
-/// workers, returning the collected results (order unspecified) and
-/// aggregated statistics.
-///
-/// The budget is **global**: all workers share one countdown (earlier
-/// versions applied it per worker, allowing an `n_threads ×` overrun).
-pub fn fairbcem_pp_par_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    n_threads: usize,
-    budget: Budget,
-) -> (Vec<Biclique>, EnumStats) {
-    // The caller's graph is the enumeration graph: identity maps.
-    let umap: Vec<VertexId> = (0..g.n_upper() as VertexId).collect();
-    let lmap: Vec<VertexId> = (0..g.n_lower() as VertexId).collect();
-    let mg = MappedGraph {
-        g,
-        umap: &umap,
-        lmap: &lmap,
-    };
-    let plan = CandidatePlan::build(g, Substrate::Auto, false);
-    let (sinks, stats) = par_ssfbc_workers(
-        &mg,
-        params,
-        order,
-        budget,
-        EngineOpts {
-            threads: n_threads.max(1),
-            split_depth: 1,
-        },
-        &plan,
-        &CollectSink::default,
-    );
-    let mut all = Vec::new();
-    for s in sinks {
-        all.extend(s.bicliques);
-    }
-    (all, stats)
-}
-
-/// Full parallel SSFBC pipeline: prune (serial — it is near-linear),
-/// enumerate across `n_threads` workers, map ids back to the original
-/// graph, and sort for determinism.
-///
-/// Equivalent to [`crate::pipeline::enumerate_ssfbc`] with
-/// `cfg.threads = n_threads` and `cfg.sorted = true`.
-pub fn par_enumerate_ssfbc(
-    g: &BipartiteGraph,
-    params: FairParams,
-    cfg: &RunConfig,
-    n_threads: usize,
-) -> RunReport {
-    let cfg = RunConfig {
-        threads: n_threads.max(1),
-        sorted: true,
-        ..cfg.clone()
-    };
-    crate::pipeline::enumerate_ssfbc(g, params, &cfg)
+/// Fold the run-wide budget state into merged walk statistics: the
+/// shared budget records the first cause, so prefer it over whichever
+/// worker-local reason happened to merge first.
+fn merge_shared(mut stats: EnumStats, shared: &SharedBudget) -> EnumStats {
+    stats.aborted |= shared.is_exhausted();
+    stats.stop = shared.stop_reason().or(stats.stop);
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::VertexOrder;
-    use crate::pipeline::{enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc};
+    use crate::biclique::{Biclique, BicliqueSink};
+    use crate::config::{Budget, FairParams, ProParams, VertexOrder};
+    use crate::pipeline::{
+        enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc, RunReport,
+    };
+    use crate::prepared::{PreparedQuery, QueryModel};
     use bigraph::generate::{plant_bicliques, random_uniform};
     use std::collections::BTreeSet;
+
+    /// The SSFBC pipeline on `threads` workers with sorted output.
+    fn par_ssfbc(
+        g: &BipartiteGraph,
+        params: FairParams,
+        cfg: &RunConfig,
+        threads: usize,
+    ) -> RunReport {
+        let cfg = RunConfig {
+            threads,
+            sorted: true,
+            ..cfg.clone()
+        };
+        enumerate_ssfbc(g, params, &cfg)
+    }
+
+    fn prepared_ssfbc(g: &BipartiteGraph, params: FairParams, cfg: &RunConfig) -> PreparedQuery {
+        PreparedQuery::prepare(g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate)
+    }
 
     #[test]
     fn parallel_matches_serial_on_random_graphs() {
@@ -809,7 +355,7 @@ mod tests {
                 .into_iter()
                 .collect();
             for threads in [1usize, 2, 4] {
-                let par = par_enumerate_ssfbc(&g, params, &RunConfig::default(), threads);
+                let par = par_ssfbc(&g, params, &RunConfig::default(), threads);
                 let got: BTreeSet<Biclique> = par.bicliques.iter().cloned().collect();
                 assert_eq!(got.len(), par.bicliques.len(), "no duplicates");
                 assert_eq!(got, serial, "seed {seed} threads {threads}");
@@ -831,7 +377,7 @@ mod tests {
         assert!(!serial.is_empty());
         for order in [VertexOrder::IdAsc, VertexOrder::DegreeDesc] {
             let cfg = RunConfig::with_order(order);
-            let par = par_enumerate_ssfbc(&g, params, &cfg, 4);
+            let par = par_ssfbc(&g, params, &cfg, 4);
             let got: BTreeSet<Biclique> = par.bicliques.into_iter().collect();
             assert_eq!(got, serial, "order {order:?}");
         }
@@ -841,8 +387,8 @@ mod tests {
     fn parallel_output_is_sorted_and_deterministic() {
         let g = random_uniform(15, 15, 90, 2, 2, 8);
         let params = FairParams::unchecked(2, 1, 2);
-        let a = par_enumerate_ssfbc(&g, params, &RunConfig::default(), 3);
-        let b = par_enumerate_ssfbc(&g, params, &RunConfig::default(), 3);
+        let a = par_ssfbc(&g, params, &RunConfig::default(), 3);
+        let b = par_ssfbc(&g, params, &RunConfig::default(), 3);
         assert_eq!(a.bicliques, b.bicliques);
         assert!(a.bicliques.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -851,7 +397,7 @@ mod tests {
     fn single_thread_equals_serial_stats_shape() {
         let g = random_uniform(10, 10, 50, 2, 2, 5);
         let params = FairParams::unchecked(2, 1, 1);
-        let par = par_enumerate_ssfbc(&g, params, &RunConfig::default(), 1);
+        let par = par_ssfbc(&g, params, &RunConfig::default(), 1);
         let ser = enumerate_ssfbc(&g, params, &RunConfig::default());
         assert_eq!(par.bicliques.len(), ser.bicliques.len());
         assert_eq!(par.stats.nodes, ser.stats.nodes);
@@ -982,25 +528,26 @@ mod tests {
         let params = FairParams::unchecked(2, 1, 1);
         let cfg = RunConfig::with_threads(4);
         let report = enumerate_ssfbc(&g, params, &cfg);
-        let (counts, prune, stats) = par_run_ssfbc(&g, params, &cfg, &CountSink::default);
+        let prepared = prepared_ssfbc(&g, params, &cfg);
+        let (counts, stats) = prepared.stream(&cfg, &CountSink::default);
         assert_eq!(
             counts.iter().map(|c| c.count).sum::<u64>(),
             report.bicliques.len() as u64
         );
         assert_eq!(stats.emitted as usize, report.bicliques.len());
-        assert_eq!(prune, report.prune);
+        assert_eq!(*prepared.prune_stats(), report.prune);
         // Per-worker top-k sinks merge to the serial top-k set.
         let k = 5usize;
-        let (tops, _, _) = par_run_ssfbc(&g, params, &cfg, &|| TopKSink::new(k));
+        let (tops, _) = prepared.stream(&cfg, &|| TopKSink::new(k));
         let mut merged = TopKSink::new(k);
         for t in tops {
             for bc in t.into_sorted() {
-                crate::biclique::BicliqueSink::emit(&mut merged, &bc.upper, &bc.lower);
+                merged.emit(&bc.upper, &bc.lower);
             }
         }
         let mut serial_top = TopKSink::new(k);
         for bc in &report.bicliques {
-            crate::biclique::BicliqueSink::emit(&mut serial_top, &bc.upper, &bc.lower);
+            serial_top.emit(&bc.upper, &bc.lower);
         }
         assert_eq!(merged.into_sorted(), serial_top.into_sorted());
     }
@@ -1035,9 +582,10 @@ mod tests {
         assert!(total > 4, "need enough results to panic mid-run");
 
         let cfg = RunConfig::with_threads(4);
+        let prepared = prepared_ssfbc(&g, params, &cfg);
         let emitted = Arc::new(AtomicU64::new(0));
         let result = catch_unwind(AssertUnwindSafe(|| {
-            par_run_ssfbc(&g, params, &cfg, &|| PanicSink {
+            prepared.stream(&cfg, &|| PanicSink {
                 emitted: emitted.clone(),
                 nth: 3,
             })
@@ -1050,7 +598,7 @@ mod tests {
         assert!(emitted.load(Ordering::Relaxed) >= 3);
 
         // The engine stays usable after a panicked run.
-        let again = par_enumerate_ssfbc(&g, params, &RunConfig::default(), 4);
+        let again = par_ssfbc(&g, params, &RunConfig::default(), 4);
         assert_eq!(again.bicliques.len() as u64, total);
     }
 

@@ -1,20 +1,25 @@
 //! End-to-end drivers: pruning → enumeration → id remapping.
 //!
-//! The enumerators in the sibling modules operate on compacted pruned
-//! graphs; the functions here compose the paper's full pipelines and
-//! translate results back to the caller's vertex ids.
+//! The `++` miners (`FairBCEM++`, `BFairBCEM++` and the proportion
+//! enumerators) have one execution path, [`PreparedQuery`]: the
+//! collected `enumerate_*` pipelines here prepare a plan and execute
+//! it, and the `++` arms of the streaming [`run_ssfbc`] / [`run_bsfbc`]
+//! run the same plan on the calling thread. The paper's comparison
+//! baselines (`NSF`, `FairBCEM`, `BNSF`, `BFairBCEM`; Figs. 2–5) stay
+//! behind those two streaming drivers, on the pruned graph the
+//! pipeline compacts for them, with results translated back to the
+//! caller's vertex ids.
 
-use crate::bfairbcem::{bfairbcem_on_pruned_with, bfairbcem_pp_on_pruned_with};
+use crate::bfairbcem::bfairbcem_on_pruned;
 use crate::bfcore::{bcfcore_rec, bfcore_ctl};
 use crate::biclique::{Biclique, BicliqueSink, EnumStats, MappingSink};
 use crate::cfcore::cfcore_rec;
 use crate::config::{FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason};
 use crate::fairbcem::fairbcem_on_pruned;
-use crate::fairbcem_pp::fairbcem_pp_on_pruned_with;
 use crate::fcore::{fcore_ctl, no_prune, PruneOutcome, PruneStats};
 use crate::naive::{bnsf_on_pruned, nsf_on_pruned};
 use crate::obs::SpanRecorder;
-use crate::proportion::{bfairbcem_pro_pp_on_pruned_with, fairbcem_pro_pp_on_pruned_with};
+use crate::prepared::{PreparedQuery, QueryModel};
 use bigraph::BipartiteGraph;
 use serde::{Deserialize, Serialize};
 
@@ -76,25 +81,21 @@ pub struct RunReport {
 
 /// Run the pruning stage configured for a single-side problem.
 pub fn prune_single_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_single_side_ctl(g, params, kind, &PrepareCtl::UNBOUNDED)
-        .expect("unbounded prepare is never interrupted")
+    prune_single_side_rec(
+        g,
+        params,
+        kind,
+        &PrepareCtl::UNBOUNDED,
+        &mut SpanRecorder::disabled(),
+    )
+    .expect("unbounded prepare is never interrupted")
 }
 
-/// [`prune_single_side`] with cooperative interruption: the prune
-/// cascade probes `ctl` at stage boundaries and (counter-gated) inside
-/// the peel loops, aborting with the interrupting [`StopReason`].
-pub fn prune_single_side_ctl(
-    g: &BipartiteGraph,
-    params: FairParams,
-    kind: PruneKind,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    prune_single_side_rec(g, params, kind, ctl, &mut SpanRecorder::disabled())
-}
-
-/// [`prune_single_side_ctl`] with a [`SpanRecorder`] attributing wall
-/// time to the prune stages. A disabled recorder makes this identical
-/// to [`prune_single_side_ctl`].
+/// [`prune_single_side`] with cooperative interruption and a
+/// [`SpanRecorder`]: the prune cascade probes `ctl` at stage
+/// boundaries and (counter-gated) inside the peel loops, aborting with
+/// the interrupting [`StopReason`], and the recorder attributes wall
+/// time to the prune stages (a disabled recorder records nothing).
 pub fn prune_single_side_rec(
     g: &BipartiteGraph,
     params: FairParams,
@@ -112,23 +113,18 @@ pub fn prune_single_side_rec(
 /// Run the pruning stage configured for a bi-side problem
 /// (`FCore` maps to `BFCore`, `Colorful` to `BCFCore`).
 pub fn prune_bi_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_bi_side_ctl(g, params, kind, &PrepareCtl::UNBOUNDED)
-        .expect("unbounded prepare is never interrupted")
+    prune_bi_side_rec(
+        g,
+        params,
+        kind,
+        &PrepareCtl::UNBOUNDED,
+        &mut SpanRecorder::disabled(),
+    )
+    .expect("unbounded prepare is never interrupted")
 }
 
-/// [`prune_bi_side`] with cooperative interruption (see
-/// [`prune_single_side_ctl`]).
-pub fn prune_bi_side_ctl(
-    g: &BipartiteGraph,
-    params: FairParams,
-    kind: PruneKind,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    prune_bi_side_rec(g, params, kind, ctl, &mut SpanRecorder::disabled())
-}
-
-/// [`prune_bi_side_ctl`] with a [`SpanRecorder`] (see
-/// [`prune_single_side_rec`]).
+/// [`prune_bi_side`] with cooperative interruption and a
+/// [`SpanRecorder`] (see [`prune_single_side_rec`]).
 pub fn prune_bi_side_rec(
     g: &BipartiteGraph,
     params: FairParams,
@@ -143,8 +139,11 @@ pub fn prune_bi_side_rec(
     }
 }
 
-/// Streaming single-side enumeration: prune, enumerate with `algo`,
-/// emit results (original ids) into `sink`.
+/// Streaming single-side enumeration on the calling thread: prune,
+/// enumerate with `algo`, emit results (original ids) into `sink`.
+/// `FairBCEM++` runs the prepared path ([`PreparedQuery`]); for
+/// per-worker sinks at any thread count call
+/// [`PreparedQuery::stream`] directly.
 pub fn run_ssfbc(
     g: &BipartiteGraph,
     params: FairParams,
@@ -152,40 +151,26 @@ pub fn run_ssfbc(
     cfg: &RunConfig,
     sink: &mut dyn BicliqueSink,
 ) -> (PruneStats, EnumStats) {
-    let pruned = prune_single_side(g, params, cfg.prune);
-    let mut mapped = MappingSink::new(
-        &pruned.sub.upper_to_parent,
-        &pruned.sub.lower_to_parent,
-        sink,
-    );
-    let stats = match algo {
-        SsAlgorithm::Nsf => nsf_on_pruned(
-            &pruned.sub.graph,
-            params,
-            cfg.order,
-            cfg.budget.clone(),
-            &mut mapped,
-        ),
-        SsAlgorithm::FairBcem => fairbcem_on_pruned(
-            &pruned.sub.graph,
-            params,
-            cfg.order,
-            cfg.budget.clone(),
-            &mut mapped,
-        ),
-        SsAlgorithm::FairBcemPP => fairbcem_pp_on_pruned_with(
-            &pruned.sub.graph,
-            params,
-            cfg.order,
-            cfg.budget.clone(),
-            cfg.substrate,
-            &mut mapped,
-        ),
+    let baseline = match algo {
+        SsAlgorithm::Nsf => nsf_on_pruned,
+        SsAlgorithm::FairBcem => fairbcem_on_pruned,
+        SsAlgorithm::FairBcemPP => return run_prepared(g, QueryModel::Ssfbc(params), cfg, sink),
     };
+    let pruned = prune_single_side(g, params, cfg.prune);
+    let sub = &pruned.sub;
+    let mut mapped = MappingSink::new(&sub.upper_to_parent, &sub.lower_to_parent, sink);
+    let stats = baseline(
+        &sub.graph,
+        params,
+        cfg.order,
+        cfg.budget.clone(),
+        &mut mapped,
+    );
     (pruned.stats, stats)
 }
 
-/// Streaming bi-side enumeration.
+/// Streaming bi-side enumeration on the calling thread (see
+/// [`run_ssfbc`]; `BFairBCEM++` runs the prepared path).
 pub fn run_bsfbc(
     g: &BipartiteGraph,
     params: FairParams,
@@ -193,118 +178,71 @@ pub fn run_bsfbc(
     cfg: &RunConfig,
     sink: &mut dyn BicliqueSink,
 ) -> (PruneStats, EnumStats) {
+    if algo == BiAlgorithm::BFairBcemPP {
+        return run_prepared(g, QueryModel::Bsfbc(params), cfg, sink);
+    }
     let pruned = prune_bi_side(g, params, cfg.prune);
-    let mut mapped = MappingSink::new(
-        &pruned.sub.upper_to_parent,
-        &pruned.sub.lower_to_parent,
-        sink,
-    );
-    let stats = match algo {
-        BiAlgorithm::Bnsf => bnsf_on_pruned(
-            &pruned.sub.graph,
+    let sub = &pruned.sub;
+    let mut mapped = MappingSink::new(&sub.upper_to_parent, &sub.lower_to_parent, sink);
+    let (order, budget) = (cfg.order, cfg.budget.clone());
+    let stats = if algo == BiAlgorithm::Bnsf {
+        bnsf_on_pruned(&sub.graph, params, order, budget, &mut mapped)
+    } else {
+        bfairbcem_on_pruned(
+            &sub.graph,
             params,
-            cfg.order,
-            cfg.budget.clone(),
-            &mut mapped,
-        ),
-        BiAlgorithm::BFairBcem => bfairbcem_on_pruned_with(
-            &pruned.sub.graph,
-            params,
-            cfg.order,
-            cfg.budget.clone(),
+            order,
+            budget,
             cfg.substrate,
             &mut mapped,
-        ),
-        BiAlgorithm::BFairBcemPP => bfairbcem_pp_on_pruned_with(
-            &pruned.sub.graph,
-            params,
-            cfg.order,
-            cfg.budget.clone(),
-            cfg.substrate,
-            &mut mapped,
-        ),
+        )
     };
     (pruned.stats, stats)
 }
 
-/// Streaming proportion single-side enumeration (`FairBCEMPro++`).
-pub fn run_pssfbc(
+/// The `++` arm of the streaming drivers: prepare, then run the one
+/// worker on the calling thread.
+fn run_prepared(
     g: &BipartiteGraph,
-    pro: ProParams,
+    model: QueryModel,
     cfg: &RunConfig,
     sink: &mut dyn BicliqueSink,
 ) -> (PruneStats, EnumStats) {
-    let pruned = prune_single_side(g, pro.base, cfg.prune);
-    let mut mapped = MappingSink::new(
-        &pruned.sub.upper_to_parent,
-        &pruned.sub.lower_to_parent,
-        sink,
-    );
-    let stats = fairbcem_pro_pp_on_pruned_with(
-        &pruned.sub.graph,
-        pro,
-        cfg.order,
-        cfg.budget.clone(),
-        cfg.substrate,
-        &mut mapped,
-    );
-    (pruned.stats, stats)
-}
-
-/// Streaming proportion bi-side enumeration (`BFairBCEMPro++`).
-pub fn run_pbsfbc(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    cfg: &RunConfig,
-    sink: &mut dyn BicliqueSink,
-) -> (PruneStats, EnumStats) {
-    let pruned = prune_bi_side(g, pro.base, cfg.prune);
-    let mut mapped = MappingSink::new(
-        &pruned.sub.upper_to_parent,
-        &pruned.sub.lower_to_parent,
-        sink,
-    );
-    let stats = bfairbcem_pro_pp_on_pruned_with(
-        &pruned.sub.graph,
-        pro,
-        cfg.order,
-        cfg.budget.clone(),
-        cfg.substrate,
-        &mut mapped,
-    );
-    (pruned.stats, stats)
+    let prepared = PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate);
+    let (_, stats) = prepared.stream_in_thread(cfg, sink);
+    (*prepared.prune_stats(), stats)
 }
 
 /// Prepare-then-execute: the collected pipelines are one-shot uses of
 /// the prepared-plan layer ([`crate::prepared`]), so a cached plan in
 /// the query service executes bit-identically to these.
-fn enumerate(g: &BipartiteGraph, model: crate::prepared::QueryModel, cfg: &RunConfig) -> RunReport {
-    crate::prepared::PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate).execute(cfg)
+fn enumerate(g: &BipartiteGraph, model: QueryModel, cfg: &RunConfig) -> RunReport {
+    PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate).execute(cfg)
 }
 
 /// Enumerate and collect all single-side fair bicliques (Definition 3)
 /// with the paper's best pipeline (`CFCore` + `FairBCEM++` by default).
 /// `cfg.threads > 1` runs on the parallel engine ([`crate::parallel`]).
 pub fn enumerate_ssfbc(g: &BipartiteGraph, params: FairParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, crate::prepared::QueryModel::Ssfbc(params), cfg)
+    enumerate(g, QueryModel::Ssfbc(params), cfg)
 }
 
 /// Enumerate and collect all bi-side fair bicliques (Definition 4).
 /// `cfg.threads > 1` runs on the parallel engine.
 pub fn enumerate_bsfbc(g: &BipartiteGraph, params: FairParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, crate::prepared::QueryModel::Bsfbc(params), cfg)
+    enumerate(g, QueryModel::Bsfbc(params), cfg)
 }
 
 /// Enumerate and collect all proportion single-side fair bicliques
 /// (Definition 5). `cfg.threads > 1` runs on the parallel engine.
 pub fn enumerate_pssfbc(g: &BipartiteGraph, pro: ProParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, crate::prepared::QueryModel::Pssfbc(pro), cfg)
+    enumerate(g, QueryModel::Pssfbc(pro), cfg)
 }
 
 /// Enumerate and collect all proportion bi-side fair bicliques
 /// (Definition 6). `cfg.threads > 1` runs on the parallel engine.
 pub fn enumerate_pbsfbc(g: &BipartiteGraph, pro: ProParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, crate::prepared::QueryModel::Pbsfbc(pro), cfg)
+    enumerate(g, QueryModel::Pbsfbc(pro), cfg)
 }
 
 #[cfg(test)]

@@ -1,40 +1,44 @@
 //! Prepared queries: pay pruning + candidate-plan construction once,
-//! enumerate many times.
+//! enumerate many times — and the one execution path of every `++`
+//! miner.
 //!
-//! Every pipeline in this crate runs three phases: (1) FCore/CFCore
-//! pruning (which internally builds the colorful 2-hop structure),
-//! (2) [`CandidatePlan`] resolution (substrate choice + bitset-row
-//! construction on the pruned core), and (3) enumeration. For a
-//! one-shot CLI run the phases are fused; a resident query service
-//! answering repeated queries over the same graph wants to amortize
-//! (1) and (2). A [`PreparedQuery`] captures exactly that reusable
-//! state — the compacted pruned core with its id maps back to the
-//! original graph, and the resolved plan (rows shared by reference
-//! across workers) — and can then [`PreparedQuery::execute`] any
-//! number of times, serially or on the parallel engine, each run with
-//! its own budget/deadline/cancellation.
+//! Every query runs three phases: (1) FCore/CFCore pruning (which
+//! internally builds the colorful 2-hop structure), (2)
+//! [`CandidatePlan`] resolution (substrate choice + bitset-row
+//! construction on the pruned core), and (3) enumeration. A
+//! [`PreparedQuery`] captures the reusable state of (1) and (2) — the
+//! compacted pruned core with its id maps back to the original graph,
+//! and the resolved plan (rows shared by reference across workers) —
+//! so a resident query service can amortize them across repeated
+//! queries, each run with its own budget/deadline/cancellation.
 //!
-//! The collected pipelines in [`crate::pipeline`] are thin wrappers
-//! over this module (prepare → execute), so prepared execution is
-//! bit-identical to the one-shot paths by construction.
+//! Phase (3) has exactly one implementation, [`PreparedQuery::stream`]:
+//! the walk of [`crate::parallel`] (in-thread at `threads ≤ 1`,
+//! work-stealing above) visits the maximal bicliques, and one worker
+//! per thread expands each into the model's results (the `Expansion`
+//! built from the [`QueryModel`]) and hands them, translated to
+//! original ids, to that worker's own sink. Collecting
+//! ([`PreparedQuery::execute`]), counting ([`PreparedQuery::count`]),
+//! maximum search ([`PreparedQuery::maximum`]) and the CLI's top-k are
+//! sink choices on top of it; the one-shot pipelines in
+//! [`crate::pipeline`] prepare and then run this same path, so every
+//! caller — CLI, service, benches, tests — gets bit-identical results.
 
-use crate::bfairbcem::bfairbcem_pp_planned;
+use crate::bfairbcem::{BiChainSink, BiSideExpander};
 use crate::biclique::{Biclique, BicliqueSink, CollectSink, CountSink, EnumStats, MappingSink};
 use crate::config::{
-    FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, SharedBudget, StopReason, Substrate,
+    BudgetClock, FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason, Substrate,
 };
-use crate::fairbcem_pp::fairbcem_pp_shared;
+use crate::fairbcem_pp::SsExpander;
 use crate::fcore::{PruneOutcome, PruneStats};
-use crate::maximum::{MaxSink, SizeMetric};
+use crate::maximum::{merge_max, MaxSink, SizeMetric};
+use crate::mbea::RBound;
 use crate::obs::SpanRecorder;
-use crate::parallel::{
-    merge_max, par_bsfbc_workers, par_pbsfbc_workers, par_pssfbc_workers, par_ssfbc_workers,
-    EngineOpts, MappedGraph,
-};
+use crate::parallel::{Walk, WalkVisitor};
 use crate::pipeline::{prune_bi_side_rec, prune_single_side_rec, RunReport};
-use crate::proportion::{bfairbcem_pro_pp_planned, fairbcem_pro_pp_shared};
+use crate::proportion::{ProBiChainSink, ProBiSideExpander, ProSsExpander};
 use bigraph::candidate::CandidatePlan;
-use bigraph::BipartiteGraph;
+use bigraph::{BipartiteGraph, Side, VertexId};
 use std::time::{Duration, Instant};
 
 /// Which fair-biclique model a query runs, with its parameters.
@@ -111,41 +115,33 @@ impl PreparedQuery {
         prune: PruneKind,
         substrate: Substrate,
     ) -> PreparedQuery {
-        Self::prepare_bounded(g, model, prune, substrate, &PrepareCtl::UNBOUNDED)
-            .expect("unbounded prepare is never interrupted")
-    }
-
-    /// [`PreparedQuery::prepare`] under a deadline/cancellation bound:
-    /// the prune cascade probes `ctl` at its stage boundaries (and,
-    /// counter-gated, inside the peel loops) and aborts with the
-    /// interrupting [`StopReason`] instead of running to completion.
-    /// No partial plan is produced on `Err` — the caller retries the
-    /// prepare later (or reports the truncation) rather than caching
-    /// a half-pruned core.
-    pub fn prepare_bounded(
-        g: &BipartiteGraph,
-        model: QueryModel,
-        prune: PruneKind,
-        substrate: Substrate,
-        ctl: &PrepareCtl,
-    ) -> Result<PreparedQuery, StopReason> {
         Self::prepare_rec(
             g,
             model,
             prune,
             substrate,
-            ctl,
+            &PrepareCtl::UNBOUNDED,
             &mut SpanRecorder::disabled(),
         )
+        .expect("unbounded prepare is never interrupted")
     }
 
-    /// [`PreparedQuery::prepare_bounded`] with a [`SpanRecorder`]: the
-    /// preparation runs under a `prepare` scope span whose children
+    /// [`PreparedQuery::prepare`] under a deadline/cancellation bound
+    /// and with a [`SpanRecorder`].
+    ///
+    /// The prune cascade probes `ctl` at its stage boundaries (and,
+    /// counter-gated, inside the peel loops) and aborts with the
+    /// interrupting [`StopReason`] instead of running to completion.
+    /// No partial plan is produced on `Err` — the caller retries the
+    /// prepare later (or reports the truncation) rather than caching
+    /// a half-pruned core.
+    ///
+    /// The preparation runs under a `prepare` scope span whose children
     /// attribute wall time to the prune cascade's stages (`core-peel`,
     /// `2hop`, `ego-core`, `colorful-lower`, `colorful-upper`,
     /// `re-peel` — whichever the prune kind runs) and to
     /// `plan-resolve` (degree relabel + candidate-plan construction).
-    /// A disabled recorder makes this identical to `prepare_bounded`.
+    /// A disabled recorder records nothing.
     pub fn prepare_rec(
         g: &BipartiteGraph,
         model: QueryModel,
@@ -221,55 +217,68 @@ impl PreparedQuery {
         csr + self.plan.heap_bytes()
     }
 
-    /// Serial enumeration on the cached core/plan, streaming
-    /// original-id results into `sink`.
-    fn stream_serial(&self, cfg: &RunConfig, sink: &mut dyn BicliqueSink) -> EnumStats {
-        let g = &self.pruned.sub.graph;
-        let shared = SharedBudget::new(cfg.budget.clone());
-        let mut mapped = MappingSink::new(
-            &self.pruned.sub.upper_to_parent,
-            &self.pruned.sub.lower_to_parent,
-            sink,
-        );
-        match self.model {
-            QueryModel::Ssfbc(p) => {
-                fairbcem_pp_shared(g, p, cfg.order, &shared, false, &self.plan, &mut mapped)
-            }
-            QueryModel::Bsfbc(p) => {
-                bfairbcem_pp_planned(g, p, cfg.order, &shared, &self.plan, &mut mapped)
-            }
-            QueryModel::Pssfbc(p) => {
-                fairbcem_pro_pp_shared(g, p, cfg.order, &shared, false, &self.plan, &mut mapped)
-            }
-            QueryModel::Pbsfbc(p) => {
-                bfairbcem_pro_pp_planned(g, p, cfg.order, &shared, &self.plan, &mut mapped)
-            }
-        }
-    }
-
-    /// Parallel enumeration on the cached core/plan across
-    /// `cfg.threads` workers, each with its own sink.
-    fn stream_parallel<S: BicliqueSink + Send>(
+    /// Enumerate on the cached core/plan, streaming original-id results
+    /// into per-worker sinks built by `make_sink` — the one execution
+    /// path of the `++` miners.
+    ///
+    /// At `cfg.threads ≤ 1` a single worker walks the whole tree on the
+    /// calling thread (nothing is spawned, no queue lock is taken);
+    /// above that the work-stealing engine runs up to `cfg.threads`
+    /// workers on one global budget ([`crate::parallel`]). Honors
+    /// `cfg.order`, `cfg.split_depth` and the budget/cancellation in
+    /// `cfg.budget`; `cfg.sorted` is left to the caller, which owns the
+    /// results. Returns the sinks in worker order for the caller to
+    /// merge, plus the merged statistics (`stats.emitted` is the total
+    /// result count).
+    pub fn stream<S: BicliqueSink + Send>(
         &self,
         cfg: &RunConfig,
         make_sink: &(dyn Fn() -> S + Sync),
     ) -> (Vec<S>, EnumStats) {
-        let mg = MappedGraph::of_pruned(&self.pruned);
-        let opts = EngineOpts::from_run(cfg);
-        let budget = cfg.budget.clone();
-        match self.model {
-            QueryModel::Ssfbc(p) => {
-                par_ssfbc_workers(&mg, p, cfg.order, budget, opts, &self.plan, make_sink)
-            }
-            QueryModel::Bsfbc(p) => {
-                par_bsfbc_workers(&mg, p, cfg.order, budget, opts, &self.plan, make_sink)
-            }
-            QueryModel::Pssfbc(p) => {
-                par_pssfbc_workers(&mg, p, cfg.order, budget, opts, &self.plan, make_sink)
-            }
-            QueryModel::Pbsfbc(p) => {
-                par_pbsfbc_workers(&mg, p, cfg.order, budget, opts, &self.plan, make_sink)
-            }
+        if cfg.threads <= 1 {
+            return self.stream_in_thread(cfg, make_sink());
+        }
+        let (workers, stats) = self
+            .walk()
+            .run_parallel(cfg, &|clock| self.worker(clock, make_sink()));
+        finish(workers, stats)
+    }
+
+    /// The single-worker branch of [`PreparedQuery::stream`], open to
+    /// sinks that cannot cross threads (the borrowed sinks of
+    /// [`crate::pipeline::run_ssfbc`] / [`crate::pipeline::run_bsfbc`]).
+    pub(crate) fn stream_in_thread<S: BicliqueSink>(
+        &self,
+        cfg: &RunConfig,
+        sink: S,
+    ) -> (Vec<S>, EnumStats) {
+        let (worker, stats) = self
+            .walk()
+            .run_serial(cfg, |clock| self.worker(clock, sink));
+        finish([worker], stats)
+    }
+
+    /// The maximal-biclique walk every model runs: `|L| ≥ α`, with the
+    /// fair bound on the reachable `R` (Algorithm 6 line 29).
+    fn walk(&self) -> Walk<'_> {
+        let g = &self.pruned.sub.graph;
+        let base = self.model.base();
+        Walk {
+            g,
+            min_l: base.alpha as usize,
+            rbound: RBound::AttrBeta {
+                attrs: g.attrs(Side::Lower),
+                beta: base.beta,
+            },
+            plan: &self.plan,
+        }
+    }
+
+    fn worker<S>(&self, clock: BudgetClock, sink: S) -> Worker<'_, S> {
+        let sub = &self.pruned.sub;
+        Worker {
+            expansion: Expansion::new(self.model, &sub.graph, &self.plan, clock),
+            out: MappingSink::new(&sub.upper_to_parent, &sub.lower_to_parent, sink),
         }
     }
 
@@ -309,21 +318,13 @@ impl PreparedQuery {
     /// makes this identical to `execute`.
     pub fn execute_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
         let t0 = Instant::now();
-        let (mut bicliques, stats) = rec.timed("enumerate", || {
-            if cfg.threads > 1 {
-                let (sinks, stats) = self.stream_parallel(cfg, &CollectSink::default);
-                let mut all = Vec::new();
-                for s in sinks {
-                    all.extend(s.bicliques);
-                }
-                (all, stats)
-            } else {
-                let mut sink = CollectSink::default();
-                let stats = self.stream_serial(cfg, &mut sink);
-                (sink.bicliques, stats)
-            }
-        });
+        let (sinks, stats) = rec.timed("enumerate", || self.stream(cfg, &CollectSink::default));
         annotate_enumerate(rec, &stats, cfg.threads.max(1));
+        let mut sinks = sinks.into_iter();
+        let mut bicliques = sinks.next().map(|s| s.bicliques).unwrap_or_default();
+        for s in sinks {
+            bicliques.extend(s.bicliques);
+        }
         if cfg.sorted {
             rec.timed("sort", || {
                 crate::results::canonical_order(&mut bicliques);
@@ -342,23 +343,15 @@ impl PreparedQuery {
     /// [`PreparedQuery::execute_rec`]; counting has no `sort` span).
     pub fn count_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
         let t0 = Instant::now();
-        let stats = rec.timed("enumerate", || {
-            if cfg.threads > 1 {
-                let (_, stats) = self.stream_parallel(cfg, &CountSink::default);
-                stats
-            } else {
-                let mut sink = CountSink::default();
-                self.stream_serial(cfg, &mut sink)
-            }
-        });
+        let (_, stats) = rec.timed("enumerate", || self.stream(cfg, &CountSink::default));
         annotate_enumerate(rec, &stats, cfg.threads.max(1));
         self.report(Vec::new(), stats, cfg, t0.elapsed())
     }
 
     /// The single largest result under `metric` (ties broken
-    /// lexicographically, matching [`crate::maximum`]). Works for all
-    /// four models — the proportion maxima simply rank the proportion
-    /// enumeration's output.
+    /// lexicographically, see [`MaxSink`]), plus the run's statistics —
+    /// when `stats.aborted`, the answer is the best found before the
+    /// budget ran out, a lower bound. Works for all four models.
     pub fn maximum(&self, metric: SizeMetric, cfg: &RunConfig) -> (Option<Biclique>, EnumStats) {
         self.maximum_rec(metric, cfg, &mut SpanRecorder::disabled())
     }
@@ -372,20 +365,121 @@ impl PreparedQuery {
         cfg: &RunConfig,
         rec: &mut SpanRecorder,
     ) -> (Option<Biclique>, EnumStats) {
-        if cfg.threads > 1 {
-            let (sinks, stats) = rec.timed("enumerate", || {
-                self.stream_parallel(cfg, &|| MaxSink::new(metric))
-            });
-            annotate_enumerate(rec, &stats, cfg.threads.max(1));
-            let best = rec.timed("sort", || merge_max(metric, sinks).best);
-            (best, stats)
+        let (sinks, stats) = rec.timed("enumerate", || self.stream(cfg, &|| MaxSink::new(metric)));
+        annotate_enumerate(rec, &stats, cfg.threads.max(1));
+        let merge = || merge_max(metric, sinks).best;
+        let best = if cfg.threads > 1 {
+            rec.timed("sort", merge)
         } else {
-            let mut sink = MaxSink::new(metric);
-            let stats = rec.timed("enumerate", || self.stream_serial(cfg, &mut sink));
-            annotate_enumerate(rec, &stats, cfg.threads.max(1));
-            (sink.best, stats)
+            merge()
+        };
+        (best, stats)
+    }
+}
+
+/// The expansion step of one model: what each maximal biclique the
+/// walk visits turns into. The single-side models emit its maximal
+/// fair (or proportion-fair) lower subsets with `N(r') = L`; the
+/// bi-side models chain those into the upper-side expansion of
+/// Algorithm 9, where the single-side stage is intermediate and exempt
+/// from the result cap (only the bi-side results are final).
+enum Expansion<'g> {
+    Ss(SsExpander<'g>),
+    Bi(SsExpander<'g>, BiSideExpander<'g>),
+    ProSs(ProSsExpander<'g>),
+    ProBi(ProSsExpander<'g>, ProBiSideExpander<'g>),
+}
+
+impl<'g> Expansion<'g> {
+    fn new(
+        model: QueryModel,
+        g: &'g BipartiteGraph,
+        plan: &'g CandidatePlan,
+        clock: BudgetClock,
+    ) -> Self {
+        let lower = plan.ops(g, Side::Lower);
+        match model {
+            QueryModel::Ssfbc(p) => Expansion::Ss(SsExpander::with_clock(g, p, lower, clock)),
+            QueryModel::Bsfbc(p) => Expansion::Bi(
+                SsExpander::with_clock(g, p, lower, clock.clone().exempt_results()),
+                BiSideExpander::with_clock(g, p, plan.ops(g, Side::Upper), clock),
+            ),
+            QueryModel::Pssfbc(p) => {
+                Expansion::ProSs(ProSsExpander::with_clock(g, p, lower, clock))
+            }
+            QueryModel::Pbsfbc(p) => Expansion::ProBi(
+                ProSsExpander::with_clock(g, p, lower, clock.clone().exempt_results()),
+                ProBiSideExpander::with_clock(g, p, plan.ops(g, Side::Upper), clock),
+            ),
         }
     }
+
+    fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
+        match self {
+            Expansion::Ss(ss) => ss.expand(l, r, sink),
+            Expansion::Bi(ss, bi) => ss.expand(l, r, &mut BiChainSink { exp: bi, sink }),
+            Expansion::ProSs(ss) => ss.expand(l, r, sink),
+            Expansion::ProBi(ss, bi) => ss.expand(l, r, &mut ProBiChainSink { exp: bi, sink }),
+        }
+    }
+
+    /// Add this expansion's final-stage emissions to `stats` and fold
+    /// in each stage's stop state.
+    fn settle(&self, stats: &mut EnumStats) {
+        match self {
+            Expansion::Ss(ss) => {
+                stats.emitted += ss.emitted;
+                ss.clock.settle(stats);
+            }
+            Expansion::Bi(ss, bi) => {
+                stats.emitted += bi.emitted;
+                ss.clock.settle(stats);
+                bi.clock.settle(stats);
+            }
+            Expansion::ProSs(ss) => {
+                stats.emitted += ss.emitted;
+                ss.clock.settle(stats);
+            }
+            Expansion::ProBi(ss, bi) => {
+                stats.emitted += bi.emitted;
+                ss.clock.settle(stats);
+                bi.clock.settle(stats);
+            }
+        }
+    }
+}
+
+/// One enumeration worker: the model's [`Expansion`] emitting through
+/// an id-translating [`MappingSink`] into the worker's own sink. Both
+/// live for the whole run, so every visit reuses the same expansion
+/// scratch and translation buffers.
+struct Worker<'g, S> {
+    expansion: Expansion<'g>,
+    out: MappingSink<'g, S>,
+}
+
+impl<S: BicliqueSink> WalkVisitor for Worker<'_, S> {
+    fn visit(&mut self, l: &[VertexId], r: &[VertexId]) {
+        self.expansion.expand(l, r, &mut self.out);
+    }
+}
+
+/// Replace the walk's `emitted` (visited maximal bicliques) with the
+/// workers' result counts, fold in their stop state, and hand back the
+/// sinks in worker order.
+fn finish<'g, S>(
+    workers: impl IntoIterator<Item = Worker<'g, S>>,
+    mut stats: EnumStats,
+) -> (Vec<S>, EnumStats) {
+    stats.emitted = 0;
+    let sinks = workers
+        .into_iter()
+        .map(|w| {
+            w.expansion.settle(&mut stats);
+            w.out.into_inner()
+        })
+        .collect();
+    (sinks, stats)
 }
 
 /// Attach the run's [`EnumStats`] as detail on the just-recorded
@@ -399,12 +493,39 @@ fn annotate_enumerate(rec: &mut SpanRecorder, stats: &EnumStats, threads: usize)
     });
 }
 
+/// Test support for the miner modules: run `model` on `g` without
+/// pruning (their unit tests exercise the expansion steps on raw
+/// graphs), collecting in discovery order.
+#[cfg(test)]
+pub(crate) fn mine_unpruned(
+    g: &BipartiteGraph,
+    model: QueryModel,
+    order: crate::config::VertexOrder,
+    budget: crate::config::Budget,
+) -> RunReport {
+    PreparedQuery::prepare(g, model, PruneKind::None, Substrate::Auto).execute(&RunConfig {
+        order,
+        budget,
+        ..RunConfig::default()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Budget, CancelToken, StopReason};
     use crate::pipeline::{enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc};
     use bigraph::generate::random_uniform;
+
+    fn bounded(
+        g: &BipartiteGraph,
+        model: QueryModel,
+        prune: PruneKind,
+        ctl: &PrepareCtl,
+    ) -> Result<PreparedQuery, StopReason> {
+        let mut rec = SpanRecorder::disabled();
+        PreparedQuery::prepare_rec(g, model, prune, Substrate::Auto, ctl, &mut rec)
+    }
 
     fn models() -> Vec<QueryModel> {
         let fair = FairParams::unchecked(2, 1, 1);
@@ -457,7 +578,13 @@ mod tests {
         let g = random_uniform(14, 14, 90, 2, 2, 5);
         let params = FairParams::unchecked(2, 1, 1);
         let cfg = RunConfig::default();
-        let (want, _) = crate::maximum::max_ssfbc(&g, params, SizeMetric::Edges, &cfg);
+        // The maximum module's sink over the collected enumeration.
+        let mut want = MaxSink::new(SizeMetric::Edges);
+        for b in enumerate_ssfbc(&g, params, &cfg).bicliques {
+            want.emit(&b.upper, &b.lower);
+        }
+        let want = want.best;
+        assert!(want.is_some());
         let prepared =
             PreparedQuery::prepare(&g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
         for threads in [1usize, 4] {
@@ -518,7 +645,7 @@ mod tests {
                     deadline_at: Some(Instant::now()),
                     cancel: None,
                 };
-                let got = PreparedQuery::prepare_bounded(&g, model, prune, Substrate::Auto, &ctl);
+                let got = bounded(&g, model, prune, &ctl);
                 assert!(
                     matches!(got, Err(StopReason::Deadline)),
                     "{model} {prune:?} should abort on expired deadline"
@@ -531,25 +658,13 @@ mod tests {
                 deadline_at: None,
                 cancel: Some(token),
             };
-            let got = PreparedQuery::prepare_bounded(
-                &g,
-                model,
-                PruneKind::Colorful,
-                Substrate::Auto,
-                &ctl,
-            );
+            let got = bounded(&g, model, PruneKind::Colorful, &ctl);
             assert!(matches!(got, Err(StopReason::Cancelled)), "{model}");
             // An unbounded ctl prepares normally and matches `prepare`.
-            let bounded = PreparedQuery::prepare_bounded(
-                &g,
-                model,
-                PruneKind::Colorful,
-                Substrate::Auto,
-                &PrepareCtl::UNBOUNDED,
-            )
-            .unwrap();
+            let unbounded =
+                bounded(&g, model, PruneKind::Colorful, &PrepareCtl::UNBOUNDED).unwrap();
             let plain = PreparedQuery::prepare(&g, model, PruneKind::Colorful, Substrate::Auto);
-            assert_eq!(bounded.prune_stats(), plain.prune_stats(), "{model}");
+            assert_eq!(unbounded.prune_stats(), plain.prune_stats(), "{model}");
         }
     }
 

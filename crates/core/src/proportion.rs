@@ -10,94 +10,18 @@
 //!   the maximal feasible size lattice instead of the paper's closed
 //!   form (exact for any attribute-domain size; equal to the closed
 //!   form on the paper's two-value domains — property-tested).
+//!
+//! Like the non-proportion miners, both run on the shared walk and
+//! drivers ([`crate::prepared`], [`crate::parallel`]); this module holds
+//! their expansion steps.
 
-use crate::biclique::{BicliqueSink, EnumStats};
-use crate::config::{
-    Budget, BudgetClock, BudgetLane, ProParams, SharedBudget, Substrate, VertexOrder,
-};
+use crate::biclique::BicliqueSink;
+use crate::config::{BudgetClock, ProParams};
 use crate::fairset::{
     for_each_max_pro_fair_subset, is_fair_pro, is_maximal_fair_subset_pro, AttrCounts,
 };
-use crate::mbea::{root_task, RBound, Walker};
-use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
+use bigraph::candidate::{AdjOps, CandidateOps};
 use bigraph::{BipartiteGraph, Side, VertexId};
-
-/// Shorthand for the shared-budget handle the chained drivers pass
-/// around.
-type SharedArc = std::sync::Arc<SharedBudget>;
-
-/// Run `FairBCEMPro++` on `g` (assumed already pruned; fair side =
-/// lower): enumerate all proportion single-side fair bicliques.
-pub fn fairbcem_pro_pp_on_pruned(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    fairbcem_pro_pp_on_pruned_with(g, pro, order, budget, Substrate::Auto, sink)
-}
-
-/// [`fairbcem_pro_pp_on_pruned`] with an explicit candidate substrate.
-pub fn fairbcem_pro_pp_on_pruned_with(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    substrate: Substrate,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let plan = CandidatePlan::build(g, substrate, false);
-    fairbcem_pro_pp_shared(
-        g,
-        pro,
-        order,
-        &SharedBudget::new(budget),
-        false,
-        &plan,
-        sink,
-    )
-}
-
-/// `FairBCEMPro++` with all clocks drawn from one shared budget, so
-/// any exhausted limit — including the result cap — stops the whole
-/// walk. `intermediate` exempts emissions from the result budget
-/// (the PBSFBC chain).
-pub(crate) fn fairbcem_pro_pp_shared(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    shared: &SharedArc,
-    intermediate: bool,
-    plan: &CandidatePlan,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let params = pro.base;
-    let expand_clock = if intermediate {
-        shared.clock(BudgetLane::Expand).exempt_results()
-    } else {
-        shared.clock(BudgetLane::Expand)
-    };
-    let mut expander = ProSsExpander::with_clock(g, pro, plan.ops(g, Side::Lower), expand_clock);
-    let mut walker = Walker::new(
-        g,
-        params.alpha as usize,
-        RBound::AttrBeta {
-            attrs: g.attrs(Side::Lower),
-            beta: params.beta,
-        },
-        plan.ops(g, Side::Lower),
-        shared.clock(BudgetLane::Walk),
-    );
-    walker.run(root_task(g, order, plan.choice()), &mut |l, r| {
-        expander.expand(l, r, sink)
-    });
-    let mut stats = walker.stats();
-    stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
-    stats
-}
 
 /// The proportion analog of [`crate::fairbcem_pp::SsExpander`]: given
 /// a maximal biclique `(L, R)`, emit the PSSFBCs it contains via the
@@ -114,15 +38,15 @@ pub(crate) struct ProSsExpander<'a> {
     ops: AdjOps<'a>,
     /// Budget over expansion steps: a single `CombinationPro` can be
     /// binomially large.
-    clock: BudgetClock,
+    pub(crate) clock: BudgetClock,
     /// PSSFBCs emitted so far.
     pub(crate) emitted: u64,
 }
 
 impl<'a> ProSsExpander<'a> {
-    /// Constructor taking explicit candidate ops and clock — the
-    /// parallel engine hands every worker its own handles drawing from
-    /// the shared rows and countdown.
+    /// Constructor taking explicit candidate ops and clock — every
+    /// worker gets its own handles drawing from the run's shared rows
+    /// and countdown.
     pub(crate) fn with_clock(
         g: &'a BipartiteGraph,
         pro: ProParams,
@@ -139,17 +63,6 @@ impl<'a> ProSsExpander<'a> {
             clock,
             emitted: 0,
         }
-    }
-
-    /// True when the expansion budget expired mid-run (results are a
-    /// correct subset).
-    pub(crate) fn aborted(&self) -> bool {
-        self.clock.exhausted
-    }
-
-    /// Why the expansion stage stopped (None while unexhausted).
-    pub(crate) fn stop_reason(&self) -> Option<crate::config::StopReason> {
-        self.clock.stop_reason()
     }
 
     pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
@@ -197,64 +110,6 @@ impl<'a> ProSsExpander<'a> {
     }
 }
 
-/// Run `BFairBCEMPro++` on `g`: enumerate all proportion bi-side fair
-/// bicliques by expanding each PSSFBC's upper side with the exact
-/// `CombinationPro` and the proportion `MFSCheck`.
-pub fn bfairbcem_pro_pp_on_pruned(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    bfairbcem_pro_pp_on_pruned_with(g, pro, order, budget, Substrate::Auto, sink)
-}
-
-/// [`bfairbcem_pro_pp_on_pruned`] with an explicit candidate
-/// substrate shared by every stage of the chain.
-pub fn bfairbcem_pro_pp_on_pruned_with(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    substrate: Substrate,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    // One shared budget: the PSSFBC stage is intermediate (exempt
-    // from the result cap — only PBSFBCs are final results), and any
-    // tripped limit stops the whole chain.
-    let plan = CandidatePlan::build(g, substrate, true);
-    bfairbcem_pro_pp_planned(g, pro, order, &SharedBudget::new(budget), &plan, sink)
-}
-
-/// `BFairBCEMPro++` on a pre-resolved [`CandidatePlan`] (built with
-/// upper rows) and an externally owned shared budget — the entry point
-/// the prepared-plan cache ([`crate::prepared`]) reuses across queries.
-pub(crate) fn bfairbcem_pro_pp_planned(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    shared: &SharedArc,
-    plan: &CandidatePlan,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let mut expander = ProBiSideExpander::with_clock(
-        g,
-        pro,
-        plan.ops(g, Side::Upper),
-        shared.clock(BudgetLane::Expand),
-    );
-    let mut chain = ProBiChainSink {
-        exp: &mut expander,
-        sink,
-    };
-    let mut stats = fairbcem_pro_pp_shared(g, pro, order, shared, true, plan, &mut chain);
-    stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
-    stats
-}
-
 /// The upper-side expansion step from PSSFBCs to the PBSFBCs
 /// contained in them.
 pub(crate) struct ProBiSideExpander<'a> {
@@ -262,7 +117,7 @@ pub(crate) struct ProBiSideExpander<'a> {
     pro: ProParams,
     /// Upper-side candidate ops (`N(l')` intersects upper adjacency).
     ops: AdjOps<'a>,
-    clock: BudgetClock,
+    pub(crate) clock: BudgetClock,
     pub(crate) emitted: u64,
     groups: Vec<Vec<VertexId>>,
     /// Long-lived scratch for the per-subset MFSCheck: `N(l')`, the
@@ -274,8 +129,8 @@ pub(crate) struct ProBiSideExpander<'a> {
 
 impl<'a> ProBiSideExpander<'a> {
     /// Constructor taking explicit upper-side candidate ops and a
-    /// clock — the parallel engine hands every worker its own handles
-    /// drawing from the shared rows and countdown.
+    /// clock — every worker gets its own handles drawing from the
+    /// run's shared rows and countdown.
     pub(crate) fn with_clock(
         g: &'a BipartiteGraph,
         pro: ProParams,
@@ -295,16 +150,6 @@ impl<'a> ProBiSideExpander<'a> {
             base: AttrCounts::zeros(n_attrs_l),
             cand: AttrCounts::zeros(n_attrs_l),
         }
-    }
-
-    /// True when the expansion budget expired (results are a subset).
-    pub(crate) fn aborted(&self) -> bool {
-        self.clock.exhausted
-    }
-
-    /// Why the expansion stage stopped (None while unexhausted).
-    pub(crate) fn stop_reason(&self) -> Option<crate::config::StopReason> {
-        self.clock.stop_reason()
     }
 
     pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
@@ -378,39 +223,27 @@ impl BicliqueSink for ProBiChainSink<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::biclique::{Biclique, CollectSink};
+    use crate::biclique::Biclique;
+    use crate::config::{Budget, VertexOrder};
+    use crate::prepared::{mine_unpruned, QueryModel};
     use crate::verify::{oracle_pbsfbc, oracle_pssfbc};
     use bigraph::generate::random_uniform;
     use std::collections::BTreeSet;
 
-    fn run_ss(g: &BipartiteGraph, pro: ProParams) -> BTreeSet<Biclique> {
-        let mut sink = CollectSink::default();
-        let stats = fairbcem_pro_pp_on_pruned(
-            g,
-            pro,
-            VertexOrder::DegreeDesc,
-            Budget::UNLIMITED,
-            &mut sink,
-        );
-        assert!(!stats.aborted);
-        let set: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
-        assert_eq!(set.len(), sink.bicliques.len(), "no duplicates");
+    fn run(g: &BipartiteGraph, model: QueryModel) -> BTreeSet<Biclique> {
+        let report = mine_unpruned(g, model, VertexOrder::DegreeDesc, Budget::UNLIMITED);
+        assert!(!report.stats.aborted);
+        let set: BTreeSet<Biclique> = report.bicliques.iter().cloned().collect();
+        assert_eq!(set.len(), report.bicliques.len(), "no duplicates");
         set
     }
 
+    fn run_ss(g: &BipartiteGraph, pro: ProParams) -> BTreeSet<Biclique> {
+        run(g, QueryModel::Pssfbc(pro))
+    }
+
     fn run_bi(g: &BipartiteGraph, pro: ProParams) -> BTreeSet<Biclique> {
-        let mut sink = CollectSink::default();
-        let stats = bfairbcem_pro_pp_on_pruned(
-            g,
-            pro,
-            VertexOrder::DegreeDesc,
-            Budget::UNLIMITED,
-            &mut sink,
-        );
-        assert!(!stats.aborted);
-        let set: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
-        assert_eq!(set.len(), sink.bicliques.len(), "no duplicates");
-        set
+        run(g, QueryModel::Pbsfbc(pro))
     }
 
     #[test]
@@ -446,20 +279,11 @@ mod tests {
     #[test]
     fn theta_zero_equals_plain_model() {
         use crate::config::FairParams;
-        use crate::fairbcem_pp::fairbcem_pp_on_pruned;
         for seed in 30..40u64 {
             let g = random_uniform(9, 10, 40, 2, 2, seed);
             let pro = ProParams::new(2, 1, 1, 0.0).unwrap();
             let got = run_ss(&g, pro);
-            let mut plain = CollectSink::default();
-            fairbcem_pp_on_pruned(
-                &g,
-                FairParams::unchecked(2, 1, 1),
-                VertexOrder::DegreeDesc,
-                Budget::UNLIMITED,
-                &mut plain,
-            );
-            let plain: BTreeSet<Biclique> = plain.bicliques.into_iter().collect();
+            let plain = run(&g, QueryModel::Ssfbc(FairParams::unchecked(2, 1, 1)));
             assert_eq!(got, plain, "seed {seed}");
         }
     }

@@ -326,6 +326,7 @@ mod tests {
             1,
             VertexOrder::DegreeDesc,
             Budget::UNLIMITED,
+            crate::config::Substrate::Auto,
             &mut sink,
         );
         assert!(sink.bicliques.len() > 3);

@@ -54,6 +54,24 @@ impl std::fmt::Display for Dataset {
     }
 }
 
+/// Parses a dataset name, case-insensitively; `wiki-cat`, `wikicat`
+/// and `wiki` all name [`Dataset::WikiCat`]. The CLI's `--dataset` and
+/// the service's `GEN` verb both go through this.
+impl std::str::FromStr for Dataset {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "youtube" => Ok(Dataset::Youtube),
+            "twitter" => Ok(Dataset::Twitter),
+            "imdb" => Ok(Dataset::Imdb),
+            "wiki-cat" | "wikicat" | "wiki" => Ok(Dataset::WikiCat),
+            "dblp" => Ok(Dataset::Dblp),
+            other => Err(format!("unknown dataset {other:?}")),
+        }
+    }
+}
+
 /// Generation recipe plus the paper's default parameters for one
 /// dataset (Table I's `α*_s, β*_s, α*_b, β*_b, δ*, θ*` columns).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -263,6 +281,21 @@ pub fn all_specs() -> Vec<DatasetSpec> {
 mod tests {
     use super::*;
     use bigraph::stats::graph_stats;
+
+    #[test]
+    fn dataset_names_parse_with_aliases() {
+        for d in Dataset::ALL {
+            assert_eq!(d.to_string().parse::<Dataset>(), Ok(d));
+        }
+        for alias in ["wiki-cat", "wikicat", "wiki", "WIKI"] {
+            assert_eq!(alias.parse::<Dataset>(), Ok(Dataset::WikiCat), "{alias}");
+        }
+        assert_eq!("IMDB".parse::<Dataset>(), Ok(Dataset::Imdb));
+        assert_eq!(
+            "Orkut".parse::<Dataset>(),
+            Err("unknown dataset \"orkut\"".to_string())
+        );
+    }
 
     #[test]
     fn all_specs_build_and_are_deterministic() {

@@ -327,17 +327,6 @@ fn parse_pair_u16(s: &str) -> Result<(u16, u16), String> {
     ))
 }
 
-fn parse_dataset(s: &str) -> Result<Dataset, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "youtube" => Ok(Dataset::Youtube),
-        "twitter" => Ok(Dataset::Twitter),
-        "imdb" => Ok(Dataset::Imdb),
-        "wiki-cat" | "wikicat" | "wiki" => Ok(Dataset::WikiCat),
-        "dblp" => Ok(Dataset::Dblp),
-        other => Err(format!("unknown dataset {other:?}")),
-    }
-}
-
 fn parse_gen_spec(s: &str) -> Result<GenSpec, String> {
     if let Some(rest) = s.strip_prefix("uniform:") {
         let nums: Vec<&str> = rest.split(',').collect();
@@ -380,7 +369,7 @@ fn parse_gen_spec(s: &str) -> Result<GenSpec, String> {
             attrs,
         })
     } else {
-        parse_dataset(s).map(GenSpec::Dataset)
+        s.parse().map(GenSpec::Dataset)
     }
 }
 

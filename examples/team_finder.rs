@@ -2,18 +2,17 @@
 //! paper's introduction, end to end — mine the *largest* fair team,
 //! shortlist the top-k, and summarize the whole result space.
 //!
-//! Exercises the extension APIs: [`fair_biclique::maximum`],
-//! [`fair_biclique::biclique::TopKSink`],
-//! [`fair_biclique::parallel::par_enumerate_ssfbc`] and
-//! [`fair_biclique::results`].
+//! Exercises the one execution path: a single
+//! [`fair_biclique::prepared::PreparedQuery`] is pruned once and then
+//! answers a maximum search ([`fair_biclique::maximum`]), a streamed
+//! top-k ([`fair_biclique::biclique::TopKSink`]) and a 4-thread
+//! collected run summarized with [`fair_biclique::results`].
 //!
 //! ```text
 //! cargo run --release -p fbe-examples --example team_finder
 //! ```
 
-use fair_biclique::maximum::{max_ssfbc, SizeMetric};
-use fair_biclique::parallel::par_enumerate_ssfbc;
-use fair_biclique::pipeline::run_ssfbc;
+use fair_biclique::maximum::SizeMetric;
 use fair_biclique::prelude::*;
 use fair_biclique::results::{group_by_lower_signature, summarize};
 use fbe_datasets::case_studies::dbda;
@@ -29,6 +28,10 @@ fn main() {
     );
     let params = FairParams::new(3, 2, 1).expect("valid params");
     println!("looking for teams with {params}: >=3 joint papers, >=2 of each seniority, gap <=1\n");
+    // Prune and resolve the candidate plan once; every query below
+    // reuses it.
+    let cfg = RunConfig::default();
+    let query = PreparedQuery::prepare(g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
 
     // 1. The single largest fair team, by member count and by
     //    collaboration volume (papers x members).
@@ -36,31 +39,28 @@ fn main() {
         ("most members+papers", SizeMetric::Vertices),
         ("most pairwise collaborations", SizeMetric::Edges),
     ] {
-        let (best, _) = max_ssfbc(g, params, metric, &RunConfig::default());
+        let (best, _) = query.maximum(metric, &cfg);
         match best {
             Some(bc) => println!("largest team ({name}):\n{}\n", cs.describe(&bc)),
             None => println!("no fair team exists for {params}"),
         }
     }
 
-    // 2. A top-5 shortlist without materialising every result.
-    let mut top = TopKSink::new(5);
-    run_ssfbc(
-        g,
-        params,
-        fair_biclique::pipeline::SsAlgorithm::FairBcemPP,
-        &RunConfig::default(),
-        &mut top,
-    );
-    let seen = top.seen;
-    println!("top-5 of {seen} fair teams:");
-    for bc in top.into_sorted() {
+    // 2. A top-5 shortlist without materialising every result (one
+    //    worker, so one sink).
+    let (sinks, stats) = query.stream(&cfg, &|| TopKSink::new(5));
+    println!("top-5 of {} fair teams:", stats.emitted);
+    for bc in sinks.into_iter().flat_map(TopKSink::into_sorted) {
         let (p, s) = (bc.upper.len(), bc.lower.len());
         println!("  {p} papers x {s} scholars: {bc}");
     }
 
-    // 3. Whole-result-space statistics via the parallel driver.
-    let report = par_enumerate_ssfbc(g, params, &RunConfig::default(), 4);
+    // 3. Whole-result-space statistics from a sorted 4-thread run.
+    let report = query.execute(&RunConfig {
+        threads: 4,
+        sorted: true,
+        ..cfg
+    });
     let summary = summarize(g, &report.bicliques);
     println!(
         "\nacross all {} teams: sizes {}..{}, mean {:.1} papers x {:.1} scholars, \

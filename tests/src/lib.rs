@@ -7,8 +7,10 @@
 
 use bigraph::{BipartiteGraph, Side, VertexId};
 use fair_biclique::biclique::Biclique;
-use fair_biclique::config::{FairParams, ProParams};
+use fair_biclique::config::{FairParams, ProParams, RunConfig};
 use fair_biclique::fairset::{exists_fair_extension, is_fair, is_fair_pro, AttrCounts};
+use fair_biclique::maximum::SizeMetric;
+use fair_biclique::prepared::{PreparedQuery, QueryModel};
 
 /// Assert `bc` is a complete bipartite subgraph of `g`.
 pub fn assert_biclique(g: &BipartiteGraph, bc: &Biclique) {
@@ -146,6 +148,20 @@ pub fn assert_valid_bsfbc(g: &BipartiteGraph, bc: &Biclique, params: FairParams)
 }
 
 /// A deterministic medium-size test graph: random background plus
+/// The largest fair biclique of `model` under `metric` (`None` when
+/// none exists), from the one execution path: prepare, then
+/// [`PreparedQuery::maximum`] at `cfg`.
+pub fn maximum_of(
+    g: &BipartiteGraph,
+    model: QueryModel,
+    metric: SizeMetric,
+    cfg: &RunConfig,
+) -> Option<Biclique> {
+    PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate)
+        .maximum(metric, cfg)
+        .0
+}
+
 /// planted dense blocks (the regime the paper's datasets live in).
 pub fn medium_graph(seed: u64) -> BipartiteGraph {
     let base = bigraph::generate::random_uniform(30, 36, 220, 2, 2, seed);

@@ -4,9 +4,11 @@
 
 use bigraph::{BipartiteGraph, GraphBuilder};
 use fair_biclique::biclique::{Biclique, CollectSink};
-use fair_biclique::config::{Budget, FairParams, ProParams, PruneKind, RunConfig, VertexOrder};
+use fair_biclique::config::{
+    Budget, FairParams, ProParams, PruneKind, RunConfig, Substrate, VertexOrder,
+};
 use fair_biclique::pipeline::{
-    run_bsfbc, run_pbsfbc, run_pssfbc, run_ssfbc, BiAlgorithm, SsAlgorithm,
+    enumerate_pbsfbc, enumerate_pssfbc, run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm,
 };
 use fair_biclique::verify::{oracle_bsfbc, oracle_pbsfbc, oracle_pssfbc, oracle_ssfbc};
 use proptest::prelude::*;
@@ -105,9 +107,7 @@ proptest! {
         let want = oracle_pssfbc(&g, pro);
         for prune in [PruneKind::None, PruneKind::Colorful] {
             let cfg = RunConfig { prune, order: VertexOrder::DegreeDesc, ..RunConfig::default() };
-            let mut sink = CollectSink::default();
-            run_pssfbc(&g, pro, &cfg, &mut sink);
-            let got: BTreeSet<Biclique> = sink.bicliques.into_iter().collect();
+            let got: BTreeSet<Biclique> = enumerate_pssfbc(&g, pro, &cfg).bicliques.into_iter().collect();
             prop_assert_eq!(&got, &want, "prune {:?}", prune);
         }
     }
@@ -121,9 +121,7 @@ proptest! {
         let pro = ProParams::new(1, 1, d, theta).unwrap();
         let want = oracle_pbsfbc(&g, pro);
         let cfg = RunConfig::default();
-        let mut sink = CollectSink::default();
-        run_pbsfbc(&g, pro, &cfg, &mut sink);
-        let got: BTreeSet<Biclique> = sink.bicliques.into_iter().collect();
+        let got: BTreeSet<Biclique> = enumerate_pbsfbc(&g, pro, &cfg).bicliques.into_iter().collect();
         prop_assert_eq!(&got, &want);
     }
 
@@ -137,7 +135,7 @@ proptest! {
         use fair_biclique::verify::oracle_maximal_bicliques;
         let want = oracle_maximal_bicliques(&g, min_l, min_r);
         let mut sink = CollectSink::default();
-        maximal_bicliques(&g, min_l, min_r, VertexOrder::DegreeDesc, Budget::UNLIMITED, &mut sink);
+        maximal_bicliques(&g, min_l, min_r, VertexOrder::DegreeDesc, Budget::UNLIMITED, Substrate::Auto, &mut sink);
         let got: BTreeSet<Biclique> = sink.bicliques.into_iter().collect();
         prop_assert_eq!(&got, &want);
     }

@@ -4,7 +4,7 @@
 
 use bigraph::{GraphBuilder, Side};
 use fair_biclique::biclique::{Biclique, CollectSink};
-use fair_biclique::config::{Budget, FairParams, ProParams, RunConfig, VertexOrder};
+use fair_biclique::config::{Budget, FairParams, ProParams, RunConfig, Substrate, VertexOrder};
 use fair_biclique::mbea::maximal_bicliques;
 use fair_biclique::pipeline::{
     enumerate_bsfbc, enumerate_pssfbc, enumerate_ssfbc, run_ssfbc, SsAlgorithm,
@@ -28,6 +28,7 @@ fn degenerate_params_reduce_to_maximal_biclique_enumeration() {
             1,
             VertexOrder::DegreeDesc,
             Budget::UNLIMITED,
+            Substrate::Auto,
             &mut sink,
         );
         let mbe: BTreeSet<Biclique> = sink.bicliques.into_iter().collect();

@@ -4,12 +4,13 @@
 
 use fair_biclique::biclique::Biclique;
 use fair_biclique::config::{FairParams, RunConfig};
-use fair_biclique::maximum::{max_bsfbc, max_ssfbc, SizeMetric};
-use fair_biclique::parallel::par_enumerate_ssfbc;
+use fair_biclique::maximum::SizeMetric;
 use fair_biclique::pipeline::{
     enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc,
 };
+use fair_biclique::prepared::QueryModel;
 use fbe_datasets::corpus::{spec, Dataset};
+use fbe_integration::maximum_of;
 use std::collections::BTreeSet;
 
 #[test]
@@ -23,7 +24,15 @@ fn parallel_matches_serial_on_youtube_corpus() {
         .collect();
     assert!(!serial.is_empty());
     for threads in [2usize, 4, 8] {
-        let par = par_enumerate_ssfbc(&g, params, &RunConfig::default(), threads);
+        let par = enumerate_ssfbc(
+            &g,
+            params,
+            &RunConfig {
+                threads,
+                sorted: true,
+                ..RunConfig::default()
+            },
+        );
         let got: BTreeSet<Biclique> = par.bicliques.iter().cloned().collect();
         assert_eq!(
             got.len(),
@@ -51,8 +60,8 @@ fn all_parallel_miners_match_serial_on_youtube_corpus() {
         enumerate_bsfbc(&g, bi, &sorted).bicliques,
         enumerate_pssfbc(&g, pro, &sorted).bicliques,
         enumerate_pbsfbc(&g, bi_pro, &sorted).bicliques,
-        max_ssfbc(&g, params, SizeMetric::Edges, &sorted).0,
-        max_bsfbc(&g, bi, SizeMetric::Vertices, &sorted).0,
+        maximum_of(&g, QueryModel::Ssfbc(params), SizeMetric::Edges, &sorted),
+        maximum_of(&g, QueryModel::Bsfbc(bi), SizeMetric::Vertices, &sorted),
     );
     assert!(!want.0.is_empty());
     for threads in [2usize, 4, 8] {
@@ -67,8 +76,8 @@ fn all_parallel_miners_match_serial_on_youtube_corpus() {
                 enumerate_bsfbc(&g, bi, &cfg).bicliques,
                 enumerate_pssfbc(&g, pro, &cfg).bicliques,
                 enumerate_pbsfbc(&g, bi_pro, &cfg).bicliques,
-                max_ssfbc(&g, params, SizeMetric::Edges, &cfg).0,
-                max_bsfbc(&g, bi, SizeMetric::Vertices, &cfg).0,
+                maximum_of(&g, QueryModel::Ssfbc(params), SizeMetric::Edges, &cfg),
+                maximum_of(&g, QueryModel::Bsfbc(bi), SizeMetric::Vertices, &cfg),
             );
             assert_eq!(got, want, "threads {threads} split {split_depth}");
         }

@@ -7,12 +7,13 @@
 use bigraph::{BipartiteGraph, GraphBuilder};
 use fair_biclique::biclique::Biclique;
 use fair_biclique::config::{Budget, FairParams, ProParams, RunConfig};
-use fair_biclique::maximum::{max_bsfbc, max_ssfbc, SizeMetric};
+use fair_biclique::maximum::SizeMetric;
 use fair_biclique::pipeline::{
     enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc, RunReport,
 };
+use fair_biclique::prepared::QueryModel;
 use fair_biclique::verify::{oracle_bsfbc, oracle_pbsfbc, oracle_pssfbc, oracle_ssfbc};
-use fbe_integration::{assert_valid_bsfbc, assert_valid_ssfbc, medium_graph};
+use fbe_integration::{assert_valid_bsfbc, assert_valid_ssfbc, maximum_of, medium_graph};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -96,12 +97,13 @@ proptest! {
     ) {
         let params = FairParams::unchecked(a, b, d);
         for metric in [SizeMetric::Vertices, SizeMetric::Edges] {
-            let (want_ss, _) = max_ssfbc(&g, params, metric, &RunConfig::default());
-            let (want_bs, _) = max_bsfbc(&g, params, metric, &RunConfig::default());
+            let (ss, bs) = (QueryModel::Ssfbc(params), QueryModel::Bsfbc(params));
+            let want_ss = maximum_of(&g, ss, metric, &RunConfig::default());
+            let want_bs = maximum_of(&g, bs, metric, &RunConfig::default());
             for threads in [2usize, 4, 7] {
                 let cfg = RunConfig::with_threads(threads);
-                let (got_ss, _) = max_ssfbc(&g, params, metric, &cfg);
-                let (got_bs, _) = max_bsfbc(&g, params, metric, &cfg);
+                let got_ss = maximum_of(&g, ss, metric, &cfg);
+                let got_bs = maximum_of(&g, bs, metric, &cfg);
                 prop_assert_eq!(&got_ss, &want_ss, "ss threads {} {:?}", threads, metric);
                 prop_assert_eq!(&got_bs, &want_bs, "bs threads {} {:?}", threads, metric);
             }
@@ -300,9 +302,9 @@ fn empty_graph_on_many_threads() {
         assert!(r.bicliques.is_empty(), "threads {threads}");
         assert!(!r.stats.aborted);
         assert_eq!(r.threads, threads);
-        let (best, _) = max_ssfbc(
+        let best = maximum_of(
             &g,
-            params,
+            QueryModel::Ssfbc(params),
             SizeMetric::Vertices,
             &RunConfig::with_threads(threads),
         );

@@ -11,10 +11,12 @@ use bigraph::generate::random_uniform;
 use bigraph::{BipartiteGraph, VertexId};
 use fair_biclique::biclique::{Biclique, CollectSink};
 use fair_biclique::config::{FairParams, ProParams, RunConfig, Substrate};
-use fair_biclique::maximum::{max_bsfbc, max_ssfbc, SizeMetric};
+use fair_biclique::maximum::SizeMetric;
 use fair_biclique::pipeline::{
     enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc, run_ssfbc, SsAlgorithm,
 };
+use fair_biclique::prepared::QueryModel;
+use fbe_integration::maximum_of;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -109,14 +111,15 @@ proptest! {
         let g = graph(seed, 9, 10, m);
         let params = FairParams::unchecked(2, 1, 1);
         for metric in [SizeMetric::Vertices, SizeMetric::Edges] {
-            let (base_ss, _) = max_ssfbc(&g, params, metric, &cfg(Substrate::SortedVec, 1));
-            let (base_bi, _) = max_bsfbc(&g, params, metric, &cfg(Substrate::SortedVec, 1));
+            let (ss_model, bi_model) = (QueryModel::Ssfbc(params), QueryModel::Bsfbc(params));
+            let base_ss = maximum_of(&g, ss_model, metric, &cfg(Substrate::SortedVec, 1));
+            let base_bi = maximum_of(&g, bi_model, metric, &cfg(Substrate::SortedVec, 1));
             for substrate in SUBSTRATES {
                 for threads in THREADS {
                     let c = cfg(substrate, threads);
-                    let (ss, _) = max_ssfbc(&g, params, metric, &c);
+                    let ss = maximum_of(&g, ss_model, metric, &c);
                     prop_assert_eq!(&ss, &base_ss, "max ssfbc {}/{}t", substrate, threads);
-                    let (bi, _) = max_bsfbc(&g, params, metric, &c);
+                    let bi = maximum_of(&g, bi_model, metric, &c);
                     prop_assert_eq!(&bi, &base_bi, "max bsfbc {}/{}t", substrate, threads);
                 }
             }

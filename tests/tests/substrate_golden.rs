@@ -11,11 +11,13 @@
 use bigraph::generate::{chung_lu_power_law, plant_bicliques, random_uniform};
 use bigraph::BipartiteGraph;
 use fair_biclique::config::{FairParams, ProParams, RunConfig, Substrate};
-use fair_biclique::maximum::{max_bsfbc, max_ssfbc, SizeMetric};
+use fair_biclique::maximum::SizeMetric;
 use fair_biclique::pipeline::{
     enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc,
 };
+use fair_biclique::prepared::QueryModel;
 use fair_biclique::results::write_tsv;
+use fbe_integration::maximum_of;
 use std::path::PathBuf;
 
 const SUBSTRATES: [Substrate; 3] = [Substrate::SortedVec, Substrate::Bitset, Substrate::Auto];
@@ -110,8 +112,8 @@ fn golden_maximum_snapshots() {
         for substrate in SUBSTRATES {
             for threads in THREADS {
                 let c = cfg(substrate, threads);
-                let (best_ss, _) = max_ssfbc(&g, params, SizeMetric::Vertices, &c);
-                let (best_bi, _) = max_bsfbc(&g, params, SizeMetric::Vertices, &c);
+                let best_ss = maximum_of(&g, QueryModel::Ssfbc(params), SizeMetric::Vertices, &c);
+                let best_bi = maximum_of(&g, QueryModel::Bsfbc(params), SizeMetric::Vertices, &c);
                 let render = |b: &Option<fair_biclique::biclique::Biclique>| match b {
                     Some(b) => tsv(std::slice::from_ref(b)),
                     None => "none\n".to_string(),
