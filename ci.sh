@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the fair-biclique workspace.
 #
-#   ./ci.sh            # lint + tier-1 verify + bench/smoke compile checks
+#   ./ci.sh            # lint + tier-1 verify + bench/perfbench/smoke compile checks
 #   ./ci.sh --quick    # skip the release build (debug tests only)
 #   ./ci.sh --sanitize # additionally run the service tests under TSan
 #                      # (best-effort: skipped unless a nightly
@@ -93,6 +93,12 @@ if [[ $quick -eq 0 ]]; then
     cargo bench --bench service_throughput --no-run
     step "cargo bench --bench shard_scaling --no-run (coordinator scaling target)"
     cargo bench --bench shard_scaling --no-run
+    # perfbench is its own workspace over path deps on crates/: this
+    # fails the gate when an API change breaks it, or when a dependency
+    # change would rewrite perfbench/Cargo.lock (--locked).
+    step "perfbench: cargo build --release --offline --locked (benchmark builds against this tree)"
+    CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked \
+        --manifest-path perfbench/Cargo.toml
     profile_flag=(--release)
     bindir=target/release
 else

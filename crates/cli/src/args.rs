@@ -5,6 +5,7 @@ use fair_biclique::config::{Substrate, VertexOrder};
 use fair_biclique::maximum::SizeMetric;
 use fair_biclique::pipeline::{BiAlgorithm, SsAlgorithm};
 use fbe_datasets::corpus::Dataset;
+use fbe_service::protocol::parse_pair_u16;
 use std::time::Duration;
 
 /// What the graph source of a command is.
@@ -172,18 +173,6 @@ impl<'a> Cursor<'a> {
         self.next()
             .ok_or_else(|| format!("missing value for {flag}"))
     }
-}
-
-fn parse_pair_u16(s: &str, what: &str) -> Result<(u16, u16), String> {
-    let parts: Vec<&str> = s.split(',').collect();
-    let [a, b] = parts.as_slice() else {
-        return Err(format!(
-            "{what}: expected two comma-separated values, got {s:?}"
-        ));
-    };
-    let a = a.trim().parse().map_err(|e| format!("{what}: {e}"))?;
-    let b = b.trim().parse().map_err(|e| format!("{what}: {e}"))?;
-    Ok((a, b))
 }
 
 /// Parse `argv` (program name excluded).

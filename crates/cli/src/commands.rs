@@ -10,7 +10,7 @@ use crate::args::{bi_algo_of, Command, GenerateKind, GraphSource};
 use bigraph::{BipartiteGraph, Side};
 use fair_biclique::biclique::{Biclique, BicliqueSink, CollectSink, CountSink, TopKSink};
 use fair_biclique::config::{
-    Budget, FairParams, PrepareCtl, ProParams, RunConfig, StopReason, Substrate, VertexOrder,
+    Budget, FairParams, ProParams, RunConfig, StopReason, Substrate, VertexOrder,
 };
 use fair_biclique::obs::SpanRecorder;
 use fair_biclique::pipeline::{
@@ -309,7 +309,14 @@ fn enumerate(
     let (count, aborted, shown) = if algo != SsAlgorithm::FairBcemPP && pro.is_none() {
         enumerate_baseline(&g, params, bi, algo, &cfg, count_only, top)
     } else {
-        enumerate_prepared(&g, model, &cfg, count_only, top, trace)
+        // With --trace the recorder collects the same span tree the
+        // service's TRACE verb shows; a disabled recorder renders nothing.
+        let mut rec = if trace {
+            SpanRecorder::enabled()
+        } else {
+            SpanRecorder::disabled()
+        };
+        enumerate_prepared(&g, model, &cfg, count_only, top, &mut rec)
     };
     render(out, model.name(), count, aborted, count_only, top, &shown)
 }
@@ -317,47 +324,35 @@ fn enumerate(
 /// Run a `++` miner on the prepared path at any thread count: every
 /// mode is a sink choice on [`PreparedQuery::stream`]. Counting and
 /// top-k stream into bounded per-worker sinks — no mode materializes
-/// more than it prints. Returns `(count, aborted, bicliques to show)`.
+/// more than it prints. Returns `(count, aborted, bicliques to show)`;
+/// the run's spans land in `rec`.
 fn enumerate_prepared(
     g: &BipartiteGraph,
     model: QueryModel,
     cfg: &RunConfig,
     count_only: bool,
     top: Option<usize>,
-    trace: bool,
+    rec: &mut SpanRecorder,
 ) -> (u64, bool, Vec<Biclique>) {
-    // With --trace the recorder collects the same span tree the
-    // service's TRACE verb shows; a disabled recorder renders nothing.
-    let mut rec = if trace {
-        SpanRecorder::enabled()
-    } else {
-        SpanRecorder::disabled()
-    };
     let t0 = Instant::now();
-    let prepared = PreparedQuery::prepare_rec(
-        g,
-        model,
-        cfg.prune,
-        cfg.substrate,
-        &PrepareCtl::UNBOUNDED,
-        &mut rec,
-    )
-    // fbe-lint: allow(no-panic-paths): PrepareCtl::UNBOUNDED never interrupts, so Err is unreachable — same contract PreparedQuery::prepare relies on
-    .expect("unbounded prepare is never interrupted");
+    let prepared =
+        PreparedQuery::prepare_rec(g, model, cfg.prune, cfg.substrate, &Budget::UNLIMITED, rec)
+            // fbe-lint: allow(no-panic-paths): Budget::UNLIMITED never interrupts, so Err is unreachable — same contract PreparedQuery::prepare relies on
+            .expect("an unlimited budget never interrupts");
     let (stats, shown) = if count_only {
-        (prepared.count_rec(cfg, &mut rec).stats, Vec::new())
+        (prepared.count_rec(cfg, rec).stats, Vec::new())
     } else if let Some(k) = top {
-        let (sinks, stats) = rec.timed("enumerate", || prepared.stream(cfg, &|| TopKSink::new(k)));
+        let (sinks, stats) = prepared.stream(cfg, &|| TopKSink::new(k), rec);
         let mut merged = TopKSink::new(k);
         for bc in sinks.into_iter().flat_map(TopKSink::into_sorted) {
             merged.emit(&bc.upper, &bc.lower);
         }
         (stats, merged.into_sorted())
     } else {
-        let report = prepared.execute_rec(cfg, &mut rec);
+        let report = prepared.execute_rec(cfg, rec);
         (report.stats, report.bicliques)
     };
-    report_timing(t0.elapsed(), prepared.prune_elapsed(), stats.stop, &rec);
+    report_timing(t0.elapsed(), prepared.prune_elapsed(), stats.stop, rec);
     (stats.emitted, stats.aborted, shown)
 }
 
@@ -721,6 +716,25 @@ mod tests {
             "maximum SSFBC (Vertices): none (budget hit; lower bound)\n"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn traced_enumerate_span_has_stats_detail_in_every_mode() {
+        let g = bigraph::generate::random_uniform(30, 30, 220, 2, 2, 5);
+        let model = QueryModel::Ssfbc(FairParams::unchecked(2, 1, 1));
+        let cfg = RunConfig::default();
+        // (count_only, top): count, top-k, collect.
+        for (count_only, top) in [(true, None), (false, Some(3)), (false, None)] {
+            let mut rec = SpanRecorder::enabled();
+            let (count, _, _) = enumerate_prepared(&g, model, &cfg, count_only, top, &mut rec);
+            let span = rec.spans().iter().find(|s| s.name == "enumerate");
+            let detail = &span.expect("an enumerate span").detail;
+            for key in ["threads=1 ", "nodes=", "aborted=false ", "peak_bytes="] {
+                assert!(detail.contains(key), "{top:?}: {key} missing in {detail:?}");
+            }
+            let emitted = format!("emitted={count} ");
+            assert!(detail.contains(&emitted), "{top:?}: {detail:?}");
+        }
     }
 
     #[test]

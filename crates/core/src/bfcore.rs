@@ -14,34 +14,28 @@
 //! pruned symmetrically with parameters `(β, α)` swapped.
 
 use crate::cfcore::ego_colorful_core;
-use crate::config::{FairParams, PrepareCtl, StopReason};
-use crate::fcore::{compose, stats_of, PruneOutcome, CTL_PROBE_INTERVAL};
+use crate::config::{BudgetClock, FairParams, StopReason};
+use crate::fcore::{compact, compose, stats_of, PruneOutcome, CTL_PROBE_INTERVAL};
 use crate::obs::SpanRecorder;
 use bigraph::subgraph::induce;
 use bigraph::twohop::construct_2hop_biside;
 use bigraph::{BipartiteGraph, Side, VertexId};
 
-/// Compute bi-fair α-β core membership masks.
+/// `BFCore`: peel `g` to its bi-fair α-β core and return the
+/// membership masks `(keep_upper, keep_lower)`.
 ///
-/// Returns `(keep_upper, keep_lower)`.
-pub fn bfcore_masks(g: &BipartiteGraph, alpha: u32, beta: u32) -> (Vec<bool>, Vec<bool>) {
-    bfcore_masks_ctl(g, alpha, beta, &PrepareCtl::UNBOUNDED)
-        .expect("unbounded prepare is never interrupted")
-}
-
-/// [`bfcore_masks`] with cooperative interruption (probed every
-/// [`CTL_PROBE_INTERVAL`] peel steps, as in
-/// [`crate::fcore::fcore_masks_ctl`]).
-pub fn bfcore_masks_ctl(
+/// Probes `clock` on entry and every [`CTL_PROBE_INTERVAL`] peel steps,
+/// as [`crate::fcore`] does.
+pub(crate) fn bfcore(
     g: &BipartiteGraph,
     alpha: u32,
     beta: u32,
-    ctl: &PrepareCtl,
+    clock: &BudgetClock,
 ) -> Result<(Vec<bool>, Vec<bool>), StopReason> {
-    if let Some(r) = ctl.interrupted() {
+    if let Some(r) = clock.interrupted() {
         return Err(r);
     }
-    let probe = !ctl.is_unbounded();
+    let probe = !clock.never_interrupted();
     let n_u = g.n_upper();
     let n_v = g.n_lower();
     let na_upper = (g.n_attr_values(Side::Upper) as usize).max(1);
@@ -90,7 +84,7 @@ pub fn bfcore_masks_ctl(
     while let Some((side, x)) = stack.pop() {
         steps = steps.wrapping_add(1);
         if probe && steps % CTL_PROBE_INTERVAL == 0 {
-            if let Some(r) = ctl.interrupted() {
+            if let Some(r) = clock.interrupted() {
                 return Err(r);
             }
         }
@@ -126,68 +120,40 @@ pub fn bfcore_masks_ctl(
     Ok((alive_u, alive_v))
 }
 
-/// `BFCore`: peel to the bi-fair α-β core and compact.
-pub fn bfcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
-    bfcore_ctl(g, params, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
-}
-
-/// [`bfcore`] with cooperative interruption.
-pub fn bfcore_ctl(
-    g: &BipartiteGraph,
-    params: FairParams,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    let (ku, kv) = bfcore_masks_ctl(g, params.alpha, params.beta, ctl)?;
-    let sub = induce(g, &ku, &kv);
-    let stats = stats_of(g, &sub);
-    Ok(PruneOutcome { sub, stats })
-}
-
 /// `BCFCore`: bi-colorful fair α-β core pruning.
 ///
 /// Stages: `BFCore` → colorful pruning of the lower side (bi-side
 /// 2-hop with per-attribute threshold α, ego colorful β-core) →
 /// colorful pruning of the upper side (flipped graph, threshold β, ego
 /// colorful α-core) → final `BFCore`.
-pub fn bcfcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
-    bcfcore_ctl(g, params, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
-}
-
-/// [`bcfcore`] with cooperative interruption: `ctl` is threaded into
-/// the `BFCore` peels and probed before each colorful stage (each
-/// builds a 2-hop projection, the dominant cost of the cascade).
-pub fn bcfcore_ctl(
+///
+/// `clock` is threaded into the `BFCore` peels and probed before each
+/// colorful stage (each builds a 2-hop projection, the dominant cost of
+/// the cascade). `rec` attributes wall time to the stages
+/// (`core-peel`, `colorful-lower`, `colorful-upper`, `re-peel`).
+pub(crate) fn bcfcore(
     g: &BipartiteGraph,
     params: FairParams,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    bcfcore_rec(g, params, ctl, &mut SpanRecorder::disabled())
-}
-
-/// [`bcfcore_ctl`] with a [`SpanRecorder`] attributing wall time to the
-/// cascade's stages (`core-peel`, `colorful-lower`, `colorful-upper`,
-/// `re-peel`). A disabled recorder makes this identical to
-/// [`bcfcore_ctl`].
-pub fn bcfcore_rec(
-    g: &BipartiteGraph,
-    params: FairParams,
-    ctl: &PrepareCtl,
+    clock: &BudgetClock,
     rec: &mut SpanRecorder,
 ) -> Result<PruneOutcome, StopReason> {
+    let (alpha, beta) = (params.alpha, params.beta);
     // Stage 1: bi-fair core.
-    let s1 = rec.timed("core-peel", || bfcore_ctl(g, params, ctl))?;
+    let s1 = rec.timed("core-peel", || {
+        bfcore(g, alpha, beta, clock).map(|m| compact(g, m))
+    })?;
     let g1 = &s1.sub.graph;
-    if let Some(r) = ctl.interrupted() {
+    if let Some(r) = clock.interrupted() {
         return Err(r);
     }
 
     // Stage 2: colorful pruning of the lower (fair-β) side.
     let s2 = rec.timed("colorful-lower", || {
-        let keep_lower = biside_colorful_mask(g1, Side::Lower, params.alpha, params.beta);
+        let keep_lower = biside_colorful_mask(g1, Side::Lower, alpha, beta);
         induce(g1, &vec![true; g1.n_upper()], &keep_lower)
     });
     let g2 = &s2.graph;
-    if let Some(r) = ctl.interrupted() {
+    if let Some(r) = clock.interrupted() {
         return Err(r);
     }
 
@@ -195,12 +161,14 @@ pub fn bcfcore_rec(
     // (two upper vertices must share >= beta common neighbors of every
     // lower attribute; the fair clique needs alpha per upper attr).
     let s3 = rec.timed("colorful-upper", || {
-        let keep_upper = biside_colorful_mask(g2, Side::Upper, params.beta, params.alpha);
+        let keep_upper = biside_colorful_mask(g2, Side::Upper, beta, alpha);
         induce(g2, &keep_upper, &vec![true; g2.n_lower()])
     });
 
     // Stage 4: final bi-fair core.
-    let s4 = rec.timed("re-peel", || bfcore_ctl(&s3.graph, params, ctl))?;
+    let s4 = rec.timed("re-peel", || {
+        bfcore(&s3.graph, alpha, beta, clock).map(|m| compact(&s3.graph, m))
+    })?;
 
     let total = compose(&s1.sub, compose(&s2, compose(&s3, s4.sub)));
     let stats = stats_of(g, &total);
@@ -273,9 +241,15 @@ pub fn is_bifair_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Budget, PruneKind};
     use crate::fcore::fcore_masks;
+    use crate::pipeline::prune_bi_side;
     use bigraph::generate::{plant_bicliques, random_uniform};
     use bigraph::GraphBuilder;
+
+    fn bfcore_masks(g: &BipartiteGraph, alpha: u32, beta: u32) -> (Vec<bool>, Vec<bool>) {
+        bfcore(g, alpha, beta, &Budget::UNLIMITED.start()).unwrap()
+    }
 
     fn balanced_block() -> BipartiteGraph {
         // 4x6 complete block with balanced attrs on both sides + fringe.
@@ -295,7 +269,7 @@ mod tests {
     #[test]
     fn bfcore_keeps_balanced_block() {
         let g = balanced_block();
-        let out = bfcore(&g, FairParams::unchecked(2, 2, 1));
+        let out = prune_bi_side(&g, FairParams::unchecked(2, 2, 1), PruneKind::FCore);
         assert_eq!(out.stats.upper_after, 4);
         assert_eq!(out.stats.lower_after, 6);
         assert!(is_bifair_core(
@@ -370,8 +344,8 @@ mod tests {
             let g = plant_bicliques(&base, 2, 4, 6, 1.0, seed + 50);
             for (a, b) in [(1, 2), (2, 2)] {
                 let p = FairParams::unchecked(a, b, 1);
-                let bf = bfcore(&g, p);
-                let bc = bcfcore(&g, p);
+                let bf = prune_bi_side(&g, p, PruneKind::FCore);
+                let bc = prune_bi_side(&g, p, PruneKind::Colorful);
                 assert!(
                     bc.stats.remaining_vertices() <= bf.stats.remaining_vertices(),
                     "seed={seed} a={a} b={b}"
@@ -383,7 +357,7 @@ mod tests {
     #[test]
     fn bcfcore_keeps_balanced_block() {
         let g = balanced_block();
-        let out = bcfcore(&g, FairParams::unchecked(2, 2, 1));
+        let out = prune_bi_side(&g, FairParams::unchecked(2, 2, 1), PruneKind::Colorful);
         assert_eq!(out.stats.upper_after, 4, "block uppers survive");
         assert_eq!(out.stats.lower_after, 6, "block lowers survive");
         // Edge/attr mapping consistent.
@@ -397,7 +371,7 @@ mod tests {
     #[test]
     fn bcfcore_empty_when_impossible() {
         let g = balanced_block();
-        let out = bcfcore(&g, FairParams::unchecked(5, 5, 1));
+        let out = prune_bi_side(&g, FairParams::unchecked(5, 5, 1), PruneKind::Colorful);
         assert_eq!(out.stats.remaining_vertices(), 0);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Pipeline (fair side = lower, per the paper):
 //!
-//! 1. peel to the fair α-β core with [`crate::fcore::fcore`];
+//! 1. peel to the fair α-β core with `FCore` ([`crate::fcore`]);
 //! 2. build the 2-hop graph `H` on the fair side
 //!    ([`bigraph::twohop::construct_2hop`], Algorithm 3) — in an SSFBC
 //!    every pair of fair-side vertices shares ≥ α neighbors, so each
@@ -23,8 +23,8 @@
 //! maximality checked on the pruned graph equals maximality on the
 //! original.
 
-use crate::config::{FairParams, PrepareCtl, StopReason};
-use crate::fcore::{compose, fcore_ctl, stats_of, PruneOutcome};
+use crate::config::{BudgetClock, FairParams, StopReason};
+use crate::fcore::{compact, compose, fcore, stats_of, PruneOutcome};
 use crate::obs::SpanRecorder;
 use bigraph::coloring::greedy_color_by_degree;
 use bigraph::subgraph::induce;
@@ -106,38 +106,27 @@ pub fn ego_colorful_core(h: &UniGraph, k: u32) -> Vec<bool> {
 
 /// `CFCore` (Algorithm 2): colorful fair α-β core pruning for the
 /// single-side model.
-pub fn cfcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
-    cfcore_ctl(g, params, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
-}
-
-/// [`cfcore`] with cooperative interruption: `ctl` is threaded into the
-/// `FCore` peels and probed between the cascade's stages (the 2-hop
-/// projection and the coloring are the expensive phases, so each stage
-/// boundary is a natural abort point).
-pub fn cfcore_ctl(
+///
+/// `clock` is threaded into the `FCore` peels and probed between the
+/// cascade's stages (the 2-hop projection and the coloring are the
+/// expensive phases, so each stage boundary is a natural abort point).
+/// The initial peel (`core-peel`), the 2-hop projection (`2hop`), the
+/// degree filter + ego colorful core (`ego-core`), and the final
+/// re-peel (`re-peel`) each become one span of `rec`.
+pub(crate) fn cfcore(
     g: &BipartiteGraph,
     params: FairParams,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    cfcore_rec(g, params, ctl, &mut SpanRecorder::disabled())
-}
-
-/// [`cfcore_ctl`] with per-stage span recording: the initial peel
-/// (`core-peel`), the 2-hop projection (`2hop`), the degree filter +
-/// ego colorful core (`ego-core`), and the final re-peel (`re-peel`)
-/// each become one span. A disabled recorder makes this identical to
-/// [`cfcore_ctl`] (no clock reads, no allocation).
-pub fn cfcore_rec(
-    g: &BipartiteGraph,
-    params: FairParams,
-    ctl: &PrepareCtl,
+    clock: &BudgetClock,
     rec: &mut SpanRecorder,
 ) -> Result<PruneOutcome, StopReason> {
+    let (alpha, beta) = (params.alpha, params.beta);
     // Stage 1: fair α-β core.
-    let s1 = rec.timed("core-peel", || fcore_ctl(g, params, ctl))?;
+    let s1 = rec.timed("core-peel", || {
+        fcore(g, alpha, beta, clock).map(|m| compact(g, m))
+    })?;
     let g1 = &s1.sub.graph;
     let n_attrs = g1.n_attr_values(Side::Lower) as i64;
-    if let Some(r) = ctl.interrupted() {
+    if let Some(r) = clock.interrupted() {
         return Err(r);
     }
 
@@ -146,12 +135,12 @@ pub fn cfcore_rec(
     let h = rec.timed("2hop", || {
         if g1.n_lower() >= 20_000 {
             let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-            bigraph::twohop::construct_2hop_par(g1, Side::Lower, params.alpha as usize, threads)
+            bigraph::twohop::construct_2hop_par(g1, Side::Lower, alpha as usize, threads)
         } else {
-            construct_2hop(g1, Side::Lower, params.alpha as usize)
+            construct_2hop(g1, Side::Lower, alpha as usize)
         }
     });
-    if let Some(r) = ctl.interrupted() {
+    if let Some(r) = clock.interrupted() {
         return Err(r);
     }
 
@@ -159,14 +148,14 @@ pub fn cfcore_rec(
     // member needs >= A_n * beta - 1 neighbors in H; then peel the
     // reduced 2-hop graph to its ego colorful beta-core.
     let (h2_map, ego_alive) = rec.timed("ego-core", || {
-        let deg_thresh = n_attrs * params.beta as i64 - 1;
+        let deg_thresh = n_attrs * beta as i64 - 1;
         let keep_deg: Vec<bool> = (0..h.n() as VertexId)
             .map(|v| h.degree(v) as i64 >= deg_thresh)
             .collect();
         let (h2, h2_map) = h.induce(&keep_deg);
-        (h2_map, ego_colorful_core(&h2, params.beta))
+        (h2_map, ego_colorful_core(&h2, beta))
     });
-    if let Some(r) = ctl.interrupted() {
+    if let Some(r) = clock.interrupted() {
         return Err(r);
     }
 
@@ -180,7 +169,10 @@ pub fn cfcore_rec(
             }
         }
         let s2 = induce(g1, &vec![true; g1.n_upper()], &keep_lower);
-        fcore_ctl(&s2.graph, params, ctl).map(|s3| (s2, s3))
+        fcore(&s2.graph, alpha, beta, clock).map(|m| {
+            let s3 = compact(&s2.graph, m);
+            (s2, s3)
+        })
     })?;
 
     let total = compose(&s1.sub, compose(&s2, s3.sub));
@@ -191,7 +183,8 @@ pub fn cfcore_rec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fcore::fcore;
+    use crate::config::PruneKind;
+    use crate::pipeline::prune_single_side;
     use bigraph::generate::{plant_bicliques, random_uniform};
     use bigraph::GraphBuilder;
 
@@ -253,8 +246,8 @@ mod tests {
             let g = plant_bicliques(&base, 2, 4, 6, 1.0, seed + 100);
             for (a, b) in [(2, 2), (3, 2), (2, 3)] {
                 let p = FairParams::unchecked(a, b, 1);
-                let f = fcore(&g, p);
-                let c = cfcore(&g, p);
+                let f = prune_single_side(&g, p, PruneKind::FCore);
+                let c = prune_single_side(&g, p, PruneKind::Colorful);
                 assert!(
                     c.stats.remaining_vertices() <= f.stats.remaining_vertices(),
                     "seed={seed} a={a} b={b}: cfcore {} > fcore {}",
@@ -289,7 +282,7 @@ mod tests {
         b.set_attrs_upper(&[0, 1, 0, 1, 0]);
         b.set_attrs_lower(&[0, 0, 0, 1, 1, 1, 0]);
         let g = b.build().unwrap();
-        let out = cfcore(&g, FairParams::unchecked(3, 2, 1));
+        let out = prune_single_side(&g, FairParams::unchecked(3, 2, 1), PruneKind::Colorful);
         assert_eq!(out.stats.upper_after, 4);
         assert_eq!(out.stats.lower_after, 6);
         assert_eq!(out.sub.lower_to_parent, vec![0, 1, 2, 3, 4, 5]);
@@ -299,7 +292,7 @@ mod tests {
     fn cfcore_mapping_is_consistent() {
         let base = random_uniform(30, 30, 200, 2, 2, 17);
         let g = plant_bicliques(&base, 1, 4, 5, 1.0, 18);
-        let out = cfcore(&g, FairParams::unchecked(2, 2, 1));
+        let out = prune_single_side(&g, FairParams::unchecked(2, 2, 1), PruneKind::Colorful);
         let sg = &out.sub.graph;
         for (u, v) in sg.edges() {
             let pu = out.sub.upper_to_parent[u as usize];

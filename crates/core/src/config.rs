@@ -37,57 +37,6 @@ impl CancelToken {
     }
 }
 
-/// Cooperative interruption for the *preparation* phases: pruning
-/// (including the colorful-core cascade) and candidate-plan
-/// construction.
-///
-/// Enumeration honors its [`Budget`] at branch granularity, but
-/// preparation used to run to completion unconditionally — a cold
-/// query could overshoot its deadline by one full un-cancellable
-/// `prepare`. Passing a `PrepareCtl` lets the prune cascade re-check
-/// the deadline and cancel token at stage boundaries (and
-/// periodically inside the peel loops), so an expired query stops in
-/// bounded time and reports [`StopReason::Deadline`] /
-/// [`StopReason::Cancelled`] instead of silently running long.
-#[derive(Debug, Clone, Default)]
-pub struct PrepareCtl {
-    /// Abort preparation once this instant passes.
-    pub deadline_at: Option<Instant>,
-    /// Abort preparation when this token is cancelled.
-    pub cancel: Option<CancelToken>,
-}
-
-impl PrepareCtl {
-    /// No interruption: preparation always runs to completion.
-    pub const UNBOUNDED: PrepareCtl = PrepareCtl {
-        deadline_at: None,
-        cancel: None,
-    };
-
-    /// True when no limit is attached (the probe can never fire).
-    pub fn is_unbounded(&self) -> bool {
-        self.deadline_at.is_none() && self.cancel.is_none()
-    }
-
-    /// Interruption probe. Reads the cancel flag and the clock, so
-    /// hot loops should gate calls on a step counter (the prune
-    /// cascade probes every few thousand peel steps and at every
-    /// stage boundary).
-    pub fn interrupted(&self) -> Option<StopReason> {
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                return Some(StopReason::Cancelled);
-            }
-        }
-        if let Some(d) = self.deadline_at {
-            if Instant::now() >= d {
-                return Some(StopReason::Deadline);
-            }
-        }
-        None
-    }
-}
-
 /// Why a run stopped before exhausting the search space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StopReason {
@@ -260,6 +209,14 @@ pub enum VertexOrder {
 /// ([`Budget::with_cancel`]) that an external controller flips to stop
 /// the run cooperatively; the run then reports
 /// [`StopReason::Cancelled`].
+///
+/// The same budget also bounds preparation
+/// ([`crate::prepared::PreparedQuery::prepare_rec`]), where only
+/// `max_time` and `cancel` apply: the prune cascade probes them at its
+/// stage boundaries and periodically inside the peel loops, and aborts
+/// with [`StopReason::Deadline`] / [`StopReason::Cancelled`].
+/// `max_nodes` and `max_results` bound enumeration only and never
+/// interrupt preparation.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     /// Abort after visiting this many search-tree nodes.
@@ -464,6 +421,27 @@ pub(crate) struct BudgetClock {
 }
 
 impl BudgetClock {
+    /// True when no deadline and no cancel token is attached, so
+    /// [`BudgetClock::interrupted`] can never fire and preparation
+    /// skips its in-loop probes.
+    pub(crate) fn never_interrupted(&self) -> bool {
+        self.deadline.is_none() && self.cancel.is_none()
+    }
+
+    /// Preparation probe: the cancel token, then the deadline (node and
+    /// result caps bound enumeration only). Reads the clock, so hot
+    /// loops gate calls on a step counter (the prune cascade probes
+    /// every few thousand peel steps and at every stage boundary).
+    pub(crate) fn interrupted(&self) -> Option<StopReason> {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return Some(StopReason::Cancelled);
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(StopReason::Deadline);
+        }
+        None
+    }
+
     /// This clock with result accounting disabled (intermediate
     /// stages still honor node/time limits and the global stop flag).
     pub(crate) fn exempt_results(mut self) -> Self {

@@ -10,12 +10,12 @@
 //! to attribute degrees: initialize degrees, queue violators, cascade.
 //! `O(|E| + |V|)` time, `O(|U|·A_n^V + |V|)` space.
 
-use crate::config::{FairParams, PrepareCtl, StopReason};
+use crate::config::{Budget, BudgetClock, StopReason};
 use bigraph::subgraph::{induce, InducedSubgraph};
 use bigraph::{BipartiteGraph, Side, VertexId};
 use serde::{Deserialize, Serialize};
 
-/// How many peel steps run between two [`PrepareCtl::interrupted`]
+/// How many peel steps run between two [`BudgetClock::interrupted`]
 /// probes inside the cascades. Each step touches one adjacency list, so
 /// this keeps probe overhead well under 1% while bounding overshoot.
 pub(crate) const CTL_PROBE_INTERVAL: u32 = 4096;
@@ -91,9 +91,7 @@ pub(crate) fn compose(outer: &InducedSubgraph, inner: InducedSubgraph) -> Induce
 
 /// The identity "pruning" (`PruneKind::None`): the whole graph.
 pub fn no_prune(g: &BipartiteGraph) -> PruneOutcome {
-    let sub = induce(g, &vec![true; g.n_upper()], &vec![true; g.n_lower()]);
-    let stats = stats_of(g, &sub);
-    PruneOutcome { sub, stats }
+    compact(g, (vec![true; g.n_upper()], vec![true; g.n_lower()]))
 }
 
 /// Compute fair α-β core membership masks (Algorithm 1) without
@@ -101,23 +99,25 @@ pub fn no_prune(g: &BipartiteGraph) -> PruneOutcome {
 ///
 /// Returns `(keep_upper, keep_lower)`.
 pub fn fcore_masks(g: &BipartiteGraph, alpha: u32, beta: u32) -> (Vec<bool>, Vec<bool>) {
-    fcore_masks_ctl(g, alpha, beta, &PrepareCtl::UNBOUNDED)
-        .expect("unbounded prepare is never interrupted")
+    fcore(g, alpha, beta, &Budget::UNLIMITED.start()).expect("an unlimited budget never interrupts")
 }
 
-/// [`fcore_masks`] with cooperative interruption: probes `ctl` every
-/// [`CTL_PROBE_INTERVAL`] peel steps and aborts with the interrupting
-/// [`StopReason`]. A default (unbounded) `ctl` adds no per-step work.
-pub fn fcore_masks_ctl(
+/// `FCore` (Algorithm 1): peel `g` to its fair α-β core and return the
+/// membership masks `(keep_upper, keep_lower)`.
+///
+/// Probes `clock` on entry and every [`CTL_PROBE_INTERVAL`] peel steps,
+/// aborting with the interrupting [`StopReason`]. A clock that can never
+/// interrupt adds no per-step work.
+pub(crate) fn fcore(
     g: &BipartiteGraph,
     alpha: u32,
     beta: u32,
-    ctl: &PrepareCtl,
+    clock: &BudgetClock,
 ) -> Result<(Vec<bool>, Vec<bool>), StopReason> {
-    if let Some(r) = ctl.interrupted() {
+    if let Some(r) = clock.interrupted() {
         return Err(r);
     }
-    let probe = !ctl.is_unbounded();
+    let probe = !clock.never_interrupted();
     let n_u = g.n_upper();
     let n_v = g.n_lower();
     let n_attrs = (g.n_attr_values(Side::Lower) as usize).max(1);
@@ -164,7 +164,7 @@ pub fn fcore_masks_ctl(
     while let Some((side, x)) = stack.pop() {
         steps = steps.wrapping_add(1);
         if probe && steps % CTL_PROBE_INTERVAL == 0 {
-            if let Some(r) = ctl.interrupted() {
+            if let Some(r) = clock.interrupted() {
                 return Err(r);
             }
         }
@@ -202,21 +202,14 @@ pub fn fcore_masks_ctl(
     Ok((alive_u, alive_v))
 }
 
-/// `FCore` (Algorithm 1): peel to the fair α-β core and compact.
-pub fn fcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
-    fcore_ctl(g, params, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
-}
-
-/// [`fcore`] with cooperative interruption (see [`fcore_masks_ctl`]).
-pub fn fcore_ctl(
+/// Compact `g` to the vertices kept by `(keep_upper, keep_lower)`.
+pub(crate) fn compact(
     g: &BipartiteGraph,
-    params: FairParams,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    let (ku, kv) = fcore_masks_ctl(g, params.alpha, params.beta, ctl)?;
-    let sub = induce(g, &ku, &kv);
+    (keep_upper, keep_lower): (Vec<bool>, Vec<bool>),
+) -> PruneOutcome {
+    let sub = induce(g, &keep_upper, &keep_lower);
     let stats = stats_of(g, &sub);
-    Ok(PruneOutcome { sub, stats })
+    PruneOutcome { sub, stats }
 }
 
 /// Check that `(keep_upper, keep_lower)` induce a subgraph satisfying
@@ -262,6 +255,8 @@ pub fn is_fair_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{FairParams, PruneKind};
+    use crate::pipeline::prune_single_side;
     use bigraph::generate::random_uniform;
     use bigraph::GraphBuilder;
 
@@ -285,7 +280,7 @@ mod tests {
     #[test]
     fn peels_fringe_keeps_block() {
         let g = block_with_fringe();
-        let out = fcore(&g, FairParams::unchecked(2, 2, 1));
+        let out = prune_single_side(&g, FairParams::unchecked(2, 2, 1), PruneKind::FCore);
         // Block survives: 3 uppers, 4 lowers.
         assert_eq!(out.stats.upper_after, 3);
         assert_eq!(out.stats.lower_after, 4);
@@ -348,13 +343,13 @@ mod tests {
         let g = random_uniform(30, 30, 250, 2, 2, 9);
         let mut prev = usize::MAX;
         for a in 1..6u32 {
-            let out = fcore(&g, FairParams::unchecked(a, 2, 1));
+            let out = prune_single_side(&g, FairParams::unchecked(a, 2, 1), PruneKind::FCore);
             assert!(out.stats.remaining_vertices() <= prev);
             prev = out.stats.remaining_vertices();
         }
         let mut prev = usize::MAX;
         for b in 1..6u32 {
-            let out = fcore(&g, FairParams::unchecked(2, b, 1));
+            let out = prune_single_side(&g, FairParams::unchecked(2, b, 1), PruneKind::FCore);
             assert!(out.stats.remaining_vertices() <= prev);
             prev = out.stats.remaining_vertices();
         }
@@ -363,7 +358,7 @@ mod tests {
     #[test]
     fn beta_zero_keeps_degree_only_constraint() {
         let g = block_with_fringe();
-        let out = fcore(&g, FairParams::unchecked(1, 0, 0));
+        let out = prune_single_side(&g, FairParams::unchecked(1, 0, 0), PruneKind::FCore);
         // beta=0 never peels uppers; alpha=1 peels nothing with degree>=1.
         assert_eq!(out.stats.upper_after, 4);
         assert_eq!(out.stats.lower_after, 6);
@@ -372,7 +367,7 @@ mod tests {
     #[test]
     fn everything_peeled_when_impossible() {
         let g = block_with_fringe();
-        let out = fcore(&g, FairParams::unchecked(10, 10, 1));
+        let out = prune_single_side(&g, FairParams::unchecked(10, 10, 1), PruneKind::FCore);
         assert_eq!(out.stats.remaining_vertices(), 0);
         assert_eq!(out.stats.edges_after, 0);
     }

@@ -9,7 +9,8 @@
 //!   PBSFBC); see [`config::FairParams`] and [`config::ProParams`].
 //! * **Pruning** — fair α-β core ([`fcore`], Algorithm 1), colorful
 //!   fair α-β core ([`cfcore`], Algorithm 2), and the bi-side variants
-//!   BFCore / BCFCore ([`bfcore`]).
+//!   BFCore / BCFCore ([`bfcore`]), run through
+//!   [`pipeline::prune_single_side`] / [`pipeline::prune_bi_side`].
 //! * **Enumeration** — the branch-and-bound `FairBCEM` ([`fairbcem`],
 //!   Algorithm 5), the combinatorial `FairBCEM++` ([`fairbcem_pp`],
 //!   Algorithm 6), the bi-side `BFairBCEM` / `BFairBCEM++`

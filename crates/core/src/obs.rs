@@ -6,10 +6,13 @@
 //! colorful peel), candidate-plan resolution, enumeration, and the
 //! canonical sort — but until now only their *sum* was observable.
 //! A [`SpanRecorder`] threads through
-//! [`crate::prepared::PreparedQuery::prepare_rec`] and the `_rec`
-//! execution entry points and collects one [`Span`] per stage, so a
-//! slow query can be attributed to the stage (or, at the coordinator,
-//! the shard) that actually burned the time.
+//! [`crate::prepared::PreparedQuery::prepare_rec`] (the prune stages
+//! and `plan-resolve`), [`crate::prepared::PreparedQuery::stream`]
+//! (the one `enumerate` span, with its `EnumStats` detail), and
+//! `execute_rec` / `count_rec` / `maximum_rec` on top of it (adding
+//! `sort`), and collects one [`Span`] per stage, so a slow query can be
+//! attributed to the stage (or, at the coordinator, the shard) that
+//! actually burned the time.
 //!
 //! # Zero-allocation-off-by-default
 //!

@@ -319,6 +319,7 @@ mod tests {
     use super::*;
     use crate::biclique::{Biclique, BicliqueSink};
     use crate::config::{Budget, FairParams, ProParams, VertexOrder};
+    use crate::obs::SpanRecorder;
     use crate::pipeline::{
         enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc, RunReport,
     };
@@ -529,7 +530,8 @@ mod tests {
         let cfg = RunConfig::with_threads(4);
         let report = enumerate_ssfbc(&g, params, &cfg);
         let prepared = prepared_ssfbc(&g, params, &cfg);
-        let (counts, stats) = prepared.stream(&cfg, &CountSink::default);
+        let (counts, stats) =
+            prepared.stream(&cfg, &CountSink::default, &mut SpanRecorder::disabled());
         assert_eq!(
             counts.iter().map(|c| c.count).sum::<u64>(),
             report.bicliques.len() as u64
@@ -538,7 +540,7 @@ mod tests {
         assert_eq!(*prepared.prune_stats(), report.prune);
         // Per-worker top-k sinks merge to the serial top-k set.
         let k = 5usize;
-        let (tops, _) = prepared.stream(&cfg, &|| TopKSink::new(k));
+        let (tops, _) = prepared.stream(&cfg, &|| TopKSink::new(k), &mut SpanRecorder::disabled());
         let mut merged = TopKSink::new(k);
         for t in tops {
             for bc in t.into_sorted() {
@@ -585,10 +587,11 @@ mod tests {
         let prepared = prepared_ssfbc(&g, params, &cfg);
         let emitted = Arc::new(AtomicU64::new(0));
         let result = catch_unwind(AssertUnwindSafe(|| {
-            prepared.stream(&cfg, &|| PanicSink {
+            let make_sink = || PanicSink {
                 emitted: emitted.clone(),
                 nth: 3,
-            })
+            };
+            prepared.stream(&cfg, &make_sink, &mut SpanRecorder::disabled())
         }));
         // The injected panic must come back to the caller (pre-fix this
         // deadlocked: the panicked worker never released its task slot,

@@ -11,12 +11,12 @@
 //! caller's vertex ids.
 
 use crate::bfairbcem::bfairbcem_on_pruned;
-use crate::bfcore::{bcfcore_rec, bfcore_ctl};
+use crate::bfcore::{bcfcore, bfcore};
 use crate::biclique::{Biclique, BicliqueSink, EnumStats, MappingSink};
-use crate::cfcore::cfcore_rec;
-use crate::config::{FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason};
+use crate::cfcore::cfcore;
+use crate::config::{Budget, BudgetClock, FairParams, ProParams, PruneKind, RunConfig, StopReason};
 use crate::fairbcem::fairbcem_on_pruned;
-use crate::fcore::{fcore_ctl, no_prune, PruneOutcome, PruneStats};
+use crate::fcore::{compact, fcore, no_prune, PruneOutcome, PruneStats};
 use crate::naive::{bnsf_on_pruned, nsf_on_pruned};
 use crate::obs::SpanRecorder;
 use crate::prepared::{PreparedQuery, QueryModel};
@@ -79,63 +79,53 @@ pub struct RunReport {
     pub enumerate_elapsed: std::time::Duration,
 }
 
-/// Run the pruning stage configured for a single-side problem.
+/// Run the pruning stage configured for a single-side problem
+/// (`FCore` or `CFCore`).
 pub fn prune_single_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_single_side_rec(
-        g,
-        params,
-        kind,
-        &PrepareCtl::UNBOUNDED,
-        &mut SpanRecorder::disabled(),
-    )
-    .expect("unbounded prepare is never interrupted")
-}
-
-/// [`prune_single_side`] with cooperative interruption and a
-/// [`SpanRecorder`]: the prune cascade probes `ctl` at stage
-/// boundaries and (counter-gated) inside the peel loops, aborting with
-/// the interrupting [`StopReason`], and the recorder attributes wall
-/// time to the prune stages (a disabled recorder records nothing).
-pub fn prune_single_side_rec(
-    g: &BipartiteGraph,
-    params: FairParams,
-    kind: PruneKind,
-    ctl: &PrepareCtl,
-    rec: &mut SpanRecorder,
-) -> Result<PruneOutcome, StopReason> {
-    match kind {
-        PruneKind::None => Ok(no_prune(g)),
-        PruneKind::FCore => rec.timed("core-peel", || fcore_ctl(g, params, ctl)),
-        PruneKind::Colorful => cfcore_rec(g, params, ctl, rec),
-    }
+    prune_unlimited(g, params, kind, false)
 }
 
 /// Run the pruning stage configured for a bi-side problem
 /// (`FCore` maps to `BFCore`, `Colorful` to `BCFCore`).
 pub fn prune_bi_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_bi_side_rec(
-        g,
-        params,
-        kind,
-        &PrepareCtl::UNBOUNDED,
-        &mut SpanRecorder::disabled(),
-    )
-    .expect("unbounded prepare is never interrupted")
+    prune_unlimited(g, params, kind, true)
 }
 
-/// [`prune_bi_side`] with cooperative interruption and a
-/// [`SpanRecorder`] (see [`prune_single_side_rec`]).
-pub fn prune_bi_side_rec(
+fn prune_unlimited(
     g: &BipartiteGraph,
     params: FairParams,
     kind: PruneKind,
-    ctl: &PrepareCtl,
+    bi: bool,
+) -> PruneOutcome {
+    let clock = Budget::UNLIMITED.start();
+    prune(g, params, kind, bi, &clock, &mut SpanRecorder::disabled())
+        .expect("an unlimited budget never interrupts")
+}
+
+/// The prune cascade of `kind` for the single-side (`bi = false`) or
+/// bi-side models. The cascade probes `clock` at its stage boundaries
+/// and, counter-gated, inside the peel loops, aborting with the
+/// interrupting [`StopReason`]; `rec` attributes wall time to the
+/// stages (a disabled recorder records nothing).
+pub(crate) fn prune(
+    g: &BipartiteGraph,
+    params: FairParams,
+    kind: PruneKind,
+    bi: bool,
+    clock: &BudgetClock,
     rec: &mut SpanRecorder,
 ) -> Result<PruneOutcome, StopReason> {
-    match kind {
-        PruneKind::None => Ok(no_prune(g)),
-        PruneKind::FCore => rec.timed("core-peel", || bfcore_ctl(g, params, ctl)),
-        PruneKind::Colorful => bcfcore_rec(g, params, ctl, rec),
+    let (alpha, beta) = (params.alpha, params.beta);
+    match (kind, bi) {
+        (PruneKind::None, _) => Ok(no_prune(g)),
+        (PruneKind::FCore, false) => rec.timed("core-peel", || {
+            fcore(g, alpha, beta, clock).map(|m| compact(g, m))
+        }),
+        (PruneKind::FCore, true) => rec.timed("core-peel", || {
+            bfcore(g, alpha, beta, clock).map(|m| compact(g, m))
+        }),
+        (PruneKind::Colorful, false) => cfcore(g, params, clock, rec),
+        (PruneKind::Colorful, true) => bcfcore(g, params, clock, rec),
     }
 }
 

@@ -27,7 +27,7 @@
 use crate::bfairbcem::{BiChainSink, BiSideExpander};
 use crate::biclique::{Biclique, BicliqueSink, CollectSink, CountSink, EnumStats, MappingSink};
 use crate::config::{
-    BudgetClock, FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason, Substrate,
+    Budget, BudgetClock, FairParams, ProParams, PruneKind, RunConfig, StopReason, Substrate,
 };
 use crate::fairbcem_pp::SsExpander;
 use crate::fcore::{PruneOutcome, PruneStats};
@@ -35,7 +35,7 @@ use crate::maximum::{merge_max, MaxSink, SizeMetric};
 use crate::mbea::RBound;
 use crate::obs::SpanRecorder;
 use crate::parallel::{Walk, WalkVisitor};
-use crate::pipeline::{prune_bi_side_rec, prune_single_side_rec, RunReport};
+use crate::pipeline::RunReport;
 use crate::proportion::{ProBiChainSink, ProBiSideExpander, ProSsExpander};
 use bigraph::candidate::CandidatePlan;
 use bigraph::{BipartiteGraph, Side, VertexId};
@@ -120,21 +120,23 @@ impl PreparedQuery {
             model,
             prune,
             substrate,
-            &PrepareCtl::UNBOUNDED,
+            &Budget::UNLIMITED,
             &mut SpanRecorder::disabled(),
         )
-        .expect("unbounded prepare is never interrupted")
+        .expect("an unlimited budget never interrupts")
     }
 
-    /// [`PreparedQuery::prepare`] under a deadline/cancellation bound
-    /// and with a [`SpanRecorder`].
+    /// [`PreparedQuery::prepare`] bounded by `budget` and traced into
+    /// `rec`.
     ///
-    /// The prune cascade probes `ctl` at its stage boundaries (and,
-    /// counter-gated, inside the peel loops) and aborts with the
-    /// interrupting [`StopReason`] instead of running to completion.
-    /// No partial plan is produced on `Err` — the caller retries the
-    /// prepare later (or reports the truncation) rather than caching
-    /// a half-pruned core.
+    /// Only the budget's `max_time` and `cancel` apply here (node and
+    /// result caps bound enumeration only). The prune cascade probes
+    /// them at its stage boundaries and, counter-gated, inside the peel
+    /// loops, and returns the interrupting [`StopReason`] instead of
+    /// running to completion. An unlimited budget adds no per-step
+    /// work. No partial plan is produced on `Err`: the caller retries
+    /// the prepare later, or reports the truncation, rather than
+    /// caching a half-pruned core.
     ///
     /// The preparation runs under a `prepare` scope span whose children
     /// attribute wall time to the prune cascade's stages (`core-peel`,
@@ -147,18 +149,15 @@ impl PreparedQuery {
         model: QueryModel,
         prune: PruneKind,
         substrate: Substrate,
-        ctl: &PrepareCtl,
+        budget: &Budget,
         rec: &mut SpanRecorder,
     ) -> Result<PreparedQuery, StopReason> {
         rec.scope("prepare", |rec| {
             let t0 = Instant::now();
-            let params = model.base();
-            let mut pruned = if model.is_bi_side() {
-                prune_bi_side_rec(g, params, prune, ctl, rec)?
-            } else {
-                prune_single_side_rec(g, params, prune, ctl, rec)?
-            };
-            if let Some(r) = ctl.interrupted() {
+            let clock = budget.start();
+            let bi = model.is_bi_side();
+            let mut pruned = crate::pipeline::prune(g, model.base(), prune, bi, &clock, rec)?;
+            if let Some(r) = clock.interrupted() {
                 return Err(r);
             }
             let plan = rec.timed("plan-resolve", || {
@@ -230,18 +229,39 @@ impl PreparedQuery {
     /// results. Returns the sinks in worker order for the caller to
     /// merge, plus the merged statistics (`stats.emitted` is the total
     /// result count).
+    ///
+    /// The run is recorded as one `enumerate` span of `rec`, carrying
+    /// the run's [`EnumStats`] as `threads= nodes= emitted= aborted=
+    /// peak_bytes=` detail. Spans are recorded only at this
+    /// single-threaded orchestration boundary — never inside the
+    /// parallel workers — so the recorder cannot perturb enumeration.
     pub fn stream<S: BicliqueSink + Send>(
         &self,
         cfg: &RunConfig,
         make_sink: &(dyn Fn() -> S + Sync),
+        rec: &mut SpanRecorder,
     ) -> (Vec<S>, EnumStats) {
-        if cfg.threads <= 1 {
-            return self.stream_in_thread(cfg, make_sink());
-        }
-        let (workers, stats) = self
-            .walk()
-            .run_parallel(cfg, &|clock| self.worker(clock, make_sink()));
-        finish(workers, stats)
+        let (sinks, stats) = rec.timed("enumerate", || {
+            if cfg.threads <= 1 {
+                self.stream_in_thread(cfg, make_sink())
+            } else {
+                let (workers, stats) = self
+                    .walk()
+                    .run_parallel(cfg, &|clock| self.worker(clock, make_sink()));
+                finish(workers, stats)
+            }
+        });
+        rec.annotate_last(|| {
+            format!(
+                "threads={} nodes={} emitted={} aborted={} peak_bytes={}",
+                cfg.threads.max(1),
+                stats.nodes,
+                stats.emitted,
+                stats.aborted,
+                stats.peak_search_bytes
+            )
+        });
+        (sinks, stats)
     }
 
     /// The single-worker branch of [`PreparedQuery::stream`], open to
@@ -309,17 +329,13 @@ impl PreparedQuery {
         self.execute_rec(cfg, &mut SpanRecorder::disabled())
     }
 
-    /// [`PreparedQuery::execute`] with a [`SpanRecorder`]: records an
-    /// `enumerate` span (with the run's [`EnumStats`] attached as
-    /// detail) and, when `cfg.sorted`, a `sort` span for the canonical
-    /// reorder/merge. Spans are recorded only at this single-threaded
-    /// orchestration boundary — never inside the parallel workers —
-    /// so the recorder cannot perturb enumeration. A disabled recorder
-    /// makes this identical to `execute`.
+    /// [`PreparedQuery::execute`] with a [`SpanRecorder`]: records the
+    /// `enumerate` span of [`PreparedQuery::stream`] and, when
+    /// `cfg.sorted`, a `sort` span for the canonical reorder/merge. A
+    /// disabled recorder makes this identical to `execute`.
     pub fn execute_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
         let t0 = Instant::now();
-        let (sinks, stats) = rec.timed("enumerate", || self.stream(cfg, &CollectSink::default));
-        annotate_enumerate(rec, &stats, cfg.threads.max(1));
+        let (sinks, stats) = self.stream(cfg, &CollectSink::default, rec);
         let mut sinks = sinks.into_iter();
         let mut bicliques = sinks.next().map(|s| s.bicliques).unwrap_or_default();
         for s in sinks {
@@ -343,8 +359,7 @@ impl PreparedQuery {
     /// [`PreparedQuery::execute_rec`]; counting has no `sort` span).
     pub fn count_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
         let t0 = Instant::now();
-        let (_, stats) = rec.timed("enumerate", || self.stream(cfg, &CountSink::default));
-        annotate_enumerate(rec, &stats, cfg.threads.max(1));
+        let (_, stats) = self.stream(cfg, &CountSink::default, rec);
         self.report(Vec::new(), stats, cfg, t0.elapsed())
     }
 
@@ -365,8 +380,7 @@ impl PreparedQuery {
         cfg: &RunConfig,
         rec: &mut SpanRecorder,
     ) -> (Option<Biclique>, EnumStats) {
-        let (sinks, stats) = rec.timed("enumerate", || self.stream(cfg, &|| MaxSink::new(metric)));
-        annotate_enumerate(rec, &stats, cfg.threads.max(1));
+        let (sinks, stats) = self.stream(cfg, &|| MaxSink::new(metric), rec);
         let merge = || merge_max(metric, sinks).best;
         let best = if cfg.threads > 1 {
             rec.timed("sort", merge)
@@ -482,17 +496,6 @@ fn finish<'g, S>(
     (sinks, stats)
 }
 
-/// Attach the run's [`EnumStats`] as detail on the just-recorded
-/// `enumerate` span (no-op when disabled).
-fn annotate_enumerate(rec: &mut SpanRecorder, stats: &EnumStats, threads: usize) {
-    rec.annotate_last(|| {
-        format!(
-            "threads={} nodes={} emitted={} aborted={} peak_bytes={}",
-            threads, stats.nodes, stats.emitted, stats.aborted, stats.peak_search_bytes
-        )
-    });
-}
-
 /// Test support for the miner modules: run `model` on `g` without
 /// pruning (their unit tests exercise the expansion steps on raw
 /// graphs), collecting in discovery order.
@@ -521,10 +524,10 @@ mod tests {
         g: &BipartiteGraph,
         model: QueryModel,
         prune: PruneKind,
-        ctl: &PrepareCtl,
+        budget: &Budget,
     ) -> Result<PreparedQuery, StopReason> {
         let mut rec = SpanRecorder::disabled();
-        PreparedQuery::prepare_rec(g, model, prune, Substrate::Auto, ctl, &mut rec)
+        PreparedQuery::prepare_rec(g, model, prune, Substrate::Auto, budget, &mut rec)
     }
 
     fn models() -> Vec<QueryModel> {
@@ -634,37 +637,46 @@ mod tests {
     }
 
     #[test]
-    fn prepare_bounded_aborts_on_expired_ctl() {
+    fn prepare_rec_aborts_on_expired_budget() {
         let g = random_uniform(16, 18, 120, 2, 2, 4);
         for model in models() {
             // Expired deadline: the first probe trips before any stage
             // runs, for every prune kind including None (probed in the
             // prepare wrapper itself).
             for prune in [PruneKind::None, PruneKind::FCore, PruneKind::Colorful] {
-                let ctl = PrepareCtl {
-                    deadline_at: Some(Instant::now()),
-                    cancel: None,
-                };
-                let got = bounded(&g, model, prune, &ctl);
+                let got = bounded(&g, model, prune, &Budget::time(Duration::ZERO));
                 assert!(
                     matches!(got, Err(StopReason::Deadline)),
                     "{model} {prune:?} should abort on expired deadline"
                 );
             }
-            // Pre-cancelled token wins over a live deadline.
+            // A pre-cancelled token interrupts too.
             let token = CancelToken::new();
             token.cancel();
-            let ctl = PrepareCtl {
-                deadline_at: None,
-                cancel: Some(token),
-            };
-            let got = bounded(&g, model, PruneKind::Colorful, &ctl);
+            let budget = Budget::UNLIMITED.with_cancel(token);
+            let got = bounded(&g, model, PruneKind::Colorful, &budget);
             assert!(matches!(got, Err(StopReason::Cancelled)), "{model}");
-            // An unbounded ctl prepares normally and matches `prepare`.
-            let unbounded =
-                bounded(&g, model, PruneKind::Colorful, &PrepareCtl::UNBOUNDED).unwrap();
+            // An unlimited budget prepares normally and matches `prepare`.
+            let unbounded = bounded(&g, model, PruneKind::Colorful, &Budget::UNLIMITED).unwrap();
             let plain = PreparedQuery::prepare(&g, model, PruneKind::Colorful, Substrate::Auto);
             assert_eq!(unbounded.prune_stats(), plain.prune_stats(), "{model}");
+        }
+    }
+
+    #[test]
+    fn prepare_rec_ignores_enumeration_caps() {
+        // Node and result caps bound enumeration only: even spent ones
+        // never interrupt preparation.
+        let g = random_uniform(16, 18, 120, 2, 2, 4);
+        for model in models() {
+            for prune in [PruneKind::None, PruneKind::FCore, PruneKind::Colorful] {
+                let plain = PreparedQuery::prepare(&g, model, prune, Substrate::Auto);
+                for budget in [Budget::nodes(0), Budget::results(0)] {
+                    let got = bounded(&g, model, prune, &budget)
+                        .unwrap_or_else(|r| panic!("{model} {prune:?} {budget:?}: {r}"));
+                    assert_eq!(got.prune_stats(), plain.prune_stats(), "{model} {prune:?}");
+                }
+            }
         }
     }
 

@@ -8,7 +8,7 @@ use crate::protocol::{EnumMode, EnumOpts, Reply, Request, TraceMode};
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
 use crate::ServiceConfig;
-use fair_biclique::config::{Budget, CancelToken, PrepareCtl, RunConfig, StopReason};
+use fair_biclique::config::{Budget, CancelToken, RunConfig, StopReason};
 use fair_biclique::obs::SpanRecorder;
 use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -507,10 +507,12 @@ impl Engine {
     /// Fetch (or prepare and cache) the plan for `(entry, model,
     /// substrate)`. Returns the plan and whether it was a cache hit.
     ///
-    /// Cold preparations run under the query's deadline and the
-    /// server's shutdown token: the prune cascade probes cooperatively
-    /// and aborts with the interrupting [`StopReason`] instead of
-    /// overshooting the deadline by one un-cancellable prepare.
+    /// Cold preparations run under a [`Budget`] carrying the time left
+    /// until the query's deadline and the server's shutdown token (the
+    /// only budget fields preparation honours): the prune cascade
+    /// probes cooperatively and aborts with the interrupting
+    /// [`StopReason`] instead of overshooting the deadline by one
+    /// un-cancellable prepare.
     /// Nothing is cached on abort — a retry with a fresh deadline
     /// prepares from scratch.
     fn plan_for(
@@ -536,9 +538,10 @@ impl Engine {
         // keys proceed in parallel. Two racing queries for the same
         // key both prepare; last insert wins (harmless duplicate
         // work, never a stale plan).
-        let ctl = PrepareCtl {
-            deadline_at,
+        let budget = Budget {
+            max_time: deadline_at.map(|d| d.saturating_duration_since(Instant::now())),
             cancel: Some(self.shutdown.clone()),
+            ..Budget::UNLIMITED
         };
         let tp = Instant::now();
         let plan = Arc::new(PreparedQuery::prepare_rec(
@@ -546,7 +549,7 @@ impl Engine {
             model,
             Default::default(),
             opts.substrate,
-            &ctl,
+            &budget,
             rec,
         )?);
         self.metrics.stage_prepare.observe(tp.elapsed());

@@ -317,14 +317,19 @@ impl Reply {
     }
 }
 
-fn parse_pair_u16(s: &str) -> Result<(u16, u16), String> {
-    let (a, b) = s
-        .split_once(',')
-        .ok_or_else(|| format!("expected AU,AV, got {s:?}"))?;
-    Ok((
-        a.trim().parse().map_err(|e| format!("attrs: {e}"))?,
-        b.trim().parse().map_err(|e| format!("attrs: {e}"))?,
-    ))
+/// Parse an `A,B` pair of `u16`s (attribute-domain sizes), naming
+/// `field` in every error. Shared by the wire protocol's `attrs=` and
+/// the CLI's `--attrs`.
+pub fn parse_pair_u16(s: &str, field: &str) -> Result<(u16, u16), String> {
+    let parts: Vec<&str> = s.split(',').collect();
+    let [a, b] = parts.as_slice() else {
+        return Err(format!(
+            "{field}: expected two comma-separated values, got {s:?}"
+        ));
+    };
+    let a = a.trim().parse().map_err(|e| format!("{field}: {e}"))?;
+    let b = b.trim().parse().map_err(|e| format!("{field}: {e}"))?;
+    Ok((a, b))
 }
 
 fn parse_gen_spec(s: &str) -> Result<GenSpec, String> {
@@ -558,7 +563,7 @@ pub fn parse_request(line: &str) -> Result<Request, Reply> {
             for tok in extra {
                 let (k, v) = kv(tok).map_err(badarg)?;
                 match k.to_ascii_lowercase().as_str() {
-                    "attrs" => attrs = parse_pair_u16(v).map_err(badarg)?,
+                    "attrs" => attrs = parse_pair_u16(v, "attrs").map_err(badarg)?,
                     other => return Err(badarg(format!("unknown option {other:?}"))),
                 }
             }
@@ -631,6 +636,16 @@ pub fn parse_request(line: &str) -> Result<Request, Reply> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pair_u16_parses_two_values_and_names_the_field() {
+        assert_eq!(parse_pair_u16("3,4", "attrs"), Ok((3, 4)));
+        assert_eq!(parse_pair_u16(" 3 , 4 ", "attrs"), Ok((3, 4)));
+        for bad in ["3", "3,4,5", "x,4"] {
+            let err = parse_pair_u16(bad, "--attrs").unwrap_err();
+            assert!(err.starts_with("--attrs: "), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn parses_simple_verbs_case_insensitively() {

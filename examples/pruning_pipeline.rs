@@ -6,9 +6,7 @@
 //! cargo run --release -p fbe-examples --example pruning_pipeline
 //! ```
 
-use fair_biclique::bfcore::{bcfcore, bfcore};
-use fair_biclique::cfcore::cfcore;
-use fair_biclique::fcore::fcore;
+use fair_biclique::pipeline::{prune_bi_side, prune_single_side};
 use fair_biclique::prelude::*;
 use fbe_datasets::corpus::{spec, Dataset};
 use std::time::Instant;
@@ -26,10 +24,10 @@ fn main() {
 
     // FCore vs CFCore (Fig. 3's two curves).
     let t = Instant::now();
-    let f = fcore(&g, params);
+    let f = prune_single_side(&g, params, PruneKind::FCore);
     let f_time = t.elapsed();
     let t = Instant::now();
-    let c = cfcore(&g, params);
+    let c = prune_single_side(&g, params, PruneKind::Colorful);
     let c_time = t.elapsed();
     println!(
         "FCore : kept {:>6} vertices ({} edges) in {:?}",
@@ -46,8 +44,8 @@ fn main() {
 
     // Bi-side pruning (Fig. 4's two curves).
     let bi = spec.bi_params();
-    let bf = bfcore(&g, bi);
-    let bc = bcfcore(&g, bi);
+    let bf = prune_bi_side(&g, bi, PruneKind::FCore);
+    let bc = prune_bi_side(&g, bi, PruneKind::Colorful);
     println!(
         "BFCore : kept {:>6} vertices | BCFCore: kept {:>6} vertices ({bi})",
         bf.stats.remaining_vertices(),

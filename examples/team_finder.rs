@@ -48,7 +48,7 @@ fn main() {
 
     // 2. A top-5 shortlist without materialising every result (one
     //    worker, so one sink).
-    let (sinks, stats) = query.stream(&cfg, &|| TopKSink::new(5));
+    let (sinks, stats) = query.stream(&cfg, &|| TopKSink::new(5), &mut SpanRecorder::disabled());
     println!("top-5 of {} fair teams:", stats.emitted);
     for bc in sinks.into_iter().flat_map(TopKSink::into_sorted) {
         let (p, s) = (bc.upper.len(), bc.lower.len());

@@ -5,7 +5,7 @@
 use bigraph::{Side, VertexId};
 use fair_biclique::biclique::CountSink;
 use fair_biclique::config::{Budget, PruneKind, RunConfig, VertexOrder};
-use fair_biclique::pipeline::{run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm};
+use fair_biclique::pipeline::{prune_single_side, run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm};
 use fbe_datasets::case_studies::{dbda, jobs, movies};
 use fbe_datasets::cf::{recommend, recommendation_graph};
 use fbe_datasets::corpus::{spec, Dataset};
@@ -88,8 +88,8 @@ fn dblp_scale_pruning_is_fast_and_consistent() {
     let g = s.build();
     assert!(g.n_edges() > 100_000, "DBLP analog is the big one");
     let p = s.single_params();
-    let f = fair_biclique::fcore::fcore(&g, p);
-    let c = fair_biclique::cfcore::cfcore(&g, p);
+    let f = prune_single_side(&g, p, PruneKind::FCore);
+    let c = prune_single_side(&g, p, PruneKind::Colorful);
     assert!(c.stats.remaining_vertices() <= f.stats.remaining_vertices());
     // Pruning must preserve all results.
     let mut full = CountSink::default();

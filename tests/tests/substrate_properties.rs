@@ -134,10 +134,11 @@ proptest! {
 
     #[test]
     fn cfcore_preserves_all_ssfbcs(g in graph_strategy(), alpha in 1u32..3, beta in 1u32..3) {
-        use fair_biclique::cfcore::cfcore;
+        use fair_biclique::config::PruneKind;
+        use fair_biclique::pipeline::prune_single_side;
         use std::collections::BTreeSet;
         let params = fair_biclique::config::FairParams::unchecked(alpha, beta, 2);
-        let out = cfcore(&g, params);
+        let out = prune_single_side(&g, params, PruneKind::Colorful);
         let keep_u: BTreeSet<u32> = out.sub.upper_to_parent.iter().copied().collect();
         let keep_v: BTreeSet<u32> = out.sub.lower_to_parent.iter().copied().collect();
         for bc in fair_biclique::verify::oracle_ssfbc(&g, params) {
@@ -152,10 +153,11 @@ proptest! {
 
     #[test]
     fn bcfcore_preserves_all_bsfbcs(g in graph_strategy(), delta in 0u32..3) {
-        use fair_biclique::bfcore::bcfcore;
+        use fair_biclique::config::PruneKind;
+        use fair_biclique::pipeline::prune_bi_side;
         use std::collections::BTreeSet;
         let params = fair_biclique::config::FairParams::unchecked(1, 1, delta);
-        let out = bcfcore(&g, params);
+        let out = prune_bi_side(&g, params, PruneKind::Colorful);
         let keep_u: BTreeSet<u32> = out.sub.upper_to_parent.iter().copied().collect();
         let keep_v: BTreeSet<u32> = out.sub.lower_to_parent.iter().copied().collect();
         for bc in fair_biclique::verify::oracle_bsfbc(&g, params) {
