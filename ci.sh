@@ -223,8 +223,12 @@ serve_pid=""
 step "smoke: fbe serve --shards — 2-shard coordinator matches single-process"
 # Two shard servers plus a coordinator, all on ephemeral ports. The
 # same session runs once against the in-process engine and once
-# against the coordinator; the sorted ENUM payload lines must be
-# byte-identical (status lines carry elapsed_us and are excluded).
+# against the coordinator, in every ENUM mode. The result lines of
+# the exact queries must be byte-identical, and every ENUM reply's
+# count= and truncated= fields must agree (status lines carry
+# elapsed_us and are not diffed whole). The capped maximum query
+# (limit=1) answers a lower bound whose winner may differ, so only
+# its count= and truncated= are compared.
 # The coordinator's listen line carries a " (coordinator)" role
 # suffix, so the address capture takes only the first token.
 get_addr() { sed -n 's/^fbe-service listening on \([^ ]*\).*/\1/p' "$1" | head -n1; }
@@ -253,14 +257,33 @@ grep -q "(coordinator)" "$smokedir/coord.log"
 cat > "$smokedir/shard_session.fbe" <<EOF
 LOAD g $smokedir/g
 ENUM g ssfbc alpha=2 beta=1 delta=1
+ENUM g ssfbc alpha=2 beta=1 delta=1 count-only
+ENUM g ssfbc alpha=2 beta=1 delta=1 max=edges
 SHUTDOWN
 EOF
+cat > "$smokedir/shard_capped.fbe" <<EOF
+LOAD g $smokedir/g
+ENUM g ssfbc alpha=2 beta=1 delta=1 max=vertices limit=1
+EOF
+# One "count=<n> truncated=<reason|->" line per ENUM reply.
+enum_fields() {
+    awk '/^OK model=/ { c = "count=?"; t = "truncated=-"
+        for (i = 1; i <= NF; i++) { if ($i ~ /^count=/) c = $i; if ($i ~ /^truncated=/) t = $i }
+        print c, t }' "$@"
+}
+"$bindir/fbe" batch "$smokedir/shard_capped.fbe" > "$smokedir/solo_capped.out"
 "$bindir/fbe" batch "$smokedir/shard_session.fbe" > "$smokedir/solo.out"
+"$bindir/fbe" batch --connect "$coord_addr" "$smokedir/shard_capped.fbe" > "$smokedir/coord_capped.out"
 "$bindir/fbe" batch --connect "$coord_addr" "$smokedir/shard_session.fbe" > "$smokedir/coord.out"
 grep '^L=\[' "$smokedir/solo.out" > "$smokedir/solo.lines"
 grep '^L=\[' "$smokedir/coord.out" > "$smokedir/coord.lines"
 [[ -s "$smokedir/solo.lines" ]] || { echo "smoke query returned no results"; exit 1; }
 diff "$smokedir/solo.lines" "$smokedir/coord.lines"
+enum_fields "$smokedir/solo.out" "$smokedir/solo_capped.out" > "$smokedir/solo.fields"
+enum_fields "$smokedir/coord.out" "$smokedir/coord_capped.out" > "$smokedir/coord.fields"
+[[ $(wc -l < "$smokedir/solo.fields") -eq 4 ]] || { echo "expected 4 ENUM replies"; exit 1; }
+grep -q "truncated=result-cap" "$smokedir/solo_capped.out"
+diff "$smokedir/solo.fields" "$smokedir/coord.fields"
 grep -q "^OK bye$" "$smokedir/coord.out"
 # SHUTDOWN fans to the shards; all three processes must exit.
 for pid in "$coord_pid" "$shard1_pid" "$shard2_pid"; do

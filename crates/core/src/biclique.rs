@@ -31,9 +31,44 @@ impl Biclique {
     }
 }
 
+/// The result line `L=[1, 4] R=[0, 2]`: the form the CLI prints and
+/// the service's `ENUM` replies carry, parsed back by [`FromStr`].
+///
+/// [`FromStr`]: std::str::FromStr
 impl std::fmt::Display for Biclique {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "L={:?} R={:?}", self.upper, self.lower)
+    }
+}
+
+/// Inverse of [`Display`](std::fmt::Display): parses `L=[..] R=[..]`
+/// (elements may carry surrounding spaces; either side may be empty).
+/// Anything else, including trailing text, is an error. Sides are
+/// taken as written, not re-sorted.
+impl std::str::FromStr for Biclique {
+    type Err = String;
+
+    fn from_str(line: &str) -> Result<Self, Self::Err> {
+        let parse = || -> Option<Biclique> {
+            let rest = line.strip_prefix("L=[")?;
+            let (l, rest) = rest.split_once(']')?;
+            let (r, rest) = rest.strip_prefix(" R=[")?.split_once(']')?;
+            if !rest.is_empty() {
+                return None;
+            }
+            let side = |s: &str| -> Option<Vec<VertexId>> {
+                let s = s.trim();
+                if s.is_empty() {
+                    return Some(Vec::new());
+                }
+                s.split(',').map(|t| t.trim().parse().ok()).collect()
+            };
+            Some(Biclique {
+                upper: side(l)?,
+                lower: side(r)?,
+            })
+        };
+        parse().ok_or_else(|| format!("unparseable result line {line:?}"))
     }
 }
 

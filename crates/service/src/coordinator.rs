@@ -3,48 +3,57 @@
 //!
 //! A coordinator is an ordinary [`crate::server::Server`] whose
 //! [`crate::ServiceConfig::shards`] lists the addresses of `K` shard
-//! servers. It executes nothing locally; instead:
+//! servers. It executes nothing locally and writes no protocol text
+//! of its own: it forwards [`Request`]s rendered by
+//! [`crate::protocol`], and parses result lines with [`Biclique`]'s
+//! `FromStr`.
 //!
-//! * `LOAD` / `GEN` fan out as `LOAD`/`GEN` followed by
+//! * `LOAD` / `GEN` fan out as the client's request followed by
 //!   `SHARD <graph> index=i of=K`, so shard `i` keeps only its slice
 //!   of the deterministic 2-hop-component partition
 //!   ([`bigraph::partition`]). No graph bytes travel through the
 //!   coordinator: every shard loads (or deterministically generates)
 //!   the full graph and restricts itself — the partition is a pure
 //!   function of the graph, so all shards agree without coordination.
-//! * `ENUM` fans the query to every shard concurrently and merges the
-//!   `K` canonically-sorted result streams with a k-way merge on the
-//!   [`fair_biclique::results::canonical_order`] ordering (shard
-//!   subgraphs stay in the parent id space, so merged lines are
-//!   byte-identical to a single-process run). The global result
-//!   budget is enforced the way `SharedBudget` does across threads:
-//!   each shard reader decrements the shared countdown *before*
-//!   buffering a line, and once the budget is spent the remaining
-//!   shard connections are dropped (early cancel).
+//! * `ENUM` goes to every shard concurrently, with the resolved result
+//!   limit written into it. Collect mode k-way-merges the `K`
+//!   canonically-sorted streams ([`fair_biclique::results::canonical_order`];
+//!   shards keep the parent id space, so merged lines are
+//!   byte-identical to a single-process run) under a global result
+//!   budget enforced like `SharedBudget` across threads: each shard
+//!   reader decrements the shared countdown *before* buffering a
+//!   line, and once it is spent the remaining shard connections drop
+//!   (early cancel). Count mode sums the shard counts. Maximum mode
+//!   feeds each shard's best into one [`MaxSink`], the single-process
+//!   tie-break. The reply leaves through the engine's one `ENUM` exit,
+//!   with `shards=K` where a local reply has `cached=`.
+//! * One truncation rule holds in every mode: `deadline` if any shard
+//!   reports it; otherwise `result-cap` if any shard reports it or the
+//!   coordinator's own cap bound (collect: the merge reached the
+//!   limit; count: the summed count exceeded it); otherwise none.
 //! * `STATS` reports the coordinator's own counters (including the
 //!   `shard_*` fan-out metrics) plus a per-shard health summary and
 //!   each shard's counters under a `shard<i>_` prefix.
-//! * A shard that refuses connections, times out, or answers an error
-//!   surfaces as a structured `ERR SHARD shard=<i> addr=<a> ...`
-//!   reply — never a hang: connects and reads are bounded by the
-//!   query deadline (plus a grace period) or a default timeout, and
-//!   results already received from healthy shards are accounted in
-//!   `STATS` as `shard_partial_results`.
+//! * A shard that refuses connections, times out, answers an error,
+//!   or sends a malformed or cut-off reply surfaces as a structured
+//!   `ERR SHARD shard=<i> addr=<a> ...` reply — never a hang and never
+//!   a wrong result: connects and reads are bounded by the query
+//!   deadline (plus a grace period) or a default timeout, and results
+//!   already received from healthy shards are accounted in `STATS` as
+//!   `shard_partial_results`.
 //!
 //! Graph mutations (`ADDEDGE`/`DELEDGE`/`ADDVERTEX`) are refused in
 //! coordinator mode: an edge insertion can merge two 2-hop components
 //! and would invalidate the standing partition.
 
-use crate::engine::{Engine, Outcome, QueryCtx};
+use crate::engine::{Engine, EnumDone, Outcome, QueryCtx, Served};
 use crate::metrics::bump;
-use crate::protocol::{EnumMode, EnumOpts, GenSpec, Reply, Request, TERMINATOR};
-use crate::slowlog::SlowEntry;
+use crate::protocol::{field, EnumMode, EnumOpts, Opt, Reply, Request, TERMINATOR};
 use fair_biclique::config::StopReason;
-use fair_biclique::maximum::SizeMetric;
+use fair_biclique::maximum::MaxSink;
 use fair_biclique::obs::SpanRecorder;
 use fair_biclique::prepared::QueryModel;
-use fair_biclique::Biclique;
-use fbe_datasets::corpus::Dataset;
+use fair_biclique::{Biclique, BicliqueSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -63,27 +72,33 @@ const FANOUT_GRACE: Duration = Duration::from_secs(1);
 
 /// Execute `req` by fanning out to `engine.cfg.shards`.
 pub fn handle(engine: &Engine, req: Request, ctx: QueryCtx<'_>) -> Outcome {
-    match req {
+    match &req {
         Request::Ping => Outcome::Reply(Reply::ok("pong")),
         Request::Shutdown => {
             // Stop the shard servers best-effort (a dead shard must
             // not keep the coordinator alive), then stop locally.
-            let _ = fan(engine, DEFAULT_SHARD_TIMEOUT, |_, _, conn| {
-                conn.call("SHUTDOWN")
-            });
+            let _ = fan(engine, DEFAULT_SHARD_TIMEOUT, |_, _, conn| conn.call(&req));
             engine.shutdown_token().cancel();
             Outcome::Shutdown(Reply::ok("bye"))
         }
         Request::Graphs => Outcome::Reply(graphs(engine)),
-        Request::Drop { name } => Outcome::Reply(fan_simple(engine, &format!("DROP {name}"))),
-        Request::Load { name, path, attrs } => Outcome::Reply(load(engine, &name, &path, attrs)),
-        Request::Gen { name, spec } => {
-            let line = format!("GEN {name} {}", gen_spec_text(&spec));
-            Outcome::Reply(fan_with_shard(engine, &name, &line))
-        }
+        Request::Drop { .. } => Outcome::Reply(merge_ok(
+            engine,
+            fan(engine, DEFAULT_SHARD_TIMEOUT, |_, _, conn| {
+                conn.call_ok(&req)
+            }),
+        )),
+        // The coordinator applies its own data-root policy to the stem
+        // it is about to hand out; each shard then re-resolves it
+        // against its own root.
+        Request::Load { name, path, .. } => Outcome::Reply(match engine.resolve_stem(path) {
+            Ok(_) => fan_with_shard(engine, name, &req),
+            Err(msg) => Reply::err("PARSE", msg),
+        }),
+        Request::Gen { name, .. } => Outcome::Reply(fan_with_shard(engine, name, &req)),
         Request::Stats => Outcome::Reply(stats(engine)),
         Request::Enum { graph, model, opts } => {
-            Outcome::Reply(enum_scatter_gather(engine, &graph, model, opts, ctx))
+            Outcome::Reply(engine.query(graph, *model, *opts, ctx))
         }
         Request::AddEdge { .. } | Request::DelEdge { .. } | Request::AddVertex { .. } => {
             Outcome::Reply(Reply::err(
@@ -94,7 +109,7 @@ pub fn handle(engine: &Engine, req: Request, ctx: QueryCtx<'_>) -> Outcome {
         }
         Request::Shard { .. } => Outcome::Reply(Reply::err(
             "BADARG",
-            "SHARD is a shard-server verb; the coordinator shards on LOAD/GEN",
+            "the SHARD verb is for shard servers; the coordinator shards on LOAD/GEN",
         )),
         // Answered by the engine before coordinator delegation;
         // unreachable here, kept only for match exhaustiveness.
@@ -152,14 +167,14 @@ impl ShardConn {
     }
 
     /// One request, one whole reply block.
-    fn call(&mut self, line: &str) -> Result<Reply, String> {
-        self.send(line)?;
+    fn call(&mut self, req: &Request) -> Result<Reply, String> {
+        self.send(&req.to_string())?;
         self.read_reply()
     }
 
     /// Like [`ShardConn::call`], failing on `ERR` statuses.
-    fn call_ok(&mut self, line: &str) -> Result<Reply, String> {
-        let reply = self.call(line)?;
+    fn call_ok(&mut self, req: &Request) -> Result<Reply, String> {
+        let reply = self.call(req)?;
         if reply.is_ok() {
             Ok(reply)
         } else {
@@ -201,24 +216,20 @@ impl ShardConn {
     }
 }
 
+/// The configured address of shard `index`.
+fn shard_addr(engine: &Engine, index: usize) -> &str {
+    engine.cfg.shards.get(index).map_or("?", String::as_str)
+}
+
 /// Index + address + detail of the first shard failure, rendered as a
-/// structured `ERR SHARD`.
+/// structured `ERR SHARD` and counted in `shard_errors`.
 fn shard_err(engine: &Engine, index: usize, detail: &str, partial: u64) -> Reply {
-    bump(&engine.metrics.queries_err);
-    let addr = engine
-        .cfg
-        .shards
-        .get(index)
-        .map(String::as_str)
-        .unwrap_or("?");
-    let partial_note = if partial > 0 {
-        format!(" partial={partial}")
-    } else {
-        String::new()
-    };
+    bump(&engine.metrics.shard_errors);
+    let addr = shard_addr(engine, index);
+    let partial = Opt("partial", (partial > 0).then_some(partial));
     Reply::err(
         "SHARD",
-        format!("shard={index} addr={addr}{partial_note} {detail}"),
+        format!("shard={index} addr={addr}{partial} {detail}"),
     )
 }
 
@@ -257,23 +268,19 @@ fn fan<T: Send>(
     })
 }
 
-/// Fan one already-serialized request line to every shard; succeed only
-/// if every shard answers `OK`, reporting the first failure otherwise.
-fn fan_simple(engine: &Engine, line: &str) -> Reply {
-    let results = fan(engine, DEFAULT_SHARD_TIMEOUT, |_, _, conn| {
-        conn.call_ok(line)
-    });
-    merge_ok(engine, results)
-}
-
-/// Fan `line` (a `LOAD`/`GEN`) followed by the per-shard
-/// `SHARD <name> index=i of=K`, so each shard ends up holding exactly
-/// its slice of the partition.
-fn fan_with_shard(engine: &Engine, name: &str, line: &str) -> Reply {
-    let k = engine.cfg.shards.len();
-    let results = fan(engine, DEFAULT_SHARD_TIMEOUT, |i, _, conn| {
-        conn.call_ok(line)?;
-        conn.call_ok(&format!("SHARD {name} index={i} of={k}"))
+/// Fan `req` (a `LOAD`/`GEN` of graph `name`) followed by the
+/// per-shard `SHARD <name> index=i of=K`, so each shard ends up
+/// holding exactly its slice of the partition.
+fn fan_with_shard(engine: &Engine, name: &str, req: &Request) -> Reply {
+    let of = engine.cfg.shards.len();
+    let results = fan(engine, DEFAULT_SHARD_TIMEOUT, |index, _, conn| {
+        conn.call_ok(req)?;
+        conn.call_ok(&Request::Shard {
+            graph: name.to_string(),
+            index,
+            of,
+            alpha: 1,
+        })
     });
     merge_ok(engine, results)
 }
@@ -283,7 +290,7 @@ fn fan_with_shard(engine: &Engine, name: &str, line: &str) -> Reply {
 fn merge_ok(engine: &Engine, results: Vec<Result<Reply, String>>) -> Reply {
     for (i, r) in results.iter().enumerate() {
         if let Err(detail) = r {
-            bump(&engine.metrics.shard_errors);
+            bump(&engine.metrics.queries_err);
             return shard_err(engine, i, detail, 0);
         }
     }
@@ -296,23 +303,12 @@ fn merge_ok(engine: &Engine, results: Vec<Result<Reply, String>>) -> Reply {
     Reply::ok(format!("{status} shards={}", engine.cfg.shards.len()))
 }
 
-fn load(engine: &Engine, name: &str, path: &str, attrs: (u16, u16)) -> Reply {
-    // The coordinator applies its own data-root policy to the stem it
-    // is about to hand out; each shard then re-resolves it against its
-    // own root.
-    if let Err(msg) = engine.resolve_stem(path) {
-        return Reply::err("PARSE", msg);
-    }
-    let line = format!("LOAD {name} {path} attrs={},{}", attrs.0, attrs.1);
-    fan_with_shard(engine, name, &line)
-}
-
 fn graphs(engine: &Engine) -> Reply {
     // Shards hold the same catalog names (fan-out keeps them in
     // lockstep), so the first shard answers for all of them.
     let results = fan(engine, DEFAULT_SHARD_TIMEOUT, |i, _, conn| {
         if i == 0 {
-            conn.call_ok("GRAPHS").map(Some)
+            conn.call_ok(&Request::Graphs).map(Some)
         } else {
             Ok(None)
         }
@@ -320,7 +316,7 @@ fn graphs(engine: &Engine) -> Reply {
     match results.into_iter().next() {
         Some(Ok(Some(reply))) => reply,
         Some(Err(detail)) => {
-            bump(&engine.metrics.shard_errors);
+            bump(&engine.metrics.queries_err);
             shard_err(engine, 0, &detail, 0)
         }
         _ => Reply::err("SHARD", "no shards configured"),
@@ -329,15 +325,15 @@ fn graphs(engine: &Engine) -> Reply {
 
 fn stats(engine: &Engine) -> Reply {
     let results = fan(engine, DEFAULT_SHARD_TIMEOUT, |_, _, conn| {
-        conn.call_ok("STATS")
+        conn.call_ok(&Request::Stats)
     });
     let mut r = Reply::ok(format!("shards={}", engine.cfg.shards.len()));
     r.payload = engine.metrics.render();
     for (i, res) in results.iter().enumerate() {
-        let addr = engine.cfg.shards.get(i).map(String::as_str).unwrap_or("?");
+        r.payload
+            .push(format!("shard{i}_addr {}", shard_addr(engine, i)));
         match res {
             Ok(reply) => {
-                r.payload.push(format!("shard{i}_addr {addr}"));
                 r.payload.push(format!("shard{i}_status ok"));
                 for line in &reply.payload {
                     r.payload.push(format!("shard{i}_{line}"));
@@ -345,7 +341,6 @@ fn stats(engine: &Engine) -> Reply {
             }
             Err(detail) => {
                 bump(&engine.metrics.shard_errors);
-                r.payload.push(format!("shard{i}_addr {addr}"));
                 r.payload.push(format!("shard{i}_status error: {detail}"));
             }
         }
@@ -353,96 +348,10 @@ fn stats(engine: &Engine) -> Reply {
     r
 }
 
-fn gen_spec_text(spec: &GenSpec) -> String {
-    match spec {
-        GenSpec::Dataset(d) => match d {
-            Dataset::Youtube => "youtube".to_string(),
-            Dataset::Twitter => "twitter".to_string(),
-            Dataset::Imdb => "imdb".to_string(),
-            Dataset::WikiCat => "wiki-cat".to_string(),
-            Dataset::Dblp => "dblp".to_string(),
-        },
-        GenSpec::Uniform {
-            n_upper,
-            n_lower,
-            m,
-            seed,
-            attrs,
-        } => format!(
-            "uniform:{n_upper},{n_lower},{m},{seed},{},{}",
-            attrs.0, attrs.1
-        ),
-    }
-}
-
-/// Re-serialize an `ENUM` for the shards. The resolved global result
-/// budget is passed explicitly so a shard's own default limit can
-/// never truncate below the coordinator's.
-fn enum_line(graph: &str, model: QueryModel, opts: &EnumOpts, limit: Option<u64>) -> String {
-    let base = model.base();
-    let mut s = format!(
-        "ENUM {graph} {} alpha={} beta={} delta={}",
-        model.name().to_ascii_lowercase(),
-        base.alpha,
-        base.beta,
-        base.delta
-    );
-    if let Some(theta) = model.theta() {
-        s.push_str(&format!(" theta={theta}"));
-    }
-    if opts.threads > 1 {
-        s.push_str(&format!(" threads={}", opts.threads));
-    }
-    if let Some(k) = limit {
-        s.push_str(&format!(" limit={k}"));
-    }
-    if let Some(d) = opts.deadline {
-        s.push_str(&format!(" deadline-ms={}", d.as_millis()));
-    }
-    s.push_str(&format!(" substrate={}", opts.substrate));
-    match opts.mode {
-        EnumMode::Collect => {}
-        EnumMode::Count => s.push_str(" count-only"),
-        EnumMode::Maximum(SizeMetric::Vertices) => s.push_str(" max=vertices"),
-        EnumMode::Maximum(SizeMetric::Edges) => s.push_str(" max=edges"),
-    }
-    s
-}
-
-/// `key=value` field extraction from a status line.
-fn field<'a>(status: &'a str, key: &str) -> Option<&'a str> {
-    status
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix(&format!("{key}=") as &str))
-}
-
-/// Parse a payload line back into a [`Biclique`] (`L=[1, 4] R=[0]`).
-fn parse_biclique(line: &str) -> Option<Biclique> {
-    let rest = line.strip_prefix("L=[")?;
-    let (l, rest) = rest.split_once(']')?;
-    let rest = rest.strip_prefix(" R=[")?;
-    let (r, rest) = rest.split_once(']')?;
-    if !rest.is_empty() {
-        return None;
-    }
-    let parse_side = |s: &str| -> Option<Vec<bigraph::VertexId>> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Some(Vec::new());
-        }
-        s.split(',').map(|t| t.trim().parse().ok()).collect()
-    };
-    Some(Biclique {
-        upper: parse_side(l)?,
-        lower: parse_side(r)?,
-    })
-}
-
 /// What one shard contributed to a scatter-gather `ENUM`.
 struct ShardEnum {
     status: String,
     results: Vec<Biclique>,
-    count: u64,
     /// The reader stopped early because the global budget ran out.
     cancelled: bool,
     /// Connect + greeting time.
@@ -453,35 +362,39 @@ struct ShardEnum {
     stream: Duration,
 }
 
-fn enum_scatter_gather(
+/// The coordinator's middle of an `ENUM`: scatter the query to every
+/// shard and merge what comes back. The engine's query path owns the
+/// rest (metrics, status line, trace block, slow-query log). A failed
+/// shard fails the whole query with `ERR SHARD`.
+pub(crate) fn enum_scatter_gather(
     engine: &Engine,
     graph: &str,
     model: QueryModel,
-    opts: EnumOpts,
-    ctx: QueryCtx<'_>,
-) -> Reply {
-    bump(&engine.metrics.queries_total);
-    let t0 = Instant::now();
-    let mut rec = if ctx.traced {
-        SpanRecorder::enabled()
-    } else {
-        SpanRecorder::disabled()
-    };
-    let limit = match opts.mode {
-        EnumMode::Collect => Some(opts.limit.unwrap_or(engine.cfg.default_result_limit)),
-        _ => opts.limit,
-    };
+    opts: &EnumOpts,
+    rec: &mut SpanRecorder,
+) -> Result<EnumDone, Reply> {
+    let collect = opts.mode == EnumMode::Collect;
+    let limit = engine.result_limit(opts);
     let timeout = opts
         .deadline
         .map(|d| d + FANOUT_GRACE)
         .unwrap_or(DEFAULT_SHARD_TIMEOUT);
-    let line = enum_line(graph, model, &opts, limit);
+    // The resolved limit travels explicitly so a shard's own default
+    // limit can never truncate below the coordinator's.
+    let line = Request::Enum {
+        graph: graph.to_string(),
+        model,
+        opts: EnumOpts { limit, ..*opts },
+    }
+    .to_string();
 
-    // The global result budget, shared by all shard readers the way
-    // `SharedBudget` is shared by worker threads: acquire (decrement)
-    // strictly before buffering a line; a failed acquire stops the
-    // reader and flags the siblings so they stop too (their shard
-    // connections drop, early-cancelling the remaining streams).
+    // Collect mode's global result budget, shared by all shard readers
+    // the way `SharedBudget` is shared by worker threads: acquire
+    // (decrement) strictly before buffering a line; a failed acquire
+    // stops the reader and flags the siblings so they stop too (their
+    // shard connections drop, early-cancelling the remaining streams).
+    // Count and maximum replies are one summary per shard, which the
+    // merge below combines; a countdown there would drop candidates.
     let budget = AtomicI64::new(limit.map_or(i64::MAX, |k| k.min(i64::MAX as u64) as i64));
     let exhausted = AtomicBool::new(false);
     let results = fan(engine, timeout, |_, connect, conn| {
@@ -494,9 +407,6 @@ fn enum_scatter_gather(
         }
         let ts = Instant::now();
         let mut out = ShardEnum {
-            count: field(&status, "count")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
             status,
             results: Vec::new(),
             cancelled: false,
@@ -517,14 +427,13 @@ fn enum_scatter_gather(
                 break;
             }
             // lint: ordering: relaxed — pure countdown, no acquire/release pairing needed
-            if budget.fetch_sub(1, Ordering::Relaxed) <= 0 {
+            if collect && budget.fetch_sub(1, Ordering::Relaxed) <= 0 {
                 // lint: ordering: relaxed — advisory flag, racy reads only stop siblings late
                 exhausted.store(true, Ordering::Relaxed);
                 out.cancelled = true;
                 break;
             }
-            let b = parse_biclique(&l).ok_or_else(|| format!("unparseable result line {l:?}"))?;
-            out.results.push(b);
+            out.results.push(l.parse()?);
         }
         out.stream = ts.elapsed();
         Ok(out)
@@ -542,7 +451,6 @@ fn enum_scatter_gather(
             .flatten()
             .map(|s| s.results.len() as u64)
             .sum();
-        bump(&engine.metrics.shard_errors);
         if partial > 0 {
             engine
                 .metrics
@@ -550,7 +458,7 @@ fn enum_scatter_gather(
                 // lint: ordering: relaxed — statistics counter
                 .fetch_add(partial, Ordering::Relaxed);
         }
-        return shard_err(engine, i, &detail, partial);
+        return Err(shard_err(engine, i, &detail, partial));
     }
     let shards: Vec<ShardEnum> = results.into_iter().flatten().collect();
 
@@ -564,7 +472,7 @@ fn enum_scatter_gather(
         rec.leaf_with("shard", s.connect + s.request + s.stream, || {
             format!(
                 "index={i} addr={} connect_us={} request_us={} stream_us={} results={} cancelled={}",
-                engine.cfg.shards.get(i).map(String::as_str).unwrap_or("?"),
+                shard_addr(engine, i),
                 s.connect.as_micros(),
                 s.request.as_micros(),
                 s.stream.as_micros(),
@@ -574,65 +482,36 @@ fn enum_scatter_gather(
         });
     }
 
-    // Propagate the most severe shard truncation (deadline > cap), or
-    // report the coordinator's own budget exhaustion as a result cap.
-    let shard_trunc = |needle: &str| {
-        shards
-            .iter()
-            .any(|s| field(&s.status, "truncated") == Some(needle))
-    };
-    // lint: ordering: relaxed — read-only summary after the fan-out joined
-    let budget_spent = exhausted.load(Ordering::Relaxed) || shards.iter().any(|s| s.cancelled);
+    // The most severe truncation any shard reports (deadline > cap).
+    let shard_stop = [StopReason::Deadline, StopReason::ResultCap]
+        .into_iter()
+        .find(|r| {
+            let r = r.to_string();
+            shards
+                .iter()
+                .any(|s| field(&s.status, "truncated") == Some(&r))
+        });
 
-    let (count, payload, stop) = rec.timed("merge", || match opts.mode {
+    // Each mode merges and says whether the coordinator's own cap bound.
+    let (count, payload, own_cap) = rec.timed("merge", || match opts.mode {
         EnumMode::Count => {
-            let total: u64 = shards.iter().map(|s| s.count).sum();
+            let total: u64 = shards
+                .iter()
+                .filter_map(|s| field(&s.status, "count")?.parse::<u64>().ok())
+                .sum();
             let capped = limit.map_or(total, |k| total.min(k));
-            (
-                capped,
-                Vec::new(),
-                if capped < total || shard_trunc("result-cap") {
-                    Some(StopReason::ResultCap)
-                } else if shard_trunc("deadline") {
-                    Some(StopReason::Deadline)
-                } else {
-                    None
-                },
-            )
+            (capped, Vec::new(), capped < total)
         }
         EnumMode::Maximum(metric) => {
-            let metric_of = |b: &Biclique| -> u64 {
-                match metric {
-                    SizeMetric::Vertices => (b.upper.len() + b.lower.len()) as u64,
-                    SizeMetric::Edges => (b.upper.len() * b.lower.len()) as u64,
-                }
-            };
-            let mut best: Option<Biclique> = None;
-            for b in shards.iter().flat_map(|s| s.results.iter()) {
-                let better = match &best {
-                    None => true,
-                    // Canonically smallest wins metric ties, matching
-                    // the single-process maximum tie-break.
-                    Some(cur) => match metric_of(b).cmp(&metric_of(cur)) {
-                        std::cmp::Ordering::Greater => true,
-                        std::cmp::Ordering::Equal => b < cur,
-                        std::cmp::Ordering::Less => false,
-                    },
-                };
-                if better {
-                    best = Some(b.clone());
-                }
+            let mut best = MaxSink::new(metric);
+            for b in shards.iter().flat_map(|s| &s.results) {
+                best.emit(&b.upper, &b.lower);
             }
-            let payload: Vec<String> = best.iter().map(|b| b.to_string()).collect();
-            let truncated = if shard_trunc("deadline") {
-                Some(StopReason::Deadline)
-            } else {
-                None
-            };
-            (payload.len() as u64, payload, truncated)
+            let payload: Vec<String> = best.best.iter().map(Biclique::to_string).collect();
+            (payload.len() as u64, payload, false)
         }
         EnumMode::Collect => {
-            let merged = kway_merge(shards.iter().map(|s| s.results.clone()).collect(), limit);
+            let merged = kway_merge(shards.into_iter().map(|s| s.results).collect(), limit);
             debug_assert!(
                 {
                     let mut check = merged.clone();
@@ -641,66 +520,20 @@ fn enum_scatter_gather(
                 },
                 "k-way merge must preserve canonical order"
             );
-            let truncated = if shard_trunc("deadline") {
-                Some(StopReason::Deadline)
-            } else if budget_spent
-                || shard_trunc("result-cap")
-                || limit.is_some_and(|k| merged.len() as u64 >= k)
-            {
-                // The cap only truncates if it actually bound: all
-                // shards ran to completion below it otherwise.
-                limit
-                    .is_some_and(|k| merged.len() as u64 >= k)
-                    .then_some(StopReason::ResultCap)
-            } else {
-                None
-            };
-            let payload: Vec<String> = merged.iter().map(|b| b.to_string()).collect();
-            (payload.len() as u64, payload, truncated)
+            let bound = limit.is_some_and(|k| merged.len() as u64 >= k);
+            let payload: Vec<String> = merged.iter().map(Biclique::to_string).collect();
+            (payload.len() as u64, payload, bound)
         }
     });
-
-    // Single exit for OK replies, mirroring `Engine::query`: observe,
-    // trace-decorate, and offer to the slow-query log exactly once.
-    let elapsed = t0.elapsed();
-    engine.metrics.observe_latency(elapsed);
-    bump(&engine.metrics.queries_ok);
-    if let Some(stop) = stop {
-        engine.metrics.observe_truncation(stop);
-    }
-    let mut status = format!(
-        "model={} graph={graph} count={count} shards={} threads={} elapsed_us={}",
-        model.name(),
-        engine.cfg.shards.len(),
-        opts.threads,
-        elapsed.as_micros()
-    );
-    if let Some(t) = stop {
-        status.push_str(&format!(" truncated={t}"));
-    }
-    let mut reply = Reply::ok(status);
-    reply.payload = payload;
-    if rec.is_enabled() {
-        reply
-            .payload
-            .extend(rec.render().into_iter().map(|l| format!("# {l}")));
-    }
-    engine.slowlog.record(SlowEntry {
-        seq: 0,
-        query: if ctx.line.is_empty() {
-            format!("ENUM {graph} {}", model.name())
-        } else {
-            ctx.line.to_string()
-        },
-        graph: graph.to_string(),
+    Ok(EnumDone {
+        count,
+        payload,
+        stop: shard_stop.or(own_cap.then_some(StopReason::ResultCap)),
+        served: Served::Shards(engine.cfg.shards.len()),
         // The coordinator holds no local catalog; shard epochs are
         // reachable through each shard's own SLOWLOG.
         epoch: 0,
-        elapsed,
-        stop,
-        spans: rec.into_spans(),
-    });
-    reply
+    })
 }
 
 /// Merge `k` canonically-sorted, pairwise-disjoint result streams into
@@ -739,23 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_result_lines_roundtrip() {
-        for bc in [
-            b(&[1, 4], &[0, 2, 7]),
-            b(&[0], &[0]),
-            b(&[], &[]),
-            b(&[3], &[]),
-        ] {
-            let line = bc.to_string();
-            assert_eq!(parse_biclique(&line), Some(bc), "{line}");
-        }
-        assert_eq!(parse_biclique("garbage"), None);
-        assert_eq!(parse_biclique("L=[1 R=[2]"), None);
-        assert_eq!(parse_biclique("L=[x] R=[2]"), None);
-        assert_eq!(parse_biclique("L=[1] R=[2] trailing"), None);
-    }
-
-    #[test]
     fn kway_merge_interleaves_in_canonical_order() {
         let s1 = vec![b(&[0], &[1]), b(&[2], &[0])];
         let s2 = vec![b(&[0], &[2]), b(&[1], &[0])];
@@ -769,18 +585,31 @@ mod tests {
         assert_eq!(merged2, want[..3]);
     }
 
+    /// The `ENUM` a shard receives (rendered by `Display for Request`,
+    /// resolved limit written in) parses back to the same query.
     #[test]
     fn enum_line_roundtrips_through_the_parser() {
         use fair_biclique::config::{FairParams, ProParams};
+        use fair_biclique::maximum::SizeMetric;
         let opts = EnumOpts {
             threads: 4,
-            limit: None,
+            limit: Some(7),
             deadline: Some(Duration::from_millis(250)),
             substrate: fair_biclique::config::Substrate::Bitset,
             mode: EnumMode::Count,
         };
         let model = QueryModel::Pbsfbc(ProParams::new(2, 1, 1, 0.25).unwrap());
-        let line = enum_line("g", model, &opts, Some(7));
+        let line = Request::Enum {
+            graph: "g".into(),
+            model,
+            opts,
+        }
+        .to_string();
+        assert_eq!(
+            line,
+            "ENUM g pbsfbc alpha=2 beta=1 delta=1 theta=0.25 threads=4 limit=7 \
+             deadline-ms=250 substrate=bitset count-only"
+        );
         let parsed = crate::protocol::parse_request(&line).unwrap();
         let Request::Enum {
             graph,
@@ -805,15 +634,24 @@ mod tests {
             ..EnumOpts::default()
         };
         let model = QueryModel::Ssfbc(FairParams::new(3, 1, 2).unwrap());
-        let line = enum_line("h", model, &opts, None);
+        let line = Request::Enum {
+            graph: "h".into(),
+            model,
+            opts,
+        }
+        .to_string();
         let Request::Enum { opts: o3, .. } = crate::protocol::parse_request(&line).unwrap() else {
-            panic!();
+            panic!("not an ENUM: {line}");
         };
         assert_eq!(o3.mode, EnumMode::Maximum(SizeMetric::Edges));
     }
 
+    /// The `GEN` the coordinator forwards to every shard parses back to
+    /// the client's request.
     #[test]
     fn gen_spec_text_roundtrips() {
+        use crate::protocol::GenSpec;
+        use fbe_datasets::corpus::Dataset;
         for spec in [
             GenSpec::Dataset(Dataset::Youtube),
             GenSpec::Dataset(Dataset::WikiCat),
@@ -825,16 +663,12 @@ mod tests {
                 attrs: (3, 1),
             },
         ] {
-            let line = format!("GEN g {}", gen_spec_text(&spec));
-            let parsed = crate::protocol::parse_request(&line).unwrap();
-            assert_eq!(
-                parsed,
-                Request::Gen {
-                    name: "g".into(),
-                    spec
-                },
-                "{line}"
-            );
+            let req = Request::Gen {
+                name: "g".into(),
+                spec,
+            };
+            let line = req.to_string();
+            assert_eq!(crate::protocol::parse_request(&line), Ok(req), "{line}");
         }
     }
 }

@@ -4,7 +4,7 @@
 use crate::catalog::{generate, GraphCatalog, GraphEntry, GraphUpdate, UpdateError};
 use crate::metrics::{bump, Metrics};
 use crate::plan_cache::{PlanCache, PlanKey};
-use crate::protocol::{EnumMode, EnumOpts, Reply, Request, TraceMode};
+use crate::protocol::{EnumMode, EnumOpts, Opt, Reply, Request, TraceMode};
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
 use crate::ServiceConfig;
@@ -30,6 +30,40 @@ impl Outcome {
     pub fn reply(&self) -> &Reply {
         match self {
             Outcome::Reply(r) | Outcome::Shutdown(r) => r,
+        }
+    }
+}
+
+/// What the middle of an `ENUM` produced — a local run or a
+/// coordinator's merged fan-out — before [`Engine::query`]'s one exit
+/// turns it into a reply.
+pub(crate) struct EnumDone {
+    /// Result count reported as `count=`.
+    pub(crate) count: u64,
+    /// Result lines.
+    pub(crate) payload: Vec<String>,
+    /// Why the run stopped early, if it did.
+    pub(crate) stop: Option<StopReason>,
+    /// Where the answer came from.
+    pub(crate) served: Served,
+    /// Catalog epoch the query ran against (0 on a coordinator).
+    pub(crate) epoch: u64,
+}
+
+/// The one status field that tells a local `ENUM` reply from a
+/// coordinator's: `cached=<bool>` or `shards=<K>`, in the same place.
+pub(crate) enum Served {
+    /// Run locally; whether the plan came from the cache.
+    Cached(bool),
+    /// Merged from this many shard servers.
+    Shards(usize),
+}
+
+impl std::fmt::Display for Served {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Served::Cached(hit) => write!(f, "cached={hit}"),
+            Served::Shards(k) => write!(f, "shards={k}"),
         }
     }
 }
@@ -174,8 +208,9 @@ pub struct QueryCtx<'a> {
     /// Append a `# span ...` breakdown block to the reply and record
     /// the span tree in the slow-query log.
     pub traced: bool,
-    /// The raw request line (stored in slow-query log entries; empty
-    /// when the request arrived through the typed API).
+    /// The raw request line, stored in slow-query log entries. Empty
+    /// when the request arrived through the typed API; the log then
+    /// stores the rendered [`Request`] instead.
     pub line: &'a str,
 }
 
@@ -567,7 +602,17 @@ impl Engine {
         Ok((plan, false))
     }
 
-    fn query(&self, graph: &str, model: QueryModel, opts: EnumOpts, ctx: QueryCtx<'_>) -> Reply {
+    /// The one `ENUM` path: run locally or, on a coordinator, scatter
+    /// to the shards; then a single exit gives every OK reply (truncated
+    /// ones too) its status line, metrics, trace block and slow-log
+    /// entry exactly once. Error replies only count as errors.
+    pub(crate) fn query(
+        &self,
+        graph: &str,
+        model: QueryModel,
+        opts: EnumOpts,
+        ctx: QueryCtx<'_>,
+    ) -> Reply {
         bump(&self.metrics.queries_total);
         let t0 = Instant::now();
         let mut rec = if ctx.traced {
@@ -575,49 +620,74 @@ impl Engine {
         } else {
             SpanRecorder::disabled()
         };
-        let mut epoch = 0u64;
-        let (mut reply, stop) = self.run_query(graph, model, &opts, t0, &mut rec, &mut epoch);
-        // Single exit: every OK reply — including truncated ones — is
-        // observed, trace-decorated, and offered to the slow-query log
-        // exactly once; error replies only count as errors.
-        if reply.is_ok() {
-            let elapsed = t0.elapsed();
-            self.metrics.observe_latency(elapsed);
-            bump(&self.metrics.queries_ok);
-            if let Some(stop) = stop {
-                self.metrics.observe_truncation(stop);
-            }
-            if rec.is_enabled() {
-                // `#`-prefixed so payload consumers can filter trace
-                // lines without understanding them (result lines never
-                // start with `#`).
-                reply
-                    .payload
-                    .extend(rec.render().into_iter().map(|l| format!("# {l}")));
-            }
-            self.slowlog.record(SlowEntry {
-                seq: 0,
-                query: if ctx.line.is_empty() {
-                    format!("ENUM {graph} {}", model.name())
-                } else {
-                    ctx.line.to_string()
-                },
-                graph: graph.to_string(),
-                epoch,
-                elapsed,
-                stop,
-                spans: rec.into_spans(),
-            });
+        let done = if self.cfg.shards.is_empty() {
+            self.run_query(graph, model, &opts, t0, &mut rec)
         } else {
-            bump(&self.metrics.queries_err);
+            crate::coordinator::enum_scatter_gather(self, graph, model, &opts, &mut rec)
+        };
+        let done = match done {
+            Ok(done) => done,
+            Err(reply) => {
+                bump(&self.metrics.queries_err);
+                return reply;
+            }
+        };
+        let elapsed = t0.elapsed();
+        self.metrics.observe_latency(elapsed);
+        bump(&self.metrics.queries_ok);
+        if let Some(stop) = done.stop {
+            self.metrics.observe_truncation(stop);
         }
+        let mut reply = Reply::ok(format!(
+            "model={} graph={graph} count={} {} threads={} elapsed_us={}{}",
+            model.name(),
+            done.count,
+            done.served,
+            opts.threads,
+            elapsed.as_micros(),
+            Opt("truncated", done.stop)
+        ));
+        reply.payload = done.payload;
+        if rec.is_enabled() {
+            // `#`-prefixed so payload consumers can filter trace
+            // lines without understanding them (result lines never
+            // start with `#`).
+            reply
+                .payload
+                .extend(rec.render().into_iter().map(|l| format!("# {l}")));
+        }
+        self.slowlog.record(SlowEntry {
+            seq: 0,
+            query: if ctx.line.is_empty() {
+                Request::Enum {
+                    graph: graph.to_string(),
+                    model,
+                    opts,
+                }
+                .to_string()
+            } else {
+                ctx.line.to_string()
+            },
+            graph: graph.to_string(),
+            epoch: done.epoch,
+            elapsed,
+            stop: done.stop,
+            spans: rec.into_spans(),
+        });
         reply
     }
 
-    /// The fallible middle of [`Engine::query`]: admission → plan →
-    /// enumeration. Returns the reply plus the truncation reason (the
-    /// caller owns metrics/trace/slow-log bookkeeping). `epoch_out`
-    /// reports the catalog epoch the query ran against.
+    /// The result cap of an `ENUM`: its `limit=`, falling back to the
+    /// service default for collecting queries only.
+    pub(crate) fn result_limit(&self, opts: &EnumOpts) -> Option<u64> {
+        match opts.mode {
+            EnumMode::Collect => Some(opts.limit.unwrap_or(self.cfg.default_result_limit)),
+            _ => opts.limit,
+        }
+    }
+
+    /// The local middle of [`Engine::query`]: admission → plan →
+    /// enumeration. `Err` is a finished error reply.
     fn run_query(
         &self,
         graph: &str,
@@ -625,34 +695,31 @@ impl Engine {
         opts: &EnumOpts,
         t0: Instant,
         rec: &mut SpanRecorder,
-        epoch_out: &mut u64,
-    ) -> (Reply, Option<StopReason>) {
+    ) -> Result<EnumDone, Reply> {
         let deadline_at = opts.deadline.map(|d| t0 + d);
-        let truncated_reply = |cached, stop: StopReason| {
-            let status = self.status_line(graph, model, opts, 0, cached, Some(stop), t0);
-            (Reply::ok(status), Some(stop))
-        };
         let Some(entry) = self.catalog.get(graph) else {
-            return (
-                Reply::err("NOGRAPH", format!("no graph named {graph:?}")),
-                None,
-            );
+            return Err(Reply::err("NOGRAPH", format!("no graph named {graph:?}")));
         };
-        *epoch_out = entry.epoch;
+        let done = |count, payload, stop, cached| EnumDone {
+            count,
+            payload,
+            stop,
+            served: Served::Cached(cached),
+            epoch: entry.epoch,
+        };
+        let truncated = |cached, stop| Ok(done(0, Vec::new(), Some(stop), cached));
         let _slot = match self.admission.admit(deadline_at) {
             Ok(slot) => slot,
             Err(AdmitRefused::Busy) => {
                 bump(&self.metrics.rejected_busy);
-                return (
-                    Reply::err("BUSY", "worker pool and queue are full; retry later"),
-                    None,
-                );
+                return Err(Reply::err(
+                    "BUSY",
+                    "worker pool and queue are full; retry later",
+                ));
             }
             // The deadline expired while queued: the slot was released
             // at expiry and the reply is empty-but-well-formed.
-            Err(AdmitRefused::DeadlineExpired) => {
-                return truncated_reply(false, StopReason::Deadline)
-            }
+            Err(AdmitRefused::DeadlineExpired) => return truncated(false, StopReason::Deadline),
         };
 
         // The deadline is one wall clock covering queue wait, (for
@@ -662,7 +729,7 @@ impl Engine {
         // longer overshoots by a full un-cancellable prepare.
         let (plan, cached) = match self.plan_for(&entry, model, opts, deadline_at, rec) {
             Ok(got) => got,
-            Err(stop) => return truncated_reply(false, stop),
+            Err(stop) => return truncated(false, stop),
         };
 
         // A prepare that finished between two probes may still have
@@ -670,17 +737,13 @@ impl Engine {
         // gets a zero budget rather than a fresh one.
         let remaining = deadline_at.map(|d| d.saturating_duration_since(Instant::now()));
         if remaining == Some(Duration::ZERO) {
-            return truncated_reply(cached, StopReason::Deadline);
+            return truncated(cached, StopReason::Deadline);
         }
 
-        let limit = match opts.mode {
-            EnumMode::Collect => Some(opts.limit.unwrap_or(self.cfg.default_result_limit)),
-            _ => opts.limit,
-        };
         let budget = Budget {
             max_nodes: None,
             max_time: remaining,
-            max_results: limit,
+            max_results: self.result_limit(opts),
             cancel: Some(self.shutdown.clone()),
         };
         let cfg = RunConfig {
@@ -709,39 +772,14 @@ impl Engine {
             }
         };
         self.metrics.stage_enumerate.observe(te.elapsed());
-
-        let mut reply = Reply::ok(self.status_line(graph, model, opts, count, cached, stop, t0));
-        reply.payload = payload;
-        (reply, stop)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn status_line(
-        &self,
-        graph: &str,
-        model: QueryModel,
-        opts: &EnumOpts,
-        count: u64,
-        cached: bool,
-        stop: Option<StopReason>,
-        t0: Instant,
-    ) -> String {
-        let mut s = format!(
-            "model={} graph={graph} count={count} cached={cached} threads={} elapsed_us={}",
-            model.name(),
-            opts.threads,
-            t0.elapsed().as_micros()
-        );
-        if let Some(stop) = stop {
-            s.push_str(&format!(" truncated={stop}"));
-        }
-        s
+        Ok(done(count, payload, stop, cached))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::field;
 
     fn engine() -> Arc<Engine> {
         Engine::new(ServiceConfig::default())
@@ -751,12 +789,6 @@ mod tests {
         let r = o.reply();
         assert!(r.is_ok(), "expected OK, got {}", r.status);
         &r.status
-    }
-
-    fn field<'a>(status: &'a str, key: &str) -> Option<&'a str> {
-        status
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix(&format!("{key}=") as &str))
     }
 
     #[test]

@@ -70,6 +70,17 @@
 //! `INTERNAL` is a degradation, not a protocol state: the engine
 //! catches the panic ([`crate::engine`]), answers the offending
 //! request with the error, and keeps serving every other connection.
+//!
+//! # One codec per line format
+//!
+//! This module owns the request grammar in both directions:
+//! [`parse_request`] reads a line and `Display for` [`Request`] writes
+//! one back (leaving out fields at their default value), so
+//! `parse_request(&r.to_string()) == Ok(r)`. The coordinator forwards
+//! rendered `Request`s to its shards rather than formatting lines of
+//! its own. Status lines are read with [`field`]. Result lines
+//! (`L=[..] R=[..]`) belong to [`fair_biclique::Biclique`]: its
+//! `Display` prints them and its `FromStr` parses them.
 
 use fair_biclique::config::{FairParams, ProParams, Substrate};
 use fair_biclique::maximum::SizeMetric;
@@ -83,6 +94,13 @@ pub const PROTOCOL_VERSION: u32 = 1;
 
 /// Reply-block terminator line.
 pub const TERMINATOR: &str = ".";
+
+/// Attribute domain sizes of `LOAD` and `GEN uniform:` when none are
+/// given.
+const DEFAULT_ATTRS: (u16, u16) = (2, 2);
+
+/// Seed of `GEN uniform:` when none is given.
+const DEFAULT_SEED: u64 = 42;
 
 /// What an `ENUM` query emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,11 +378,11 @@ fn parse_gen_spec(s: &str) -> Result<GenSpec, String> {
         if nu == 0 || nv == 0 {
             return Err("uniform spec: sides must be non-empty".into());
         }
-        let seed = if nums.len() >= 4 { p(3)? } else { 42 };
+        let seed = if nums.len() >= 4 { p(3)? } else { DEFAULT_SEED };
         let attrs = if nums.len() == 6 {
             (to_attr(4)?, to_attr(5)?)
         } else {
-            (2, 2)
+            DEFAULT_ATTRS
         };
         Ok(GenSpec::Uniform {
             n_upper: nu,
@@ -559,7 +577,7 @@ pub fn parse_request(line: &str) -> Result<Request, Reply> {
             let [name, path, extra @ ..] = rest else {
                 return Err(badarg("LOAD wants <name> <path> [attrs=AU,AV]".into()));
             };
-            let mut attrs = (2u16, 2u16);
+            let mut attrs = DEFAULT_ATTRS;
             for tok in extra {
                 let (k, v) = kv(tok).map_err(badarg)?;
                 match k.to_ascii_lowercase().as_str() {
@@ -630,6 +648,117 @@ pub fn parse_request(line: &str) -> Result<Request, Reply> {
             parse_enum(graph, model, opts).map_err(badarg)
         }
         other => Err(Reply::err("BADCMD", format!("unknown command {other:?}"))),
+    }
+}
+
+/// The value of `key` in a status line of `key=value` tokens, e.g.
+/// `field("OK model=SSFBC count=3", "count") == Some("3")`.
+pub fn field<'a>(status: &'a str, key: &str) -> Option<&'a str> {
+    status
+        .split_whitespace()
+        .find_map(|t| t.strip_prefix(key)?.strip_prefix('='))
+}
+
+/// The spec as `GEN` takes it; the inverse of the parser.
+impl std::fmt::Display for GenSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            GenSpec::Dataset(d) => f.write_str(&d.to_string().to_ascii_lowercase()),
+            GenSpec::Uniform {
+                n_upper,
+                n_lower,
+                m,
+                seed,
+                attrs,
+            } => {
+                write!(f, "uniform:{n_upper},{n_lower},{m}")?;
+                match (seed, attrs) {
+                    (DEFAULT_SEED, DEFAULT_ATTRS) => Ok(()),
+                    (seed, DEFAULT_ATTRS) => write!(f, ",{seed}"),
+                    (seed, (au, av)) => write!(f, ",{seed},{au},{av}"),
+                }
+            }
+        }
+    }
+}
+
+/// An optional field: ` key=value` when set, nothing otherwise.
+pub(crate) struct Opt<'a, T>(pub(crate) &'a str, pub(crate) Option<T>);
+
+impl<T: std::fmt::Display> std::fmt::Display for Opt<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.1 {
+            Some(v) => write!(f, " {}={v}", self.0),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The request as one protocol line, the exact inverse of
+/// [`parse_request`]: verbs in upper case, optional fields left out
+/// when they hold their default value.
+impl std::fmt::Display for Request {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Request::Ping => f.write_str("PING"),
+            Request::Load { name, path, attrs } => {
+                let attrs = (*attrs != DEFAULT_ATTRS).then(|| format!("{},{}", attrs.0, attrs.1));
+                write!(f, "LOAD {name} {path}{}", Opt("attrs", attrs))
+            }
+            Request::Gen { name, spec } => write!(f, "GEN {name} {spec}"),
+            Request::Graphs => f.write_str("GRAPHS"),
+            Request::Drop { name } => write!(f, "DROP {name}"),
+            Request::AddEdge { graph, u, v } => write!(f, "ADDEDGE {graph} {u} {v}"),
+            Request::DelEdge { graph, u, v } => write!(f, "DELEDGE {graph} {u} {v}"),
+            Request::AddVertex { graph, side, attr } => {
+                let side = match side {
+                    bigraph::Side::Upper => "upper",
+                    bigraph::Side::Lower => "lower",
+                };
+                let attr = Opt("attr", (*attr != 0).then_some(attr));
+                write!(f, "ADDVERTEX {graph} {side}{attr}")
+            }
+            Request::Shard {
+                graph,
+                index,
+                of,
+                alpha,
+            } => {
+                let alpha = Opt("alpha", (*alpha != 1).then_some(alpha));
+                write!(f, "SHARD {graph} index={index} of={of}{alpha}")
+            }
+            Request::Enum { graph, model, opts } => {
+                let base = model.base();
+                let mode = match opts.mode {
+                    EnumMode::Collect => "",
+                    EnumMode::Count => " count-only",
+                    EnumMode::Maximum(SizeMetric::Vertices) => " max=vertices",
+                    EnumMode::Maximum(SizeMetric::Edges) => " max=edges",
+                };
+                write!(
+                    f,
+                    "ENUM {graph} {} alpha={} beta={} delta={}{}{}{}{}{}{mode}",
+                    model.name().to_ascii_lowercase(),
+                    base.alpha,
+                    base.beta,
+                    base.delta,
+                    Opt("theta", model.theta()),
+                    Opt("threads", (opts.threads > 1).then_some(opts.threads)),
+                    Opt("limit", opts.limit),
+                    Opt("deadline-ms", opts.deadline.map(|d| d.as_millis())),
+                    Opt(
+                        "substrate",
+                        (opts.substrate != Substrate::Auto).then_some(opts.substrate)
+                    ),
+                )
+            }
+            Request::Stats => f.write_str("STATS"),
+            Request::Metrics => f.write_str("METRICS"),
+            Request::Slowlog { n: None } => f.write_str("SLOWLOG"),
+            Request::Slowlog { n: Some(n) } => write!(f, "SLOWLOG {n}"),
+            Request::Trace { mode } => write!(f, "TRACE {mode}"),
+            Request::Shutdown => f.write_str("SHUTDOWN"),
+        }
     }
 }
 

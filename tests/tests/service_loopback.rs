@@ -3,6 +3,7 @@
 //! sessions, cross-checked against the CLI pipelines.
 
 use fbe_service::engine::Engine;
+use fbe_service::protocol::field;
 use fbe_service::server::Server;
 use fbe_service::ServiceConfig;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -56,12 +57,6 @@ impl Client {
         assert!(status.starts_with("OK"), "{line} -> {status}");
         (status, payload)
     }
-}
-
-fn field<'a>(status: &'a str, key: &str) -> Option<&'a str> {
-    status
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix(&format!("{key}=") as &str))
 }
 
 fn stat_value(payload: &[String], key: &str) -> u64 {

@@ -4,10 +4,11 @@
 //! and non-UTF-8 request lines; `LOAD` confinement under a data root.
 
 use fbe_service::engine::Engine;
+use fbe_service::protocol::field;
 use fbe_service::server::Server;
 use fbe_service::ServiceConfig;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,12 +57,6 @@ impl Client {
         assert!(status.starts_with("OK"), "{line} -> {status}");
         (status, payload)
     }
-}
-
-fn field<'a>(status: &'a str, key: &str) -> Option<&'a str> {
-    status
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix(&format!("{key}=") as &str))
 }
 
 fn stat_value(payload: &[String], key: &str) -> u64 {
@@ -156,6 +151,24 @@ fn coordinator_matches_single_process_for_every_miner() {
     let (_, got) = cc.ok(q);
     assert_eq!(got, want, "maximum via coordinator vs single-process");
 
+    // A result cap in maximum mode makes the answer a lower bound, and
+    // the coordinator must say so exactly as single-process does
+    // (which result survives the cap may differ; the marking may not).
+    let q = "ENUM g ssfbc alpha=1 beta=1 delta=1 max=vertices limit=1";
+    let (solo_status, _) = sc.ok(q);
+    let (coord_status, _) = cc.ok(q);
+    assert_eq!(
+        field(&solo_status, "truncated"),
+        Some("result-cap"),
+        "{solo_status}"
+    );
+    assert_eq!(
+        field(&coord_status, "truncated"),
+        field(&solo_status, "truncated"),
+        "{q}: {coord_status}"
+    );
+    assert_eq!(field(&coord_status, "count"), Some("1"), "{coord_status}");
+
     // Global result budget: exactly K results with truncation
     // reported. Which K survive depends on shard arrival order (the
     // shared budget races, exactly like `SharedBudget` across threads
@@ -244,6 +257,80 @@ fn killed_shard_answers_err_shard_within_the_deadline() {
     cc.ok("SHUTDOWN");
     for h in handles {
         h.join().unwrap().unwrap();
+    }
+}
+
+/// A scripted stand-in for a shard server on a test-local listener:
+/// it greets, answers `ENUM` with `enum_reply` verbatim (hanging up
+/// right after it when `hang_up`), and every other request with a
+/// bare `OK` block. It returns after answering `SHUTDOWN`.
+fn fake_shard(enum_reply: String, hang_up: bool) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let handle = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let mut stream = stream.expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            // Write errors only mean the coordinator already hung up.
+            let _ = stream.write_all(b"OK fbe-service protocol=1\n.\n");
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                if line.starts_with("ENUM ") {
+                    let _ = stream.write_all(enum_reply.as_bytes());
+                    if hang_up {
+                        break;
+                    }
+                } else {
+                    let _ = stream.write_all(b"OK fake\n.\n");
+                    if line.starts_with("SHUTDOWN") {
+                        return;
+                    }
+                }
+                line.clear();
+            }
+        }
+    });
+    (addr, handle)
+}
+
+/// A shard reply the coordinator cannot decode — a garbled result
+/// line, or a reply cut off before its terminator — fails the query
+/// with `ERR SHARD` and an empty payload, never a wrong or short
+/// result, and is counted in `shard_errors`.
+#[test]
+fn malformed_or_cut_off_shard_replies_answer_err_shard() {
+    let status = "OK model=SSFBC graph=g count=2 cached=false threads=1 elapsed_us=1";
+    for (what, reply, hang_up) in [
+        (
+            "garbled result line",
+            format!("{status}\nL=[1] R=[2]\nL=[1, x] R=[2]\n.\n"),
+            false,
+        ),
+        (
+            "reply cut off before the terminator",
+            format!("{status}\nL=[1] R=[2]\n"),
+            true,
+        ),
+    ] {
+        let (shard, shard_handle) = fake_shard(reply, hang_up);
+        let (coord, coord_handle) = start_server(ServiceConfig {
+            shards: vec![shard],
+            ..ServiceConfig::default()
+        });
+        let mut cc = Client::connect(&coord);
+        cc.ok("GEN g uniform:20,20,60,7");
+
+        let (status, payload) = cc.cmd("ENUM g ssfbc alpha=1 beta=1 delta=1");
+        assert!(status.starts_with("ERR SHARD shard=0 "), "{what}: {status}");
+        assert!(payload.is_empty(), "{what}: payload leaked: {payload:?}");
+
+        let (_, stats) = cc.ok("STATS");
+        assert_eq!(stat_value(&stats, "shard_errors"), 1, "{what}");
+        assert_eq!(stat_value(&stats, "queries_err"), 1, "{what}");
+
+        cc.ok("SHUTDOWN");
+        coord_handle.join().unwrap().unwrap();
+        shard_handle.join().unwrap();
     }
 }
 
