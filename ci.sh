@@ -112,7 +112,7 @@ cargo run "${profile_flag[@]}" --example quickstart >/dev/null
 step "smoke: cargo run --bin fbe -- --help"
 cargo run "${profile_flag[@]}" --bin fbe -- --help >/dev/null
 
-step "smoke: parallel engine — sorted, count, top-k and maximum output identical at 1 vs 4 threads"
+step "smoke: parallel engine — sorted (all four models), count, top-k and maximum output identical at 1 vs 4 threads"
 smokedir=$(mktemp -d)
 serve_pid=""
 shard1_pid=""
@@ -130,6 +130,17 @@ cargo run "${profile_flag[@]}" --bin fbe -- \
     enumerate "$smokedir/g" --alpha 2 --beta 1 --delta 1 --sorted --threads 4 \
     > "$smokedir/t4.out"
 diff "$smokedir/t1.out" "$smokedir/t4.out"
+# The other three models run the same walk through the other
+# expanders: bi-side, proportion, and proportion bi-side.
+for model in "--bi" "--theta 0.4" "--bi --theta 0.4"; do
+    for t in 1 4; do
+        # shellcheck disable=SC2086 # $model holds one or more words
+        cargo run "${profile_flag[@]}" --bin fbe -- \
+            enumerate "$smokedir/g" --alpha 2 --beta 1 --delta 2 $model --sorted --threads "$t" \
+            > "$smokedir/model_t$t.out"
+    done
+    diff "$smokedir/model_t1.out" "$smokedir/model_t4.out"
+done
 # Every streaming mode runs the same prepared path at any thread
 # count: count-only, top-k and maximum must match too.
 for mode in "enumerate --count-only" "enumerate --top 5" "maximum"; do

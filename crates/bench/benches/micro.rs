@@ -103,7 +103,7 @@ fn bench_primitives(c: &mut Criterion) {
     let g0: Vec<u32> = (0..12).collect();
     let g1: Vec<u32> = (100..110).collect();
     c.bench_function("combination_12x10", |bch| {
-        bch.iter(|| max_fair_subsets(black_box(&[&g0, &g1]), 4, 2))
+        bch.iter(|| max_fair_subsets(black_box(&[&g0, &g1]), 4, 2, None))
     });
 }
 

@@ -121,12 +121,15 @@ fn construct_2hop_counting(g: &BipartiteGraph, fair_side: Side, alpha: usize) ->
 }
 
 /// Build the bi-side 2-hop graph on `fair_side` of `g`:
-/// `{x, y} ∈ E(H)` iff for *every* attribute value `a` of the opposite
-/// side, `x` and `y` share at least `alpha` common neighbors whose
-/// attribute is `a`.
+/// `{x, y} ∈ E(H)` iff `x` and `y` share at least one common neighbor
+/// and, for *every* attribute value `a` of the opposite side, at least
+/// `alpha` common neighbors whose attribute is `a`.
+///
+/// `alpha = 0` is not raised to 1: a bi-side fair biclique with a zero
+/// threshold on the opposite side may lack some of its attribute
+/// values entirely, so only the one shared neighbor is required.
 pub fn construct_2hop_biside(g: &BipartiteGraph, fair_side: Side, alpha: usize) -> UniGraph {
     let n = g.n(fair_side);
-    let alpha = alpha.max(1);
     let n_attrs = g.n_attr_values(fair_side.other()) as usize;
     let other_attrs = g.attrs(fair_side.other());
     // Flattened per-(vertex, attr) counters.

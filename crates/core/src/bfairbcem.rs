@@ -14,6 +14,10 @@
 //!
 //! Non-redundancy: an emitted pair determines its source SSFBC
 //! (`L' = N(R')`), and `Combination` emits each `l'` once.
+//!
+//! `BFairBCEMPro++` (§IV-C) is the same step with the ratio threshold
+//! `θ`: `CombinationPro` on the upper side and the proportion-aware
+//! `MFSCheck` on the lower.
 
 use crate::biclique::{BicliqueSink, EnumStats};
 use crate::config::{
@@ -25,7 +29,8 @@ use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
 use bigraph::{BipartiteGraph, Side, VertexId};
 
 /// The upper-side expansion step of Algorithm 9 (lines 4–8): given an
-/// SSFBC `(L', R')`, emit the BSFBCs contained in it.
+/// SSFBC `(L', R')`, emit the BSFBCs contained in it — or, with
+/// `theta`, the PBSFBCs contained in a PSSFBC.
 ///
 /// Holds no sink — callers pass one per call ([`BiChainSink`] wires
 /// it behind an SSFBC enumerator; every enumeration worker owns its
@@ -33,12 +38,15 @@ use bigraph::{BipartiteGraph, Side, VertexId};
 pub(crate) struct BiSideExpander<'a> {
     g: &'a BipartiteGraph,
     params: FairParams,
+    /// The proportion models' ratio threshold; `None` for the absolute
+    /// models.
+    theta: Option<f64>,
     /// Upper-side candidate ops (`N(l')` intersects upper adjacency).
     ops: AdjOps<'a>,
     /// Budget over upper-side expansion steps (one `Combination` can
     /// be binomially large).
     pub(crate) clock: BudgetClock,
-    /// BSFBCs emitted so far.
+    /// Results emitted so far.
     pub emitted: u64,
     groups: Vec<Vec<VertexId>>,
     /// Long-lived scratch for the per-subset MFSCheck: `N(l')`, the
@@ -55,6 +63,7 @@ impl<'a> BiSideExpander<'a> {
     pub(crate) fn with_clock(
         g: &'a BipartiteGraph,
         params: FairParams,
+        theta: Option<f64>,
         ops: AdjOps<'a>,
         clock: BudgetClock,
     ) -> Self {
@@ -63,6 +72,7 @@ impl<'a> BiSideExpander<'a> {
         BiSideExpander {
             g,
             params,
+            theta,
             ops,
             clock,
             emitted: 0,
@@ -88,45 +98,56 @@ impl<'a> BiSideExpander<'a> {
         }
 
         self.base.recount(r, attrs_l);
-        let params = self.params;
+        let (params, theta) = (self.params, self.theta);
         let ops = &mut self.ops;
         let emitted = &mut self.emitted;
         let clock = &mut self.clock;
         let nl = &mut self.nl;
         let base = &self.base;
         let cand = &mut self.cand;
-        for_each_max_fair_subset(&self.groups, params.alpha, params.delta, &mut |l_sub| {
-            // Candidates for extending R': N(l_sub) \ R'.
-            ops.common_neighbors_into(l_sub, nl);
-            debug_assert!(bigraph::is_sorted_subset(r, nl), "R' ⊆ N(l')");
-            cand.clear();
-            let mut i = 0usize;
-            for &v in nl.iter() {
-                while i < r.len() && r[i] < v {
-                    i += 1;
+        for_each_max_fair_subset(
+            &self.groups,
+            params.alpha,
+            params.delta,
+            theta,
+            &mut |l_sub| {
+                // Candidates for extending R': N(l_sub) \ R'.
+                ops.common_neighbors_into(l_sub, nl);
+                debug_assert!(bigraph::is_sorted_subset(r, nl), "R' ⊆ N(l')");
+                cand.clear();
+                let mut i = 0usize;
+                for &v in nl.iter() {
+                    while i < r.len() && r[i] < v {
+                        i += 1;
+                    }
+                    if i < r.len() && r[i] == v {
+                        continue;
+                    }
+                    cand.inc(attrs_l[v as usize]);
                 }
-                if i < r.len() && r[i] == v {
-                    continue;
+                if is_maximal_fair_subset(
+                    base.as_slice(),
+                    cand.as_slice(),
+                    params.beta,
+                    params.delta,
+                    theta,
+                ) && clock.try_result()
+                {
+                    sink.emit(l_sub, r);
+                    *emitted += 1;
                 }
-                cand.inc(attrs_l[v as usize]);
-            }
-            if is_maximal_fair_subset(base.as_slice(), cand.as_slice(), params.beta, params.delta)
-                && clock.try_result()
-            {
-                sink.emit(l_sub, r);
-                *emitted += 1;
-            }
-            clock.tick()
-        });
+                clock.tick()
+            },
+        );
     }
 }
 
-/// [`BicliqueSink`] adapter chaining an SSFBC enumerator into
+/// [`BicliqueSink`] adapter chaining a single-side enumerator into
 /// [`BiSideExpander::expand`] with a downstream sink.
 pub(crate) struct BiChainSink<'x, 'g> {
     /// The bi-side expansion state.
     pub(crate) exp: &'x mut BiSideExpander<'g>,
-    /// Where BSFBCs land.
+    /// Where the bi-side results land.
     pub(crate) sink: &'x mut dyn BicliqueSink,
 }
 
@@ -156,6 +177,7 @@ pub fn bfairbcem_on_pruned(
     let mut expander = BiSideExpander::with_clock(
         g,
         params,
+        None,
         plan.ops(g, Side::Upper),
         shared.clock(BudgetLane::Expand),
     );
@@ -174,8 +196,9 @@ pub fn bfairbcem_on_pruned(
 mod tests {
     use super::*;
     use crate::biclique::{Biclique, CollectSink};
+    use crate::config::ProParams;
     use crate::prepared::{mine_unpruned, QueryModel};
-    use crate::verify::oracle_bsfbc;
+    use crate::verify::{oracle_bsfbc, oracle_pbsfbc};
     use bigraph::generate::random_uniform;
     use bigraph::GraphBuilder;
     use std::collections::BTreeSet;
@@ -283,6 +306,30 @@ mod tests {
             let want = oracle_bsfbc(&g, params);
             let got = run(&g, params, VertexOrder::DegreeDesc, true);
             assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    fn run_bi(g: &BipartiteGraph, pro: ProParams) -> BTreeSet<Biclique> {
+        let model = QueryModel::Pbsfbc(pro);
+        let report = mine_unpruned(g, model, VertexOrder::DegreeDesc, Budget::UNLIMITED);
+        assert!(!report.stats.aborted);
+        let set: BTreeSet<Biclique> = report.bicliques.iter().cloned().collect();
+        assert_eq!(set.len(), report.bicliques.len(), "no duplicates");
+        set
+    }
+
+    #[test]
+    fn pbsfbc_matches_oracle() {
+        for seed in 0..15u64 {
+            let g = random_uniform(7, 8, 26, 2, 2, seed);
+            for theta in [0.0, 0.35, 0.5] {
+                for (a, b, d) in [(1, 1, 1), (1, 1, 2)] {
+                    let pro = ProParams::new(a, b, d, theta).unwrap();
+                    let want = oracle_pbsfbc(&g, pro);
+                    let got = run_bi(&g, pro);
+                    assert_eq!(got, want, "seed {seed} {pro}");
+                }
+            }
         }
     }
 }

@@ -180,6 +180,7 @@ impl Search<'_> {
                         cand.as_slice(),
                         self.params.beta,
                         self.params.delta,
+                        None,
                     ) && self.clock.try_result()
                     {
                         let mut r_sorted = r.clone();

@@ -19,19 +19,27 @@
 //! `R*`, hence in `N(R*) = L*`), and `R*` is one of its maximal fair
 //! subsets with `N(R*) = L*`.
 //!
+//! `FairBCEMPro++` (§III-D) is the same step with the ratio threshold
+//! `θ`: proportion-fair inspection and the exact `CombinationPro`
+//! ([`crate::fairset::for_each_max_fair_subset`] with `Some(θ)`).
+//!
 //! This module holds the expansion step; the walk and its drivers are
 //! shared by every `++` miner ([`crate::prepared`], [`crate::parallel`]).
 
 use crate::biclique::BicliqueSink;
 use crate::config::{BudgetClock, FairParams};
-use crate::fairset::{for_each_max_fair_subset, is_fair, AttrCounts};
+use crate::fairset::{for_each_max_fair_subset, is_fair_with, AttrCounts};
 use bigraph::candidate::{AdjOps, CandidateOps};
 use bigraph::{BipartiteGraph, Side, VertexId};
 
 /// The expansion step of Algorithm 6 (lines 23–28): given a maximal
-/// biclique `(L, R)` with `|L| ≥ α`, emit the SSFBCs it contains.
+/// biclique `(L, R)` with `|L| ≥ α`, emit the SSFBCs it contains —
+/// or, with `theta`, the PSSFBCs.
 pub(crate) struct SsExpander<'a> {
     params: FairParams,
+    /// The proportion models' ratio threshold; `None` for the absolute
+    /// models.
+    theta: Option<f64>,
     attrs: &'a [bigraph::AttrValueId],
     groups: Vec<Vec<VertexId>>,
     /// Attribute-count scratch, recounted per expansion (no per-call
@@ -44,7 +52,7 @@ pub(crate) struct SsExpander<'a> {
     /// binomially many subsets, so the walker's node budget alone
     /// cannot bound a run.
     pub(crate) clock: BudgetClock,
-    /// SSFBCs emitted so far.
+    /// Results emitted so far.
     pub(crate) emitted: u64,
 }
 
@@ -55,12 +63,14 @@ impl<'a> SsExpander<'a> {
     pub(crate) fn with_clock(
         g: &'a BipartiteGraph,
         params: FairParams,
+        theta: Option<f64>,
         ops: AdjOps<'a>,
         clock: BudgetClock,
     ) -> Self {
         let n_attrs = (g.n_attr_values(Side::Lower) as usize).max(1);
         SsExpander {
             params,
+            theta,
             attrs: g.attrs(Side::Lower),
             groups: vec![Vec::new(); n_attrs],
             counts: AttrCounts::zeros(n_attrs),
@@ -75,7 +85,8 @@ impl<'a> SsExpander<'a> {
             return;
         }
         self.counts.recount(r, self.attrs);
-        if is_fair(self.counts.as_slice(), self.params.beta, self.params.delta) {
+        let (beta, delta) = (self.params.beta, self.params.delta);
+        if is_fair_with(self.counts.as_slice(), beta, delta, self.theta) {
             if self.clock.try_result() {
                 sink.emit(l, r);
                 self.emitted += 1;
@@ -95,24 +106,19 @@ impl<'a> SsExpander<'a> {
         let ops = &mut self.ops;
         let emitted = &mut self.emitted;
         let clock = &mut self.clock;
-        for_each_max_fair_subset(
-            &self.groups,
-            self.params.beta,
-            self.params.delta,
-            &mut |r_sub| {
-                // With beta = 0 the unique maximal fair subset can be
-                // empty (e.g. counts (3,0) at delta 0); an empty fair
-                // side is a degenerate non-result in every model.
-                // `(L, r')` is an SSFBC iff `N(r') = L` exactly;
-                // `l ⊆ N(r_sub)` holds by construction, so comparing
-                // closure size against `|l|` suffices.
-                if !r_sub.is_empty() && ops.closure_matches(r_sub, l.len()) && clock.try_result() {
-                    sink.emit(l, r_sub);
-                    *emitted += 1;
-                }
-                clock.tick()
-            },
-        );
+        for_each_max_fair_subset(&self.groups, beta, delta, self.theta, &mut |r_sub| {
+            // With beta = 0 the unique maximal fair subset can be
+            // empty (e.g. counts (3,0) at delta 0); an empty fair
+            // side is a degenerate non-result in every model.
+            // `(L, r')` is an SSFBC iff `N(r') = L` exactly;
+            // `l ⊆ N(r_sub)` holds by construction, so comparing
+            // closure size against `|l|` suffices.
+            if !r_sub.is_empty() && ops.closure_matches(r_sub, l.len()) && clock.try_result() {
+                sink.emit(l, r_sub);
+                *emitted += 1;
+            }
+            clock.tick()
+        });
     }
 }
 
@@ -120,10 +126,10 @@ impl<'a> SsExpander<'a> {
 mod tests {
     use super::*;
     use crate::biclique::{Biclique, CollectSink};
-    use crate::config::{Budget, Substrate, VertexOrder};
+    use crate::config::{Budget, ProParams, Substrate, VertexOrder};
     use crate::pipeline::RunReport;
     use crate::prepared::{mine_unpruned, QueryModel};
-    use crate::verify::oracle_ssfbc;
+    use crate::verify::{oracle_pssfbc, oracle_ssfbc};
     use bigraph::candidate::CandidatePlan;
     use bigraph::generate::{plant_bicliques, random_uniform};
     use bigraph::GraphBuilder;
@@ -139,7 +145,20 @@ mod tests {
     }
 
     fn run(g: &BipartiteGraph, params: FairParams, order: VertexOrder) -> BTreeSet<Biclique> {
-        let report = mine(g, params, order, Budget::UNLIMITED);
+        collect(mine(g, params, order, Budget::UNLIMITED))
+    }
+
+    fn run_ss(g: &BipartiteGraph, pro: ProParams) -> BTreeSet<Biclique> {
+        let model = QueryModel::Pssfbc(pro);
+        collect(mine_unpruned(
+            g,
+            model,
+            VertexOrder::DegreeDesc,
+            Budget::UNLIMITED,
+        ))
+    }
+
+    fn collect(report: RunReport) -> BTreeSet<Biclique> {
         assert!(!report.stats.aborted);
         let set: BTreeSet<Biclique> = report.bicliques.iter().cloned().collect();
         assert_eq!(set.len(), report.bicliques.len(), "no duplicate emissions");
@@ -276,6 +295,47 @@ mod tests {
         let full = oracle_ssfbc(&g, params);
         for b in capped.bicliques {
             assert!(full.contains(&b));
+        }
+    }
+
+    #[test]
+    fn pssfbc_matches_oracle() {
+        for seed in 0..20u64 {
+            let g = random_uniform(8, 10, 34, 2, 2, seed);
+            for theta in [0.0, 0.3, 0.4, 0.5] {
+                for (a, b, d) in [(1, 1, 1), (2, 1, 2), (2, 2, 1)] {
+                    let pro = ProParams::new(a, b, d, theta).unwrap();
+                    let want = oracle_pssfbc(&g, pro);
+                    let got = run_ss(&g, pro);
+                    assert_eq!(got, want, "seed {seed} {pro}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn theta_zero_equals_plain_model() {
+        for seed in 30..40u64 {
+            let g = random_uniform(9, 10, 40, 2, 2, seed);
+            let pro = ProParams::new(2, 1, 1, 0.0).unwrap();
+            let got = run_ss(&g, pro);
+            let plain = run(&g, FairParams::unchecked(2, 1, 1), VertexOrder::DegreeDesc);
+            assert_eq!(got, plain, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn larger_theta_means_fewer_or_equal_results_at_delta_zero() {
+        // With delta = 0 the fair sides are perfectly balanced, so
+        // every plain SSFBC is proportion-fair for any theta <= 0.5:
+        // counts must be monotone across theta in that regime.
+        let g = random_uniform(10, 10, 45, 2, 2, 77);
+        let mut prev = usize::MAX;
+        for theta in [0.5, 0.4, 0.3, 0.0] {
+            let pro = ProParams::new(1, 1, 0, theta).unwrap();
+            let n = run_ss(&g, pro).len();
+            assert!(n <= prev || prev == usize::MAX);
+            prev = n;
         }
     }
 }

@@ -44,6 +44,13 @@
 //! additionally exposes the paper's closed form
 //! `c_i = min(|S_i|, msize+δ, ⌊msize·(1−θ)/θ⌋)`, which the tests
 //! cross-validate on the paper's two-attribute setting.
+//!
+//! The enumerators take `θ` as an `Option<f64>` next to `(k, δ)`:
+//! `None` is the absolute model, `Some(θ)` the proportion model, even at
+//! `θ = 0`. [`for_each_max_fair_subset`] is the one place that picks
+//! `Combination` or `CombinationPro`; the latter is the exact lattice
+//! search for any attribute-domain size, equal to the paper's closed
+//! form on its two-value domains (property-tested).
 
 use bigraph::VertexId;
 
@@ -147,19 +154,41 @@ pub fn is_fair_pro(counts: &[u32], k: u32, delta: u32, theta: f64) -> bool {
     ratio_ok(min, total, theta)
 }
 
+/// [`is_fair`] for `theta = None`, [`is_fair_pro`] for `Some(θ)`.
+pub(crate) fn is_fair_with(counts: &[u32], k: u32, delta: u32, theta: Option<f64>) -> bool {
+    match theta {
+        None => is_fair(counts, k, delta),
+        Some(t) => is_fair_pro(counts, k, delta, t),
+    }
+}
+
 #[inline]
 fn ratio_ok(c: u32, total: u32, theta: f64) -> bool {
     c as f64 + RATIO_EPS >= theta * total as f64
 }
 
 /// `MFSCheck` (Algorithm 4): is the fair set with counts `base` a
-/// *maximal* fair subset of the set with counts `base + cand`?
+/// *maximal* fair subset of the set with counts `base + cand`? With
+/// `theta`, "fair" means proportion-fair throughout.
 ///
 /// Completeness argument in the module docs. Runs in `O(n_attrs)`.
-pub fn is_maximal_fair_subset(base: &[u32], cand: &[u32], k: u32, delta: u32) -> bool {
+/// The "add one of each attribute" shortcut remains valid under the
+/// ratio constraint: for an attribute at or below the average share,
+/// `(c+1)/(t+n) ≥ c/t`; for one above the average, `(c+1)/(t+n) ≥ 1/n
+/// ≥ θ` (the models require `θ ≤ 1/n`). With `theta` the
+/// single-addition sweep is proven for two attribute values — the
+/// paper's setting — and property-tested on three against the
+/// brute-force oracle, which uses [`exists_fair_extension`] instead.
+pub fn is_maximal_fair_subset(
+    base: &[u32],
+    cand: &[u32],
+    k: u32,
+    delta: u32,
+    theta: Option<f64>,
+) -> bool {
     debug_assert_eq!(base.len(), cand.len());
     // Line 1: Ŝ must itself be fair.
-    if !is_fair(base, k, delta) {
+    if !is_fair_with(base, k, delta, theta) {
         return false;
     }
     // Line 3: every attribute still has candidates -> add one of each.
@@ -171,45 +200,7 @@ pub fn is_maximal_fair_subset(base: &[u32], cand: &[u32], k: u32, delta: u32) ->
     for i in 0..base.len() {
         if cand[i] > 0 {
             scratch[i] += 1;
-            let ok = is_fair(&scratch, k, delta);
-            scratch[i] -= 1;
-            if ok {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Proportion-aware `MFSCheck`: is the proportion-fair set `base` a
-/// maximal proportion-fair subset of `base + cand`?
-///
-/// Mirrors Algorithm 4 with [`is_fair_pro`] as the feasibility test.
-/// The "add one of each attribute" shortcut remains valid under the
-/// ratio constraint: for an attribute at or below the average share,
-/// `(c+1)/(t+n) ≥ c/t`; for one above the average, `(c+1)/(t+n) ≥ 1/n
-/// ≥ θ` (the models require `θ ≤ 1/n`). The single-addition sweep is
-/// exact for two attribute values — the paper's setting; the
-/// brute-force oracle uses [`exists_fair_extension`] instead.
-pub fn is_maximal_fair_subset_pro(
-    base: &[u32],
-    cand: &[u32],
-    k: u32,
-    delta: u32,
-    theta: f64,
-) -> bool {
-    debug_assert_eq!(base.len(), cand.len());
-    if !is_fair_pro(base, k, delta, theta) {
-        return false;
-    }
-    if cand.iter().all(|&c| c > 0) {
-        return false;
-    }
-    let mut scratch = base.to_vec();
-    for i in 0..base.len() {
-        if cand[i] > 0 {
-            scratch[i] += 1;
-            let ok = is_fair_pro(&scratch, k, delta, theta);
+            let ok = is_fair_with(&scratch, k, delta, theta);
             scratch[i] -= 1;
             if ok {
                 return false;
@@ -245,10 +236,7 @@ pub fn exists_fair_extension(
             if !nonzero {
                 return false;
             }
-            return match theta {
-                None => is_fair(cur, k, delta),
-                Some(t) => is_fair_pro(cur, k, delta, t),
-            };
+            return is_fair_with(cur, k, delta, theta);
         }
         for d in 0..=cand[i] {
             cur[i] = base[i] + d;
@@ -488,34 +476,38 @@ pub fn for_each_sized_product<G: AsRef<[VertexId]>>(
     e.rec(groups, sizes)
 }
 
-/// `Combination` (Algorithm 7): all maximal fair subsets of the set
+/// `Combination` (Algorithm 7), or with `theta` the exact
+/// `CombinationPro`: all maximal (proportion-)fair subsets of the set
 /// whose members are given per attribute in `groups`. Results sorted.
 /// Early-terminates (returning `false`) when the callback does.
 pub fn for_each_max_fair_subset<G: AsRef<[VertexId]>>(
     groups: &[G],
     k: u32,
     delta: u32,
+    theta: Option<f64>,
     f: &mut dyn FnMut(&[VertexId]) -> bool,
 ) -> bool {
     let counts: Vec<u32> = groups.iter().map(|g| g.as_ref().len() as u32).collect();
+    if let Some(t) = theta {
+        return for_each_max_pro_fair_subset(groups, &counts, k, delta, t, f);
+    }
     match combination_sizes(&counts, k, delta) {
         Some(sizes) => for_each_sized_product(groups, &sizes, f),
         None => true,
     }
 }
 
-/// Exact `CombinationPro`: all maximal proportion-fair subsets of the
-/// per-attribute `groups`. Early-terminates (returning `false`) when
-/// the callback does.
-pub fn for_each_max_pro_fair_subset<G: AsRef<[VertexId]>>(
+/// Exact `CombinationPro` over `groups` with sizes `counts`: the
+/// products of every maximal proportion-fair size vector.
+fn for_each_max_pro_fair_subset<G: AsRef<[VertexId]>>(
     groups: &[G],
+    counts: &[u32],
     k: u32,
     delta: u32,
     theta: f64,
     f: &mut dyn FnMut(&[VertexId]) -> bool,
 ) -> bool {
-    let counts: Vec<u32> = groups.iter().map(|g| g.as_ref().len() as u32).collect();
-    for sizes in max_pro_fair_size_vectors(&counts, k, delta, theta) {
+    for sizes in max_pro_fair_size_vectors(counts, k, delta, theta) {
         if !for_each_sized_product(groups, &sizes, f) {
             return false;
         }
@@ -524,24 +516,14 @@ pub fn for_each_max_pro_fair_subset<G: AsRef<[VertexId]>>(
 }
 
 /// Collecting wrapper around [`for_each_max_fair_subset`].
-pub fn max_fair_subsets(groups: &[&[VertexId]], k: u32, delta: u32) -> Vec<Vec<VertexId>> {
-    let mut out = Vec::new();
-    for_each_max_fair_subset(groups, k, delta, &mut |s| {
-        out.push(s.to_vec());
-        true
-    });
-    out
-}
-
-/// Collecting wrapper around [`for_each_max_pro_fair_subset`].
-pub fn max_pro_fair_subsets(
+pub fn max_fair_subsets(
     groups: &[&[VertexId]],
     k: u32,
     delta: u32,
-    theta: f64,
+    theta: Option<f64>,
 ) -> Vec<Vec<VertexId>> {
     let mut out = Vec::new();
-    for_each_max_pro_fair_subset(groups, k, delta, theta, &mut |s| {
+    for_each_max_fair_subset(groups, k, delta, theta, &mut |s| {
         out.push(s.to_vec());
         true
     });
@@ -574,19 +556,19 @@ mod tests {
     #[test]
     fn mfs_check_all_attrs_have_candidates() {
         // Both attrs have candidates -> never maximal.
-        assert!(!is_maximal_fair_subset(&[2, 2], &[1, 1], 2, 0));
+        assert!(!is_maximal_fair_subset(&[2, 2], &[1, 1], 2, 0, None));
     }
 
     #[test]
     fn mfs_check_single_additions() {
         // base (3,2), delta 1: adding one of attr 0 -> (4,2) breaks.
-        assert!(is_maximal_fair_subset(&[3, 2], &[5, 0], 2, 1));
+        assert!(is_maximal_fair_subset(&[3, 2], &[5, 0], 2, 1, None));
         // base (2,2): adding one of attr 0 -> (3,2) fair -> not maximal.
-        assert!(!is_maximal_fair_subset(&[2, 2], &[5, 0], 2, 1));
+        assert!(!is_maximal_fair_subset(&[2, 2], &[5, 0], 2, 1, None));
         // base not fair -> false.
-        assert!(!is_maximal_fair_subset(&[1, 2], &[0, 0], 2, 1));
+        assert!(!is_maximal_fair_subset(&[1, 2], &[0, 0], 2, 1, None));
         // no candidates at all -> maximal iff fair.
-        assert!(is_maximal_fair_subset(&[2, 2], &[0, 0], 2, 1));
+        assert!(is_maximal_fair_subset(&[2, 2], &[0, 0], 2, 1, None));
     }
 
     #[test]
@@ -600,7 +582,7 @@ mod tests {
                             for c1 in 0..3u32 {
                                 let base = [b0, b1];
                                 let cand = [c0, c1];
-                                let fast = is_maximal_fair_subset(&base, &cand, k, delta);
+                                let fast = is_maximal_fair_subset(&base, &cand, k, delta, None);
                                 let slow = is_fair(&base, k, delta)
                                     && !exists_fair_extension(&base, &cand, k, delta, None);
                                 assert_eq!(
@@ -621,7 +603,7 @@ mod tests {
             for delta in 0..3u32 {
                 for base in [[2, 2, 2], [3, 2, 2], [4, 2, 3], [2, 4, 4]] {
                     for cand in [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1], [2, 0, 2]] {
-                        let fast = is_maximal_fair_subset(&base, &cand, k, delta);
+                        let fast = is_maximal_fair_subset(&base, &cand, k, delta, None);
                         let slow = is_fair(&base, k, delta)
                             && !exists_fair_extension(&base, &cand, k, delta, None);
                         assert_eq!(fast, slow, "base={base:?} cand={cand:?} k={k} d={delta}");
@@ -643,7 +625,7 @@ mod tests {
                                     let base = [b0, b1];
                                     let cand = [c0, c1];
                                     let fast =
-                                        is_maximal_fair_subset_pro(&base, &cand, k, delta, theta);
+                                        is_maximal_fair_subset(&base, &cand, k, delta, Some(theta));
                                     let slow = is_fair_pro(&base, k, delta, theta)
                                         && !exists_fair_extension(
                                             &base,
@@ -737,7 +719,7 @@ mod tests {
         // sizes = (2,2) -> C(3,2)*C(2,2) = 3 subsets
         let g0: Vec<VertexId> = vec![0, 1, 2];
         let g1: Vec<VertexId> = vec![10, 11];
-        let subs = max_fair_subsets(&[&g0, &g1], 1, 0);
+        let subs = max_fair_subsets(&[&g0, &g1], 1, 0, None);
         assert_eq!(subs.len(), 3);
         for s in &subs {
             assert_eq!(s.len(), 4);
@@ -746,7 +728,7 @@ mod tests {
         }
         // Below k -> nothing.
         let empty: Vec<VertexId> = vec![];
-        assert!(max_fair_subsets(&[&g0, &empty], 1, 5).is_empty());
+        assert!(max_fair_subsets(&[&g0, &empty], 1, 5, None).is_empty());
     }
 
     #[test]
@@ -754,7 +736,7 @@ mod tests {
         // |S0|=4, |S1|=2, k=1, delta=1 -> sizes (3,2) -> C(4,3)*C(2,2)=4
         let g0: Vec<VertexId> = (0..4).collect();
         let g1: Vec<VertexId> = (10..12).collect();
-        assert_eq!(max_fair_subsets(&[&g0, &g1], 1, 1).len(), 4);
+        assert_eq!(max_fair_subsets(&[&g0, &g1], 1, 1, None).len(), 4);
     }
 
     #[test]

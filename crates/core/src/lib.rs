@@ -14,9 +14,10 @@
 //! * **Enumeration** — the branch-and-bound `FairBCEM` ([`fairbcem`],
 //!   Algorithm 5), the combinatorial `FairBCEM++` ([`fairbcem_pp`],
 //!   Algorithm 6), the bi-side `BFairBCEM` / `BFairBCEM++`
-//!   ([`bfairbcem`], Algorithm 9), proportion enumerators
-//!   ([`proportion`]), the naive baselines `NSF` / `BNSF` ([`naive`]),
-//!   and plain maximal biclique enumeration ([`mbea`]).
+//!   ([`bfairbcem`], Algorithm 9), the naive baselines `NSF` / `BNSF`
+//!   ([`naive`]), and plain maximal biclique enumeration ([`mbea`]).
+//!   The proportion miners `FairBCEMPro++` / `BFairBCEMPro++` are the
+//!   same two expansion steps with the model's ratio threshold `θ`.
 //! * **One execution path** — the four `++` miners share one pipeline
 //!   (prune, walk the maximal bicliques with `|L| ≥ α`, expand each),
 //!   so they share one driver: a [`prepared::PreparedQuery`] prunes
@@ -89,7 +90,6 @@ pub mod ordering;
 pub mod parallel;
 pub mod pipeline;
 pub mod prepared;
-pub mod proportion;
 pub mod results;
 pub mod verify;
 

@@ -79,6 +79,7 @@ pub fn bnsf_on_pruned(
     let mut expander = BiSideExpander::with_clock(
         g,
         params,
+        None,
         bigraph::candidate::AdjOps::Sorted(bigraph::candidate::SortedOps::new(g, Side::Upper)),
         shared.clock(BudgetLane::Expand),
     );
@@ -157,6 +158,7 @@ impl Naive<'_> {
                     fc_counts.as_slice(),
                     self.params.beta,
                     self.params.delta,
+                    None,
                 )
                 && self.clock.try_result()
             {

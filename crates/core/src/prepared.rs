@@ -36,7 +36,6 @@ use crate::mbea::RBound;
 use crate::obs::SpanRecorder;
 use crate::parallel::{Walk, WalkVisitor};
 use crate::pipeline::RunReport;
-use crate::proportion::{ProBiChainSink, ProBiSideExpander, ProSsExpander};
 use bigraph::candidate::CandidatePlan;
 use bigraph::{BipartiteGraph, Side, VertexId};
 use std::time::{Duration, Instant};
@@ -48,9 +47,11 @@ pub enum QueryModel {
     Ssfbc(FairParams),
     /// Bi-side fair bicliques (Definition 4), `BFairBCEM++`.
     Bsfbc(FairParams),
-    /// Proportion single-side (Definition 5), `FairBCEMPro++`.
+    /// Proportion single-side (Definition 5), `FairBCEMPro++`: the
+    /// `FairBCEM++` expansion with the ratio threshold `θ`.
     Pssfbc(ProParams),
-    /// Proportion bi-side (Definition 6), `BFairBCEMPro++`.
+    /// Proportion bi-side (Definition 6), `BFairBCEMPro++`: the
+    /// `BFairBCEM++` expansion with the ratio threshold `θ`.
     Pbsfbc(ProParams),
 }
 
@@ -78,7 +79,9 @@ impl QueryModel {
         }
     }
 
-    /// The ratio threshold `θ` of the proportion models.
+    /// The ratio threshold `θ` of the proportion models. `Some` selects
+    /// the proportion-aware expansion (`CombinationPro`) even at
+    /// `θ = 0`, so a model's emission order depends only on the model.
     pub fn theta(&self) -> Option<f64> {
         match self {
             QueryModel::Pssfbc(p) | QueryModel::Pbsfbc(p) => Some(p.theta),
@@ -393,15 +396,14 @@ impl PreparedQuery {
 
 /// The expansion step of one model: what each maximal biclique the
 /// walk visits turns into. The single-side models emit its maximal
-/// fair (or proportion-fair) lower subsets with `N(r') = L`; the
-/// bi-side models chain those into the upper-side expansion of
-/// Algorithm 9, where the single-side stage is intermediate and exempt
-/// from the result cap (only the bi-side results are final).
+/// fair (or, with the model's `θ`, proportion-fair) lower subsets with
+/// `N(r') = L`; the bi-side models chain those into the upper-side
+/// expansion of Algorithm 9, where the single-side stage is
+/// intermediate and exempt from the result cap (only the bi-side
+/// results are final).
 enum Expansion<'g> {
     Ss(SsExpander<'g>),
-    Bi(SsExpander<'g>, BiSideExpander<'g>),
-    ProSs(ProSsExpander<'g>),
-    ProBi(ProSsExpander<'g>, ProBiSideExpander<'g>),
+    Bi(SsExpander<'g>, Box<BiSideExpander<'g>>),
 }
 
 impl<'g> Expansion<'g> {
@@ -411,20 +413,14 @@ impl<'g> Expansion<'g> {
         plan: &'g CandidatePlan,
         clock: BudgetClock,
     ) -> Self {
-        let lower = plan.ops(g, Side::Lower);
-        match model {
-            QueryModel::Ssfbc(p) => Expansion::Ss(SsExpander::with_clock(g, p, lower, clock)),
-            QueryModel::Bsfbc(p) => Expansion::Bi(
-                SsExpander::with_clock(g, p, lower, clock.clone().exempt_results()),
-                BiSideExpander::with_clock(g, p, plan.ops(g, Side::Upper), clock),
-            ),
-            QueryModel::Pssfbc(p) => {
-                Expansion::ProSs(ProSsExpander::with_clock(g, p, lower, clock))
-            }
-            QueryModel::Pbsfbc(p) => Expansion::ProBi(
-                ProSsExpander::with_clock(g, p, lower, clock.clone().exempt_results()),
-                ProBiSideExpander::with_clock(g, p, plan.ops(g, Side::Upper), clock),
-            ),
+        let (p, theta) = (model.base(), model.theta());
+        let ss = |clock| SsExpander::with_clock(g, p, theta, plan.ops(g, Side::Lower), clock);
+        if model.is_bi_side() {
+            let bi =
+                BiSideExpander::with_clock(g, p, theta, plan.ops(g, Side::Upper), clock.clone());
+            Expansion::Bi(ss(clock.exempt_results()), Box::new(bi))
+        } else {
+            Expansion::Ss(ss(clock))
         }
     }
 
@@ -432,8 +428,6 @@ impl<'g> Expansion<'g> {
         match self {
             Expansion::Ss(ss) => ss.expand(l, r, sink),
             Expansion::Bi(ss, bi) => ss.expand(l, r, &mut BiChainSink { exp: bi, sink }),
-            Expansion::ProSs(ss) => ss.expand(l, r, sink),
-            Expansion::ProBi(ss, bi) => ss.expand(l, r, &mut ProBiChainSink { exp: bi, sink }),
         }
     }
 
@@ -446,15 +440,6 @@ impl<'g> Expansion<'g> {
                 ss.clock.settle(stats);
             }
             Expansion::Bi(ss, bi) => {
-                stats.emitted += bi.emitted;
-                ss.clock.settle(stats);
-                bi.clock.settle(stats);
-            }
-            Expansion::ProSs(ss) => {
-                stats.emitted += ss.emitted;
-                ss.clock.settle(stats);
-            }
-            Expansion::ProBi(ss, bi) => {
                 stats.emitted += bi.emitted;
                 ss.clock.settle(stats);
                 bi.clock.settle(stats);

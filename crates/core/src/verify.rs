@@ -19,7 +19,7 @@
 
 use crate::biclique::Biclique;
 use crate::config::{FairParams, ProParams};
-use crate::fairset::{exists_fair_extension, is_fair, is_fair_pro, AttrCounts};
+use crate::fairset::{exists_fair_extension, is_fair_with, AttrCounts};
 use bigraph::{is_sorted_subset, BipartiteGraph, Side, VertexId};
 use std::collections::BTreeSet;
 
@@ -61,11 +61,7 @@ fn oracle_ssfbc_inner(
     for mask in 1u32..(1u32 << n_v) {
         let r = subset_from_mask(mask);
         let counts = AttrCounts::of(&r, attrs, n_attrs);
-        let fair = match theta {
-            None => is_fair(counts.as_slice(), params.beta, params.delta),
-            Some(t) => is_fair_pro(counts.as_slice(), params.beta, params.delta, t),
-        };
-        if !fair {
+        if !is_fair_with(counts.as_slice(), params.beta, params.delta, theta) {
             continue;
         }
         let l = g.common_neighbors(Side::Lower, &r);
@@ -121,10 +117,7 @@ fn oracle_bsfbc_inner(
     let na_u = (g.n_attr_values(Side::Upper) as usize).max(1);
     let attrs_l = g.attrs(Side::Lower);
     let attrs_u = g.attrs(Side::Upper);
-    let feasible = |counts: &[u32], k: u32| match theta {
-        None => is_fair(counts, k, params.delta),
-        Some(t) => is_fair_pro(counts, k, params.delta, t),
-    };
+    let feasible = |counts: &[u32], k: u32| is_fair_with(counts, k, params.delta, theta);
     let mut out = BTreeSet::new();
 
     for mask in 1u32..(1u32 << n_v) {
@@ -214,6 +207,7 @@ pub fn oracle_maximal_bicliques(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fairset::is_fair;
     use bigraph::GraphBuilder;
 
     /// 3x4 complete block, attrs U = [0,1,0], V = [0,0,1,1], plus a

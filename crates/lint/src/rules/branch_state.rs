@@ -38,7 +38,6 @@ const SCOPES: &[&str] = &[
     "crates/core/src/mbea.rs",
     "crates/core/src/fairbcem_pp.rs",
     "crates/core/src/bfairbcem.rs",
-    "crates/core/src/proportion.rs",
 ];
 
 /// Identifiers that name branch-state sets in the walkers.

@@ -15,15 +15,20 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 /// Strategy: a random attributed bipartite graph with `nu x nv`
-/// vertices and the given edge density.
+/// vertices, edge density 0.4, and an attribute domain of 2 or 3
+/// values on each side.
 fn graph_strategy(nu: usize, nv: usize) -> impl Strategy<Value = BipartiteGraph> {
-    (
-        proptest::collection::vec(proptest::bool::weighted(0.4), nu * nv),
-        proptest::collection::vec(0u16..2, nu),
-        proptest::collection::vec(0u16..2, nv),
-    )
-        .prop_map(move |(cells, ua, la)| {
-            let mut b = GraphBuilder::new(2, 2);
+    (2u16..4, 2u16..4)
+        .prop_flat_map(move |(nau, nal)| {
+            (
+                proptest::collection::vec(proptest::bool::weighted(0.4), nu * nv),
+                proptest::collection::vec(0..nau, nu),
+                proptest::collection::vec(0..nal, nv),
+                Just((nau, nal)),
+            )
+        })
+        .prop_map(move |(cells, ua, la, (nau, nal))| {
+            let mut b = GraphBuilder::new(nau, nal);
             b.ensure_vertices(nu, nv);
             for (i, &on) in cells.iter().enumerate() {
                 if on {
@@ -81,7 +86,7 @@ proptest! {
     #[test]
     fn bsfbc_all_algorithms_match_oracle(
         g in graph_strategy(6, 7),
-        params in (1u32..3, 1u32..3, 0u32..3)
+        params in (1u32..3, 0u32..3, 0u32..3)
             .prop_map(|(a, b, d)| FairParams::unchecked(a, b, d)),
     ) {
         let want = oracle_bsfbc(&g, params);
@@ -116,9 +121,9 @@ proptest! {
     fn pbsfbc_matches_oracle(
         g in graph_strategy(6, 6),
         theta in prop_oneof![Just(0.0), Just(0.35), Just(0.5)],
-        d in 0u32..3,
+        (a, b, d) in (1u32..3, 0u32..3, 0u32..3),
     ) {
-        let pro = ProParams::new(1, 1, d, theta).unwrap();
+        let pro = ProParams::new(a, b, d, theta).unwrap();
         let want = oracle_pbsfbc(&g, pro);
         let cfg = RunConfig::default();
         let got: BTreeSet<Biclique> = enumerate_pbsfbc(&g, pro, &cfg).bicliques.into_iter().collect();

@@ -2,7 +2,7 @@
 //! subsets of a small attributed set, keep the fair & maximal ones by
 //! definition, and compare against `Combination` / `CombinationPro`.
 
-use fair_biclique::fairset::{is_fair, is_fair_pro, max_fair_subsets, max_pro_fair_subsets};
+use fair_biclique::fairset::{is_fair, is_fair_pro, max_fair_subsets};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -87,7 +87,7 @@ proptest! {
         delta in 0u32..4,
     ) {
         let refs: Vec<&[u32]> = groups.iter().map(|g| g.as_slice()).collect();
-        let got: BTreeSet<Vec<u32>> = max_fair_subsets(&refs, k, delta)
+        let got: BTreeSet<Vec<u32>> = max_fair_subsets(&refs, k, delta, None)
             .into_iter()
             .filter(|s| !s.is_empty())
             .collect();
@@ -103,7 +103,7 @@ proptest! {
         theta in prop_oneof![Just(0.0), Just(0.25), Just(0.4), Just(0.5)],
     ) {
         let refs: Vec<&[u32]> = groups.iter().map(|g| g.as_slice()).collect();
-        let got: BTreeSet<Vec<u32>> = max_pro_fair_subsets(&refs, k, delta, theta)
+        let got: BTreeSet<Vec<u32>> = max_fair_subsets(&refs, k, delta, Some(theta))
             .into_iter()
             .filter(|s| !s.is_empty())
             .collect();
@@ -124,7 +124,7 @@ proptest! {
             (200..200 + c as u32).collect::<Vec<_>>(),
         ];
         let refs: Vec<&[u32]> = groups.iter().map(|g| g.as_slice()).collect();
-        let got: BTreeSet<Vec<u32>> = max_fair_subsets(&refs, 1, delta)
+        let got: BTreeSet<Vec<u32>> = max_fair_subsets(&refs, 1, delta, None)
             .into_iter()
             .filter(|s| !s.is_empty())
             .collect();
