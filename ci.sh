@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the fair-biclique workspace.
 #
-#   ./ci.sh            # lint + tier-1 verify + bench/perfbench/smoke compile checks
+#   ./ci.sh            # lint + doc + tier-1 verify + bench/perfbench/smoke compile checks
 #   ./ci.sh --quick    # skip the release build (debug tests only)
 #   ./ci.sh --sanitize # additionally run the service tests under TSan
 #                      # (best-effort: skipped unless a nightly
@@ -52,6 +52,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 step "fbe-lint --deny (workspace static analysis; see README: Static analysis)"
 cargo run -q -p fbe-lint -- --deny
+
+# First-party crates only: the vendored stand-ins under vendor/ are
+# not held to the doc gate (vendored proptest has its own warning).
+step "cargo doc --no-deps with RUSTDOCFLAGS=-D warnings (first-party crates)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline \
+    -p bigraph -p fair-biclique -p fbe-datasets -p fbe-bench -p fbe-cli \
+    -p fbe-service -p fbe-lint -p fbe-integration -p fbe-examples
 
 if [[ $sanitize -eq 1 ]]; then
     step "cargo +nightly test -p fbe-service under ThreadSanitizer (best-effort)"

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 /// Cloning shares the flag. Attach it to a run with
 /// [`Budget::with_cancel`]; every enumeration clock — the maximal-
 /// biclique walker's and all expansion stages', serial or parallel —
-/// checks the flag at branch granularity (each [`BudgetClock::tick`]),
+/// checks the flag at branch granularity (each budget-clock tick),
 /// so a cancelled run stops within a handful of branch expansions and
 /// reports [`StopReason::Cancelled`]. Cancellation is one-way and
 /// sticky: there is no reset.

@@ -34,12 +34,22 @@
 //! * `STATS` reports the coordinator's own counters (including the
 //!   `shard_*` fan-out metrics) plus a per-shard health summary and
 //!   each shard's counters under a `shard<i>_` prefix.
+//! * Shard connections are pooled per shard and reused across
+//!   requests, with `TCP_NODELAY` set, so a warm coordinator opens no
+//!   connection per query and never waits on a shard's accept loop. A
+//!   connection returns to the pool only after its reply terminator
+//!   was read; one left mid-reply (early cancel, a parse error, `ERR`,
+//!   a timeout, EOF) is dropped. A pooled connection that fails
+//!   before any reply byte arrives (the shard restarted or hung up
+//!   while it sat idle) gets exactly one fresh reconnect, counted in
+//!   `shard_reconnects`.
 //! * A shard that refuses connections, times out, answers an error,
 //!   or sends a malformed or cut-off reply surfaces as a structured
 //!   `ERR SHARD shard=<i> addr=<a> ...` reply — never a hang and never
-//!   a wrong result: connects and reads are bounded by the query
-//!   deadline (plus a grace period) or a default timeout, and results
-//!   already received from healthy shards are accounted in `STATS` as
+//!   a wrong result: shards receive the time left of the client's
+//!   deadline, connects and reads are bounded by that time plus a
+//!   grace period (or a default timeout), and results already
+//!   received from healthy shards are accounted in `STATS` as
 //!   `shard_partial_results`.
 //!
 //! Graph mutations (`ADDEDGE`/`DELEDGE`/`ADDVERTEX`) are refused in
@@ -49,6 +59,7 @@
 use crate::engine::{Engine, EnumDone, Outcome, QueryCtx, Served};
 use crate::metrics::bump;
 use crate::protocol::{field, EnumMode, EnumOpts, Opt, Reply, Request, TERMINATOR};
+use crate::sync::lock_unpoisoned;
 use fair_biclique::config::StopReason;
 use fair_biclique::maximum::MaxSink;
 use fair_biclique::obs::SpanRecorder;
@@ -56,18 +67,20 @@ use fair_biclique::prepared::QueryModel;
 use fair_biclique::{Biclique, BicliqueSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Timeout for shard calls made outside any client deadline
 /// (`LOAD`/`GEN`/`DROP`/`STATS`, and `ENUM` without `deadline-ms`).
 const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Extra slack granted on top of a client `deadline-ms` so a shard
-/// that finishes right at its (self-enforced) deadline can still get
-/// its truncated reply back before the coordinator gives up on it.
+/// Extra slack granted on top of the time left of a client
+/// `deadline-ms` so a shard that finishes right at its (self-enforced)
+/// deadline can still get its truncated reply back before the
+/// coordinator gives up on it.
 const FANOUT_GRACE: Duration = Duration::from_secs(1);
 
 /// Execute `req` by fanning out to `engine.cfg.shards`.
@@ -122,10 +135,50 @@ pub fn handle(engine: &Engine, req: Request, ctx: QueryCtx<'_>) -> Outcome {
     }
 }
 
+/// Idle connections a coordinator keeps per shard between fan-outs.
+/// One is enough for a single client; the cap bounds what a burst of
+/// concurrent queries leaves behind (each one pins a shard thread).
+const POOL_IDLE_PER_SHARD: usize = 16;
+
+/// Per-shard pools of idle connections, owned by a coordinator's
+/// [`Engine`]. An idle connection sits at a reply boundary: the last
+/// thing read from it was a terminator.
+pub(crate) struct ShardPool {
+    idle: Vec<Mutex<Vec<ShardConn>>>,
+}
+
+impl ShardPool {
+    /// Empty pools for `shards` shards.
+    pub(crate) fn new(shards: usize) -> ShardPool {
+        ShardPool {
+            idle: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+        }
+    }
+
+    fn take(&self, index: usize) -> Option<ShardConn> {
+        lock_unpoisoned(self.idle.get(index)?).pop()
+    }
+
+    fn put(&self, index: usize, conn: ShardConn) {
+        if let Some(pool) = self.idle.get(index) {
+            let mut pool = lock_unpoisoned(pool);
+            if pool.len() < POOL_IDLE_PER_SHARD {
+                pool.push(conn);
+            }
+        }
+    }
+}
+
 /// One line-protocol connection to a shard server.
 struct ShardConn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
+    /// A request was sent and its reply's terminator not read yet.
+    mid_reply: bool,
+    /// A line arrived since the connection was taken from the pool.
+    heard: bool,
+    /// The last read gave up on its timeout.
+    timed_out: bool,
 }
 
 impl ShardConn {
@@ -140,11 +193,8 @@ impl ShardConn {
         let stream = TcpStream::connect_timeout(&sockaddr, timeout)
             .map_err(|e| format!("connect failed: {e}"))?;
         stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| format!("set_read_timeout: {e}"))?;
-        stream
-            .set_write_timeout(Some(timeout))
-            .map_err(|e| format!("set_write_timeout: {e}"))?;
+            .set_nodelay(true)
+            .map_err(|e| format!("set_nodelay: {e}"))?;
         let reader = BufReader::new(
             stream
                 .try_clone()
@@ -152,8 +202,12 @@ impl ShardConn {
         );
         let mut conn = ShardConn {
             reader,
-            writer: BufWriter::new(stream),
+            stream,
+            mid_reply: false,
+            heard: false,
+            timed_out: false,
         };
+        conn.set_timeout(timeout)?;
         let greeting = conn.read_reply()?;
         if !greeting.is_ok() {
             return Err(format!("bad greeting: {}", greeting.status));
@@ -161,14 +215,40 @@ impl ShardConn {
         Ok(conn)
     }
 
-    fn send(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("send failed: {e}"))?;
-        self.writer.flush().map_err(|e| format!("send failed: {e}"))
+    /// Bound every later read and write by `timeout`.
+    fn set_timeout(&self, timeout: Duration) -> Result<(), String> {
+        self.stream
+            .set_read_timeout(Some(timeout))
+            .map_err(|e| format!("set_read_timeout: {e}"))?;
+        self.stream
+            .set_write_timeout(Some(timeout))
+            .map_err(|e| format!("set_write_timeout: {e}"))
+    }
+
+    /// Send one request line in a single write.
+    fn send(&mut self, req: &Request) -> Result<(), String> {
+        self.mid_reply = true;
+        self.stream
+            .write_all(format!("{req}\n").as_bytes())
+            .map_err(|e| self.io_error("send", e))
+    }
+
+    /// Describe a failed read or write, noting whether it timed out.
+    fn io_error(&mut self, op: &str, e: std::io::Error) -> String {
+        if matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ) {
+            self.timed_out = true;
+            "shard timed out".to_string()
+        } else {
+            format!("{op} failed: {e}")
+        }
     }
 
     /// One request, one whole reply block.
     fn call(&mut self, req: &Request) -> Result<Reply, String> {
-        self.send(&req.to_string())?;
+        self.send(req)?;
         self.read_reply()
     }
 
@@ -184,21 +264,19 @@ impl ShardConn {
 
     fn read_line(&mut self) -> Result<String, String> {
         let mut l = String::new();
-        let n = self.reader.read_line(&mut l).map_err(|e| {
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) {
-                "shard timed out".to_string()
-            } else {
-                format!("read failed: {e}")
-            }
-        })?;
+        let n = self
+            .reader
+            .read_line(&mut l)
+            .map_err(|e| self.io_error("read", e))?;
         if n == 0 {
             return Err("shard closed the connection mid-reply".to_string());
         }
+        self.heard = true;
         while l.ends_with('\n') || l.ends_with('\r') {
             l.pop();
+        }
+        if l == TERMINATOR {
+            self.mid_reply = false;
         }
         Ok(l)
     }
@@ -213,6 +291,12 @@ impl ShardConn {
             }
             payload.push(l);
         }
+    }
+
+    /// A pooled connection the shard had already closed (restarted,
+    /// or hung up while idle) fails with nothing read and no timeout.
+    fn went_stale(&self) -> bool {
+        !self.heard && !self.timed_out
     }
 }
 
@@ -234,10 +318,11 @@ fn shard_err(engine: &Engine, index: usize, detail: &str, partial: u64) -> Reply
 }
 
 /// Run `work(i, connect_elapsed, conn)` against every shard
-/// concurrently on a fresh connection each, timing the connect (plus
-/// greeting) so the caller can attribute shard latency to connection
-/// setup vs. the request itself. Returns per-shard results in shard
-/// order; a panic in a worker degrades to an `Err` for that shard.
+/// concurrently, each on a connection from that shard's pool (or a
+/// new one), timing the checkout so the caller can attribute shard
+/// latency to connection setup vs. the request itself. Returns
+/// per-shard results in shard order; a panic in a worker degrades to
+/// an `Err` for that shard.
 fn fan<T: Send>(
     engine: &Engine,
     timeout: Duration,
@@ -251,11 +336,7 @@ fn fan<T: Send>(
             .enumerate()
             .map(|(i, addr)| {
                 let work = &work;
-                s.spawn(move || {
-                    let tc = Instant::now();
-                    let mut conn = ShardConn::connect(addr, timeout)?;
-                    work(i, tc.elapsed(), &mut conn)
-                })
+                s.spawn(move || call_shard(engine, i, addr, timeout, work))
             })
             .collect();
         handles
@@ -266,6 +347,44 @@ fn fan<T: Send>(
             })
             .collect()
     })
+}
+
+/// Run `work` on shard `index` over a pooled connection, its timeouts
+/// set to `timeout`. The connection goes back to the pool only when
+/// `work` succeeded and left it at a reply boundary; one left
+/// mid-reply (early cancel, an error, a timeout, EOF) is dropped. A
+/// pooled connection that fails before the shard said anything, other
+/// than by timing out, gets exactly one fresh reconnect, counted in
+/// `shard_reconnects`.
+fn call_shard<T>(
+    engine: &Engine,
+    index: usize,
+    addr: &str,
+    timeout: Duration,
+    work: &impl Fn(usize, Duration, &mut ShardConn) -> Result<T, String>,
+) -> Result<T, String> {
+    let pool = &engine.shard_pool;
+    let tc = Instant::now();
+    let pooled = pool.take(index).filter(|c| c.set_timeout(timeout).is_ok());
+    let reused = pooled.is_some();
+    let mut conn = match pooled {
+        Some(mut conn) => {
+            conn.heard = false;
+            conn.timed_out = false;
+            conn
+        }
+        None => ShardConn::connect(addr, timeout)?,
+    };
+    let mut result = work(index, tc.elapsed(), &mut conn);
+    if result.is_err() && reused && conn.went_stale() {
+        bump(&engine.metrics.shard_reconnects);
+        conn = ShardConn::connect(addr, timeout)?;
+        result = work(index, tc.elapsed(), &mut conn);
+    }
+    if result.is_ok() && !conn.mid_reply {
+        pool.put(index, conn);
+    }
+    result
 }
 
 /// Fan `req` (a `LOAD`/`GEN` of graph `name`) followed by the
@@ -371,22 +490,15 @@ pub(crate) fn enum_scatter_gather(
     graph: &str,
     model: QueryModel,
     opts: &EnumOpts,
+    t0: Instant,
     rec: &mut SpanRecorder,
 ) -> Result<EnumDone, Reply> {
     let collect = opts.mode == EnumMode::Collect;
     let limit = engine.result_limit(opts);
-    let timeout = opts
-        .deadline
-        .map(|d| d + FANOUT_GRACE)
-        .unwrap_or(DEFAULT_SHARD_TIMEOUT);
-    // The resolved limit travels explicitly so a shard's own default
-    // limit can never truncate below the coordinator's.
-    let line = Request::Enum {
-        graph: graph.to_string(),
-        model,
-        opts: EnumOpts { limit, ..*opts },
-    }
-    .to_string();
+    // Shards get the part of the client's deadline that is left when
+    // the request leaves, not the whole of it again.
+    let left = || opts.deadline.map(|d| d.saturating_sub(t0.elapsed()));
+    let timeout = left().map_or(DEFAULT_SHARD_TIMEOUT, |d| d + FANOUT_GRACE);
 
     // Collect mode's global result budget, shared by all shard readers
     // the way `SharedBudget` is shared by worker threads: acquire
@@ -398,8 +510,19 @@ pub(crate) fn enum_scatter_gather(
     let budget = AtomicI64::new(limit.map_or(i64::MAX, |k| k.min(i64::MAX as u64) as i64));
     let exhausted = AtomicBool::new(false);
     let results = fan(engine, timeout, |_, connect, conn| {
+        // The resolved limit travels explicitly so a shard's own
+        // default limit can never truncate below the coordinator's.
+        let req = Request::Enum {
+            graph: graph.to_string(),
+            model,
+            opts: EnumOpts {
+                limit,
+                deadline: left(),
+                ..*opts
+            },
+        };
         let tr = Instant::now();
-        conn.send(&line)?;
+        conn.send(&req)?;
         let status = conn.read_line()?;
         let request = tr.elapsed();
         if !status.starts_with("OK") {

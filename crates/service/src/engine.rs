@@ -2,6 +2,7 @@
 //! execution over the catalog + plan cache.
 
 use crate::catalog::{generate, GraphCatalog, GraphEntry, GraphUpdate, UpdateError};
+use crate::coordinator::ShardPool;
 use crate::metrics::{bump, Metrics};
 use crate::plan_cache::{PlanCache, PlanKey};
 use crate::protocol::{EnumMode, EnumOpts, Opt, Reply, Request, TraceMode};
@@ -226,6 +227,8 @@ pub struct Engine {
     /// The N slowest queries, served by `SLOWLOG`.
     pub slowlog: SlowLog,
     shutdown: CancelToken,
+    /// Idle shard connections (coordinators only; empty otherwise).
+    pub(crate) shard_pool: ShardPool,
 }
 
 impl Engine {
@@ -236,6 +239,7 @@ impl Engine {
             plans: Mutex::new(PlanCache::new(cfg.plan_cache_capacity)),
             metrics: Metrics::with_shards(cfg.shards.len()),
             slowlog: SlowLog::new(cfg.slowlog_capacity),
+            shard_pool: ShardPool::new(cfg.shards.len()),
             cfg,
             catalog: GraphCatalog::new(),
             shutdown: CancelToken::new(),
@@ -623,7 +627,7 @@ impl Engine {
         let done = if self.cfg.shards.is_empty() {
             self.run_query(graph, model, &opts, t0, &mut rec)
         } else {
-            crate::coordinator::enum_scatter_gather(self, graph, model, &opts, &mut rec)
+            crate::coordinator::enum_scatter_gather(self, graph, model, &opts, t0, &mut rec)
         };
         let done = match done {
             Ok(done) => done,

@@ -141,10 +141,15 @@ pub struct Metrics {
     pub graphs_loaded: AtomicU64,
     /// Graph updates applied (`ADDEDGE` / `DELEDGE` / `ADDVERTEX`).
     pub updates_applied: AtomicU64,
+    /// TCP connections the server accepted and served.
+    pub connections_accepted: AtomicU64,
     /// Coordinator requests fanned out to shard servers.
     pub shard_fanouts: AtomicU64,
     /// Shard calls that failed (connect/timeout/protocol error).
     pub shard_errors: AtomicU64,
+    /// Pooled shard connections found dead before any reply byte
+    /// arrived and replaced by one fresh connection.
+    pub shard_reconnects: AtomicU64,
     /// Results received from healthy shards but discarded because a
     /// sibling shard failed mid-fanout (partial-result accounting for
     /// `ERR SHARD` replies).
@@ -195,8 +200,10 @@ impl Metrics {
             plan_cache_misses: AtomicU64::new(0),
             graphs_loaded: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
+            connections_accepted: AtomicU64::new(0),
             shard_fanouts: AtomicU64::new(0),
             shard_errors: AtomicU64::new(0),
+            shard_reconnects: AtomicU64::new(0),
             shard_partial_results: AtomicU64::new(0),
             latency: Histogram::new(),
             stage_prepare: Histogram::new(),
@@ -210,7 +217,7 @@ impl Metrics {
     /// [`Metrics::render_prometheus`], so a counter added to the
     /// struct but missing here fails the `metrics-render-symmetry`
     /// lint rather than silently vanishing from both outputs.
-    fn counters(&self) -> [(&'static str, &AtomicU64); 14] {
+    fn counters(&self) -> [(&'static str, &AtomicU64); 16] {
         [
             ("queries_total", &self.queries_total),
             ("queries_ok", &self.queries_ok),
@@ -223,8 +230,10 @@ impl Metrics {
             ("plan_cache_misses", &self.plan_cache_misses),
             ("graphs_loaded", &self.graphs_loaded),
             ("updates_applied", &self.updates_applied),
+            ("connections_accepted", &self.connections_accepted),
             ("shard_fanouts", &self.shard_fanouts),
             ("shard_errors", &self.shard_errors),
+            ("shard_reconnects", &self.shard_reconnects),
             ("shard_partial_results", &self.shard_partial_results),
         ]
     }

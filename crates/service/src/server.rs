@@ -1,8 +1,15 @@
 //! TCP transport: `std::net::TcpListener`, thread-per-connection.
+//!
+//! Every accepted stream runs with `TCP_NODELAY`, and every reply
+//! block leaves in one `write_all` of a buffer the connection reuses.
+//! A reply therefore never waits on Nagle's algorithm for the
+//! client's (delayed) ACK of an earlier piece, whatever its size and
+//! whatever socket options the client keeps.
 
 use crate::engine::{Engine, Outcome, Session};
+use crate::metrics::bump;
 use crate::protocol::Reply;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -77,6 +84,7 @@ impl Server {
                 // connection): drop the stream and stop accepting.
                 break;
             }
+            bump(&self.engine.metrics.connections_accepted);
             let engine = Arc::clone(&self.engine);
             std::thread::spawn(move || {
                 let _ = serve_connection(stream, &engine);
@@ -120,11 +128,20 @@ fn wake_accept_loop(addr: SocketAddr) {
 /// buffering, and bytes that are not valid UTF-8 are answered with
 /// `ERR PARSE` instead of killing the session — in both cases the
 /// connection stays alive for the next request.
+///
+/// Each reply is rendered whole into `out` and sent with one
+/// `write_all`, so no piece boundary depends on a buffer size.
 fn serve_connection(stream: TcpStream, engine: &Engine) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    Reply::greeting().write_to(&mut writer)?;
-    writer.flush()?;
+    let mut writer = stream;
+    let mut out: Vec<u8> = Vec::new();
+    let mut send = |reply: &Reply| -> std::io::Result<()> {
+        out.clear();
+        reply.write_to(&mut out)?;
+        writer.write_all(&out)
+    };
+    send(&Reply::greeting())?;
     // Per-connection session: the TRACE toggle lives here and dies
     // with the connection.
     let mut session = Session::new();
@@ -142,12 +159,10 @@ fn serve_connection(stream: TcpStream, engine: &Engine) -> std::io::Result<()> {
             // The cap was hit before a newline arrived: reject the
             // request, discard the rest of the line, keep serving.
             drain_to_newline(&mut reader)?;
-            Reply::err(
+            send(&Reply::err(
                 "PARSE",
                 format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            )
-            .write_to(&mut writer)?;
-            writer.flush()?;
+            ))?;
             continue;
         }
         let line = match std::str::from_utf8(&buf) {
@@ -155,9 +170,10 @@ fn serve_connection(stream: TcpStream, engine: &Engine) -> std::io::Result<()> {
             Err(_) => {
                 let lossy = String::from_utf8_lossy(&buf);
                 let preview: String = lossy.trim().chars().take(40).collect();
-                Reply::err("PARSE", format!("request is not valid UTF-8: {preview:?}"))
-                    .write_to(&mut writer)?;
-                writer.flush()?;
+                send(&Reply::err(
+                    "PARSE",
+                    format!("request is not valid UTF-8: {preview:?}"),
+                ))?;
                 continue;
             }
         };
@@ -165,13 +181,9 @@ fn serve_connection(stream: TcpStream, engine: &Engine) -> std::io::Result<()> {
             continue;
         }
         match engine.handle_line_in(line.trim(), &mut session) {
-            Outcome::Reply(reply) => {
-                reply.write_to(&mut writer)?;
-                writer.flush()?;
-            }
+            Outcome::Reply(reply) => send(&reply)?,
             Outcome::Shutdown(reply) => {
-                reply.write_to(&mut writer)?;
-                writer.flush()?;
+                send(&reply)?;
                 return Ok(());
             }
         }
@@ -204,6 +216,7 @@ fn drain_to_newline(reader: &mut BufReader<TcpStream>) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::ServiceConfig;
+    use std::io::BufWriter;
 
     /// Minimal in-test client: send a line, read one reply block.
     pub(crate) fn roundtrip(

@@ -9,6 +9,7 @@ use fbe_service::ServiceConfig;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// One protocol client over a real socket.
 struct Client {
@@ -617,6 +618,38 @@ fn traced_enumeration_is_byte_identical_to_untraced() {
         .count();
     assert_eq!(traced, 1, "exactly one of two queries sampled");
 
+    c.ok("SHUTDOWN");
+    handle.join().unwrap().unwrap();
+}
+
+/// A reply far larger than any socket write buffer reaches a client
+/// on default socket options without waiting for that client's
+/// delayed ACK (~40 ms on Linux): the server sends it with
+/// `TCP_NODELAY` in one write. The `GRAPHS` listing of 64 graphs with
+/// 1 KiB names is over 64 KiB but costs the server next to nothing,
+/// so the round trip is transport time, even in a debug build.
+#[test]
+fn large_replies_do_not_wait_for_the_clients_delayed_ack() {
+    let (addr, handle) = start_server(ServiceConfig::default());
+    let mut c = Client::connect(&addr);
+    let stem = "g".repeat(1024);
+    for i in 0..64 {
+        c.ok(&format!("GEN {stem}{i:02} uniform:2,2,1"));
+    }
+    let mut round_trips = Vec::new();
+    for _ in 0..20 {
+        let t = Instant::now();
+        let (_, payload) = c.ok("GRAPHS");
+        round_trips.push(t.elapsed());
+        let bytes: usize = payload.iter().map(|l| l.len() + 1).sum();
+        assert!(bytes >= 64 * 1024, "GRAPHS reply is only {bytes} bytes");
+    }
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median round trip {median:?}: {round_trips:?}"
+    );
     c.ok("SHUTDOWN");
     handle.join().unwrap().unwrap();
 }

@@ -263,11 +263,13 @@ fn killed_shard_answers_err_shard_within_the_deadline() {
 /// A scripted stand-in for a shard server on a test-local listener:
 /// it greets, answers `ENUM` with `enum_reply` verbatim (hanging up
 /// right after it when `hang_up`), and every other request with a
-/// bare `OK` block. It returns after answering `SHUTDOWN`.
-fn fake_shard(enum_reply: String, hang_up: bool) -> (String, std::thread::JoinHandle<()>) {
+/// bare `OK` block. It returns the `ENUM` lines it received after
+/// answering `SHUTDOWN`.
+fn fake_shard(enum_reply: String, hang_up: bool) -> (String, std::thread::JoinHandle<Vec<String>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
     let addr = listener.local_addr().expect("addr").to_string();
     let handle = std::thread::spawn(move || {
+        let mut enums = Vec::new();
         for stream in listener.incoming() {
             let mut stream = stream.expect("accept");
             let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -276,6 +278,7 @@ fn fake_shard(enum_reply: String, hang_up: bool) -> (String, std::thread::JoinHa
             let mut line = String::new();
             while reader.read_line(&mut line).unwrap_or(0) > 0 {
                 if line.starts_with("ENUM ") {
+                    enums.push(line.trim_end().to_string());
                     let _ = stream.write_all(enum_reply.as_bytes());
                     if hang_up {
                         break;
@@ -283,12 +286,13 @@ fn fake_shard(enum_reply: String, hang_up: bool) -> (String, std::thread::JoinHa
                 } else {
                     let _ = stream.write_all(b"OK fake\n.\n");
                     if line.starts_with("SHUTDOWN") {
-                        return;
+                        return enums;
                     }
                 }
                 line.clear();
             }
         }
+        enums
     });
     (addr, handle)
 }
@@ -332,6 +336,99 @@ fn malformed_or_cut_off_shard_replies_answer_err_shard() {
         coord_handle.join().unwrap().unwrap();
         shard_handle.join().unwrap();
     }
+}
+
+/// A complete two-result `ENUM` reply, as a fake shard sends it.
+const FAKE_ENUM_REPLY: &str = concat!(
+    "OK model=SSFBC graph=g count=2 cached=false threads=1 elapsed_us=1\n",
+    "L=[1] R=[2]\nL=[2] R=[1]\n.\n",
+);
+
+/// The coordinator keeps its shard connections between requests: 20
+/// `ENUM`s after warm-up open no new connection on any shard, so no
+/// request waits on a shard's accept loop.
+#[test]
+fn coordinator_reuses_shard_connections_across_enums() {
+    let (coord, _shards, handles) = start_fleet(2);
+    let mut cc = Client::connect(&coord);
+    cc.ok("GEN g uniform:30,30,55,11");
+
+    let (_, before) = cc.ok("STATS");
+    let accepted: Vec<u64> = (0..2)
+        .map(|i| stat_value(&before, &format!("shard{i}_connections_accepted")))
+        .collect();
+    assert!(accepted.iter().all(|&n| n >= 1), "{accepted:?}");
+    for _ in 0..20 {
+        cc.ok("ENUM g ssfbc alpha=1 beta=1 delta=1");
+    }
+    let (_, after) = cc.ok("STATS");
+    for (i, &n) in accepted.iter().enumerate() {
+        let key = format!("shard{i}_connections_accepted");
+        assert_eq!(stat_value(&after, &key), n, "{key} grew across ENUMs");
+    }
+    assert_eq!(stat_value(&after, "shard_reconnects"), 0);
+
+    cc.ok("SHUTDOWN");
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
+}
+
+/// A shard that hangs up after a complete reply leaves a dead
+/// connection in the pool. The next query finds it dead before any
+/// reply byte, reconnects once and succeeds.
+#[test]
+fn a_pooled_connection_the_shard_closed_gets_one_reconnect() {
+    let (shard, shard_handle) = fake_shard(FAKE_ENUM_REPLY.to_string(), true);
+    let (coord, coord_handle) = start_server(ServiceConfig {
+        shards: vec![shard],
+        ..ServiceConfig::default()
+    });
+    let mut cc = Client::connect(&coord);
+    cc.ok("GEN g uniform:20,20,60,7");
+
+    let q = "ENUM g ssfbc alpha=1 beta=1 delta=1";
+    let (first, want) = cc.ok(q);
+    let (second, got) = cc.ok(q);
+    assert_eq!(field(&first, "count"), Some("2"), "{first}");
+    assert_eq!(field(&second, "count"), Some("2"), "{second}");
+    assert_eq!(got, want);
+    // METRICS is answered by the coordinator alone, so reading it
+    // touches no shard connection.
+    let (_, metrics) = cc.ok("METRICS");
+    assert_eq!(stat_value(&metrics, "fbe_shard_reconnects"), 1);
+    assert_eq!(stat_value(&metrics, "fbe_shard_errors"), 0);
+
+    cc.ok("SHUTDOWN");
+    coord_handle.join().unwrap().unwrap();
+    shard_handle.join().unwrap();
+}
+
+/// A shard receives the part of the client's `deadline-ms` that is
+/// left when the coordinator sends the request, never more than the
+/// client granted.
+#[test]
+fn shards_receive_the_time_left_of_the_deadline() {
+    let (shard, shard_handle) = fake_shard(FAKE_ENUM_REPLY.to_string(), false);
+    let (coord, coord_handle) = start_server(ServiceConfig {
+        shards: vec![shard],
+        ..ServiceConfig::default()
+    });
+    let mut cc = Client::connect(&coord);
+    cc.ok("GEN g uniform:20,20,60,7");
+    cc.ok("ENUM g ssfbc alpha=1 beta=1 delta=1 deadline-ms=2000");
+    cc.ok("SHUTDOWN");
+    coord_handle.join().unwrap().unwrap();
+
+    let enums = shard_handle.join().unwrap();
+    assert_eq!(enums.len(), 1, "{enums:?}");
+    let forwarded: u64 = field(&enums[0], "deadline-ms")
+        .unwrap_or_else(|| panic!("no deadline forwarded: {}", enums[0]))
+        .parse()
+        .unwrap();
+    // Time has passed since the client's request arrived, so the
+    // remainder rounds down below the full 2000 ms.
+    assert!(forwarded < 2000, "{}", enums[0]);
 }
 
 /// Satellite: an oversized request line is refused with `ERR PARSE`
