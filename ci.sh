@@ -6,9 +6,8 @@
 #   ./ci.sh --sanitize # additionally run the service tests under TSan
 #                      # (best-effort: skipped unless a nightly
 #                      # toolchain with -Zsanitizer=thread is available)
-#   ./ci.sh --bench N  # additionally run the full trajectory bench
-#                      # suite via scripts/bench_snapshot.sh and write
-#                      # BENCH_N.json (slow; not part of the plain gate)
+#
+# Performance is measured by perfbench (perfbench/README.md), not here.
 #
 # Tier-1 verify (must stay green; see ROADMAP.md):
 #   cargo build --release && cargo test -q
@@ -18,29 +17,13 @@ cd "$(dirname "$0")"
 
 quick=0
 sanitize=0
-bench_n=""
-expect_bench_n=0
 for arg in "$@"; do
-    if [[ $expect_bench_n -eq 1 ]]; then
-        bench_n="$arg"
-        expect_bench_n=0
-        continue
-    fi
     case "$arg" in
         --quick) quick=1 ;;
         --sanitize) sanitize=1 ;;
-        --bench) expect_bench_n=1 ;;
         *) echo "ci.sh: unknown argument $arg" >&2; exit 2 ;;
     esac
 done
-if [[ $expect_bench_n -eq 1 ]]; then
-    echo "ci.sh: --bench needs a snapshot number (writes BENCH_<n>.json)" >&2
-    exit 2
-fi
-if [[ -n "$bench_n" && $quick -eq 1 ]]; then
-    echo "ci.sh: --bench runs release benches; drop --quick" >&2
-    exit 2
-fi
 
 step() { printf '\n\033[1m== %s ==\033[0m\n' "$*"; }
 
@@ -90,16 +73,8 @@ cargo test -q
 # the smoke steps against the debug profile and skip the bench build
 # so no release compilation happens at all.
 if [[ $quick -eq 0 ]]; then
-    step "cargo bench --no-run (all 16 bench targets must compile)"
+    step "cargo bench --no-run (all 14 bench targets must compile)"
     cargo bench --no-run
-    step "cargo bench --bench parallel_scaling --no-run (engine scaling target)"
-    cargo bench --bench parallel_scaling --no-run
-    step "cargo bench --bench substrate_compare --no-run (substrate target)"
-    cargo bench --bench substrate_compare --no-run
-    step "cargo bench --bench service_throughput --no-run (service QPS target)"
-    cargo bench --bench service_throughput --no-run
-    step "cargo bench --bench shard_scaling --no-run (coordinator scaling target)"
-    cargo bench --bench shard_scaling --no-run
     # perfbench is its own workspace over path deps on crates/: this
     # fails the gate when an API change breaks it, or when a dependency
     # change would rewrite perfbench/Cargo.lock (--locked).
@@ -316,10 +291,5 @@ for pid in "$coord_pid" "$shard1_pid" "$shard2_pid"; do
     wait "$pid"
 done
 coord_pid=""; shard1_pid=""; shard2_pid=""
-
-if [[ -n "$bench_n" ]]; then
-    step "bench snapshot: scripts/bench_snapshot.sh $bench_n (writes BENCH_${bench_n}.json)"
-    ./scripts/bench_snapshot.sh "$bench_n"
-fi
 
 printf '\n\033[1;32mCI green.\033[0m\n'

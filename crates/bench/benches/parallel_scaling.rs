@@ -14,6 +14,5 @@ fn main() {
     {
         t.print();
         t.save(&format!("parallel_scaling_{i}"));
-        t.export_json("parallel_scaling");
     }
 }

@@ -1,8 +1,7 @@
 //! Dynamic-graph update throughput: incremental fair-core repair
 //! (`fair_biclique::incremental::CoreTracker`) vs recomputing the
-//! core from scratch after every edit, plus the full service verb
-//! path (`ADDEDGE`/`DELEDGE` through the engine: CSR splice + repair
-//! + surgical plan-cache sweep).
+//! core from scratch after every edit. The service's update verbs are
+//! measured at the client by perfbench's `update-mix` workload.
 //!
 //! Run: `cargo bench --bench update_throughput` (`-- --quick` for a
 //! reduced iteration count).
@@ -11,8 +10,6 @@ use bigraph::generate::random_uniform;
 use bigraph::{BipartiteGraph, VertexId};
 use fair_biclique::fcore::fcore_masks;
 use fair_biclique::incremental::CoreTracker;
-use fbe_service::engine::Engine;
-use fbe_service::ServiceConfig;
 use std::time::Instant;
 
 fn ups(n: u32, total: std::time::Duration) -> f64 {
@@ -86,43 +83,5 @@ fn main() {
             "{label:<28} {inc:>14.0} {scratch:>14.0} {:>7.1}x",
             inc / scratch.max(1e-9)
         );
-        fbe_bench::export_json_record(
-            &format!("update_throughput/{label}"),
-            &[("incremental_ups", inc), ("scratch_ups", scratch)],
-        );
     }
-
-    // Full verb path through the engine: pendant edge on a fresh
-    // vertex flipped on and off. Every update is clean for the primed
-    // (2, 1) plan, so this measures splice + repair + the surgical
-    // sweep that keeps the plan alive.
-    let engine = Engine::new(ServiceConfig::default());
-    assert!(engine
-        .handle_line("GEN u uniform:500,500,6000,7")
-        .reply()
-        .is_ok());
-    assert!(engine
-        .handle_line("ENUM u ssfbc alpha=2 beta=1 delta=1 count-only")
-        .reply()
-        .is_ok());
-    assert!(engine
-        .handle_line("ADDVERTEX u lower attr=0")
-        .reply()
-        .is_ok());
-    let t0 = Instant::now();
-    for i in 0..steps {
-        let verb = if i % 2 == 0 { "ADDEDGE" } else { "DELEDGE" };
-        let outcome = engine.handle_line(&format!("{verb} u 0 500"));
-        let reply = outcome.reply();
-        assert!(reply.is_ok(), "{}", reply.status);
-    }
-    let verb_ups = ups(steps, t0.elapsed());
-    println!(
-        "{:<28} {:>14.0} {:>14} {:>8}",
-        "engine verb path (clean)", verb_ups, "-", "-"
-    );
-    fbe_bench::export_json_record(
-        "update_throughput/engine verb path (clean)",
-        &[("incremental_ups", verb_ups)],
-    );
 }

@@ -97,62 +97,6 @@ impl Table {
             let _ = std::fs::write(dir.join(format!("{stem}.tsv")), self.to_tsv());
         }
     }
-
-    /// Export each row as one NDJSON record to `$FBE_BENCH_JSON`
-    /// (no-op when unset): id is `<bench>/<title>/<first cell>`, and
-    /// every other numeric cell becomes a field keyed by its header.
-    /// Non-numeric cells (e.g. the paper's `INF` budget marker) are
-    /// skipped — the snapshot records measurements, not sentinels.
-    pub fn export_json(&self, bench: &str) {
-        for row in &self.rows {
-            let Some(first) = row.first() else { continue };
-            let fields: Vec<(&str, f64)> = self
-                .headers
-                .iter()
-                .zip(row)
-                .skip(1)
-                .filter_map(|(h, c)| c.parse::<f64>().ok().map(|v| (h.as_str(), v)))
-                .collect();
-            export_json_record(&format!("{bench}/{}/{first}", self.title), &fields);
-        }
-    }
-}
-
-/// Append one NDJSON record (`{"id": ..., <key>: <value>, ...}`) to
-/// the file named by `$FBE_BENCH_JSON`, when set. This is the same
-/// hook the vendored criterion stand-in uses, so table-style bench
-/// targets and criterion targets feed one `BENCH_*.json` snapshot
-/// (see `scripts/bench_snapshot.sh`). Failures are reported to
-/// stderr, never fatal.
-pub fn export_json_record(id: &str, fields: &[(&str, f64)]) {
-    let Ok(path) = std::env::var("FBE_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let escape = |s: &str| -> String {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' | '\\' => vec!['\\', c],
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect()
-    };
-    let mut record = format!("{{\"id\": \"{}\"", escape(id));
-    for (k, v) in fields {
-        record.push_str(&format!(", \"{}\": {v}", escape(k)));
-    }
-    record.push_str("}\n");
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, record.as_bytes()));
-    if let Err(e) = appended {
-        eprintln!("fbe-bench: appending to {path}: {e}");
-    }
 }
 
 /// Harness options shared by all experiments.

@@ -128,11 +128,6 @@ impl GraphBuilder {
         self.n_lower = self.n_lower.max(attrs.len());
     }
 
-    /// Number of (possibly duplicate) edges added so far.
-    pub fn n_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalize into an immutable CSR graph.
     pub fn build(mut self) -> Result<BipartiteGraph, BuildError> {
         if self.n_upper > u32::MAX as usize || self.n_lower > u32::MAX as usize {
@@ -286,7 +281,7 @@ mod tests {
         let mut b = GraphBuilder::new(1, 1).with_edge_capacity(8);
         b.add_edge(0, 0);
         b.add_edge(0, 0);
-        assert_eq!(b.n_pending_edges(), 2);
+        assert_eq!(b.edges.len(), 2);
         assert_eq!(b.build().unwrap().n_edges(), 1);
     }
 }

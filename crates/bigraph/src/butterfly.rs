@@ -108,41 +108,41 @@ pub fn count_butterflies(g: &BipartiteGraph) -> u64 {
     total
 }
 
-/// Per-vertex butterfly participation on `side`: `out[v]` = number of
-/// butterflies containing `v`. Useful for locating dense spots (the
-/// planted blocks of the synthetic corpus light up here).
-pub fn butterfly_degrees(g: &BipartiteGraph, side: Side) -> Vec<u64> {
-    let n = g.n(side);
-    let mut out = vec![0u64; n];
-    let mut count = vec![0u32; n];
-    let mut touched: Vec<VertexId> = Vec::new();
-    for v in 0..n as VertexId {
-        for &u in g.neighbors(side, v) {
-            for &w in g.neighbors(side.other(), u) {
-                if w != v {
-                    if count[w as usize] == 0 {
-                        touched.push(w);
-                    }
-                    count[w as usize] += 1;
-                }
-            }
-        }
-        for &w in &touched {
-            let c = count[w as usize] as u64;
-            // v participates in C(c,2) butterflies with partner w.
-            out[v as usize] += c * (c - 1) / 2;
-            count[w as usize] = 0;
-        }
-        touched.clear();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::{plant_bicliques, random_uniform};
     use crate::GraphBuilder;
+
+    /// Per-vertex butterfly participation on `side`: `out[v]` = number
+    /// of butterflies containing `v`, counted per vertex independently
+    /// of `count_butterflies`.
+    fn butterfly_degrees(g: &BipartiteGraph, side: Side) -> Vec<u64> {
+        let n = g.n(side);
+        let mut out = vec![0u64; n];
+        let mut count = vec![0u32; n];
+        let mut touched: Vec<VertexId> = Vec::new();
+        for v in 0..n as VertexId {
+            for &u in g.neighbors(side, v) {
+                for &w in g.neighbors(side.other(), u) {
+                    if w != v {
+                        if count[w as usize] == 0 {
+                            touched.push(w);
+                        }
+                        count[w as usize] += 1;
+                    }
+                }
+            }
+            for &w in &touched {
+                let c = count[w as usize] as u64;
+                // v participates in C(c,2) butterflies with partner w.
+                out[v as usize] += c * (c - 1) / 2;
+                count[w as usize] = 0;
+            }
+            touched.clear();
+        }
+        out
+    }
 
     fn complete(nu: usize, nv: usize) -> BipartiteGraph {
         let mut b = GraphBuilder::new(1, 1);

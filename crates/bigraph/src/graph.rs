@@ -185,28 +185,6 @@ impl BipartiteGraph {
         self.upper.neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// Attribute degree `D_a(v)` (Definition 7): how many neighbors of
-    /// `v` carry attribute value `a`. `O(deg(v))`.
-    pub fn attr_degree(&self, side: Side, v: VertexId, a: AttrValueId) -> usize {
-        let other = self.store(side.other());
-        self.neighbors(side, v)
-            .iter()
-            .filter(|&&w| other.attrs[w as usize] == a)
-            .count()
-    }
-
-    /// All attribute degrees of `v` at once, as a vector indexed by
-    /// attribute value of the opposite side.
-    pub fn attr_degrees(&self, side: Side, v: VertexId) -> Vec<usize> {
-        let other = self.store(side.other());
-        let n_attrs = self.n_attr_values(side.other()) as usize;
-        let mut out = vec![0usize; n_attrs];
-        for &w in self.neighbors(side, v) {
-            out[other.attrs[w as usize] as usize] += 1;
-        }
-        out
-    }
-
     /// Iterate all edges as `(upper, lower)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         (0..self.n_upper() as VertexId)
@@ -313,6 +291,16 @@ mod tests {
     use super::*;
     use crate::GraphBuilder;
 
+    /// Attribute degrees `D_a(v)` (Definition 7) of `v`, indexed by
+    /// attribute value of the opposite side.
+    fn attr_degree_vec(g: &BipartiteGraph, side: Side, v: VertexId) -> Vec<usize> {
+        let mut out = vec![0usize; g.n_attr_values(side.other()) as usize];
+        for &w in g.neighbors(side, v) {
+            out[g.attr(side.other(), w) as usize] += 1;
+        }
+        out
+    }
+
     fn toy() -> BipartiteGraph {
         // U = {0,1,2}, V = {0,1,2,3}; upper attrs {0,1}, lower attrs {0,1}
         let mut b = GraphBuilder::new(2, 2);
@@ -344,11 +332,9 @@ mod tests {
     fn attr_degrees() {
         let g = toy();
         // upper 2 has neighbors {1,2,3} with lower attrs {0,1,1}
-        assert_eq!(g.attr_degree(Side::Upper, 2, 0), 1);
-        assert_eq!(g.attr_degree(Side::Upper, 2, 1), 2);
-        assert_eq!(g.attr_degrees(Side::Upper, 2), vec![1, 2]);
+        assert_eq!(attr_degree_vec(&g, Side::Upper, 2), vec![1, 2]);
         // lower 0 has neighbors {0,1} with upper attrs {0,1}
-        assert_eq!(g.attr_degrees(Side::Lower, 0), vec![1, 1]);
+        assert_eq!(attr_degree_vec(&g, Side::Lower, 0), vec![1, 1]);
     }
 
     #[test]

@@ -60,16 +60,6 @@ pub struct ShardPlan {
     pub shard_weights: Vec<u64>,
 }
 
-impl ShardPlan {
-    /// Shard of fair-side vertex `v` (`None` for edgeless vertices).
-    pub fn shard_of(&self, v: VertexId) -> Option<usize> {
-        match self.assignment.get(v as usize) {
-            Some(&s) if s != UNASSIGNED => Some(s as usize),
-            _ => None,
-        }
-    }
-}
-
 /// Label the connected components of `h`: returns `(labels, count)`
 /// with labels dense in `0..count`, numbered in order of their
 /// smallest vertex id (deterministic).
@@ -229,6 +219,14 @@ mod tests {
     use crate::generate::random_uniform;
     use crate::intersect_sorted_count;
 
+    /// Shard of fair-side vertex `v` (`None` for edgeless vertices).
+    fn shard_of(plan: &ShardPlan, v: VertexId) -> Option<usize> {
+        match plan.assignment.get(v as usize) {
+            Some(&s) if s != UNASSIGNED => Some(s as usize),
+            _ => None,
+        }
+    }
+
     fn toy_two_islands() -> BipartiteGraph {
         // Two bipartite islands: {u0,u1}×{v0,v1,v2} and {u2,u3}×{v3,v4}.
         let mut b = GraphBuilder::new(2, 2);
@@ -270,12 +268,12 @@ mod tests {
         let plan = plan_shards(&g, Side::Lower, 1, 2);
         assert_eq!(plan.n_components, 2);
         // Each island is one component; the isolated v5 is unassigned.
-        assert_eq!(plan.shard_of(5), None);
-        let island_a = plan.shard_of(0).unwrap();
-        assert_eq!(plan.shard_of(1), Some(island_a));
-        assert_eq!(plan.shard_of(2), Some(island_a));
-        let island_b = plan.shard_of(3).unwrap();
-        assert_eq!(plan.shard_of(4), Some(island_b));
+        assert_eq!(shard_of(&plan, 5), None);
+        let island_a = shard_of(&plan, 0).unwrap();
+        assert_eq!(shard_of(&plan, 1), Some(island_a));
+        assert_eq!(shard_of(&plan, 2), Some(island_a));
+        let island_b = shard_of(&plan, 3).unwrap();
+        assert_eq!(shard_of(&plan, 4), Some(island_b));
         assert_ne!(island_a, island_b, "two islands, two shards");
         // Weights: island A has 4 incident edges, island B has 3.
         assert_eq!(plan.shard_weights[island_a], 4);

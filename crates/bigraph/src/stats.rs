@@ -78,20 +78,6 @@ fn side_stats(g: &BipartiteGraph, side: Side) -> SideStats {
     }
 }
 
-/// Degree histogram of one side: `hist[d]` = number of vertices with
-/// degree exactly `d`.
-pub fn degree_histogram(g: &BipartiteGraph, side: Side) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in 0..g.n(side) as u32 {
-        let d = g.degree(side, v);
-        if hist.len() <= d {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 impl std::fmt::Display for GraphStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -116,6 +102,20 @@ mod tests {
     use super::*;
     use crate::generate::random_uniform;
     use crate::GraphBuilder;
+
+    /// Degree histogram of one side: `hist[d]` = number of vertices
+    /// with degree exactly `d`.
+    fn degree_histogram(g: &BipartiteGraph, side: Side) -> Vec<usize> {
+        let mut hist = Vec::new();
+        for v in 0..g.n(side) as u32 {
+            let d = g.degree(side, v);
+            if hist.len() <= d {
+                hist.resize(d + 1, 0);
+            }
+            hist[d] += 1;
+        }
+        hist
+    }
 
     #[test]
     fn stats_on_known_graph() {

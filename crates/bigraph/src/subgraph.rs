@@ -32,13 +32,6 @@ impl InducedSubgraph {
         }
     }
 
-    /// Map a set of subgraph vertices back to (sorted) parent ids.
-    pub fn set_to_parent(&self, side: Side, vs: &[VertexId]) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = vs.iter().map(|&v| self.to_parent(side, v)).collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Relabel both sides in non-increasing degree order (ties by
     /// current id), composing the parent maps so results still
     /// translate to original ids.
@@ -207,10 +200,7 @@ mod tests {
         assert_eq!(none.graph.n_edges(), 0);
         let all = induce(&g, &[true; 4], &[true; 4]);
         assert_eq!(all.graph.n_edges(), g.n_edges());
-        assert_eq!(
-            all.set_to_parent(Side::Upper, &[0, 1, 2, 3]),
-            vec![0, 1, 2, 3]
-        );
+        assert_eq!(all.upper_to_parent, vec![0, 1, 2, 3]);
     }
 
     #[test]

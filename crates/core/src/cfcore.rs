@@ -258,8 +258,11 @@ mod tests {
                 // (CFCore finishes with an FCore pass).
                 let gg = &c.sub.graph;
                 for u in 0..gg.n_upper() as u32 {
-                    let ad = gg.attr_degrees(Side::Upper, u);
-                    assert!(ad.iter().all(|&d| d as u32 >= b));
+                    let mut ad = vec![0u32; gg.n_attr_values(Side::Lower) as usize];
+                    for &v in gg.neighbors(Side::Upper, u) {
+                        ad[gg.attr(Side::Lower, v) as usize] += 1;
+                    }
+                    assert!(ad.iter().all(|&d| d >= b));
                 }
                 for v in 0..gg.n_lower() as u32 {
                     assert!(gg.degree(Side::Lower, v) as u32 >= a);

@@ -563,11 +563,6 @@ pub struct RunConfig {
     /// are byte-identical across thread counts (default off —
     /// discovery order).
     pub sorted: bool,
-    /// Enumeration-tree depth down to which the parallel engine
-    /// re-splits subtrees into stealable tasks (default 1: top-level
-    /// branches only). Raise for skewed instances where a handful of
-    /// top-level branches dominate the work. Ignored by serial runs.
-    pub split_depth: u32,
     /// Candidate-set substrate for the enumeration hot path (default
     /// [`Substrate::Auto`]: bitset rows when the pruned core is small
     /// and dense, sorted-vec merge otherwise). Results are identical
@@ -583,42 +578,7 @@ impl Default for RunConfig {
             budget: Budget::default(),
             threads: 1,
             sorted: false,
-            split_depth: 1,
             substrate: Substrate::Auto,
-        }
-    }
-}
-
-impl RunConfig {
-    /// Config with everything default except the ordering.
-    pub fn with_order(order: VertexOrder) -> Self {
-        RunConfig {
-            order,
-            ..Default::default()
-        }
-    }
-
-    /// Config with everything default except the pruning stage.
-    pub fn with_prune(prune: PruneKind) -> Self {
-        RunConfig {
-            prune,
-            ..Default::default()
-        }
-    }
-
-    /// Config with everything default except the worker thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        RunConfig {
-            threads: threads.max(1),
-            ..Default::default()
-        }
-    }
-
-    /// Config with everything default except the candidate substrate.
-    pub fn with_substrate(substrate: Substrate) -> Self {
-        RunConfig {
-            substrate,
-            ..Default::default()
         }
     }
 }
@@ -810,10 +770,7 @@ mod tests {
         let cfg = RunConfig::default();
         assert_eq!(cfg.threads, 1);
         assert!(!cfg.sorted);
-        assert_eq!(cfg.split_depth, 1);
         assert_eq!(cfg.substrate, Substrate::Auto);
-        assert_eq!(RunConfig::with_threads(0).threads, 1);
-        assert_eq!(RunConfig::with_threads(7).threads, 7);
     }
 
     #[test]

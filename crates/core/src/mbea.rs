@@ -217,7 +217,7 @@ impl<'a> Walker<'a> {
     }
 
     /// Execute only `task`'s top level, handing each child subtree to
-    /// `spawn` instead of recursing (the engine's re-splitting mode).
+    /// `spawn` instead of recursing (how the engine splits the root task).
     pub(crate) fn split(
         &mut self,
         task: BranchTask,

@@ -152,7 +152,10 @@ mod tests {
     fn no_colorful_cost_without_colorful_pruning() {
         let g = random_uniform(20, 20, 100, 2, 2, 7);
         let params = FairParams::unchecked(2, 1, 1);
-        let cfg = RunConfig::with_prune(PruneKind::FCore);
+        let cfg = RunConfig {
+            prune: PruneKind::FCore,
+            ..RunConfig::default()
+        };
         let m = measure_ssfbc(&g, params, SsAlgorithm::FairBcem, &cfg);
         assert_eq!(m.twohop_bytes, 0);
         assert_eq!(m.colorful_tables_bytes, 0);

@@ -24,21 +24,20 @@ pub fn side_order(g: &BipartiteGraph, side: Side, order: VertexOrder) -> Vec<Ver
     ids
 }
 
-/// A rank table: `rank[v]` = position of `v` in the processing order.
-/// Child candidate sets are kept sorted by rank so "pick the first
-/// element of `P`" respects the global ordering at every depth.
-pub fn rank_table(order: &[VertexId]) -> Vec<u32> {
-    let mut rank = vec![0u32; order.len()];
-    for (i, &v) in order.iter().enumerate() {
-        rank[v as usize] = i as u32;
-    }
-    rank
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bigraph::GraphBuilder;
+
+    /// A rank table: `rank[v]` = position of `v` in the processing
+    /// order.
+    fn rank_table(order: &[VertexId]) -> Vec<u32> {
+        let mut rank = vec![0u32; order.len()];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v as usize] = i as u32;
+        }
+        rank
+    }
 
     fn toy() -> BipartiteGraph {
         let mut b = GraphBuilder::new(1, 1);

@@ -21,11 +21,10 @@
 //! * **Shared branch deque.** Work units are `BranchTask`s: exact
 //!   search states `(L, R, P, Q)` of the serial enumeration tree,
 //!   held in a shared deque that idle workers steal from. The whole
-//!   run starts as one root task; a worker executing a task above
-//!   `split_depth` runs only that task's top level and pushes each
-//!   child subtree back onto the deque (subtree re-splitting), so
-//!   skewed instances where a few top-level branches dominate still
-//!   load-balance.
+//!   run starts as one root task; the worker that takes it runs only
+//!   its top level and pushes each child subtree onto the deque, and
+//!   every child task then runs to completion on the worker that
+//!   steals it.
 //! * **Correctness (Q-seeding under stealing).** A spawned task
 //!   carries the same duplicate-suppression set `Q` the serial
 //!   recursion would have passed down: when the splitting worker
@@ -226,7 +225,7 @@ impl<'g> Walk<'g> {
     }
 
     /// Run the walk across up to `cfg.threads` workers, each owning a
-    /// visitor built by `make`; tasks above `cfg.split_depth` re-split.
+    /// visitor built by `make`; only the root task is split.
     /// Returns the visitors in worker order plus the deterministically
     /// merged walk statistics (see [`Walk::run_serial`]).
     pub(crate) fn run_parallel<V: WalkVisitor + Send>(
@@ -234,17 +233,11 @@ impl<'g> Walk<'g> {
         cfg: &RunConfig,
         make: &(dyn Fn(BudgetClock) -> V + Sync),
     ) -> (Vec<V>, EnumStats) {
-        let split_depth = cfg.split_depth.max(1);
         let root = self.root(cfg);
-        // Clamp the worker count: with top-level-only splitting no more
-        // than one task per root candidate ever exists, and an absolute
-        // cap keeps a huge `--threads` from hitting OS spawn limits.
-        let task_bound = if split_depth == 1 {
-            root.p.len().max(1)
-        } else {
-            MAX_THREADS
-        };
-        let threads = cfg.threads.clamp(1, task_bound.min(MAX_THREADS));
+        // Clamp the worker count: no more than one task per root
+        // candidate ever exists, and an absolute cap keeps a huge
+        // `--threads` from hitting OS spawn limits.
+        let threads = cfg.threads.clamp(1, root.p.len().clamp(1, MAX_THREADS));
         let shared = SharedBudget::new(cfg.budget.clone());
         let queue = TaskQueue::new(root);
 
@@ -263,7 +256,7 @@ impl<'g> Walk<'g> {
                         let _guard = TaskGuard { queue };
                         // Drain without work once any global limit trips.
                         if !shared.is_exhausted() {
-                            if task.depth < split_depth {
+                            if task.depth == 0 {
                                 walker.split(task, &mut |l, r| visitor.visit(l, r), &mut |t| {
                                     queue.push(t)
                                 });
@@ -377,7 +370,10 @@ mod tests {
             .collect();
         assert!(!serial.is_empty());
         for order in [VertexOrder::IdAsc, VertexOrder::DegreeDesc] {
-            let cfg = RunConfig::with_order(order);
+            let cfg = RunConfig {
+                order,
+                ..RunConfig::default()
+            };
             let par = par_ssfbc(&g, params, &cfg, 4);
             let got: BTreeSet<Biclique> = par.bicliques.into_iter().collect();
             assert_eq!(got, serial, "order {order:?}");
@@ -423,15 +419,12 @@ mod tests {
         };
         let want = serial(&base);
         for threads in [2usize, 3, 7] {
-            for split_depth in [1u32, 2] {
-                let cfg = RunConfig {
-                    threads,
-                    split_depth,
-                    ..base.clone()
-                };
-                let got = serial(&cfg);
-                assert_eq!(got, want, "threads {threads} split {split_depth}");
-            }
+            let cfg = RunConfig {
+                threads,
+                ..base.clone()
+            };
+            let got = serial(&cfg);
+            assert_eq!(got, want, "threads {threads}");
         }
     }
 
@@ -442,19 +435,16 @@ mod tests {
             let params = FairParams::unchecked(2, 1, 1);
             let ser = enumerate_ssfbc(&g, params, &RunConfig::default());
             for threads in [2usize, 4, 7] {
-                for split_depth in [1u32, 3] {
-                    let cfg = RunConfig {
-                        threads,
-                        split_depth,
-                        ..RunConfig::default()
-                    };
-                    let par = enumerate_ssfbc(&g, params, &cfg);
-                    assert_eq!(
-                        par.stats.nodes, ser.stats.nodes,
-                        "seed {seed} threads {threads} split {split_depth}"
-                    );
-                    assert_eq!(par.stats.emitted, ser.stats.emitted);
-                }
+                let cfg = RunConfig {
+                    threads,
+                    ..RunConfig::default()
+                };
+                let par = enumerate_ssfbc(&g, params, &cfg);
+                assert_eq!(
+                    par.stats.nodes, ser.stats.nodes,
+                    "seed {seed} threads {threads}"
+                );
+                assert_eq!(par.stats.emitted, ser.stats.emitted);
             }
         }
     }
@@ -508,18 +498,15 @@ mod tests {
             .bicliques
             .into_iter()
             .collect::<BTreeSet<_>>();
-        for split_depth in [1u32, 2] {
-            let cfg = RunConfig {
-                threads: 1_000_000,
-                split_depth,
-                ..RunConfig::default()
-            };
-            let got: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &cfg)
-                .bicliques
-                .into_iter()
-                .collect();
-            assert_eq!(got, want, "split {split_depth}");
-        }
+        let cfg = RunConfig {
+            threads: 1_000_000,
+            ..RunConfig::default()
+        };
+        let got: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &cfg)
+            .bicliques
+            .into_iter()
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -527,7 +514,10 @@ mod tests {
         use crate::biclique::{CountSink, TopKSink};
         let g = random_uniform(12, 14, 80, 2, 2, 6);
         let params = FairParams::unchecked(2, 1, 1);
-        let cfg = RunConfig::with_threads(4);
+        let cfg = RunConfig {
+            threads: 4,
+            ..RunConfig::default()
+        };
         let report = enumerate_ssfbc(&g, params, &cfg);
         let prepared = prepared_ssfbc(&g, params, &cfg);
         let (counts, stats) =
@@ -583,7 +573,10 @@ mod tests {
             .len() as u64;
         assert!(total > 4, "need enough results to panic mid-run");
 
-        let cfg = RunConfig::with_threads(4);
+        let cfg = RunConfig {
+            threads: 4,
+            ..RunConfig::default()
+        };
         let prepared = prepared_ssfbc(&g, params, &cfg);
         let emitted = Arc::new(AtomicU64::new(0));
         let result = catch_unwind(AssertUnwindSafe(|| {

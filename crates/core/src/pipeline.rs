@@ -256,7 +256,10 @@ mod tests {
                     SsAlgorithm::FairBcem,
                     SsAlgorithm::FairBcemPP,
                 ] {
-                    let cfg = RunConfig::with_prune(prune);
+                    let cfg = RunConfig {
+                        prune,
+                        ..RunConfig::default()
+                    };
                     let mut sink = CollectSink::default();
                     run_ssfbc(&g, params, algo, &cfg, &mut sink);
                     let got: BTreeSet<_> = sink.bicliques.into_iter().collect();
@@ -278,7 +281,10 @@ mod tests {
                     BiAlgorithm::BFairBcem,
                     BiAlgorithm::BFairBcemPP,
                 ] {
-                    let cfg = RunConfig::with_prune(prune);
+                    let cfg = RunConfig {
+                        prune,
+                        ..RunConfig::default()
+                    };
                     let mut sink = CollectSink::default();
                     run_bsfbc(&g, params, algo, &cfg, &mut sink);
                     let got: BTreeSet<_> = sink.bicliques.into_iter().collect();
@@ -314,7 +320,10 @@ mod tests {
         let params = FairParams::unchecked(2, 1, 1);
         let mut res = Vec::new();
         for order in [VertexOrder::IdAsc, VertexOrder::DegreeDesc] {
-            let cfg = RunConfig::with_order(order);
+            let cfg = RunConfig {
+                order,
+                ..RunConfig::default()
+            };
             let report = enumerate_ssfbc(&g, params, &cfg);
             res.push(report.bicliques.into_iter().collect::<BTreeSet<_>>());
         }

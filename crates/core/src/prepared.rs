@@ -197,11 +197,6 @@ impl PreparedQuery {
         &self.pruned.stats
     }
 
-    /// The substrate the plan resolved to (never `Auto`).
-    pub fn resolved_substrate(&self) -> Substrate {
-        self.plan.choice()
-    }
-
     /// Wall-clock cost of the preparation phases (pruning — including
     /// the 2-hop/coloring work of the colorful core — plus plan
     /// construction). Amortized across every execute of this plan.
@@ -227,8 +222,8 @@ impl PreparedQuery {
     /// calling thread (nothing is spawned, no queue lock is taken);
     /// above that the work-stealing engine runs up to `cfg.threads`
     /// workers on one global budget ([`crate::parallel`]). Honors
-    /// `cfg.order`, `cfg.split_depth` and the budget/cancellation in
-    /// `cfg.budget`; `cfg.sorted` is left to the caller, which owns the
+    /// `cfg.order` and the budget/cancellation in `cfg.budget`;
+    /// `cfg.sorted` is left to the caller, which owns the
     /// results. Returns the sinks in worker order for the caller to
     /// merge, plus the merged statistics (`stats.emitted` is the total
     /// result count).
@@ -576,7 +571,10 @@ mod tests {
         let prepared =
             PreparedQuery::prepare(&g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
         for threads in [1usize, 4] {
-            let cfg = RunConfig::with_threads(threads);
+            let cfg = RunConfig {
+                threads,
+                ..RunConfig::default()
+            };
             let (got, _) = prepared.maximum(SizeMetric::Edges, &cfg);
             assert_eq!(got, want, "threads {threads}");
         }
@@ -685,7 +683,7 @@ mod tests {
             Substrate::Auto,
         );
         assert_eq!(p.model(), QueryModel::Ssfbc(fair));
-        assert_ne!(p.resolved_substrate(), Substrate::Auto);
+        assert_ne!(p.plan.choice(), Substrate::Auto);
         assert!(p.prune_stats().upper_after <= p.prune_stats().upper_before);
         let _ = p.heap_bytes();
     }

@@ -256,12 +256,6 @@ impl Engine {
         self.shutdown.is_cancelled()
     }
 
-    /// Drop all cached plans (benchmarks use this to measure the cold
-    /// path repeatedly).
-    pub fn clear_plans(&self) {
-        lock_unpoisoned(&self.plans).clear();
-    }
-
     /// Parse and execute one request line with a throwaway session
     /// (tracing off). Transports serving multi-request connections
     /// use [`Engine::handle_line_in`] so `TRACE` persists.

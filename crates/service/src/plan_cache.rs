@@ -186,12 +186,6 @@ impl PlanCache {
         self.slots.keys().filter(|k| k.graph == graph).count()
     }
 
-    /// Drop everything (benchmark cold-path support).
-    pub fn clear(&mut self) {
-        self.invalidated += self.slots.len() as u64;
-        self.slots.clear();
-    }
-
     /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -264,9 +258,9 @@ mod tests {
         assert!(c.get(&key("g", 0, 1)).is_none());
         assert!(c.get(&key("h", 5, 1)).is_some());
         assert_eq!(c.invalidated, 1, "invalidate_graph counts drops");
-        c.clear();
+        assert_eq!(c.invalidate_graph("h"), 1);
         assert!(c.is_empty());
-        assert_eq!(c.invalidated, 2, "clear counts drops too");
+        assert_eq!(c.invalidated, 2, "every drop is counted");
         // Invalidation is not eviction: capacity accounting untouched.
         assert_eq!(c.evictions, 0);
     }

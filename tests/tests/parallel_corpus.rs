@@ -65,22 +65,19 @@ fn all_parallel_miners_match_serial_on_youtube_corpus() {
     );
     assert!(!want.0.is_empty());
     for threads in [2usize, 4, 8] {
-        for split_depth in [1u32, 2] {
-            let cfg = RunConfig {
-                threads,
-                split_depth,
-                ..sorted.clone()
-            };
-            let got = (
-                enumerate_ssfbc(&g, params, &cfg).bicliques,
-                enumerate_bsfbc(&g, bi, &cfg).bicliques,
-                enumerate_pssfbc(&g, pro, &cfg).bicliques,
-                enumerate_pbsfbc(&g, bi_pro, &cfg).bicliques,
-                maximum_of(&g, QueryModel::Ssfbc(params), SizeMetric::Edges, &cfg),
-                maximum_of(&g, QueryModel::Bsfbc(bi), SizeMetric::Vertices, &cfg),
-            );
-            assert_eq!(got, want, "threads {threads} split {split_depth}");
-        }
+        let cfg = RunConfig {
+            threads,
+            ..sorted.clone()
+        };
+        let got = (
+            enumerate_ssfbc(&g, params, &cfg).bicliques,
+            enumerate_bsfbc(&g, bi, &cfg).bicliques,
+            enumerate_pssfbc(&g, pro, &cfg).bicliques,
+            enumerate_pbsfbc(&g, bi_pro, &cfg).bicliques,
+            maximum_of(&g, QueryModel::Ssfbc(params), SizeMetric::Edges, &cfg),
+            maximum_of(&g, QueryModel::Bsfbc(bi), SizeMetric::Vertices, &cfg),
+        );
+        assert_eq!(got, want, "threads {threads}");
     }
 }
 

@@ -21,10 +21,9 @@ use std::collections::BTreeSet;
 /// two and exceeds the top-level branch count of the small graphs.
 const THREADS: [usize; 4] = [1, 2, 4, 7];
 
-fn par_cfg(threads: usize, split_depth: u32) -> RunConfig {
+fn par_cfg(threads: usize) -> RunConfig {
     RunConfig {
         threads,
-        split_depth,
         sorted: true,
         ..RunConfig::default()
     }
@@ -63,7 +62,7 @@ proptest! {
 
     /// Every parallel miner's result set equals its serial
     /// counterpart's and the brute-force oracle's, at every thread
-    /// count and split depth.
+    /// count.
     #[test]
     fn parallel_miners_match_serial_and_oracles(
         g in graph_strategy(7, 8),
@@ -77,14 +76,12 @@ proptest! {
         let want_pss = oracle_pssfbc(&g, pro);
         let want_pbs = oracle_pbsfbc(&g, pro);
         for threads in THREADS {
-            for split_depth in [1u32, 2] {
-                let cfg = par_cfg(threads, split_depth);
-                let tag = format!("threads {threads} split {split_depth}");
-                prop_assert_eq!(&set_of(enumerate_ssfbc(&g, params, &cfg)), &want_ss, "SSFBC {}", &tag);
-                prop_assert_eq!(&set_of(enumerate_bsfbc(&g, params, &cfg)), &want_bs, "BSFBC {}", &tag);
-                prop_assert_eq!(&set_of(enumerate_pssfbc(&g, pro, &cfg)), &want_pss, "PSSFBC {}", &tag);
-                prop_assert_eq!(&set_of(enumerate_pbsfbc(&g, pro, &cfg)), &want_pbs, "PBSFBC {}", &tag);
-            }
+            let cfg = par_cfg(threads);
+            let tag = format!("threads {threads}");
+            prop_assert_eq!(&set_of(enumerate_ssfbc(&g, params, &cfg)), &want_ss, "SSFBC {}", &tag);
+            prop_assert_eq!(&set_of(enumerate_bsfbc(&g, params, &cfg)), &want_bs, "BSFBC {}", &tag);
+            prop_assert_eq!(&set_of(enumerate_pssfbc(&g, pro, &cfg)), &want_pss, "PSSFBC {}", &tag);
+            prop_assert_eq!(&set_of(enumerate_pbsfbc(&g, pro, &cfg)), &want_pbs, "PBSFBC {}", &tag);
         }
     }
 
@@ -101,7 +98,7 @@ proptest! {
             let want_ss = maximum_of(&g, ss, metric, &RunConfig::default());
             let want_bs = maximum_of(&g, bs, metric, &RunConfig::default());
             for threads in [2usize, 4, 7] {
-                let cfg = RunConfig::with_threads(threads);
+                let cfg = RunConfig { threads, ..RunConfig::default() };
                 let got_ss = maximum_of(&g, ss, metric, &cfg);
                 let got_bs = maximum_of(&g, bs, metric, &cfg);
                 prop_assert_eq!(&got_ss, &want_ss, "ss threads {} {:?}", threads, metric);
@@ -122,18 +119,16 @@ proptest! {
         let ser_ss = enumerate_ssfbc(&g, params, &RunConfig::default());
         let ser_bs = enumerate_bsfbc(&g, params, &RunConfig::default());
         for threads in THREADS {
-            for split_depth in [1u32, 2] {
-                let cfg = par_cfg(threads, split_depth);
-                let par_ss = enumerate_ssfbc(&g, params, &cfg);
-                prop_assert_eq!(par_ss.stats.nodes, ser_ss.stats.nodes,
-                    "ss nodes, threads {} split {}", threads, split_depth);
-                prop_assert_eq!(par_ss.stats.emitted, ser_ss.stats.emitted);
-                prop_assert_eq!(par_ss.prune, ser_ss.prune, "prune stats are run-identical");
-                let par_bs = enumerate_bsfbc(&g, params, &cfg);
-                prop_assert_eq!(par_bs.stats.nodes, ser_bs.stats.nodes,
-                    "bs nodes, threads {} split {}", threads, split_depth);
-                prop_assert_eq!(par_bs.stats.emitted, ser_bs.stats.emitted);
-            }
+            let cfg = par_cfg(threads);
+            let par_ss = enumerate_ssfbc(&g, params, &cfg);
+            prop_assert_eq!(par_ss.stats.nodes, ser_ss.stats.nodes,
+                "ss nodes, threads {}", threads);
+            prop_assert_eq!(par_ss.stats.emitted, ser_ss.stats.emitted);
+            prop_assert_eq!(par_ss.prune, ser_ss.prune, "prune stats are run-identical");
+            let par_bs = enumerate_bsfbc(&g, params, &cfg);
+            prop_assert_eq!(par_bs.stats.nodes, ser_bs.stats.nodes,
+                "bs nodes, threads {}", threads);
+            prop_assert_eq!(par_bs.stats.emitted, ser_bs.stats.emitted);
         }
     }
 }
@@ -241,8 +236,8 @@ fn node_budget_is_not_multiplied_by_thread_count() {
 // Determinism.
 // ---------------------------------------------------------------
 
-/// Sorted-output mode is byte-identical across thread counts and
-/// split depths, and identical to the sorted serial run.
+/// Sorted-output mode is byte-identical across thread counts, and
+/// identical to the sorted serial run.
 #[test]
 fn sorted_output_is_byte_identical_across_thread_counts() {
     let g = medium_graph(11);
@@ -259,15 +254,10 @@ fn sorted_output_is_byte_identical_across_thread_counts() {
     let mut serial_bytes = Vec::new();
     fair_biclique::results::write_tsv(&serial.bicliques, &mut serial_bytes).unwrap();
     for threads in THREADS {
-        for split_depth in [1u32, 2, 4] {
-            let par = enumerate_ssfbc(&g, params, &par_cfg(threads, split_depth));
-            let mut bytes = Vec::new();
-            fair_biclique::results::write_tsv(&par.bicliques, &mut bytes).unwrap();
-            assert_eq!(
-                bytes, serial_bytes,
-                "threads {threads} split {split_depth}: bytes differ"
-            );
-        }
+        let par = enumerate_ssfbc(&g, params, &par_cfg(threads));
+        let mut bytes = Vec::new();
+        fair_biclique::results::write_tsv(&par.bicliques, &mut bytes).unwrap();
+        assert_eq!(bytes, serial_bytes, "threads {threads}: bytes differ");
     }
 }
 
@@ -277,13 +267,13 @@ fn sorted_output_is_byte_identical_across_thread_counts() {
 fn parallel_output_is_valid_on_medium_graphs() {
     let g = medium_graph(3);
     let params = FairParams::unchecked(2, 2, 1);
-    let ss = enumerate_ssfbc(&g, params, &par_cfg(4, 2));
+    let ss = enumerate_ssfbc(&g, params, &par_cfg(4));
     assert!(!ss.bicliques.is_empty());
     for bc in &ss.bicliques {
         assert_valid_ssfbc(&g, bc, params);
     }
     let params_bi = FairParams::unchecked(1, 1, 1);
-    let bs = enumerate_bsfbc(&g, params_bi, &par_cfg(4, 2));
+    let bs = enumerate_bsfbc(&g, params_bi, &par_cfg(4));
     for bc in &bs.bicliques {
         assert_valid_bsfbc(&g, bc, params_bi);
     }
@@ -298,7 +288,7 @@ fn empty_graph_on_many_threads() {
     let g = GraphBuilder::new(2, 2).build().unwrap();
     let params = FairParams::unchecked(1, 1, 1);
     for threads in [1usize, 4, 16] {
-        let r = enumerate_ssfbc(&g, params, &par_cfg(threads, 2));
+        let r = enumerate_ssfbc(&g, params, &par_cfg(threads));
         assert!(r.bicliques.is_empty(), "threads {threads}");
         assert!(!r.stats.aborted);
         assert_eq!(r.threads, threads);
@@ -306,7 +296,10 @@ fn empty_graph_on_many_threads() {
             &g,
             QueryModel::Ssfbc(params),
             SizeMetric::Vertices,
-            &RunConfig::with_threads(threads),
+            &RunConfig {
+                threads,
+                ..RunConfig::default()
+            },
         );
         assert!(best.is_none());
     }
@@ -330,11 +323,9 @@ fn single_branch_graph_and_more_threads_than_branches() {
     let want = oracle_ssfbc(&g, params);
     assert_eq!(want.len(), 1, "the block is the unique SSFBC");
     for threads in [1usize, 2, 16] {
-        for split_depth in [1u32, 3] {
-            let r = enumerate_ssfbc(&g, params, &par_cfg(threads, split_depth));
-            let got: BTreeSet<Biclique> = r.bicliques.into_iter().collect();
-            assert_eq!(got, want, "threads {threads} split {split_depth}");
-        }
+        let r = enumerate_ssfbc(&g, params, &par_cfg(threads));
+        let got: BTreeSet<Biclique> = r.bicliques.into_iter().collect();
+        assert_eq!(got, want, "threads {threads}");
     }
 }
 

@@ -3,7 +3,10 @@
 //! * requests — `parse_request(&r.to_string()) == Ok(r)` for every
 //!   verb (`fbe_service::protocol` owns both directions);
 //! * result lines — `b.to_string().parse::<Biclique>() == Ok(b)`,
-//!   including empty sides, and malformed lines are rejected.
+//!   including empty sides, and malformed lines are rejected;
+//! * arbitrary request lines — a verb plus random tokens never panic
+//!   the parser, every rejection is an `ERR` reply, and every accepted
+//!   line renders to a line that parses back to the same request.
 //!
 //! The coordinator forwards rendered requests to its shards and parses
 //! their result lines back, so these properties are what keep a
@@ -115,6 +118,164 @@ fn request(verb: usize, x: u32, y: u32, big: u64, theta: f64, bits: u16) -> Requ
     }
 }
 
+/// First words of a fuzzed line: every verb, other spellings, an
+/// unknown verb and none at all.
+const VERB_WORDS: &[&str] = &[
+    "PING",
+    "LOAD",
+    "GEN",
+    "GRAPHS",
+    "DROP",
+    "ADDEDGE",
+    "DELEDGE",
+    "ADDVERTEX",
+    "SHARD",
+    "ENUM",
+    "STATS",
+    "METRICS",
+    "SLOWLOG",
+    "TRACE",
+    "SHUTDOWN",
+    "enum",
+    "Load",
+    "FROB",
+    "",
+];
+
+/// Positional words: graph names, models, sides, specs, paths, modes.
+const WORDS: &[&str] = &[
+    "g",
+    "yt",
+    "ssfbc",
+    "bsfbc",
+    "pssfbc",
+    "PBSFBC",
+    "nsf",
+    "upper",
+    "lower",
+    "u",
+    "v",
+    "left",
+    "on",
+    "off",
+    "count-only",
+    "COUNT-ONLY",
+    "youtube",
+    "dblp",
+    "imdb",
+    "uniform:3,3,4",
+    "uniform:0,3,4",
+    "uniform:2,2,1,7",
+    "uniform:2,2,1,7,3,70000",
+    "uniform:1,2",
+    "uniform:x,y,z",
+    "uniform:",
+    "data/stem",
+    "../up",
+    "/abs",
+    "=",
+    "==",
+    "alpha",
+    "0",
+    "1",
+    "7",
+    "-3",
+    "4294967296",
+];
+
+/// Keys of `key=value` tokens: every option the grammar knows, other
+/// spellings, an unknown key and an empty one.
+const KEYS: &[&str] = &[
+    "alpha",
+    "beta",
+    "delta",
+    "theta",
+    "threads",
+    "limit",
+    "deadline-ms",
+    "substrate",
+    "max",
+    "index",
+    "of",
+    "attr",
+    "attrs",
+    "sample",
+    "ALPHA",
+    "Max",
+    "seed",
+    "bogus",
+    "",
+];
+
+/// Values: in range, out of range, overflowing, signed, float edge
+/// cases, enum names, pairs and garbage.
+const VALUES: &[&str] = &[
+    "0",
+    "1",
+    "2",
+    "3",
+    "7",
+    "+3",
+    "-1",
+    "65536",
+    "4294967296",
+    "18446744073709551616",
+    "0.3",
+    "0.5",
+    "0.6",
+    "-0",
+    "5e-1",
+    "1e-320",
+    "0.30000000000000004",
+    "NaN",
+    "inf",
+    "auto",
+    "bitset",
+    "sorted-vec",
+    "vertices",
+    "edges",
+    "e",
+    "2,2",
+    "3,4,5",
+    "70000,1",
+    "1,",
+    "x",
+    "",
+    "=",
+];
+
+/// One token of a fuzzed line, from raw indices: a positional word or
+/// a `key=value` pair.
+fn token(kind: usize, a: usize, b: usize) -> String {
+    if kind % 3 == 0 {
+        WORDS[a % WORDS.len()].to_string()
+    } else {
+        format!("{}={}", KEYS[a % KEYS.len()], VALUES[b % VALUES.len()])
+    }
+}
+
+/// Apply raw `(op, at, a, b)` edits to `line`'s tokens: insert a
+/// random token, drop one, swap a value or word, or duplicate one.
+fn mutate(line: &str, edits: &[(usize, usize, usize, usize)]) -> String {
+    let mut toks: Vec<String> = line.split_whitespace().map(String::from).collect();
+    for &(op, at, a, b) in edits {
+        let i = at % (toks.len() + 1);
+        if op % 4 == 0 || i == toks.len() {
+            toks.insert(i, token(a, a, b));
+        } else if op % 4 == 1 {
+            toks.remove(i);
+        } else if op % 4 == 2 {
+            toks[i] = match toks[i].split_once('=') {
+                Some((k, _)) => format!("{k}={}", VALUES[b % VALUES.len()]),
+                None => WORDS[a % WORDS.len()].to_string(),
+            };
+        } else {
+            toks.insert(i, toks[i].clone());
+        }
+    }
+    toks.join(" ")
+}
+
 fn roundtrips(req: Request) {
     let line = req.to_string();
     assert_eq!(parse_request(&line), Ok(req), "{line}");
@@ -149,6 +310,42 @@ proptest! {
             lower: lower.into_iter().collect(),
         };
         prop_assert_eq!(b.to_string().parse::<Biclique>(), Ok(b));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// A verb plus random words and `key=value` tokens (valid, out of
+    /// range, malformed, unknown keys, wrong arity), or a valid
+    /// request's line with a few tokens inserted, dropped, changed or
+    /// repeated: parsing never panics, a rejection is always an `ERR`
+    /// reply with no payload, and an accepted line is a request whose
+    /// rendering parses back to it.
+    #[test]
+    fn arbitrary_request_lines_parse_or_answer_err(
+        from_valid in proptest::bool::weighted(0.5),
+        verb in 0usize..VERB_WORDS.len(),
+        raw in proptest::collection::vec((0usize..3, 0usize..64, 0usize..64), 0..7),
+        (x, y, big, bits) in (0u32..5000, 0u32..5000, 0u64..(1u64 << 40), 0u16..=u16::MAX),
+        edits in proptest::collection::vec((0usize..4, 0usize..16, 0usize..64, 0usize..64), 0..3),
+    ) {
+        let line = if from_valid {
+            mutate(&request(verb % VERBS, x, y, big, 0.25, bits).to_string(), &edits)
+        } else {
+            let words = raw.iter().map(|&(kind, a, b)| token(kind, a, b));
+            std::iter::once(VERB_WORDS[verb].to_string()).chain(words).collect::<Vec<_>>().join(" ")
+        };
+        match parse_request(&line) {
+            Ok(req) => {
+                let rendered = req.to_string();
+                prop_assert_eq!(parse_request(&rendered), Ok(req), "{} -> {}", line, rendered);
+            }
+            Err(reply) => {
+                prop_assert!(reply.status.starts_with("ERR "), "{}: {}", line, reply.status);
+                prop_assert!(reply.payload.is_empty(), "{}", line);
+            }
+        }
     }
 }
 
