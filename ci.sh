@@ -149,6 +149,21 @@ cargo run "${profile_flag[@]}" --bin fbe -- \
     --substrate bitset --threads 4 > "$smokedir/bit4.out"
 diff "$smokedir/sv.out" "$smokedir/bit4.out"
 
+step "smoke: baselines — nsf and bcem sorted output identical to the default bcem++, single- and bi-side"
+for model in "" "--bi"; do
+    # shellcheck disable=SC2086 # $model holds zero or one word
+    cargo run "${profile_flag[@]}" --bin fbe -- \
+        enumerate "$smokedir/g" --alpha 2 --beta 1 --delta 1 $model --sorted \
+        > "$smokedir/pp.out"
+    for algo in nsf bcem; do
+        # shellcheck disable=SC2086 # $model holds zero or one word
+        cargo run "${profile_flag[@]}" --bin fbe -- \
+            enumerate "$smokedir/g" --alpha 2 --beta 1 --delta 1 $model --sorted \
+            --algo "$algo" > "$smokedir/$algo.out"
+        diff "$smokedir/pp.out" "$smokedir/$algo.out"
+    done
+done
+
 step "smoke: fbe serve — scripted session (cache hit + mutations + shutdown)"
 # The smoke graph from above is reused; the server picks an ephemeral
 # port and prints it, the client script LOADs, runs the same query

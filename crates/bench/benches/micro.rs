@@ -13,7 +13,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fair_biclique::biclique::CountSink;
 use fair_biclique::config::{Budget, PruneKind, RunConfig, VertexOrder};
 use fair_biclique::fairset::max_fair_subsets;
-use fair_biclique::pipeline::{prune_single_side, run_ssfbc, SsAlgorithm};
+use fair_biclique::pipeline::{prune, run, Algorithm};
+use fair_biclique::prepared::QueryModel;
 use fbe_datasets::corpus::{spec, Dataset, DatasetSpec};
 use std::hint::black_box;
 
@@ -65,7 +66,13 @@ fn bench_primitives(c: &mut Criterion) {
         let g = s.build();
         let params = s.single_params();
         c.bench_function("cfcore_youtube", |bch| {
-            bch.iter(|| prune_single_side(black_box(&g), params, PruneKind::Colorful))
+            bch.iter(|| {
+                prune(
+                    black_box(&g),
+                    QueryModel::Ssfbc(params),
+                    PruneKind::Colorful,
+                )
+            })
         });
     }
 
@@ -73,7 +80,7 @@ fn bench_primitives(c: &mut Criterion) {
         let s = yt(0xC03);
         let g = s.build();
         let params = s.single_params();
-        let pruned = prune_single_side(&g, params, PruneKind::FCore);
+        let pruned = prune(&g, QueryModel::Ssfbc(params), PruneKind::FCore);
         c.bench_function("twohop_on_fcore_pruned", |bch| {
             bch.iter(|| {
                 bigraph::twohop::construct_2hop(
@@ -89,7 +96,7 @@ fn bench_primitives(c: &mut Criterion) {
         let s = yt(0xC04);
         let g = s.build();
         let params = s.single_params();
-        let pruned = prune_single_side(&g, params, PruneKind::FCore);
+        let pruned = prune(&g, QueryModel::Ssfbc(params), PruneKind::FCore);
         let h = bigraph::twohop::construct_2hop(
             &pruned.sub.graph,
             bigraph::Side::Lower,
@@ -124,26 +131,28 @@ fn bench_enumeration(c: &mut Criterion) {
     group.bench_function("fairbcem", |bch| {
         bch.iter(|| {
             let mut sink = CountSink::default();
-            run_ssfbc(
+            run(
                 black_box(&g),
-                params,
-                SsAlgorithm::FairBcem,
+                QueryModel::Ssfbc(params),
+                Algorithm::FairBcem,
                 &cfg,
                 &mut sink,
-            );
+            )
+            .unwrap();
             sink.count
         })
     });
     group.bench_function("fairbcem_pp", |bch| {
         bch.iter(|| {
             let mut sink = CountSink::default();
-            run_ssfbc(
+            run(
                 black_box(&g),
-                params,
-                SsAlgorithm::FairBcemPP,
+                QueryModel::Ssfbc(params),
+                Algorithm::FairBcemPP,
                 &cfg,
                 &mut sink,
-            );
+            )
+            .unwrap();
             sink.count
         })
     });

@@ -15,7 +15,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fair_biclique::biclique::CountSink;
 use fair_biclique::config::{PruneKind, RunConfig, Substrate};
-use fair_biclique::pipeline::{run_ssfbc, SsAlgorithm};
+use fair_biclique::pipeline::{run, Algorithm};
+use fair_biclique::prepared::QueryModel;
 use std::hint::black_box;
 
 /// Deterministic splitmix64 — the bench crate carries no RNG
@@ -102,18 +103,26 @@ fn bench_dense_pruned_core(c: &mut Criterion) {
         group.bench_function(&substrate.to_string(), |b| {
             b.iter(|| {
                 let mut sink = CountSink::default();
-                run_ssfbc(
+                run(
                     black_box(&g),
-                    params,
-                    SsAlgorithm::FairBcemPP,
+                    QueryModel::Ssfbc(params),
+                    Algorithm::FairBcemPP,
                     &cfg,
                     &mut sink,
-                );
+                )
+                .unwrap();
                 sink.count
             })
         });
         let mut sink = CountSink::default();
-        run_ssfbc(&g, params, SsAlgorithm::FairBcemPP, &cfg, &mut sink);
+        run(
+            &g,
+            QueryModel::Ssfbc(params),
+            Algorithm::FairBcemPP,
+            &cfg,
+            &mut sink,
+        )
+        .unwrap();
         counts.insert(substrate.to_string(), sink.count);
     }
     group.finish();
@@ -153,13 +162,14 @@ fn bench_sparse_skewed(c: &mut Criterion) {
         group.bench_function(&substrate.to_string(), |b| {
             b.iter(|| {
                 let mut sink = CountSink::default();
-                run_ssfbc(
+                run(
                     black_box(&g),
-                    params,
-                    SsAlgorithm::FairBcemPP,
+                    QueryModel::Ssfbc(params),
+                    Algorithm::FairBcemPP,
                     &cfg,
                     &mut sink,
-                );
+                )
+                .unwrap();
                 sink.count
             })
         });

@@ -12,10 +12,8 @@ use fair_biclique::biclique::CountSink;
 use fair_biclique::config::{Budget, FairParams, ProParams, PruneKind, RunConfig, VertexOrder};
 use fair_biclique::fcore::PruneOutcome;
 use fair_biclique::mbea::maximal_bicliques;
-use fair_biclique::memory::{measure_bsfbc, measure_ssfbc};
-use fair_biclique::pipeline::{
-    prune_bi_side, prune_single_side, run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm,
-};
+use fair_biclique::memory::measure;
+use fair_biclique::pipeline::{prune, run, Algorithm};
 use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use fbe_datasets::corpus::{spec, Dataset, DatasetSpec};
 use std::collections::HashMap;
@@ -122,33 +120,18 @@ impl RunResult {
     }
 }
 
-/// Time one single-side enumeration (pruning included, like the paper).
-pub fn time_ssfbc(
+/// Time one enumeration of `model` with `algo` (pruning included,
+/// like the paper).
+pub fn time_run(
     g: &BipartiteGraph,
-    params: FairParams,
-    algo: SsAlgorithm,
+    model: QueryModel,
+    algo: Algorithm,
     opts: &Opts,
     order: VertexOrder,
 ) -> RunResult {
     let mut sink = CountSink::default();
-    let ((_, stats), time) = timed(|| run_ssfbc(g, params, algo, &cfg(opts, order), &mut sink));
-    RunResult {
-        count: sink.count,
-        time,
-        aborted: stats.aborted,
-    }
-}
-
-/// Time one bi-side enumeration.
-pub fn time_bsfbc(
-    g: &BipartiteGraph,
-    params: FairParams,
-    algo: BiAlgorithm,
-    opts: &Opts,
-    order: VertexOrder,
-) -> RunResult {
-    let mut sink = CountSink::default();
-    let ((_, stats), time) = timed(|| run_bsfbc(g, params, algo, &cfg(opts, order), &mut sink));
+    let (ran, time) = timed(|| run(g, model, algo, &cfg(opts, order), &mut sink));
+    let (_, stats) = ran.expect("the experiments run the baselines on absolute models only");
     RunResult {
         count: sink.count,
         time,
@@ -195,8 +178,8 @@ pub fn exp1_fig3(opts: &Opts) -> Vec<Table> {
     );
     for &a in &range {
         let p = FairParams::unchecked(a, s.default_single.1, s.default_delta);
-        let (f, ft) = timed(|| prune_single_side(&g, p, PruneKind::FCore));
-        let (c, ct) = timed(|| prune_single_side(&g, p, PruneKind::Colorful));
+        let (f, ft) = timed(|| prune(&g, QueryModel::Ssfbc(p), PruneKind::FCore));
+        let (c, ct) = timed(|| prune(&g, QueryModel::Ssfbc(p), PruneKind::Colorful));
         let (fn_, fts) = prune_row(&f, ft);
         let (cn, cts) = prune_row(&c, ct);
         nodes_a.push(vec![a.to_string(), fn_, cn]);
@@ -215,8 +198,8 @@ pub fn exp1_fig3(opts: &Opts) -> Vec<Table> {
     );
     for &b in &range {
         let p = FairParams::unchecked(s.default_single.0, b, s.default_delta);
-        let (f, ft) = timed(|| prune_single_side(&g, p, PruneKind::FCore));
-        let (c, ct) = timed(|| prune_single_side(&g, p, PruneKind::Colorful));
+        let (f, ft) = timed(|| prune(&g, QueryModel::Ssfbc(p), PruneKind::FCore));
+        let (c, ct) = timed(|| prune(&g, QueryModel::Ssfbc(p), PruneKind::Colorful));
         let (fn_, fts) = prune_row(&f, ft);
         let (cn, cts) = prune_row(&c, ct);
         nodes_b.push(vec![b.to_string(), fn_, cn]);
@@ -256,8 +239,8 @@ pub fn exp1_fig4(opts: &Opts) -> Vec<Table> {
             } else {
                 FairParams::unchecked(s.default_bi.0, x, s.default_delta)
             };
-            let (f, ft) = timed(|| prune_bi_side(&g, p, PruneKind::FCore));
-            let (c, ct) = timed(|| prune_bi_side(&g, p, PruneKind::Colorful));
+            let (f, ft) = timed(|| prune(&g, QueryModel::Bsfbc(p), PruneKind::FCore));
+            let (c, ct) = timed(|| prune(&g, QueryModel::Bsfbc(p), PruneKind::Colorful));
             let (fn_, fts) = prune_row(&f, ft);
             let (cn, cts) = prune_row(&c, ct);
             nodes.push(vec![x.to_string(), fn_, cn]);
@@ -321,20 +304,21 @@ pub fn exp2_fig2(opts: &Opts) -> Vec<Table> {
             );
             for &x in &range {
                 let p = axis.apply(s.single_params(), x);
+                let time = |algo| {
+                    time_run(
+                        &g,
+                        QueryModel::Ssfbc(p),
+                        algo,
+                        opts,
+                        VertexOrder::DegreeDesc,
+                    )
+                };
                 let mut row = vec![x.to_string()];
                 if with_nsf {
-                    row.push(
-                        time_ssfbc(&g, p, SsAlgorithm::Nsf, opts, VertexOrder::DegreeDesc).cell(),
-                    );
+                    row.push(time(Algorithm::Nsf).cell());
                 }
-                let bcem = time_ssfbc(&g, p, SsAlgorithm::FairBcem, opts, VertexOrder::DegreeDesc);
-                let pp = time_ssfbc(
-                    &g,
-                    p,
-                    SsAlgorithm::FairBcemPP,
-                    opts,
-                    VertexOrder::DegreeDesc,
-                );
+                let bcem = time(Algorithm::FairBcem);
+                let pp = time(Algorithm::FairBcemPP);
                 row.push(bcem.cell());
                 row.push(pp.cell());
                 row.push(pp.count.to_string());
@@ -368,20 +352,21 @@ pub fn exp3_fig5(opts: &Opts) -> Vec<Table> {
             );
             for &x in &range {
                 let p = axis.apply(s.bi_params(), x);
+                let time = |algo| {
+                    time_run(
+                        &g,
+                        QueryModel::Bsfbc(p),
+                        algo,
+                        opts,
+                        VertexOrder::DegreeDesc,
+                    )
+                };
                 let mut row = vec![x.to_string()];
                 if with_nsf {
-                    row.push(
-                        time_bsfbc(&g, p, BiAlgorithm::Bnsf, opts, VertexOrder::DegreeDesc).cell(),
-                    );
+                    row.push(time(Algorithm::Nsf).cell());
                 }
-                let bcem = time_bsfbc(&g, p, BiAlgorithm::BFairBcem, opts, VertexOrder::DegreeDesc);
-                let pp = time_bsfbc(
-                    &g,
-                    p,
-                    BiAlgorithm::BFairBcemPP,
-                    opts,
-                    VertexOrder::DegreeDesc,
-                );
+                let bcem = time(Algorithm::FairBcem);
+                let pp = time(Algorithm::FairBcemPP);
                 row.push(bcem.cell());
                 row.push(pp.cell());
                 row.push(pp.count.to_string());
@@ -417,8 +402,8 @@ pub fn exp2_table2(opts: &Opts) -> Vec<Table> {
         t.headers = vec!["Algorithm".into(), "Ordering".into(), "Youtube".into()];
     }
     for (name, algo) in [
-        ("FairBCEM", SsAlgorithm::FairBcem),
-        ("FairBCEM++", SsAlgorithm::FairBcemPP),
+        ("FairBCEM", Algorithm::FairBcem),
+        ("FairBCEM++", Algorithm::FairBcemPP),
     ] {
         for (oname, order) in [
             ("IDOrd", VertexOrder::IdAsc),
@@ -427,15 +412,21 @@ pub fn exp2_table2(opts: &Opts) -> Vec<Table> {
             let mut row = vec![name.to_string(), oname.to_string()];
             for &d in &ds {
                 let g = graph_for(d);
-                let r = time_ssfbc(&g, spec(d).single_params(), algo, opts, order);
+                let r = time_run(
+                    &g,
+                    QueryModel::Ssfbc(spec(d).single_params()),
+                    algo,
+                    opts,
+                    order,
+                );
                 row.push(r.cell());
             }
             t.push(row);
         }
     }
     for (name, algo) in [
-        ("BFairBCEM", BiAlgorithm::BFairBcem),
-        ("BFairBCEM++", BiAlgorithm::BFairBcemPP),
+        ("BFairBCEM", Algorithm::FairBcem),
+        ("BFairBCEM++", Algorithm::FairBcemPP),
     ] {
         for (oname, order) in [
             ("IDOrd", VertexOrder::IdAsc),
@@ -444,7 +435,13 @@ pub fn exp2_table2(opts: &Opts) -> Vec<Table> {
             let mut row = vec![name.to_string(), oname.to_string()];
             for &d in &ds {
                 let g = graph_for(d);
-                let r = time_bsfbc(&g, spec(d).bi_params(), algo, opts, order);
+                let r = time_run(
+                    &g,
+                    QueryModel::Bsfbc(spec(d).bi_params()),
+                    algo,
+                    opts,
+                    order,
+                );
                 row.push(r.cell());
             }
             t.push(row);
@@ -478,9 +475,9 @@ pub fn exp4_fig6(opts: &Opts) -> Vec<Table> {
         // Count on the colorful-core-pruned graph (a superset of all
         // fair bicliques' vertices) like the fair counts.
         let pruned = if bi {
-            prune_bi_side(&g, params, PruneKind::Colorful)
+            prune(&g, QueryModel::Bsfbc(params), PruneKind::Colorful)
         } else {
-            prune_single_side(&g, params, PruneKind::Colorful)
+            prune(&g, QueryModel::Ssfbc(params), PruneKind::Colorful)
         };
         let (min_l, min_r) = if bi {
             (2 * params.alpha as usize, 2 * params.beta as usize)
@@ -516,10 +513,10 @@ pub fn exp4_fig6(opts: &Opts) -> Vec<Table> {
         );
         for &x in &range {
             let p = axis.apply(s.single_params(), x);
-            let r = time_ssfbc(
+            let r = time_run(
                 &g,
-                p,
-                SsAlgorithm::FairBcemPP,
+                QueryModel::Ssfbc(p),
+                Algorithm::FairBcemPP,
                 opts,
                 VertexOrder::DegreeDesc,
             );
@@ -543,10 +540,10 @@ pub fn exp4_fig6(opts: &Opts) -> Vec<Table> {
         };
         for &x in &range_bi {
             let p = axis.apply(s.bi_params(), x);
-            let r = time_bsfbc(
+            let r = time_run(
                 &g,
-                p,
-                BiAlgorithm::BFairBcemPP,
+                QueryModel::Bsfbc(p),
+                Algorithm::FairBcemPP,
                 opts,
                 VertexOrder::DegreeDesc,
             );
@@ -592,36 +589,17 @@ pub fn exp5_fig7(opts: &Opts) -> Vec<Table> {
             sample_edges(&g, f, 0xf7)
         };
         let label = format!("{:.0}%", f * 100.0);
-        let a = time_ssfbc(
-            &sub,
-            s.single_params(),
-            SsAlgorithm::FairBcem,
-            opts,
-            VertexOrder::DegreeDesc,
-        );
-        let b = time_ssfbc(
-            &sub,
-            s.single_params(),
-            SsAlgorithm::FairBcemPP,
-            opts,
-            VertexOrder::DegreeDesc,
-        );
-        ss.push(vec![label.clone(), a.cell(), b.cell()]);
-        let a = time_bsfbc(
-            &sub,
-            s.bi_params(),
-            BiAlgorithm::BFairBcem,
-            opts,
-            VertexOrder::DegreeDesc,
-        );
-        let b = time_bsfbc(
-            &sub,
-            s.bi_params(),
-            BiAlgorithm::BFairBcemPP,
-            opts,
-            VertexOrder::DegreeDesc,
-        );
-        bi.push(vec![label, a.cell(), b.cell()]);
+        let time = |model, algo| time_run(&sub, model, algo, opts, VertexOrder::DegreeDesc).cell();
+        for (table, model) in [
+            (&mut ss, QueryModel::Ssfbc(s.single_params())),
+            (&mut bi, QueryModel::Bsfbc(s.bi_params())),
+        ] {
+            table.push(vec![
+                label.clone(),
+                time(model, Algorithm::FairBcem),
+                time(model, Algorithm::FairBcemPP),
+            ]);
+        }
     }
     vec![ss, bi]
 }
@@ -645,12 +623,21 @@ pub fn exp6_fig8(opts: &Opts) -> Vec<Table> {
     for s in datasets(opts) {
         let g = graph_for(s.dataset);
         let c = cfg(opts, VertexOrder::DegreeDesc);
-        let m1 = measure_ssfbc(&g, s.single_params(), SsAlgorithm::FairBcem, &c);
-        let m2 = measure_ssfbc(&g, s.single_params(), SsAlgorithm::FairBcemPP, &c);
-        ss.push(vec![s.dataset.to_string(), mb(m1.total()), mb(m2.total())]);
-        let m3 = measure_bsfbc(&g, s.bi_params(), BiAlgorithm::BFairBcem, &c);
-        let m4 = measure_bsfbc(&g, s.bi_params(), BiAlgorithm::BFairBcemPP, &c);
-        bi.push(vec![s.dataset.to_string(), mb(m3.total()), mb(m4.total())]);
+        let mem = |model, algo| {
+            let report = measure(&g, model, algo, &c);
+            let report = report.expect("every algorithm runs the absolute models");
+            mb(report.total())
+        };
+        for (table, model) in [
+            (&mut ss, QueryModel::Ssfbc(s.single_params())),
+            (&mut bi, QueryModel::Bsfbc(s.bi_params())),
+        ] {
+            table.push(vec![
+                s.dataset.to_string(),
+                mem(model, Algorithm::FairBcem),
+                mem(model, Algorithm::FairBcemPP),
+            ]);
+        }
     }
     vec![ss, bi]
 }
@@ -739,13 +726,14 @@ pub fn ablation_pruning(opts: &Opts) -> Vec<Table> {
                 ..RunConfig::default()
             };
             let ((_, stats), t) = timed(|| {
-                run_ssfbc(
+                run(
                     &g,
-                    s.single_params(),
-                    SsAlgorithm::FairBcemPP,
+                    QueryModel::Ssfbc(s.single_params()),
+                    Algorithm::FairBcemPP,
                     &c,
                     &mut sink,
                 )
+                .expect("FairBCEM++ runs every model")
             });
             row.push(fmt_time(t, stats.aborted));
             count = sink.count;
@@ -763,8 +751,16 @@ pub fn ablation_pruning(opts: &Opts) -> Vec<Table> {
                 budget: Budget::time(opts.budget),
                 ..RunConfig::default()
             };
-            let ((_, stats), t) =
-                timed(|| run_bsfbc(&g, s.bi_params(), BiAlgorithm::BFairBcemPP, &c, &mut sink));
+            let ((_, stats), t) = timed(|| {
+                run(
+                    &g,
+                    QueryModel::Bsfbc(s.bi_params()),
+                    Algorithm::FairBcemPP,
+                    &c,
+                    &mut sink,
+                )
+                .expect("FairBCEM++ runs every model")
+            });
             row.push(fmt_time(t, stats.aborted));
             count = sink.count;
         }
@@ -783,9 +779,7 @@ pub fn ablation_pruning(opts: &Opts) -> Vec<Table> {
 /// global budget).
 pub fn exp8_parallel_scaling(opts: &Opts) -> Vec<Table> {
     use fair_biclique::maximum::SizeMetric;
-    use fair_biclique::pipeline::{
-        enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc,
-    };
+    use fair_biclique::pipeline::enumerate;
 
     let d = if opts.quick {
         Dataset::Youtube
@@ -808,19 +802,19 @@ pub fn exp8_parallel_scaling(opts: &Opts) -> Vec<Table> {
     let miners: Vec<(&str, Runner)> = vec![
         (
             "FairBCEM++ (SSFBC)",
-            Box::new(|cfg: &RunConfig| report(enumerate_ssfbc(&g, params, cfg))),
+            Box::new(|cfg: &RunConfig| report(enumerate(&g, QueryModel::Ssfbc(params), cfg))),
         ),
         (
             "BFairBCEM++ (BSFBC)",
-            Box::new(|cfg: &RunConfig| report(enumerate_bsfbc(&g, bi, cfg))),
+            Box::new(|cfg: &RunConfig| report(enumerate(&g, QueryModel::Bsfbc(bi), cfg))),
         ),
         (
             "FairBCEMPro++ (PSSFBC)",
-            Box::new(|cfg: &RunConfig| report(enumerate_pssfbc(&g, pro, cfg))),
+            Box::new(|cfg: &RunConfig| report(enumerate(&g, QueryModel::Pssfbc(pro), cfg))),
         ),
         (
             "BFairBCEMPro++ (PBSFBC)",
-            Box::new(|cfg: &RunConfig| report(enumerate_pbsfbc(&g, bi_pro, cfg))),
+            Box::new(|cfg: &RunConfig| report(enumerate(&g, QueryModel::Pbsfbc(bi_pro), cfg))),
         ),
         (
             "maximum (SSFBC)",

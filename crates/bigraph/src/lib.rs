@@ -18,8 +18,6 @@
 //!   core pruning).
 //! * [`butterfly`] — butterfly (2×2 biclique) counting, including the
 //!   vertex-priority `BFC-VP` algorithm.
-//! * [`cliques`] — maximal clique / weak fair clique enumeration on
-//!   unipartite graphs (the substrate behind the colorful pruning).
 //! * [`generate`] — seeded synthetic generators (uniform, Chung–Lu
 //!   power-law, planted bicliques) standing in for the KONECT corpora.
 //! * [`io`] — edge-list / attribute-file readers and writers.
@@ -46,7 +44,6 @@
 pub mod builder;
 pub mod butterfly;
 pub mod candidate;
-pub mod cliques;
 pub mod coloring;
 pub mod generate;
 pub mod graph;

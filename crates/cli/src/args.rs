@@ -3,7 +3,7 @@
 
 use fair_biclique::config::{Substrate, VertexOrder};
 use fair_biclique::maximum::SizeMetric;
-use fair_biclique::pipeline::{BiAlgorithm, SsAlgorithm};
+use fair_biclique::pipeline::Algorithm;
 use fbe_datasets::corpus::Dataset;
 use fbe_service::protocol::parse_pair_u16;
 use std::time::Duration;
@@ -84,8 +84,9 @@ pub enum Command {
         theta: Option<f64>,
         /// Bi-side model.
         bi: bool,
-        /// Single-side algorithm (ignored with `--bi`, which maps it).
-        algo: SsAlgorithm,
+        /// Enumeration algorithm; the model's side picks its bi-side
+        /// form (`BNSF` / `BFairBCEM` / `BFairBCEM++` with `--bi`).
+        algo: Algorithm,
         /// Vertex ordering.
         order: VertexOrder,
         /// Print only the count.
@@ -310,27 +311,90 @@ fn parse_u32(s: &str, what: &str) -> Result<u32, String> {
     s.parse().map_err(|e| format!("{what}: {e}"))
 }
 
+/// The options `enumerate` and `maximum` share: the thresholds and
+/// side of the model, and how the search runs. The defaults are
+/// `DegOrd`, no budget, one thread (`0` reads as 1) and the `auto`
+/// substrate.
+#[derive(Default)]
+struct SearchOpts {
+    alpha: Option<u32>,
+    beta: Option<u32>,
+    delta: Option<u32>,
+    bi: bool,
+    order: VertexOrder,
+    budget: Option<Duration>,
+    threads: usize,
+    substrate: Substrate,
+}
+
+impl SearchOpts {
+    /// Consume `flag` (and its value) when it is a shared option;
+    /// `Ok(false)` leaves it to the subcommand.
+    fn parse_flag(&mut self, flag: &str, c: &mut Cursor<'_>) -> Result<bool, String> {
+        match flag {
+            "--alpha" => self.alpha = Some(parse_u32(c.value("--alpha")?, "--alpha")?),
+            "--beta" => self.beta = Some(parse_u32(c.value("--beta")?, "--beta")?),
+            "--delta" => self.delta = Some(parse_u32(c.value("--delta")?, "--delta")?),
+            "--bi" => self.bi = true,
+            "--order" => {
+                self.order = match c.value("--order")? {
+                    "id" => VertexOrder::IdAsc,
+                    "degree" | "deg" => VertexOrder::DegreeDesc,
+                    other => return Err(format!("--order: unknown {other:?}")),
+                }
+            }
+            "--budget-secs" => {
+                self.budget = Some(Duration::from_secs(
+                    c.value("--budget-secs")?
+                        .parse::<u64>()
+                        .map_err(|e| format!("--budget-secs: {e}"))?,
+                ))
+            }
+            "--threads" => {
+                self.threads = c
+                    .value("--threads")?
+                    .parse::<usize>()
+                    .map_err(|e| format!("--threads: {e}"))?
+            }
+            "--substrate" => {
+                self.substrate = c
+                    .value("--substrate")?
+                    .parse()
+                    .map_err(|e| format!("--substrate: {e}"))?
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The required `(α, β, δ)` of subcommand `cmd`, with `α ≥ 1`.
+    fn thresholds(&self, cmd: &str) -> Result<(u32, u32, u32), String> {
+        let alpha = self.alpha.ok_or(format!("{cmd}: --alpha required"))?;
+        if alpha == 0 {
+            return Err(format!("{cmd}: alpha must be >= 1"));
+        }
+        Ok((
+            alpha,
+            self.beta.ok_or(format!("{cmd}: --beta required"))?,
+            self.delta.ok_or(format!("{cmd}: --delta required"))?,
+        ))
+    }
+}
+
 fn parse_enumerate(c: &mut Cursor<'_>) -> Result<Command, String> {
     let (source, _) = parse_source(c)?;
-    let mut alpha = None;
-    let mut beta = None;
-    let mut delta = None;
+    let mut opts = SearchOpts::default();
     let mut theta = None;
-    let mut bi = false;
-    let mut algo = SsAlgorithm::FairBcemPP;
-    let mut order = VertexOrder::DegreeDesc;
+    let mut algo = Algorithm::FairBcemPP;
     let mut count_only = false;
     let mut top = None;
-    let mut budget = None;
-    let mut threads = 1usize;
     let mut sorted = false;
-    let mut substrate = Substrate::Auto;
     let mut trace = false;
     while let Some(a) = c.next() {
+        if opts.parse_flag(a, c)? {
+            continue;
+        }
         match a {
-            "--alpha" => alpha = Some(parse_u32(c.value("--alpha")?, "--alpha")?),
-            "--beta" => beta = Some(parse_u32(c.value("--beta")?, "--beta")?),
-            "--delta" => delta = Some(parse_u32(c.value("--delta")?, "--delta")?),
             "--theta" => {
                 theta = Some(
                     c.value("--theta")?
@@ -338,20 +402,12 @@ fn parse_enumerate(c: &mut Cursor<'_>) -> Result<Command, String> {
                         .map_err(|e| format!("--theta: {e}"))?,
                 )
             }
-            "--bi" => bi = true,
             "--algo" => {
                 algo = match c.value("--algo")? {
-                    "nsf" => SsAlgorithm::Nsf,
-                    "bcem" | "fairbcem" => SsAlgorithm::FairBcem,
-                    "bcem++" | "fairbcem++" | "pp" => SsAlgorithm::FairBcemPP,
+                    "nsf" => Algorithm::Nsf,
+                    "bcem" | "fairbcem" => Algorithm::FairBcem,
+                    "bcem++" | "fairbcem++" | "pp" => Algorithm::FairBcemPP,
                     other => return Err(format!("--algo: unknown {other:?}")),
-                }
-            }
-            "--order" => {
-                order = match c.value("--order")? {
-                    "id" => VertexOrder::IdAsc,
-                    "degree" | "deg" => VertexOrder::DegreeDesc,
-                    other => return Err(format!("--order: unknown {other:?}")),
                 }
             }
             "--count-only" => count_only = true,
@@ -362,34 +418,12 @@ fn parse_enumerate(c: &mut Cursor<'_>) -> Result<Command, String> {
                         .map_err(|e| format!("--top: {e}"))?,
                 )
             }
-            "--budget-secs" => {
-                budget = Some(Duration::from_secs(
-                    c.value("--budget-secs")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("--budget-secs: {e}"))?,
-                ))
-            }
-            "--threads" => {
-                threads = c
-                    .value("--threads")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
             "--sorted" => sorted = true,
-            "--substrate" => {
-                substrate = c
-                    .value("--substrate")?
-                    .parse()
-                    .map_err(|e| format!("--substrate: {e}"))?
-            }
             "--trace" => trace = true,
             other => return Err(format!("enumerate: unknown argument {other:?}")),
         }
     }
-    let alpha = alpha.ok_or("enumerate: --alpha required")?;
-    if alpha == 0 {
-        return Err("enumerate: alpha must be >= 1".into());
-    }
+    let (alpha, beta, delta) = opts.thresholds("enumerate")?;
     if let Some(t) = theta {
         if !(0.0..=0.5).contains(&t) {
             return Err("enumerate: theta must be in [0, 0.5]".into());
@@ -398,39 +432,31 @@ fn parse_enumerate(c: &mut Cursor<'_>) -> Result<Command, String> {
     Ok(Command::Enumerate {
         source,
         alpha,
-        beta: beta.ok_or("enumerate: --beta required")?,
-        delta: delta.ok_or("enumerate: --delta required")?,
+        beta,
+        delta,
         theta,
-        bi,
+        bi: opts.bi,
         algo,
-        order,
+        order: opts.order,
         count_only,
         top,
-        budget,
-        threads: threads.max(1),
+        budget: opts.budget,
+        threads: opts.threads.max(1),
         sorted,
-        substrate,
+        substrate: opts.substrate,
         trace,
     })
 }
 
 fn parse_maximum(c: &mut Cursor<'_>) -> Result<Command, String> {
     let (source, _) = parse_source(c)?;
-    let mut alpha = None;
-    let mut beta = None;
-    let mut delta = None;
-    let mut bi = false;
+    let mut opts = SearchOpts::default();
     let mut metric = SizeMetric::Vertices;
-    let mut order = VertexOrder::DegreeDesc;
-    let mut budget = None;
-    let mut threads = 1usize;
-    let mut substrate = Substrate::Auto;
     while let Some(a) = c.next() {
+        if opts.parse_flag(a, c)? {
+            continue;
+        }
         match a {
-            "--alpha" => alpha = Some(parse_u32(c.value("--alpha")?, "--alpha")?),
-            "--beta" => beta = Some(parse_u32(c.value("--beta")?, "--beta")?),
-            "--delta" => delta = Some(parse_u32(c.value("--delta")?, "--delta")?),
-            "--bi" => bi = true,
             "--metric" => {
                 metric = match c.value("--metric")? {
                     "vertices" | "v" => SizeMetric::Vertices,
@@ -438,50 +464,21 @@ fn parse_maximum(c: &mut Cursor<'_>) -> Result<Command, String> {
                     other => return Err(format!("--metric: unknown {other:?}")),
                 }
             }
-            "--order" => {
-                order = match c.value("--order")? {
-                    "id" => VertexOrder::IdAsc,
-                    "degree" | "deg" => VertexOrder::DegreeDesc,
-                    other => return Err(format!("--order: unknown {other:?}")),
-                }
-            }
-            "--budget-secs" => {
-                budget = Some(Duration::from_secs(
-                    c.value("--budget-secs")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("--budget-secs: {e}"))?,
-                ))
-            }
-            "--threads" => {
-                threads = c
-                    .value("--threads")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--substrate" => {
-                substrate = c
-                    .value("--substrate")?
-                    .parse()
-                    .map_err(|e| format!("--substrate: {e}"))?
-            }
             other => return Err(format!("maximum: unknown argument {other:?}")),
         }
     }
-    let alpha = alpha.ok_or("maximum: --alpha required")?;
-    if alpha == 0 {
-        return Err("maximum: alpha must be >= 1".into());
-    }
+    let (alpha, beta, delta) = opts.thresholds("maximum")?;
     Ok(Command::Maximum {
         source,
         alpha,
-        beta: beta.ok_or("maximum: --beta required")?,
-        delta: delta.ok_or("maximum: --delta required")?,
-        bi,
+        beta,
+        delta,
+        bi: opts.bi,
         metric,
-        order,
-        budget,
-        threads: threads.max(1),
-        substrate,
+        order: opts.order,
+        budget: opts.budget,
+        threads: opts.threads.max(1),
+        substrate: opts.substrate,
     })
 }
 
@@ -567,15 +564,6 @@ fn parse_batch(c: &mut Cursor<'_>) -> Result<Command, String> {
         }
     }
     Ok(Command::Batch { connect, path })
-}
-
-/// Map a single-side algorithm choice onto the bi-side family.
-pub fn bi_algo_of(algo: SsAlgorithm) -> BiAlgorithm {
-    match algo {
-        SsAlgorithm::Nsf => BiAlgorithm::Bnsf,
-        SsAlgorithm::FairBcem => BiAlgorithm::BFairBcem,
-        SsAlgorithm::FairBcemPP => BiAlgorithm::BFairBcemPP,
-    }
 }
 
 #[cfg(test)]
@@ -683,7 +671,7 @@ mod tests {
                 assert_eq!((alpha, beta, delta), (3, 2, 1));
                 assert_eq!(theta, Some(0.4));
                 assert!(bi);
-                assert_eq!(algo, SsAlgorithm::FairBcem);
+                assert_eq!(algo, Algorithm::FairBcem);
                 assert_eq!(order, VertexOrder::IdAsc);
                 assert_eq!(top, Some(5));
                 assert_eq!(budget, Some(Duration::from_secs(7)));

@@ -6,16 +6,14 @@
 //! maps `BrokenPipe` to a clean exit. Timing lines go to stderr so
 //! stdout stays byte-stable across runs.
 
-use crate::args::{bi_algo_of, Command, GenerateKind, GraphSource};
+use crate::args::{Command, GenerateKind, GraphSource};
 use bigraph::{BipartiteGraph, Side};
 use fair_biclique::biclique::{Biclique, BicliqueSink, CollectSink, CountSink, TopKSink};
 use fair_biclique::config::{
     Budget, FairParams, ProParams, RunConfig, StopReason, Substrate, VertexOrder,
 };
 use fair_biclique::obs::SpanRecorder;
-use fair_biclique::pipeline::{
-    prune_bi_side, prune_single_side, run_bsfbc, run_ssfbc, SsAlgorithm,
-};
+use fair_biclique::pipeline::{self, Algorithm};
 use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -227,11 +225,12 @@ fn prune(
 ) -> Result<String, String> {
     let g = load(source)?;
     let params = FairParams::new(alpha.max(1), beta, 0).map_err(|e| e.to_string())?;
-    let out = if bi {
-        prune_bi_side(&g, params, kind)
+    let model = if bi {
+        QueryModel::Bsfbc(params)
     } else {
-        prune_single_side(&g, params, kind)
+        QueryModel::Ssfbc(params)
     };
+    let out = pipeline::prune(&g, model, kind);
     Ok(format!(
         "{kind:?} ({}): {} -> {} vertices remaining ({} -> {} edges)\n",
         if bi { "bi-side" } else { "single-side" },
@@ -268,7 +267,7 @@ fn enumerate(
     delta: u32,
     theta: Option<f64>,
     bi: bool,
-    algo: SsAlgorithm,
+    algo: Algorithm,
     order: VertexOrder,
     count_only: bool,
     top: Option<usize>,
@@ -278,6 +277,23 @@ fn enumerate(
     substrate: Substrate,
     trace: bool,
 ) -> Result<(), CliError> {
+    // `--algo` selects among the paper's serial algorithms for the
+    // absolute models: only the default `++` miners run on the parallel
+    // engine, and the proportion models have no baselines.
+    if algo != Algorithm::FairBcemPP {
+        if threads > 1 {
+            return Err(CliError::Usage(
+                "enumerate: --threads > 1 requires the default --algo bcem++".into(),
+            ));
+        }
+        if theta.is_some() {
+            return Err(CliError::Usage(
+                "enumerate: --theta requires the default --algo bcem++ \
+                 (the proportion models have no baselines)"
+                    .into(),
+            ));
+        }
+    }
     let g = load(source)?;
     let params = FairParams::new(alpha, beta, delta).map_err(|e| e.to_string())?;
     let cfg = RunConfig {
@@ -298,16 +314,8 @@ fn enumerate(
         (false, Some(p)) => QueryModel::Pssfbc(p),
         (true, Some(p)) => QueryModel::Pbsfbc(p),
     };
-    // `--algo` selects among the paper's serial algorithms; only the
-    // default `++` miners run on the parallel engine. The proportion
-    // models have no baselines and ignore it.
-    if threads > 1 && algo != SsAlgorithm::FairBcemPP {
-        return Err(CliError::Usage(
-            "enumerate: --threads > 1 requires the default --algo bcem++".into(),
-        ));
-    }
-    let (count, aborted, shown) = if algo != SsAlgorithm::FairBcemPP && pro.is_none() {
-        enumerate_baseline(&g, params, bi, algo, &cfg, count_only, top)
+    let (count, aborted, shown) = if algo != Algorithm::FairBcemPP {
+        enumerate_baseline(&g, model, algo, &cfg, count_only, top)?
     } else {
         // With --trace the recorder collects the same span tree the
         // service's TRACE verb shows; a disabled recorder renders nothing.
@@ -360,30 +368,26 @@ fn enumerate_prepared(
 /// `NSF` / `FairBCEM`, or `BNSF` / `BFairBCEM` with `--bi`).
 fn enumerate_baseline(
     g: &BipartiteGraph,
-    params: FairParams,
-    bi: bool,
-    algo: SsAlgorithm,
+    model: QueryModel,
+    algo: Algorithm,
     cfg: &RunConfig,
     count_only: bool,
     top: Option<usize>,
-) -> (u64, bool, Vec<Biclique>) {
+) -> Result<(u64, bool, Vec<Biclique>), String> {
     let t0 = Instant::now();
     let run = |sink: &mut dyn BicliqueSink| {
-        let (_, stats) = if bi {
-            run_bsfbc(g, params, bi_algo_of(algo), cfg, sink)
-        } else {
-            run_ssfbc(g, params, algo, cfg, sink)
-        };
-        stats
+        pipeline::run(g, model, algo, cfg, sink)
+            .map(|(_, stats)| stats)
+            .map_err(|e| format!("enumerate: {e}"))
     };
     let (stats, shown) = if count_only {
-        (run(&mut CountSink::default()), Vec::new())
+        (run(&mut CountSink::default())?, Vec::new())
     } else if let Some(k) = top {
         let mut sink = TopKSink::new(k);
-        (run(&mut sink), sink.into_sorted())
+        (run(&mut sink)?, sink.into_sorted())
     } else {
         let mut sink = CollectSink::default();
-        let stats = run(&mut sink);
+        let stats = run(&mut sink)?;
         let mut bicliques = sink.bicliques;
         if cfg.sorted {
             fair_biclique::results::canonical_order(&mut bicliques);
@@ -391,7 +395,7 @@ fn enumerate_baseline(
         (stats, bicliques)
     };
     eprintln!("timing: total {:.3?}", t0.elapsed());
-    (stats.emitted, stats.aborted, shown)
+    Ok((stats.emitted, stats.aborted, shown))
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -60,6 +60,12 @@ A <stem> refers to the three files written by `fbe generate`:
 A bare edges file may be given instead (attributes default to value 0;
 combine with --attrs to declare domain sizes).
 
+--algo picks the paper's algorithm for the absolute models only: nsf
+(NSF; BNSF with --bi), bcem (FairBCEM; BFairBCEM) or the default
+bcem++ (FairBCEM++; BFairBCEM++). The baselines run serially (no
+--threads above 1), and the proportion models (--theta) run only
+bcem++.
+
 --threads <N> with N > 1 runs any model (enumerate or maximum) on the
 work-stealing parallel engine; budgets stay global, and with --sorted
 the output is byte-identical across thread counts.
@@ -405,5 +411,23 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("alpha"), "{err}");
+        // The proportion models have no baselines: --theta with a
+        // non-default --algo is refused, not run as bcem++.
+        let err = run(&sv(&[
+            "enumerate",
+            "/nonexistent",
+            "--alpha",
+            "2",
+            "--beta",
+            "1",
+            "--delta",
+            "1",
+            "--theta",
+            "0.4",
+            "--algo",
+            "nsf",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--algo"), "{err}");
     }
 }

@@ -1,11 +1,11 @@
-//! `BFairBCEM` / `BFairBCEM++` (Algorithm 9): bi-side fair biclique
-//! enumeration.
+//! `BNSF` / `BFairBCEM` / `BFairBCEM++` (Algorithm 9): bi-side fair
+//! biclique enumeration.
 //!
-//! Both algorithms rest on Observation 6: for any BSFBC `(A, B)`, the
-//! pair `(N(B), B)` is a *single-side* fair biclique — `B` is fair, and
-//! any fair extension of `B` against `N(B)` would extend `(A, B)` too.
-//! So the driver enumerates SSFBCs (with `FairBCEM` or `FairBCEM++`)
-//! and expands each `(L', R')`:
+//! All three rest on Observation 6: for any BSFBC `(A, B)`, the pair
+//! `(N(B), B)` is a *single-side* fair biclique — `B` is fair, and any
+//! fair extension of `B` against `N(B)` would extend `(A, B)` too. So
+//! the driver enumerates SSFBCs (with `NSF`, `FairBCEM` or
+//! `FairBCEM++`) and expands each `(L', R')`:
 //!
 //! 1. `Combination(L', A(U), α, δ)` yields every maximal fair subset
 //!    `l' ⊆ L'` (candidate upper sides);
@@ -23,7 +23,6 @@ use crate::biclique::{BicliqueSink, EnumStats};
 use crate::config::{
     Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, Substrate, VertexOrder,
 };
-use crate::fairbcem::fairbcem_with_clock;
 use crate::fairset::{for_each_max_fair_subset, is_maximal_fair_subset, AttrCounts};
 use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
 use bigraph::{BipartiteGraph, Side, VertexId};
@@ -157,13 +156,19 @@ impl BicliqueSink for BiChainSink<'_, '_> {
     }
 }
 
-/// `BFairBCEM`: bi-side enumeration driven by `FairBCEM`, with the
-/// upper-side expansion stage on the given candidate substrate.
-/// (`BFairBCEM++` runs on the prepared-query path,
-/// [`crate::prepared::PreparedQuery`].)
-pub fn bfairbcem_on_pruned(
+/// A single-side baseline walk (`NSF` or `FairBCEM`) over an
+/// already-pruned graph, emitting with the graph's ids under a clock.
+pub(crate) type SsBaseline =
+    fn(&BipartiteGraph, FairParams, VertexOrder, BudgetClock, &mut dyn BicliqueSink) -> EnumStats;
+
+/// Algorithm 9 over a single-side baseline: `BNSF` over `NSF`, or
+/// `BFairBCEM` over `FairBCEM`, with the upper-side expansion on the
+/// given candidate substrate. (`BFairBCEM++` runs on the
+/// prepared-query path, [`crate::prepared::PreparedQuery`].)
+pub(crate) fn bi_side_baseline(
     g: &BipartiteGraph,
     params: FairParams,
+    walk: SsBaseline,
     order: VertexOrder,
     budget: Budget,
     substrate: Substrate,
@@ -186,7 +191,7 @@ pub fn bfairbcem_on_pruned(
         sink,
     };
     let inner_clock = shared.clock(BudgetLane::Walk).exempt_results();
-    let mut stats = fairbcem_with_clock(g, params, order, inner_clock, &mut chain);
+    let mut stats = walk(g, params, order, inner_clock, &mut chain);
     stats.emitted = expander.emitted;
     expander.clock.settle(&mut stats);
     stats
@@ -197,8 +202,9 @@ mod tests {
     use super::*;
     use crate::biclique::{Biclique, CollectSink};
     use crate::config::ProParams;
+    use crate::fairbcem::fairbcem;
     use crate::prepared::{mine_unpruned, QueryModel};
-    use crate::verify::{oracle_bsfbc, oracle_pbsfbc};
+    use crate::verify::oracle;
     use bigraph::generate::random_uniform;
     use bigraph::GraphBuilder;
     use std::collections::BTreeSet;
@@ -214,9 +220,10 @@ mod tests {
             (report.bicliques, report.stats)
         } else {
             let mut sink = CollectSink::default();
-            let stats = bfairbcem_on_pruned(
+            let stats = bi_side_baseline(
                 g,
                 params,
+                fairbcem,
                 order,
                 Budget::UNLIMITED,
                 Substrate::Auto,
@@ -248,7 +255,7 @@ mod tests {
             FairParams::unchecked(2, 2, 1),
             FairParams::unchecked(1, 2, 0),
         ] {
-            let want = oracle_bsfbc(&g, params);
+            let want = oracle(&g, QueryModel::Bsfbc(params));
             for pp in [false, true] {
                 let got = run(&g, params, VertexOrder::DegreeDesc, pp);
                 assert_eq!(got, want, "params {params} pp={pp}");
@@ -266,7 +273,7 @@ mod tests {
                 FairParams::unchecked(2, 1, 1),
                 FairParams::unchecked(1, 2, 2),
             ] {
-                let want = oracle_bsfbc(&g, params);
+                let want = oracle(&g, QueryModel::Bsfbc(params));
                 for pp in [false, true] {
                     for order in [VertexOrder::IdAsc, VertexOrder::DegreeDesc] {
                         let got = run(&g, params, order, pp);
@@ -303,7 +310,7 @@ mod tests {
         for seed in 0..8u64 {
             let g = random_uniform(7, 7, 28, 3, 2, seed);
             let params = FairParams::unchecked(1, 1, 2);
-            let want = oracle_bsfbc(&g, params);
+            let want = oracle(&g, QueryModel::Bsfbc(params));
             let got = run(&g, params, VertexOrder::DegreeDesc, true);
             assert_eq!(got, want, "seed {seed}");
         }
@@ -325,7 +332,7 @@ mod tests {
             for theta in [0.0, 0.35, 0.5] {
                 for (a, b, d) in [(1, 1, 1), (1, 1, 2)] {
                     let pro = ProParams::new(a, b, d, theta).unwrap();
-                    let want = oracle_pbsfbc(&g, pro);
+                    let want = oracle(&g, QueryModel::Pbsfbc(pro));
                     let got = run_bi(&g, pro);
                     assert_eq!(got, want, "seed {seed} {pro}");
                 }

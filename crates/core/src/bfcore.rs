@@ -243,7 +243,8 @@ mod tests {
     use super::*;
     use crate::config::{Budget, PruneKind};
     use crate::fcore::fcore_masks;
-    use crate::pipeline::prune_bi_side;
+    use crate::pipeline::prune;
+    use crate::prepared::QueryModel;
     use bigraph::generate::{plant_bicliques, random_uniform};
     use bigraph::GraphBuilder;
 
@@ -269,7 +270,11 @@ mod tests {
     #[test]
     fn bfcore_keeps_balanced_block() {
         let g = balanced_block();
-        let out = prune_bi_side(&g, FairParams::unchecked(2, 2, 1), PruneKind::FCore);
+        let out = prune(
+            &g,
+            QueryModel::Bsfbc(FairParams::unchecked(2, 2, 1)),
+            PruneKind::FCore,
+        );
         assert_eq!(out.stats.upper_after, 4);
         assert_eq!(out.stats.lower_after, 6);
         assert!(is_bifair_core(
@@ -344,8 +349,8 @@ mod tests {
             let g = plant_bicliques(&base, 2, 4, 6, 1.0, seed + 50);
             for (a, b) in [(1, 2), (2, 2)] {
                 let p = FairParams::unchecked(a, b, 1);
-                let bf = prune_bi_side(&g, p, PruneKind::FCore);
-                let bc = prune_bi_side(&g, p, PruneKind::Colorful);
+                let bf = prune(&g, QueryModel::Bsfbc(p), PruneKind::FCore);
+                let bc = prune(&g, QueryModel::Bsfbc(p), PruneKind::Colorful);
                 assert!(
                     bc.stats.remaining_vertices() <= bf.stats.remaining_vertices(),
                     "seed={seed} a={a} b={b}"
@@ -357,7 +362,11 @@ mod tests {
     #[test]
     fn bcfcore_keeps_balanced_block() {
         let g = balanced_block();
-        let out = prune_bi_side(&g, FairParams::unchecked(2, 2, 1), PruneKind::Colorful);
+        let out = prune(
+            &g,
+            QueryModel::Bsfbc(FairParams::unchecked(2, 2, 1)),
+            PruneKind::Colorful,
+        );
         assert_eq!(out.stats.upper_after, 4, "block uppers survive");
         assert_eq!(out.stats.lower_after, 6, "block lowers survive");
         // Edge/attr mapping consistent.
@@ -371,7 +380,11 @@ mod tests {
     #[test]
     fn bcfcore_empty_when_impossible() {
         let g = balanced_block();
-        let out = prune_bi_side(&g, FairParams::unchecked(5, 5, 1), PruneKind::Colorful);
+        let out = prune(
+            &g,
+            QueryModel::Bsfbc(FairParams::unchecked(5, 5, 1)),
+            PruneKind::Colorful,
+        );
         assert_eq!(out.stats.remaining_vertices(), 0);
     }
 }

@@ -184,7 +184,8 @@ pub(crate) fn cfcore(
 mod tests {
     use super::*;
     use crate::config::PruneKind;
-    use crate::pipeline::prune_single_side;
+    use crate::pipeline::prune;
+    use crate::prepared::QueryModel;
     use bigraph::generate::{plant_bicliques, random_uniform};
     use bigraph::GraphBuilder;
 
@@ -246,8 +247,8 @@ mod tests {
             let g = plant_bicliques(&base, 2, 4, 6, 1.0, seed + 100);
             for (a, b) in [(2, 2), (3, 2), (2, 3)] {
                 let p = FairParams::unchecked(a, b, 1);
-                let f = prune_single_side(&g, p, PruneKind::FCore);
-                let c = prune_single_side(&g, p, PruneKind::Colorful);
+                let f = prune(&g, QueryModel::Ssfbc(p), PruneKind::FCore);
+                let c = prune(&g, QueryModel::Ssfbc(p), PruneKind::Colorful);
                 assert!(
                     c.stats.remaining_vertices() <= f.stats.remaining_vertices(),
                     "seed={seed} a={a} b={b}: cfcore {} > fcore {}",
@@ -285,7 +286,11 @@ mod tests {
         b.set_attrs_upper(&[0, 1, 0, 1, 0]);
         b.set_attrs_lower(&[0, 0, 0, 1, 1, 1, 0]);
         let g = b.build().unwrap();
-        let out = prune_single_side(&g, FairParams::unchecked(3, 2, 1), PruneKind::Colorful);
+        let out = prune(
+            &g,
+            QueryModel::Ssfbc(FairParams::unchecked(3, 2, 1)),
+            PruneKind::Colorful,
+        );
         assert_eq!(out.stats.upper_after, 4);
         assert_eq!(out.stats.lower_after, 6);
         assert_eq!(out.sub.lower_to_parent, vec![0, 1, 2, 3, 4, 5]);
@@ -295,7 +300,11 @@ mod tests {
     fn cfcore_mapping_is_consistent() {
         let base = random_uniform(30, 30, 200, 2, 2, 17);
         let g = plant_bicliques(&base, 1, 4, 5, 1.0, 18);
-        let out = prune_single_side(&g, FairParams::unchecked(2, 2, 1), PruneKind::Colorful);
+        let out = prune(
+            &g,
+            QueryModel::Ssfbc(FairParams::unchecked(2, 2, 1)),
+            PruneKind::Colorful,
+        );
         let sg = &out.sub.graph;
         for (u, v) in sg.edges() {
             let pu = out.sub.upper_to_parent[u as usize];

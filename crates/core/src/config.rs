@@ -104,6 +104,9 @@ pub enum ParamError {
     /// `theta` must lie in `[0, 0.5]` (the paper derives `θ ≤ 0.5` for
     /// two attribute values; above `1/n` no set can be proportional).
     ThetaOutOfRange(f64),
+    /// The proportion models run only `FairBCEM++`: the paper gives
+    /// them no `NSF` / `FairBCEM` baseline.
+    ProportionBaseline,
 }
 
 impl std::fmt::Display for ParamError {
@@ -111,6 +114,9 @@ impl std::fmt::Display for ParamError {
         match self {
             ParamError::AlphaZero => f.write_str("alpha must be >= 1"),
             ParamError::ThetaOutOfRange(t) => write!(f, "theta {t} outside [0, 0.5]"),
+            ParamError::ProportionBaseline => {
+                f.write_str("the proportion models have no NSF / FairBCEM baseline")
+            }
         }
     }
 }

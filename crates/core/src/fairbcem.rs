@@ -21,30 +21,20 @@
 //! * **Obs. 5** — cut when `|L'| < α` or some attribute can no longer
 //!   reach `β` even using all of `P'`.
 //!
-//! This module enumerates on an already-pruned graph; the public
-//! pipeline in [`crate::pipeline`] composes pruning + id remapping.
+//! This module enumerates on an already-pruned graph;
+//! [`crate::pipeline::run`] composes pruning + id remapping.
 
 use crate::biclique::{BicliqueSink, EnumStats};
-use crate::config::{Budget, BudgetClock, FairParams, VertexOrder};
+use crate::config::{BudgetClock, FairParams, VertexOrder};
 use crate::fairset::{is_fair, is_maximal_fair_subset, AttrCounts};
 use crate::ordering::side_order;
 use bigraph::{intersect_sorted_count, intersect_sorted_into, BipartiteGraph, Side, VertexId};
 
-/// Run `FairBCEM` on `g` (assumed already pruned; fair side = lower).
-/// Results are emitted with `g`'s vertex ids.
-pub fn fairbcem_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    fairbcem_with_clock(g, params, order, budget.start(), sink)
-}
-
-/// [`fairbcem_on_pruned`] with an explicit clock — bi-side drivers
-/// hand in a shared-budget clock so the whole chain stops together.
-pub(crate) fn fairbcem_with_clock(
+/// Run `FairBCEM` on `g` (assumed already pruned; fair side = lower)
+/// under `clock`. Results are emitted with `g`'s vertex ids. The
+/// bi-side chain hands in a shared-budget clock so the whole chain
+/// stops together.
+pub(crate) fn fairbcem(
     g: &BipartiteGraph,
     params: FairParams,
     order: VertexOrder,
@@ -226,14 +216,16 @@ impl Search<'_> {
 mod tests {
     use super::*;
     use crate::biclique::{Biclique, CollectSink};
-    use crate::verify::oracle_ssfbc;
+    use crate::config::Budget;
+    use crate::prepared::QueryModel;
+    use crate::verify::oracle;
     use bigraph::generate::random_uniform;
     use bigraph::GraphBuilder;
     use std::collections::BTreeSet;
 
     fn run(g: &BipartiteGraph, params: FairParams, order: VertexOrder) -> BTreeSet<Biclique> {
         let mut sink = CollectSink::default();
-        let stats = fairbcem_on_pruned(g, params, order, Budget::UNLIMITED, &mut sink);
+        let stats = fairbcem(g, params, order, Budget::UNLIMITED.start(), &mut sink);
         assert!(!stats.aborted);
         let set: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
         assert_eq!(set.len(), sink.bicliques.len(), "no duplicate emissions");
@@ -259,7 +251,7 @@ mod tests {
             FairParams::unchecked(1, 1, 2),
             FairParams::unchecked(3, 2, 1),
         ] {
-            let want = oracle_ssfbc(&g, params);
+            let want = oracle(&g, QueryModel::Ssfbc(params));
             let got = run(&g, params, VertexOrder::DegreeDesc);
             assert_eq!(got, want, "params {params}");
         }
@@ -275,7 +267,7 @@ mod tests {
                 FairParams::unchecked(2, 2, 1),
                 FairParams::unchecked(1, 0, 3),
             ] {
-                let want = oracle_ssfbc(&g, params);
+                let want = oracle(&g, QueryModel::Ssfbc(params));
                 for order in [VertexOrder::IdAsc, VertexOrder::DegreeDesc] {
                     let got = run(&g, params, order);
                     assert_eq!(got, want, "seed {seed} params {params} order {order:?}");
@@ -289,13 +281,19 @@ mod tests {
         let g = random_uniform(10, 12, 60, 2, 2, 5);
         let params = FairParams::unchecked(1, 1, 2);
         let mut full = CollectSink::default();
-        fairbcem_on_pruned(&g, params, VertexOrder::IdAsc, Budget::UNLIMITED, &mut full);
-        let mut capped = CollectSink::default();
-        let stats = fairbcem_on_pruned(
+        fairbcem(
             &g,
             params,
             VertexOrder::IdAsc,
-            Budget::nodes(10),
+            Budget::UNLIMITED.start(),
+            &mut full,
+        );
+        let mut capped = CollectSink::default();
+        let stats = fairbcem(
+            &g,
+            params,
+            VertexOrder::IdAsc,
+            Budget::nodes(10).start(),
             &mut capped,
         );
         assert!(stats.aborted);
@@ -326,7 +324,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let params = FairParams::unchecked(1, 2, 0);
-        let want = oracle_ssfbc(&g, params);
+        let want = oracle(&g, QueryModel::Ssfbc(params));
         let got = run(&g, params, VertexOrder::DegreeDesc);
         assert_eq!(got, want);
         assert!(!got.is_empty());
@@ -350,11 +348,11 @@ mod tests {
         b.set_attrs_lower(&[0, 0, 0, 0, 1, 1, 1, 1]);
         let g = b.build().unwrap();
         let mut sink = CollectSink::default();
-        let stats = fairbcem_on_pruned(
+        let stats = fairbcem(
             &g,
             FairParams::unchecked(2, 2, 0),
             VertexOrder::IdAsc,
-            Budget::UNLIMITED,
+            Budget::UNLIMITED.start(),
             &mut sink,
         );
         assert_eq!(sink.bicliques.len(), 1, "single balanced block");
@@ -372,11 +370,11 @@ mod tests {
         // can satisfy beta).
         let g = random_uniform(10, 10, 40, 2, 2, 2);
         let mut sink = CollectSink::default();
-        let stats = fairbcem_on_pruned(
+        let stats = fairbcem(
             &g,
             FairParams::unchecked(1, 20, 0),
             VertexOrder::IdAsc,
-            Budget::UNLIMITED,
+            Budget::UNLIMITED.start(),
             &mut sink,
         );
         assert!(sink.bicliques.is_empty());
@@ -392,11 +390,11 @@ mod tests {
         // alpha larger than |U| -> nothing, few nodes.
         let g = random_uniform(5, 8, 25, 2, 2, 6);
         let mut sink = CollectSink::default();
-        let stats = fairbcem_on_pruned(
+        let stats = fairbcem(
             &g,
             FairParams::unchecked(6, 1, 1),
             VertexOrder::DegreeDesc,
-            Budget::UNLIMITED,
+            Budget::UNLIMITED.start(),
             &mut sink,
         );
         assert!(sink.bicliques.is_empty());
@@ -407,11 +405,11 @@ mod tests {
     fn stats_track_nodes_and_bytes() {
         let g = random_uniform(10, 10, 50, 2, 2, 8);
         let mut sink = CollectSink::default();
-        let stats = fairbcem_on_pruned(
+        let stats = fairbcem(
             &g,
             FairParams::unchecked(1, 1, 1),
             VertexOrder::DegreeDesc,
-            Budget::UNLIMITED,
+            Budget::UNLIMITED.start(),
             &mut sink,
         );
         assert!(stats.nodes >= 10);

@@ -129,7 +129,7 @@ mod tests {
     use crate::config::{Budget, ProParams, Substrate, VertexOrder};
     use crate::pipeline::RunReport;
     use crate::prepared::{mine_unpruned, QueryModel};
-    use crate::verify::{oracle_pssfbc, oracle_ssfbc};
+    use crate::verify::oracle;
     use bigraph::candidate::CandidatePlan;
     use bigraph::generate::{plant_bicliques, random_uniform};
     use bigraph::GraphBuilder;
@@ -177,7 +177,7 @@ mod tests {
                 FairParams::unchecked(1, 0, 3),
                 FairParams::unchecked(3, 1, 2),
             ] {
-                let want = oracle_ssfbc(&g, params);
+                let want = oracle(&g, QueryModel::Ssfbc(params));
                 for order in [VertexOrder::IdAsc, VertexOrder::DegreeDesc] {
                     let got = run(&g, params, order);
                     assert_eq!(got, want, "seed {seed} params {params} order {order:?}");
@@ -195,7 +195,7 @@ mod tests {
                 FairParams::unchecked(2, 1, 1),
                 FairParams::unchecked(2, 2, 2),
             ] {
-                let want = oracle_ssfbc(&g, params);
+                let want = oracle(&g, QueryModel::Ssfbc(params));
                 let got = run(&g, params, VertexOrder::DegreeDesc);
                 assert_eq!(got, want, "seed {seed} params {params}");
             }
@@ -204,16 +204,16 @@ mod tests {
 
     #[test]
     fn agrees_with_fairbcem() {
-        use crate::fairbcem::fairbcem_on_pruned;
+        use crate::fairbcem::fairbcem;
         for seed in 50..65u64 {
             let g = random_uniform(10, 12, 55, 2, 2, seed);
             let params = FairParams::unchecked(2, 1, 1);
             let mut a = CollectSink::default();
-            fairbcem_on_pruned(
+            fairbcem(
                 &g,
                 params,
                 VertexOrder::DegreeDesc,
-                Budget::UNLIMITED,
+                Budget::UNLIMITED.start(),
                 &mut a,
             );
             let b = run(&g, params, VertexOrder::DegreeDesc);
@@ -227,7 +227,7 @@ mod tests {
         for seed in 0..10u64 {
             let g = random_uniform(8, 9, 30, 2, 3, seed);
             let params = FairParams::unchecked(1, 1, 1);
-            let want = oracle_ssfbc(&g, params);
+            let want = oracle(&g, QueryModel::Ssfbc(params));
             let got = run(&g, params, VertexOrder::DegreeDesc);
             assert_eq!(got, want, "seed {seed}");
         }
@@ -292,7 +292,7 @@ mod tests {
         let params = FairParams::unchecked(1, 1, 2);
         let capped = mine(&g, params, VertexOrder::IdAsc, Budget::nodes(8));
         assert!(capped.stats.aborted);
-        let full = oracle_ssfbc(&g, params);
+        let full = oracle(&g, QueryModel::Ssfbc(params));
         for b in capped.bicliques {
             assert!(full.contains(&b));
         }
@@ -305,7 +305,7 @@ mod tests {
             for theta in [0.0, 0.3, 0.4, 0.5] {
                 for (a, b, d) in [(1, 1, 1), (2, 1, 2), (2, 2, 1)] {
                     let pro = ProParams::new(a, b, d, theta).unwrap();
-                    let want = oracle_pssfbc(&g, pro);
+                    let want = oracle(&g, QueryModel::Pssfbc(pro));
                     let got = run_ss(&g, pro);
                     assert_eq!(got, want, "seed {seed} {pro}");
                 }

@@ -256,7 +256,8 @@ pub fn is_fair_core(
 mod tests {
     use super::*;
     use crate::config::{FairParams, PruneKind};
-    use crate::pipeline::prune_single_side;
+    use crate::pipeline::prune;
+    use crate::prepared::QueryModel;
     use bigraph::generate::random_uniform;
     use bigraph::GraphBuilder;
 
@@ -280,7 +281,11 @@ mod tests {
     #[test]
     fn peels_fringe_keeps_block() {
         let g = block_with_fringe();
-        let out = prune_single_side(&g, FairParams::unchecked(2, 2, 1), PruneKind::FCore);
+        let out = prune(
+            &g,
+            QueryModel::Ssfbc(FairParams::unchecked(2, 2, 1)),
+            PruneKind::FCore,
+        );
         // Block survives: 3 uppers, 4 lowers.
         assert_eq!(out.stats.upper_after, 3);
         assert_eq!(out.stats.lower_after, 4);
@@ -343,13 +348,21 @@ mod tests {
         let g = random_uniform(30, 30, 250, 2, 2, 9);
         let mut prev = usize::MAX;
         for a in 1..6u32 {
-            let out = prune_single_side(&g, FairParams::unchecked(a, 2, 1), PruneKind::FCore);
+            let out = prune(
+                &g,
+                QueryModel::Ssfbc(FairParams::unchecked(a, 2, 1)),
+                PruneKind::FCore,
+            );
             assert!(out.stats.remaining_vertices() <= prev);
             prev = out.stats.remaining_vertices();
         }
         let mut prev = usize::MAX;
         for b in 1..6u32 {
-            let out = prune_single_side(&g, FairParams::unchecked(2, b, 1), PruneKind::FCore);
+            let out = prune(
+                &g,
+                QueryModel::Ssfbc(FairParams::unchecked(2, b, 1)),
+                PruneKind::FCore,
+            );
             assert!(out.stats.remaining_vertices() <= prev);
             prev = out.stats.remaining_vertices();
         }
@@ -358,7 +371,11 @@ mod tests {
     #[test]
     fn beta_zero_keeps_degree_only_constraint() {
         let g = block_with_fringe();
-        let out = prune_single_side(&g, FairParams::unchecked(1, 0, 0), PruneKind::FCore);
+        let out = prune(
+            &g,
+            QueryModel::Ssfbc(FairParams::unchecked(1, 0, 0)),
+            PruneKind::FCore,
+        );
         // beta=0 never peels uppers; alpha=1 peels nothing with degree>=1.
         assert_eq!(out.stats.upper_after, 4);
         assert_eq!(out.stats.lower_after, 6);
@@ -367,7 +384,11 @@ mod tests {
     #[test]
     fn everything_peeled_when_impossible() {
         let g = block_with_fringe();
-        let out = prune_single_side(&g, FairParams::unchecked(10, 10, 1), PruneKind::FCore);
+        let out = prune(
+            &g,
+            QueryModel::Ssfbc(FairParams::unchecked(10, 10, 1)),
+            PruneKind::FCore,
+        );
         assert_eq!(out.stats.remaining_vertices(), 0);
         assert_eq!(out.stats.edges_after, 0);
     }

@@ -9,8 +9,8 @@
 //!   PBSFBC); see [`config::FairParams`] and [`config::ProParams`].
 //! * **Pruning** — fair α-β core ([`fcore`], Algorithm 1), colorful
 //!   fair α-β core ([`cfcore`], Algorithm 2), and the bi-side variants
-//!   BFCore / BCFCore ([`bfcore`]), run through
-//!   [`pipeline::prune_single_side`] / [`pipeline::prune_bi_side`].
+//!   BFCore / BCFCore ([`bfcore`]), run through [`pipeline::prune`]
+//!   for the model's side.
 //! * **Enumeration** — the branch-and-bound `FairBCEM` ([`fairbcem`],
 //!   Algorithm 5), the combinatorial `FairBCEM++` ([`fairbcem_pp`],
 //!   Algorithm 6), the bi-side `BFairBCEM` / `BFairBCEM++`
@@ -26,9 +26,14 @@
 //!   thread, or on the work-stealing engine ([`parallel`]) when
 //!   [`config::RunConfig::threads`] is above 1 — into per-worker sinks.
 //!   Collecting, counting, top-k and maximum search ([`maximum`]) are
-//!   sink choices; the CLI, the query service, the benches and the
-//!   [`pipeline`] wrappers all run this path. The paper's baselines
-//!   stay behind [`pipeline::run_ssfbc`] / [`pipeline::run_bsfbc`].
+//!   sink choices; the CLI, the query service, the benches and
+//!   [`pipeline::enumerate`] all run this path.
+//! * **One model selector** — a [`prepared::QueryModel`] names the
+//!   model and its parameters, and each job has one function over it:
+//!   [`pipeline::prune`], [`pipeline::enumerate`], [`pipeline::run`]
+//!   (which also runs the paper's baselines, picked by a
+//!   [`pipeline::Algorithm`]), [`memory::measure`] and
+//!   [`verify::oracle`].
 //! * **Verification** — brute-force oracles ([`verify`]) used by the
 //!   test suite to certify every enumerator on thousands of random
 //!   graphs.
@@ -57,7 +62,7 @@
 //! let g = b.build().unwrap();
 //!
 //! let params = FairParams::new(2, 1, 1).unwrap();
-//! let report = enumerate_ssfbc(&g, params, &RunConfig::default());
+//! let report = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
 //! // The whole block is the unique single-side fair biclique.
 //! assert_eq!(report.bicliques.len(), 1);
 //! assert_eq!(report.bicliques[0].upper, vec![0, 1, 2]);
@@ -101,10 +106,7 @@ pub mod prelude {
         VertexOrder,
     };
     pub use crate::obs::{Span, SpanRecorder};
-    pub use crate::pipeline::{
-        enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc, BiAlgorithm,
-        RunReport, SsAlgorithm,
-    };
+    pub use crate::pipeline::{enumerate, Algorithm, RunReport};
     pub use crate::prepared::{PreparedQuery, QueryModel};
 }
 

@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use crate::config::{FairParams, RunConfig};
     use crate::prepared::{PreparedQuery, QueryModel};
-    use crate::verify::{oracle_bsfbc, oracle_ssfbc};
+    use crate::verify::oracle;
     use bigraph::generate::random_uniform;
     use bigraph::BipartiteGraph;
 
@@ -136,7 +136,7 @@ mod tests {
         for seed in 0..15u64 {
             let g = random_uniform(8, 10, 34, 2, 2, seed);
             let params = FairParams::unchecked(2, 1, 1);
-            let all = oracle_ssfbc(&g, params);
+            let all = oracle(&g, QueryModel::Ssfbc(params));
             for metric in [SizeMetric::Vertices, SizeMetric::Edges] {
                 let got = max_of(&g, QueryModel::Ssfbc(params), metric);
                 let want = oracle_max(&all, metric);
@@ -150,7 +150,7 @@ mod tests {
         for seed in 0..8u64 {
             let g = random_uniform(7, 8, 26, 2, 2, seed);
             let params = FairParams::unchecked(1, 1, 1);
-            let all = oracle_bsfbc(&g, params);
+            let all = oracle(&g, QueryModel::Bsfbc(params));
             let got = max_of(&g, QueryModel::Bsfbc(params), SizeMetric::Vertices);
             assert_eq!(got, oracle_max(&all, SizeMetric::Vertices), "seed {seed}");
         }

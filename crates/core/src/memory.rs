@@ -4,12 +4,13 @@
 //! The dominant extra allocations are (a) the pruning stage's working
 //! structures — most importantly the 2-hop graph and the per-vertex
 //! `(attribute, color)` multiplicity tables of the colorful core — and
-//! (b) the depth-first search state. [`measure_ssfbc`] /
-//! [`measure_bsfbc`] reproduce the paper's accounting: bytes beyond the
+//! (b) the depth-first search state. [`measure`] reproduces the
+//! paper's accounting for any model and algorithm: bytes beyond the
 //! input graph itself.
 
-use crate::config::{FairParams, PruneKind, RunConfig};
-use crate::pipeline::{run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm};
+use crate::config::{ParamError, PruneKind, RunConfig};
+use crate::pipeline::{prune, run, Algorithm};
+use crate::prepared::QueryModel;
 use bigraph::candidate::CandidatePlan;
 use bigraph::coloring::greedy_color_by_degree;
 use bigraph::twohop::{construct_2hop, construct_2hop_biside};
@@ -67,72 +68,47 @@ fn colorful_cost(g: &BipartiteGraph, alpha: u32, bi: bool) -> (usize, usize) {
     (h.heap_bytes(), tables)
 }
 
-/// Measure the single-side pipeline's memory overhead.
-pub fn measure_ssfbc(
+/// Measure the memory overhead of running `model` with `algo` (see
+/// [`crate::pipeline::run`], whose errors it returns).
+pub fn measure(
     g: &BipartiteGraph,
-    params: FairParams,
-    algo: SsAlgorithm,
+    model: QueryModel,
+    algo: Algorithm,
     cfg: &RunConfig,
-) -> MemoryReport {
-    let pruned = crate::pipeline::prune_single_side(g, params, cfg.prune);
+) -> Result<MemoryReport, ParamError> {
+    let mut sink = crate::biclique::CountSink::default();
+    let (_, stats) = run(g, model, algo, cfg, &mut sink)?;
+    let bi = model.is_bi_side();
+    let pruned = prune(g, model, cfg.prune);
     let (twohop_bytes, colorful_tables_bytes) = if cfg.prune == PruneKind::Colorful {
-        colorful_cost(&pruned.sub.graph, params.alpha, false)
+        colorful_cost(&pruned.sub.graph, model.base().alpha, bi)
     } else {
         (0, 0)
     };
     // The enumeration run builds the same plan internally; rebuild it
-    // here to account the row bytes it allocates (only FairBCEM++
-    // runs on the substrate; the baselines never build rows).
-    let bitset_rows_bytes = if algo == SsAlgorithm::FairBcemPP {
-        CandidatePlan::build(&pruned.sub.graph, cfg.substrate, false).heap_bytes()
-    } else {
-        0
+    // here to account the row bytes it allocates. FairBCEM++ runs on
+    // the substrate, and so does BFairBCEM's upper-side expansion
+    // (bi-side chains build rows for both sides); the single-side
+    // baselines and BNSF never build rows.
+    let bitset_rows_bytes = match (algo, bi) {
+        (Algorithm::FairBcemPP, _) | (Algorithm::FairBcem, true) => {
+            CandidatePlan::build(&pruned.sub.graph, cfg.substrate, bi).heap_bytes()
+        }
+        _ => 0,
     };
-    let mut sink = crate::biclique::CountSink::default();
-    let (_, stats) = run_ssfbc(g, params, algo, cfg, &mut sink);
-    MemoryReport {
+    Ok(MemoryReport {
         pruned_graph_bytes: pruned.sub.graph.heap_bytes(),
         twohop_bytes,
         colorful_tables_bytes,
         bitset_rows_bytes,
         search_bytes: stats.peak_search_bytes,
-    }
-}
-
-/// Measure the bi-side pipeline's memory overhead.
-pub fn measure_bsfbc(
-    g: &BipartiteGraph,
-    params: FairParams,
-    algo: BiAlgorithm,
-    cfg: &RunConfig,
-) -> MemoryReport {
-    let pruned = crate::pipeline::prune_bi_side(g, params, cfg.prune);
-    let (twohop_bytes, colorful_tables_bytes) = if cfg.prune == PruneKind::Colorful {
-        colorful_cost(&pruned.sub.graph, params.alpha, true)
-    } else {
-        (0, 0)
-    };
-    // Bi-side chains build rows for both sides (the upper-side
-    // expansion intersects upper adjacency). BNSF never builds rows.
-    let bitset_rows_bytes = if algo == BiAlgorithm::Bnsf {
-        0
-    } else {
-        CandidatePlan::build(&pruned.sub.graph, cfg.substrate, true).heap_bytes()
-    };
-    let mut sink = crate::biclique::CountSink::default();
-    let (_, stats) = run_bsfbc(g, params, algo, cfg, &mut sink);
-    MemoryReport {
-        pruned_graph_bytes: pruned.sub.graph.heap_bytes(),
-        twohop_bytes,
-        colorful_tables_bytes,
-        bitset_rows_bytes,
-        search_bytes: stats.peak_search_bytes,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FairParams;
     use bigraph::generate::{plant_bicliques, random_uniform};
 
     #[test]
@@ -141,10 +117,10 @@ mod tests {
         let g = plant_bicliques(&base, 2, 4, 6, 1.0, 6);
         let params = FairParams::unchecked(2, 2, 1);
         let cfg = RunConfig::default();
-        let m = measure_ssfbc(&g, params, SsAlgorithm::FairBcemPP, &cfg);
+        let m = measure(&g, QueryModel::Ssfbc(params), Algorithm::FairBcemPP, &cfg).unwrap();
         assert!(m.pruned_graph_bytes > 0);
         assert!(m.total() >= m.pruned_graph_bytes);
-        let mb = measure_bsfbc(&g, params, BiAlgorithm::BFairBcemPP, &cfg);
+        let mb = measure(&g, QueryModel::Bsfbc(params), Algorithm::FairBcemPP, &cfg).unwrap();
         assert!(mb.total() > 0);
     }
 
@@ -156,7 +132,7 @@ mod tests {
             prune: PruneKind::FCore,
             ..RunConfig::default()
         };
-        let m = measure_ssfbc(&g, params, SsAlgorithm::FairBcem, &cfg);
+        let m = measure(&g, QueryModel::Ssfbc(params), Algorithm::FairBcem, &cfg).unwrap();
         assert_eq!(m.twohop_bytes, 0);
         assert_eq!(m.colorful_tables_bytes, 0);
     }

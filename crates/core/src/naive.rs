@@ -1,4 +1,5 @@
-//! Naive baselines `NSF` and `BNSF` (§V-A of the paper).
+//! Naive baseline `NSF` (§V-A of the paper); `BNSF` is Algorithm 9
+//! over it ([`crate::bfairbcem`]).
 //!
 //! The paper's comparison baselines keep the *graph* pruning
 //! (FCore/CFCore — applied by the pipeline before calling in here) but
@@ -13,27 +14,16 @@
 //! would enumerate every subset of `V` to no effect; the paper's NSF
 //! terminates on its datasets, which is only possible with this cut.
 
-use crate::bfairbcem::BiSideExpander;
 use crate::biclique::{BicliqueSink, EnumStats};
-use crate::config::{Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, VertexOrder};
+use crate::config::{BudgetClock, FairParams, VertexOrder};
 use crate::fairset::{is_fair, is_maximal_fair_subset, AttrCounts};
 use crate::ordering::side_order;
 use bigraph::{intersect_sorted_count, intersect_sorted_into, BipartiteGraph, Side, VertexId};
 
-/// Run `NSF` on `g` (assumed already pruned; fair side = lower).
-pub fn nsf_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    nsf_with_clock(g, params, order, budget.start(), sink)
-}
-
-/// [`nsf_on_pruned`] with an explicit clock — `BNSF` hands in a
-/// shared-budget clock so the whole chain stops together.
-pub(crate) fn nsf_with_clock(
+/// Run `NSF` on `g` (assumed already pruned; fair side = lower) under
+/// `clock`. `BNSF` hands in a shared-budget clock so the whole chain
+/// stops together.
+pub(crate) fn nsf(
     g: &BipartiteGraph,
     params: FairParams,
     order: VertexOrder,
@@ -61,37 +51,6 @@ pub(crate) fn nsf_with_clock(
         stop: s.clock.stop_reason(),
         peak_search_bytes: 0,
     }
-}
-
-/// Run `BNSF`: bi-side enumeration driven by `NSF`.
-pub fn bnsf_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    // One shared budget: the NSF stage is intermediate (exempt from
-    // the result cap), and any tripped limit stops the whole chain.
-    // The naive baseline stays on the sorted-vec substrate (it is the
-    // reference the substrate runs are differentially tested against).
-    let shared = SharedBudget::new(budget);
-    let mut expander = BiSideExpander::with_clock(
-        g,
-        params,
-        None,
-        bigraph::candidate::AdjOps::Sorted(bigraph::candidate::SortedOps::new(g, Side::Upper)),
-        shared.clock(BudgetLane::Expand),
-    );
-    let mut chain = crate::bfairbcem::BiChainSink {
-        exp: &mut expander,
-        sink,
-    };
-    let inner_clock = shared.clock(BudgetLane::Walk).exempt_results();
-    let mut stats = nsf_with_clock(g, params, order, inner_clock, &mut chain);
-    stats.emitted = expander.emitted;
-    expander.clock.settle(&mut stats);
-    stats
 }
 
 struct Naive<'a> {
@@ -185,8 +144,12 @@ impl Naive<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfairbcem::bi_side_baseline;
     use crate::biclique::{Biclique, CollectSink};
-    use crate::verify::{oracle_bsfbc, oracle_ssfbc};
+    use crate::config::{Budget, Substrate};
+    use crate::fairbcem::fairbcem;
+    use crate::prepared::QueryModel;
+    use crate::verify::oracle;
     use bigraph::generate::random_uniform;
     use std::collections::BTreeSet;
 
@@ -199,10 +162,15 @@ mod tests {
                 FairParams::unchecked(2, 1, 0),
                 FairParams::unchecked(2, 2, 1),
             ] {
-                let want = oracle_ssfbc(&g, params);
+                let want = oracle(&g, QueryModel::Ssfbc(params));
                 let mut sink = CollectSink::default();
-                let stats =
-                    nsf_on_pruned(&g, params, VertexOrder::IdAsc, Budget::UNLIMITED, &mut sink);
+                let stats = nsf(
+                    &g,
+                    params,
+                    VertexOrder::IdAsc,
+                    Budget::UNLIMITED.start(),
+                    &mut sink,
+                );
                 assert!(!stats.aborted);
                 let got: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
                 assert_eq!(got.len(), sink.bicliques.len(), "no duplicates");
@@ -216,13 +184,15 @@ mod tests {
         for seed in 0..10u64 {
             let g = random_uniform(6, 7, 20, 2, 2, seed);
             let params = FairParams::unchecked(1, 1, 1);
-            let want = oracle_bsfbc(&g, params);
+            let want = oracle(&g, QueryModel::Bsfbc(params));
             let mut sink = CollectSink::default();
-            let stats = bnsf_on_pruned(
+            let stats = bi_side_baseline(
                 &g,
                 params,
+                nsf,
                 VertexOrder::DegreeDesc,
                 Budget::UNLIMITED,
+                Substrate::SortedVec,
                 &mut sink,
             );
             assert!(!stats.aborted);
@@ -233,23 +203,22 @@ mod tests {
 
     #[test]
     fn nsf_explores_more_nodes_than_fairbcem() {
-        use crate::fairbcem::fairbcem_on_pruned;
         let g = random_uniform(10, 12, 60, 2, 2, 4);
         let params = FairParams::unchecked(2, 2, 1);
         let mut s1 = CollectSink::default();
-        let naive = nsf_on_pruned(
+        let naive = nsf(
             &g,
             params,
             VertexOrder::DegreeDesc,
-            Budget::UNLIMITED,
+            Budget::UNLIMITED.start(),
             &mut s1,
         );
         let mut s2 = CollectSink::default();
-        let smart = fairbcem_on_pruned(
+        let smart = fairbcem(
             &g,
             params,
             VertexOrder::DegreeDesc,
-            Budget::UNLIMITED,
+            Budget::UNLIMITED.start(),
             &mut s2,
         );
         assert!(

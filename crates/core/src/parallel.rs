@@ -313,9 +313,7 @@ mod tests {
     use crate::biclique::{Biclique, BicliqueSink};
     use crate::config::{Budget, FairParams, ProParams, VertexOrder};
     use crate::obs::SpanRecorder;
-    use crate::pipeline::{
-        enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc, RunReport,
-    };
+    use crate::pipeline::{enumerate, RunReport};
     use crate::prepared::{PreparedQuery, QueryModel};
     use bigraph::generate::{plant_bicliques, random_uniform};
     use std::collections::BTreeSet;
@@ -332,7 +330,7 @@ mod tests {
             sorted: true,
             ..cfg.clone()
         };
-        enumerate_ssfbc(g, params, &cfg)
+        enumerate(g, QueryModel::Ssfbc(params), &cfg)
     }
 
     fn prepared_ssfbc(g: &BipartiteGraph, params: FairParams, cfg: &RunConfig) -> PreparedQuery {
@@ -344,10 +342,11 @@ mod tests {
         for seed in 0..10u64 {
             let g = random_uniform(12, 14, 70, 2, 2, seed);
             let params = FairParams::unchecked(2, 1, 1);
-            let serial: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &RunConfig::default())
-                .bicliques
-                .into_iter()
-                .collect();
+            let serial: BTreeSet<Biclique> =
+                enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
+                    .bicliques
+                    .into_iter()
+                    .collect();
             for threads in [1usize, 2, 4] {
                 let par = par_ssfbc(&g, params, &RunConfig::default(), threads);
                 let got: BTreeSet<Biclique> = par.bicliques.iter().cloned().collect();
@@ -364,10 +363,11 @@ mod tests {
         let base = random_uniform(40, 45, 300, 2, 2, 3);
         let g = plant_bicliques(&base, 3, 5, 8, 1.0, 4);
         let params = FairParams::unchecked(3, 2, 1);
-        let serial: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &RunConfig::default())
-            .bicliques
-            .into_iter()
-            .collect();
+        let serial: BTreeSet<Biclique> =
+            enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
+                .bicliques
+                .into_iter()
+                .collect();
         assert!(!serial.is_empty());
         for order in [VertexOrder::IdAsc, VertexOrder::DegreeDesc] {
             let cfg = RunConfig {
@@ -395,7 +395,7 @@ mod tests {
         let g = random_uniform(10, 10, 50, 2, 2, 5);
         let params = FairParams::unchecked(2, 1, 1);
         let par = par_ssfbc(&g, params, &RunConfig::default(), 1);
-        let ser = enumerate_ssfbc(&g, params, &RunConfig::default());
+        let ser = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
         assert_eq!(par.bicliques.len(), ser.bicliques.len());
         assert_eq!(par.stats.nodes, ser.stats.nodes);
     }
@@ -407,10 +407,10 @@ mod tests {
         let pro = ProParams::new(2, 1, 1, 0.3).unwrap();
         let serial = |cfg: &RunConfig| {
             (
-                enumerate_ssfbc(&g, params, cfg).bicliques,
-                enumerate_bsfbc(&g, params, cfg).bicliques,
-                enumerate_pssfbc(&g, pro, cfg).bicliques,
-                enumerate_pbsfbc(&g, pro, cfg).bicliques,
+                enumerate(&g, QueryModel::Ssfbc(params), cfg).bicliques,
+                enumerate(&g, QueryModel::Bsfbc(params), cfg).bicliques,
+                enumerate(&g, QueryModel::Pssfbc(pro), cfg).bicliques,
+                enumerate(&g, QueryModel::Pbsfbc(pro), cfg).bicliques,
             )
         };
         let base = RunConfig {
@@ -433,13 +433,13 @@ mod tests {
         for seed in [1u64, 9, 23] {
             let g = random_uniform(14, 16, 95, 2, 2, seed);
             let params = FairParams::unchecked(2, 1, 1);
-            let ser = enumerate_ssfbc(&g, params, &RunConfig::default());
+            let ser = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
             for threads in [2usize, 4, 7] {
                 let cfg = RunConfig {
                     threads,
                     ..RunConfig::default()
                 };
-                let par = enumerate_ssfbc(&g, params, &cfg);
+                let par = enumerate(&g, QueryModel::Ssfbc(params), &cfg);
                 assert_eq!(
                     par.stats.nodes, ser.stats.nodes,
                     "seed {seed} threads {threads}"
@@ -456,11 +456,11 @@ mod tests {
         // visiting the rest of the tree emitting nothing.
         let g = random_uniform(16, 18, 120, 2, 2, 4);
         let params = FairParams::unchecked(1, 1, 2);
-        let full = enumerate_ssfbc(&g, params, &RunConfig::default());
+        let full = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
         assert!(full.bicliques.len() > 10);
-        let capped = enumerate_ssfbc(
+        let capped = enumerate(
             &g,
-            params,
+            QueryModel::Ssfbc(params),
             &RunConfig {
                 budget: Budget::results(1),
                 ..RunConfig::default()
@@ -476,11 +476,11 @@ mod tests {
         );
         // Same for the bi-side chain, where the cap lives two stages
         // downstream of the walker.
-        let full_bi = enumerate_bsfbc(&g, params, &RunConfig::default());
+        let full_bi = enumerate(&g, QueryModel::Bsfbc(params), &RunConfig::default());
         assert!(full_bi.bicliques.len() > 1);
-        let capped_bi = enumerate_bsfbc(
+        let capped_bi = enumerate(
             &g,
-            params,
+            QueryModel::Bsfbc(params),
             &RunConfig {
                 budget: Budget::results(1),
                 ..RunConfig::default()
@@ -494,7 +494,7 @@ mod tests {
     fn absurd_thread_counts_are_clamped_not_fatal() {
         let g = random_uniform(10, 10, 50, 2, 2, 3);
         let params = FairParams::unchecked(2, 1, 1);
-        let want = enumerate_ssfbc(&g, params, &RunConfig::default())
+        let want = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
             .bicliques
             .into_iter()
             .collect::<BTreeSet<_>>();
@@ -502,7 +502,7 @@ mod tests {
             threads: 1_000_000,
             ..RunConfig::default()
         };
-        let got: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &cfg)
+        let got: BTreeSet<Biclique> = enumerate(&g, QueryModel::Ssfbc(params), &cfg)
             .bicliques
             .into_iter()
             .collect();
@@ -518,7 +518,7 @@ mod tests {
             threads: 4,
             ..RunConfig::default()
         };
-        let report = enumerate_ssfbc(&g, params, &cfg);
+        let report = enumerate(&g, QueryModel::Ssfbc(params), &cfg);
         let prepared = prepared_ssfbc(&g, params, &cfg);
         let (counts, stats) =
             prepared.stream(&cfg, &CountSink::default, &mut SpanRecorder::disabled());
@@ -568,7 +568,7 @@ mod tests {
 
         let g = random_uniform(14, 16, 95, 2, 2, 21);
         let params = FairParams::unchecked(1, 1, 2);
-        let total = enumerate_ssfbc(&g, params, &RunConfig::default())
+        let total = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
             .bicliques
             .len() as u64;
         assert!(total > 4, "need enough results to panic mid-run");
@@ -602,7 +602,7 @@ mod tests {
     fn global_result_budget_is_exact() {
         let g = random_uniform(14, 16, 100, 2, 2, 12);
         let params = FairParams::unchecked(1, 1, 2);
-        let total = enumerate_ssfbc(&g, params, &RunConfig::default())
+        let total = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
             .bicliques
             .len();
         assert!(total > 8, "need a graph with enough results, got {total}");
@@ -613,7 +613,7 @@ mod tests {
                     budget: Budget::results(k as u64),
                     ..RunConfig::default()
                 };
-                let report = enumerate_ssfbc(&g, params, &cfg);
+                let report = enumerate(&g, QueryModel::Ssfbc(params), &cfg);
                 assert_eq!(
                     report.bicliques.len(),
                     k.min(total),

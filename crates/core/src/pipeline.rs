@@ -1,50 +1,48 @@
-//! End-to-end drivers: pruning → enumeration → id remapping.
+//! End-to-end drivers: pruning → enumeration → id remapping, one
+//! public function per job, each taking the [`QueryModel`] as its
+//! only model selector.
 //!
-//! The `++` miners (`FairBCEM++`, `BFairBCEM++` and the proportion
-//! enumerators) have one execution path, [`PreparedQuery`]: the
-//! collected `enumerate_*` pipelines here prepare a plan and execute
-//! it, and the `++` arms of the streaming [`run_ssfbc`] / [`run_bsfbc`]
-//! run the same plan on the calling thread. The paper's comparison
-//! baselines (`NSF`, `FairBCEM`, `BNSF`, `BFairBCEM`; Figs. 2–5) stay
-//! behind those two streaming drivers, on the pruned graph the
-//! pipeline compacts for them, with results translated back to the
-//! caller's vertex ids.
+//! * [`prune`] runs the model's prune cascade (`FCore` / `CFCore` for
+//!   the single-side models, `BFCore` / `BCFCore` for the bi-side
+//!   ones).
+//! * [`enumerate`] collects a model's results with the paper's best
+//!   pipeline: it prepares a [`PreparedQuery`] and executes it, the
+//!   one execution path of the `++` miners (`FairBCEM++`,
+//!   `BFairBCEM++` and the proportion enumerators).
+//! * [`run`] streams a model's results into a caller's sink with any
+//!   [`Algorithm`]. `FairBCEM++` runs that same prepared plan on the
+//!   calling thread. The paper's comparison baselines (`NSF`,
+//!   `FairBCEM`, and Algorithm 9 over them, `BNSF` / `BFairBCEM`;
+//!   Figs. 2–5) run on the pruned graph the pipeline compacts for them,
+//!   with results translated back to the caller's vertex ids.
 
-use crate::bfairbcem::bfairbcem_on_pruned;
+use crate::bfairbcem::{bi_side_baseline, SsBaseline};
 use crate::bfcore::{bcfcore, bfcore};
 use crate::biclique::{Biclique, BicliqueSink, EnumStats, MappingSink};
 use crate::cfcore::cfcore;
-use crate::config::{Budget, BudgetClock, FairParams, ProParams, PruneKind, RunConfig, StopReason};
-use crate::fairbcem::fairbcem_on_pruned;
+use crate::config::{Budget, BudgetClock, ParamError, PruneKind, RunConfig, StopReason, Substrate};
+use crate::fairbcem::fairbcem;
 use crate::fcore::{compact, fcore, no_prune, PruneOutcome, PruneStats};
-use crate::naive::{bnsf_on_pruned, nsf_on_pruned};
+use crate::naive::nsf;
 use crate::obs::SpanRecorder;
 use crate::prepared::{PreparedQuery, QueryModel};
 use bigraph::BipartiteGraph;
 use serde::{Deserialize, Serialize};
 
-/// Which single-side enumeration algorithm to run.
+/// Which enumeration algorithm [`run`] uses. The model's side picks
+/// the bi-side form: Algorithm 9 over the single-side algorithm
+/// (`BNSF`, `BFairBCEM`, `BFairBCEM++`). The proportion models run
+/// only `FairBCEM++`; they have no baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SsAlgorithm {
-    /// Naive baseline (`NSF`).
+pub enum Algorithm {
+    /// Naive baseline (`NSF`; `BNSF` bi-side).
     Nsf,
-    /// Branch-and-bound (`FairBCEM`, Algorithm 5).
+    /// Branch-and-bound (`FairBCEM`, Algorithm 5; `BFairBCEM` bi-side).
     FairBcem,
-    /// Combinatorial (`FairBCEM++`, Algorithm 6) — the paper's best.
+    /// Combinatorial (`FairBCEM++`, Algorithm 6; `BFairBCEM++`
+    /// bi-side) — the paper's best.
     #[default]
     FairBcemPP,
-}
-
-/// Which bi-side enumeration algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum BiAlgorithm {
-    /// Naive baseline (`BNSF`).
-    Bnsf,
-    /// `BFairBCEM` (Algorithm 9 over `FairBCEM`).
-    BFairBcem,
-    /// `BFairBCEM++` (Algorithm 9 over `FairBCEM++`) — the paper's best.
-    #[default]
-    BFairBcemPP,
 }
 
 /// Result of a collected enumeration run.
@@ -79,44 +77,29 @@ pub struct RunReport {
     pub enumerate_elapsed: std::time::Duration,
 }
 
-/// Run the pruning stage configured for a single-side problem
-/// (`FCore` or `CFCore`).
-pub fn prune_single_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_unlimited(g, params, kind, false)
-}
-
-/// Run the pruning stage configured for a bi-side problem
-/// (`FCore` maps to `BFCore`, `Colorful` to `BCFCore`).
-pub fn prune_bi_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_unlimited(g, params, kind, true)
-}
-
-fn prune_unlimited(
-    g: &BipartiteGraph,
-    params: FairParams,
-    kind: PruneKind,
-    bi: bool,
-) -> PruneOutcome {
+/// Run the prune cascade of `kind` for `model`'s side: `FCore` /
+/// `CFCore` for the single-side models, `BFCore` / `BCFCore` for the
+/// bi-side ones.
+pub fn prune(g: &BipartiteGraph, model: QueryModel, kind: PruneKind) -> PruneOutcome {
     let clock = Budget::UNLIMITED.start();
-    prune(g, params, kind, bi, &clock, &mut SpanRecorder::disabled())
+    cascade(g, model, kind, &clock, &mut SpanRecorder::disabled())
         .expect("an unlimited budget never interrupts")
 }
 
-/// The prune cascade of `kind` for the single-side (`bi = false`) or
-/// bi-side models. The cascade probes `clock` at its stage boundaries
-/// and, counter-gated, inside the peel loops, aborting with the
-/// interrupting [`StopReason`]; `rec` attributes wall time to the
+/// The prune cascade behind [`prune`]. It probes `clock` at its stage
+/// boundaries and, counter-gated, inside the peel loops, aborting with
+/// the interrupting [`StopReason`]; `rec` attributes wall time to the
 /// stages (a disabled recorder records nothing).
-pub(crate) fn prune(
+pub(crate) fn cascade(
     g: &BipartiteGraph,
-    params: FairParams,
+    model: QueryModel,
     kind: PruneKind,
-    bi: bool,
     clock: &BudgetClock,
     rec: &mut SpanRecorder,
 ) -> Result<PruneOutcome, StopReason> {
+    let params = model.base();
     let (alpha, beta) = (params.alpha, params.beta);
-    match (kind, bi) {
+    match (kind, model.is_bi_side()) {
         (PruneKind::None, _) => Ok(no_prune(g)),
         (PruneKind::FCore, false) => rec.timed("core-peel", || {
             fcore(g, alpha, beta, clock).map(|m| compact(g, m))
@@ -129,110 +112,65 @@ pub(crate) fn prune(
     }
 }
 
-/// Streaming single-side enumeration on the calling thread: prune,
+/// Streaming enumeration on the calling thread: prune for `model`,
 /// enumerate with `algo`, emit results (original ids) into `sink`.
 /// `FairBCEM++` runs the prepared path ([`PreparedQuery`]); for
 /// per-worker sinks at any thread count call
 /// [`PreparedQuery::stream`] directly.
-pub fn run_ssfbc(
+///
+/// Fails with [`ParamError::ProportionBaseline`] for a proportion
+/// model with a baseline `algo`.
+pub fn run(
     g: &BipartiteGraph,
-    params: FairParams,
-    algo: SsAlgorithm,
+    model: QueryModel,
+    algo: Algorithm,
     cfg: &RunConfig,
     sink: &mut dyn BicliqueSink,
-) -> (PruneStats, EnumStats) {
-    let baseline = match algo {
-        SsAlgorithm::Nsf => nsf_on_pruned,
-        SsAlgorithm::FairBcem => fairbcem_on_pruned,
-        SsAlgorithm::FairBcemPP => return run_prepared(g, QueryModel::Ssfbc(params), cfg, sink),
+) -> Result<(PruneStats, EnumStats), ParamError> {
+    let (walk, bi_substrate): (SsBaseline, Substrate) = match algo {
+        Algorithm::FairBcemPP => {
+            let prepared = PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate);
+            let (_, stats) = prepared.stream_in_thread(cfg, sink);
+            return Ok((*prepared.prune_stats(), stats));
+        }
+        // The naive baseline stays on the sorted-vec substrate (it is
+        // the reference the substrate runs are differentially tested
+        // against).
+        Algorithm::Nsf => (nsf, Substrate::SortedVec),
+        Algorithm::FairBcem => (fairbcem, cfg.substrate),
     };
-    let pruned = prune_single_side(g, params, cfg.prune);
-    let sub = &pruned.sub;
-    let mut mapped = MappingSink::new(&sub.upper_to_parent, &sub.lower_to_parent, sink);
-    let stats = baseline(
-        &sub.graph,
-        params,
-        cfg.order,
-        cfg.budget.clone(),
-        &mut mapped,
-    );
-    (pruned.stats, stats)
-}
-
-/// Streaming bi-side enumeration on the calling thread (see
-/// [`run_ssfbc`]; `BFairBCEM++` runs the prepared path).
-pub fn run_bsfbc(
-    g: &BipartiteGraph,
-    params: FairParams,
-    algo: BiAlgorithm,
-    cfg: &RunConfig,
-    sink: &mut dyn BicliqueSink,
-) -> (PruneStats, EnumStats) {
-    if algo == BiAlgorithm::BFairBcemPP {
-        return run_prepared(g, QueryModel::Bsfbc(params), cfg, sink);
+    if model.theta().is_some() {
+        return Err(ParamError::ProportionBaseline);
     }
-    let pruned = prune_bi_side(g, params, cfg.prune);
+    let params = model.base();
+    let pruned = prune(g, model, cfg.prune);
     let sub = &pruned.sub;
     let mut mapped = MappingSink::new(&sub.upper_to_parent, &sub.lower_to_parent, sink);
     let (order, budget) = (cfg.order, cfg.budget.clone());
-    let stats = if algo == BiAlgorithm::Bnsf {
-        bnsf_on_pruned(&sub.graph, params, order, budget, &mut mapped)
-    } else {
-        bfairbcem_on_pruned(
+    let stats = if model.is_bi_side() {
+        bi_side_baseline(
             &sub.graph,
             params,
+            walk,
             order,
             budget,
-            cfg.substrate,
+            bi_substrate,
             &mut mapped,
         )
+    } else {
+        walk(&sub.graph, params, order, budget.start(), &mut mapped)
     };
-    (pruned.stats, stats)
+    Ok((pruned.stats, stats))
 }
 
-/// The `++` arm of the streaming drivers: prepare, then run the one
-/// worker on the calling thread.
-fn run_prepared(
-    g: &BipartiteGraph,
-    model: QueryModel,
-    cfg: &RunConfig,
-    sink: &mut dyn BicliqueSink,
-) -> (PruneStats, EnumStats) {
-    let prepared = PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate);
-    let (_, stats) = prepared.stream_in_thread(cfg, sink);
-    (*prepared.prune_stats(), stats)
-}
-
-/// Prepare-then-execute: the collected pipelines are one-shot uses of
-/// the prepared-plan layer ([`crate::prepared`]), so a cached plan in
-/// the query service executes bit-identically to these.
-fn enumerate(g: &BipartiteGraph, model: QueryModel, cfg: &RunConfig) -> RunReport {
+/// Enumerate and collect all results of `model` with the paper's best
+/// pipeline (`CFCore` + `FairBCEM++` or its bi-side / proportion form
+/// by default). `cfg.threads > 1` runs on the parallel engine
+/// ([`crate::parallel`]). This is a one-shot use of the prepared-plan
+/// layer ([`crate::prepared`]), so a cached plan in the query service
+/// executes bit-identically to it.
+pub fn enumerate(g: &BipartiteGraph, model: QueryModel, cfg: &RunConfig) -> RunReport {
     PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate).execute(cfg)
-}
-
-/// Enumerate and collect all single-side fair bicliques (Definition 3)
-/// with the paper's best pipeline (`CFCore` + `FairBCEM++` by default).
-/// `cfg.threads > 1` runs on the parallel engine ([`crate::parallel`]).
-pub fn enumerate_ssfbc(g: &BipartiteGraph, params: FairParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, QueryModel::Ssfbc(params), cfg)
-}
-
-/// Enumerate and collect all bi-side fair bicliques (Definition 4).
-/// `cfg.threads > 1` runs on the parallel engine.
-pub fn enumerate_bsfbc(g: &BipartiteGraph, params: FairParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, QueryModel::Bsfbc(params), cfg)
-}
-
-/// Enumerate and collect all proportion single-side fair bicliques
-/// (Definition 5). `cfg.threads > 1` runs on the parallel engine.
-pub fn enumerate_pssfbc(g: &BipartiteGraph, pro: ProParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, QueryModel::Pssfbc(pro), cfg)
-}
-
-/// Enumerate and collect all proportion bi-side fair bicliques
-/// (Definition 6). `cfg.threads > 1` runs on the parallel engine.
-pub fn enumerate_pbsfbc(g: &BipartiteGraph, pro: ProParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, QueryModel::Pbsfbc(pro), cfg)
 }
 
 #[cfg(test)]
@@ -240,7 +178,8 @@ mod tests {
     use super::*;
     use crate::biclique::{CollectSink, CountSink};
     use crate::config::VertexOrder;
-    use crate::verify::{oracle_bsfbc, oracle_ssfbc};
+    use crate::config::{FairParams, ProParams};
+    use crate::verify::oracle;
     use bigraph::generate::{plant_bicliques, random_uniform};
     use std::collections::BTreeSet;
 
@@ -249,19 +188,16 @@ mod tests {
         for seed in 0..12u64 {
             let g = random_uniform(9, 10, 38, 2, 2, seed);
             let params = FairParams::unchecked(2, 1, 1);
-            let want = oracle_ssfbc(&g, params);
+            let model = QueryModel::Ssfbc(params);
+            let want = oracle(&g, model);
             for prune in [PruneKind::None, PruneKind::FCore, PruneKind::Colorful] {
-                for algo in [
-                    SsAlgorithm::Nsf,
-                    SsAlgorithm::FairBcem,
-                    SsAlgorithm::FairBcemPP,
-                ] {
+                for algo in [Algorithm::Nsf, Algorithm::FairBcem, Algorithm::FairBcemPP] {
                     let cfg = RunConfig {
                         prune,
                         ..RunConfig::default()
                     };
                     let mut sink = CollectSink::default();
-                    run_ssfbc(&g, params, algo, &cfg, &mut sink);
+                    run(&g, model, algo, &cfg, &mut sink).unwrap();
                     let got: BTreeSet<_> = sink.bicliques.into_iter().collect();
                     assert_eq!(got, want, "seed {seed} prune {prune:?} algo {algo:?}");
                 }
@@ -274,19 +210,16 @@ mod tests {
         for seed in 0..8u64 {
             let g = random_uniform(7, 8, 28, 2, 2, seed);
             let params = FairParams::unchecked(1, 1, 1);
-            let want = oracle_bsfbc(&g, params);
+            let model = QueryModel::Bsfbc(params);
+            let want = oracle(&g, model);
             for prune in [PruneKind::None, PruneKind::FCore, PruneKind::Colorful] {
-                for algo in [
-                    BiAlgorithm::Bnsf,
-                    BiAlgorithm::BFairBcem,
-                    BiAlgorithm::BFairBcemPP,
-                ] {
+                for algo in [Algorithm::Nsf, Algorithm::FairBcem, Algorithm::FairBcemPP] {
                     let cfg = RunConfig {
                         prune,
                         ..RunConfig::default()
                     };
                     let mut sink = CollectSink::default();
-                    run_bsfbc(&g, params, algo, &cfg, &mut sink);
+                    run(&g, model, algo, &cfg, &mut sink).unwrap();
                     let got: BTreeSet<_> = sink.bicliques.into_iter().collect();
                     assert_eq!(got, want, "seed {seed} prune {prune:?} algo {algo:?}");
                 }
@@ -300,7 +233,7 @@ mod tests {
         let base = random_uniform(30, 30, 60, 2, 2, 3);
         let g = plant_bicliques(&base, 1, 5, 8, 1.0, 9);
         let params = FairParams::unchecked(2, 2, 2);
-        let report = enumerate_ssfbc(&g, params, &RunConfig::default());
+        let report = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
         for bc in &report.bicliques {
             for &u in &bc.upper {
                 for &v in &bc.lower {
@@ -324,7 +257,7 @@ mod tests {
                 order,
                 ..RunConfig::default()
             };
-            let report = enumerate_ssfbc(&g, params, &cfg);
+            let report = enumerate(&g, QueryModel::Ssfbc(params), &cfg);
             res.push(report.bicliques.into_iter().collect::<BTreeSet<_>>());
         }
         assert_eq!(res[0], res[1]);
@@ -333,16 +266,11 @@ mod tests {
     #[test]
     fn counting_sink_streams() {
         let g = random_uniform(12, 14, 70, 2, 2, 22);
-        let params = FairParams::unchecked(2, 1, 1);
+        let model = QueryModel::Ssfbc(FairParams::unchecked(2, 1, 1));
+        let cfg = RunConfig::default();
         let mut count = CountSink::default();
-        let (_, stats) = run_ssfbc(
-            &g,
-            params,
-            SsAlgorithm::FairBcemPP,
-            &RunConfig::default(),
-            &mut count,
-        );
-        let report = enumerate_ssfbc(&g, params, &RunConfig::default());
+        let (_, stats) = run(&g, model, Algorithm::FairBcemPP, &cfg, &mut count).unwrap();
+        let report = enumerate(&g, model, &cfg);
         assert_eq!(count.count as usize, report.bicliques.len());
         assert_eq!(stats.emitted, count.count);
     }
@@ -351,12 +279,27 @@ mod tests {
     fn pro_pipelines_run_end_to_end() {
         let g = random_uniform(10, 12, 50, 2, 2, 31);
         let pro = ProParams::new(2, 1, 2, 0.4).unwrap();
-        let ss = enumerate_pssfbc(&g, pro, &RunConfig::default());
-        let bs = enumerate_pbsfbc(&g, pro, &RunConfig::default());
+        let cfg = RunConfig::default();
+        let ss = enumerate(&g, QueryModel::Pssfbc(pro), &cfg);
+        let bs = enumerate(&g, QueryModel::Pbsfbc(pro), &cfg);
         // PBSFBC lower sides appear among PSSFBC lower sides.
         let ss_lowers: BTreeSet<_> = ss.bicliques.iter().map(|b| b.lower.clone()).collect();
         for b in &bs.bicliques {
             assert!(ss_lowers.contains(&b.lower));
+        }
+    }
+
+    #[test]
+    fn proportion_models_refuse_the_baselines() {
+        let g = random_uniform(10, 12, 50, 2, 2, 31);
+        let pro = ProParams::new(2, 1, 2, 0.4).unwrap();
+        for model in [QueryModel::Pssfbc(pro), QueryModel::Pbsfbc(pro)] {
+            for algo in [Algorithm::Nsf, Algorithm::FairBcem] {
+                let mut sink = CountSink::default();
+                let got = run(&g, model, algo, &RunConfig::default(), &mut sink);
+                assert_eq!(got.unwrap_err(), ParamError::ProportionBaseline);
+                assert_eq!(sink.count, 0, "{model} {algo:?} must not run");
+            }
         }
     }
 }

@@ -158,8 +158,7 @@ impl PreparedQuery {
         rec.scope("prepare", |rec| {
             let t0 = Instant::now();
             let clock = budget.start();
-            let bi = model.is_bi_side();
-            let mut pruned = crate::pipeline::prune(g, model.base(), prune, bi, &clock, rec)?;
+            let mut pruned = crate::pipeline::cascade(g, model, prune, &clock, rec)?;
             if let Some(r) = clock.interrupted() {
                 return Err(r);
             }
@@ -263,8 +262,8 @@ impl PreparedQuery {
     }
 
     /// The single-worker branch of [`PreparedQuery::stream`], open to
-    /// sinks that cannot cross threads (the borrowed sinks of
-    /// [`crate::pipeline::run_ssfbc`] / [`crate::pipeline::run_bsfbc`]).
+    /// sinks that cannot cross threads (the borrowed sink of
+    /// [`crate::pipeline::run`]).
     pub(crate) fn stream_in_thread<S: BicliqueSink>(
         &self,
         cfg: &RunConfig,
@@ -497,7 +496,7 @@ pub(crate) fn mine_unpruned(
 mod tests {
     use super::*;
     use crate::config::{Budget, CancelToken, StopReason};
-    use crate::pipeline::{enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc};
+    use crate::pipeline::enumerate;
     use bigraph::generate::random_uniform;
 
     fn bounded(
@@ -531,12 +530,7 @@ mod tests {
                     sorted: true,
                     ..RunConfig::default()
                 };
-                let want = match model {
-                    QueryModel::Ssfbc(p) => enumerate_ssfbc(&g, p, &cfg),
-                    QueryModel::Bsfbc(p) => enumerate_bsfbc(&g, p, &cfg),
-                    QueryModel::Pssfbc(p) => enumerate_pssfbc(&g, p, &cfg),
-                    QueryModel::Pbsfbc(p) => enumerate_pbsfbc(&g, p, &cfg),
-                };
+                let want = enumerate(&g, model, &cfg);
                 let prepared = PreparedQuery::prepare(&g, model, cfg.prune, cfg.substrate);
                 let got = prepared.execute(&cfg);
                 assert_eq!(got.bicliques, want.bicliques, "{model} threads {threads}");
@@ -563,7 +557,7 @@ mod tests {
         let cfg = RunConfig::default();
         // The maximum module's sink over the collected enumeration.
         let mut want = MaxSink::new(SizeMetric::Edges);
-        for b in enumerate_ssfbc(&g, params, &cfg).bicliques {
+        for b in enumerate(&g, QueryModel::Ssfbc(params), &cfg).bicliques {
             want.emit(&b.upper, &b.lower);
         }
         let want = want.best;

@@ -210,7 +210,8 @@ fn _attr_type(_: AttrValueId) {}
 mod tests {
     use super::*;
     use crate::config::{FairParams, RunConfig};
-    use crate::pipeline::enumerate_ssfbc;
+    use crate::pipeline::enumerate;
+    use crate::prepared::QueryModel;
     use bigraph::generate::random_uniform;
 
     fn sample() -> Vec<Biclique> {
@@ -282,7 +283,11 @@ mod tests {
     #[test]
     fn summary_statistics() {
         let g = balanced_block_graph();
-        let report = enumerate_ssfbc(&g, FairParams::unchecked(2, 2, 1), &RunConfig::default());
+        let report = enumerate(
+            &g,
+            QueryModel::Ssfbc(FairParams::unchecked(2, 2, 1)),
+            &RunConfig::default(),
+        );
         let s = summarize(&g, &report.bicliques);
         assert_eq!(s.count, report.bicliques.len());
         assert!(s.count > 0);
@@ -336,7 +341,11 @@ mod tests {
     #[test]
     fn signature_grouping() {
         let g = balanced_block_graph();
-        let report = enumerate_ssfbc(&g, FairParams::unchecked(2, 2, 1), &RunConfig::default());
+        let report = enumerate(
+            &g,
+            QueryModel::Ssfbc(FairParams::unchecked(2, 2, 1)),
+            &RunConfig::default(),
+        );
         let groups = group_by_lower_signature(&g, &report.bicliques);
         let total: usize = groups.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, report.bicliques.len());

@@ -18,8 +18,9 @@
 //!   too. Hence maximality = no single-side fair extension.
 
 use crate::biclique::Biclique;
-use crate::config::{FairParams, ProParams};
+use crate::config::FairParams;
 use crate::fairset::{exists_fair_extension, is_fair_with, AttrCounts};
+use crate::prepared::QueryModel;
 use bigraph::{is_sorted_subset, BipartiteGraph, Side, VertexId};
 use std::collections::BTreeSet;
 
@@ -32,23 +33,22 @@ fn subset_from_mask(mask: u32) -> Vec<VertexId> {
         .collect()
 }
 
-/// All single-side fair bicliques of `g` (Definition 3), by brute force.
+/// All results of `model` on `g` (Definitions 3–6), by brute force.
 ///
-/// Panics if the lower side exceeds 25 vertices.
-pub fn oracle_ssfbc(g: &BipartiteGraph, params: FairParams) -> BTreeSet<Biclique> {
-    oracle_ssfbc_inner(g, params, None)
+/// Panics if the lower side — or, for the bi-side models, either side
+/// — exceeds 25 vertices (practical limits are far lower; keep test
+/// graphs ≤ ~10 per side for the bi-side models).
+pub fn oracle(g: &BipartiteGraph, model: QueryModel) -> BTreeSet<Biclique> {
+    let (params, theta) = (model.base(), model.theta());
+    if model.is_bi_side() {
+        bi_side(g, params, theta)
+    } else {
+        single_side(g, params, theta)
+    }
 }
 
-/// All proportion single-side fair bicliques (Definition 5).
-pub fn oracle_pssfbc(g: &BipartiteGraph, params: ProParams) -> BTreeSet<Biclique> {
-    oracle_ssfbc_inner(g, params.base, Some(params.theta))
-}
-
-fn oracle_ssfbc_inner(
-    g: &BipartiteGraph,
-    params: FairParams,
-    theta: Option<f64>,
-) -> BTreeSet<Biclique> {
+/// The single-side models: subsets of the fair side, `L = N(R)`.
+fn single_side(g: &BipartiteGraph, params: FairParams, theta: Option<f64>) -> BTreeSet<Biclique> {
     let n_v = g.n_lower();
     assert!(
         n_v <= MAX_ORACLE_SIDE,
@@ -89,24 +89,9 @@ fn oracle_ssfbc_inner(
     out
 }
 
-/// All bi-side fair bicliques of `g` (Definition 4), by brute force.
-///
-/// Panics if either side exceeds 25 vertices (practical limits are far
-/// lower; keep test graphs ≤ ~10 per side).
-pub fn oracle_bsfbc(g: &BipartiteGraph, params: FairParams) -> BTreeSet<Biclique> {
-    oracle_bsfbc_inner(g, params, None)
-}
-
-/// All proportion bi-side fair bicliques (Definition 6).
-pub fn oracle_pbsfbc(g: &BipartiteGraph, params: ProParams) -> BTreeSet<Biclique> {
-    oracle_bsfbc_inner(g, params.base, Some(params.theta))
-}
-
-fn oracle_bsfbc_inner(
-    g: &BipartiteGraph,
-    params: FairParams,
-    theta: Option<f64>,
-) -> BTreeSet<Biclique> {
+/// The bi-side models: fair-side subsets `B`, then upper subsets of
+/// `N(B)`.
+fn bi_side(g: &BipartiteGraph, params: FairParams, theta: Option<f64>) -> BTreeSet<Biclique> {
     let n_v = g.n_lower();
     assert!(
         n_v <= MAX_ORACLE_SIDE,
@@ -207,6 +192,7 @@ pub fn oracle_maximal_bicliques(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ProParams;
     use crate::fairset::is_fair;
     use bigraph::GraphBuilder;
 
@@ -228,7 +214,7 @@ mod tests {
     #[test]
     fn ssfbc_on_block() {
         let g = block();
-        let res = oracle_ssfbc(&g, FairParams::unchecked(2, 1, 1));
+        let res = oracle(&g, QueryModel::Ssfbc(FairParams::unchecked(2, 1, 1)));
         // With β=1, δ=1: fair subsets of the block's V with |L|>=2.
         // The full block is one; smaller R's fail maximality (can add).
         assert!(res.contains(&Biclique::new(vec![0, 1, 2], vec![0, 1, 2, 3])));
@@ -245,7 +231,7 @@ mod tests {
     #[test]
     fn ssfbc_delta_zero_forces_balance() {
         let g = block();
-        let res = oracle_ssfbc(&g, FairParams::unchecked(2, 2, 0));
+        let res = oracle(&g, QueryModel::Ssfbc(FairParams::unchecked(2, 2, 0)));
         // Only perfectly balanced (2,2) fair sides qualify: the whole
         // block (2 of each attr).
         assert_eq!(res.len(), 1);
@@ -256,16 +242,16 @@ mod tests {
     #[test]
     fn ssfbc_infeasible_params() {
         let g = block();
-        assert!(oracle_ssfbc(&g, FairParams::unchecked(4, 2, 1)).is_empty());
-        assert!(oracle_ssfbc(&g, FairParams::unchecked(2, 3, 1)).is_empty());
+        assert!(oracle(&g, QueryModel::Ssfbc(FairParams::unchecked(4, 2, 1))).is_empty());
+        assert!(oracle(&g, QueryModel::Ssfbc(FairParams::unchecked(2, 3, 1))).is_empty());
     }
 
     #[test]
     fn bsfbc_subset_of_ssfbc_lower_sides() {
         let g = block();
         let params = FairParams::unchecked(1, 1, 1);
-        let bs = oracle_bsfbc(&g, params);
-        let ss = oracle_ssfbc(&g, params);
+        let bs = oracle(&g, QueryModel::Bsfbc(params));
+        let ss = oracle(&g, QueryModel::Ssfbc(params));
         assert!(!bs.is_empty());
         // Observation 6: each BSFBC's R equals some SSFBC's R.
         for b in &bs {
@@ -284,8 +270,11 @@ mod tests {
     #[test]
     fn pssfbc_tightens_ssfbc() {
         let g = block();
-        let ss = oracle_ssfbc(&g, FairParams::unchecked(2, 1, 2));
-        let ps = oracle_pssfbc(&g, ProParams::new(2, 1, 2, 0.5).unwrap());
+        let ss = oracle(&g, QueryModel::Ssfbc(FairParams::unchecked(2, 1, 2)));
+        let ps = oracle(
+            &g,
+            QueryModel::Pssfbc(ProParams::new(2, 1, 2, 0.5).unwrap()),
+        );
         // theta=0.5 forces perfect balance; every PSSFBC's lower side
         // must be balanced, and counts can only drop.
         for p in &ps {
@@ -293,7 +282,10 @@ mod tests {
             assert_eq!(c.as_slice()[0], c.as_slice()[1]);
         }
         // theta = 0 degenerates to the plain model.
-        let p0 = oracle_pssfbc(&g, ProParams::new(2, 1, 2, 0.0).unwrap());
+        let p0 = oracle(
+            &g,
+            QueryModel::Pssfbc(ProParams::new(2, 1, 2, 0.0).unwrap()),
+        );
         assert_eq!(p0, ss);
     }
 
@@ -314,8 +306,11 @@ mod tests {
     fn pbsfbc_theta_zero_matches_bsfbc() {
         let g = block();
         let params = FairParams::unchecked(1, 1, 1);
-        let b0 = oracle_bsfbc(&g, params);
-        let p0 = oracle_pbsfbc(&g, ProParams::new(1, 1, 1, 0.0).unwrap());
+        let b0 = oracle(&g, QueryModel::Bsfbc(params));
+        let p0 = oracle(
+            &g,
+            QueryModel::Pbsfbc(ProParams::new(1, 1, 1, 0.0).unwrap()),
+        );
         assert_eq!(b0, p0);
     }
 }

@@ -5,14 +5,20 @@
 //! A reply therefore never waits on Nagle's algorithm for the
 //! client's (delayed) ACK of an earlier piece, whatever its size and
 //! whatever socket options the client keeps.
+//!
+//! `SHUTDOWN` ends every connection, not only the requester's: the
+//! server keeps a clone of each accepted stream, and once the accept
+//! loop stops it shuts down the read half of every one and joins the
+//! connection threads before [`Server::run`] returns.
 
 use crate::engine::{Engine, Outcome, Session};
 use crate::metrics::bump;
 use crate::protocol::Reply;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Hard cap on a single request line. Anything longer is answered with
 /// `ERR PARSE` and discarded without ever being buffered whole, so one
@@ -43,7 +49,8 @@ impl Server {
 
     /// Accept and serve connections until a client issues `SHUTDOWN`.
     /// Each connection gets its own thread; in-flight queries observe
-    /// the engine's cancellation token and stop cooperatively.
+    /// the engine's cancellation token and stop cooperatively. Returns
+    /// once every connection has been closed and its thread joined.
     pub fn run(self) -> std::io::Result<()> {
         self.run_inner(true)
     }
@@ -63,30 +70,40 @@ impl Server {
         // loopback, …). The self-connect remains as the fast path
         // that snaps the shutdown latency below the poll interval.
         self.listener.set_nonblocking(true)?;
-        loop {
+        let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+        let stopped = loop {
+            // Forget finished connections so their sockets close.
+            conns.retain(|(_, thread)| !thread.is_finished());
             let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if self.engine.is_shutdown() {
-                        break;
+                        break Ok(());
                     }
                     std::thread::sleep(ACCEPT_POLL_INTERVAL);
                     continue;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                Err(e) => break Err(e),
             };
             // Accepted sockets inherit non-blocking mode on some
             // platforms; connection I/O must block.
-            stream.set_nonblocking(false)?;
+            if let Err(e) = stream.set_nonblocking(false) {
+                break Err(e);
+            }
             if self.engine.is_shutdown() {
                 // Raced with shutdown (possibly our own wake-up
                 // connection): drop the stream and stop accepting.
-                break;
+                break Ok(());
             }
+            let Ok(handle) = stream.try_clone() else {
+                // Without a handle the server could not end this
+                // connection at shutdown, so it does not serve it.
+                continue;
+            };
             bump(&self.engine.metrics.connections_accepted);
             let engine = Arc::clone(&self.engine);
-            std::thread::spawn(move || {
+            let thread = std::thread::spawn(move || {
                 let _ = serve_connection(stream, &engine);
                 // Wake the accept loop whenever the engine is stopping
                 // — deliberately not only on a clean SHUTDOWN reply: if
@@ -98,8 +115,38 @@ impl Server {
                     wake_accept_loop(addr);
                 }
             });
+            conns.push((handle, thread));
+        };
+        close_all(conns);
+        stopped
+    }
+}
+
+/// How long [`close_all`] lets connection threads finish on their own
+/// before it shuts their sockets down for writing too.
+const CLOSE_GRACE: Duration = Duration::from_secs(2);
+
+/// End every connection after the accept loop stopped, and join their
+/// threads. Shutting down the read half makes each thread's next read
+/// see EOF. The write half stays open, so a reply still being written —
+/// the `SHUTDOWN` requester's `OK bye`, or an in-flight query's answer
+/// to its cancellation — gets out. A thread still running after
+/// [`CLOSE_GRACE`] may be blocked writing to a peer that does not
+/// read, so its write half is then shut down as well, which fails
+/// that write.
+fn close_all(conns: Vec<(TcpStream, JoinHandle<()>)>) {
+    for (stream, _) in &conns {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    let deadline = Instant::now() + CLOSE_GRACE;
+    while Instant::now() < deadline && conns.iter().any(|(_, t)| !t.is_finished()) {
+        std::thread::sleep(ACCEPT_POLL_INTERVAL);
+    }
+    for (stream, thread) in conns {
+        if !thread.is_finished() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        Ok(())
+        let _ = thread.join();
     }
 }
 

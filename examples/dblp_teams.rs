@@ -35,12 +35,12 @@ fn main() {
         cs.graph.n_edges()
     );
     let params = FairParams::new(3, 3, 2).expect("valid");
-    let report = enumerate_ssfbc(&cs.graph, params, &RunConfig::default());
+    let report = enumerate(&cs.graph, QueryModel::Ssfbc(params), &RunConfig::default());
     show(&cs, &format!("DBDA SSFBC {params}"), &report.bicliques, 2);
 
     // --- DBDA: bi-side fair teams (paper: α=1, β=2, δ=2) ---
     let bi = FairParams::new(1, 2, 2).expect("valid");
-    let report = enumerate_bsfbc(&cs.graph, bi, &RunConfig::default());
+    let report = enumerate(&cs.graph, QueryModel::Bsfbc(bi), &RunConfig::default());
     show(&cs, &format!("DBDA BSFBC {bi}"), &report.bicliques, 2);
 
     // --- DBDS: single-side (paper: α=2, β=2, δ=2) ---
@@ -52,10 +52,10 @@ fn main() {
         cs.graph.n_edges()
     );
     let params = FairParams::new(2, 2, 2).expect("valid");
-    let report = enumerate_ssfbc(&cs.graph, params, &RunConfig::default());
+    let report = enumerate(&cs.graph, QueryModel::Ssfbc(params), &RunConfig::default());
     show(&cs, &format!("DBDS SSFBC {params}"), &report.bicliques, 2);
 
     // --- DBDS: bi-side (paper: α=1, β=2, δ=2) ---
-    let report = enumerate_bsfbc(&cs.graph, bi, &RunConfig::default());
+    let report = enumerate(&cs.graph, QueryModel::Bsfbc(bi), &RunConfig::default());
     show(&cs, &format!("DBDS BSFBC {bi}"), &report.bicliques, 2);
 }

@@ -52,7 +52,7 @@ fn run_case(cs: &CaseStudy, top_k: usize, params: FairParams) {
     // with the item side fair (paper Fig. 10 b/e).
     let rg = recommendation_graph(&cs.graph, top_k);
     println!("recommendation graph (top-{top_k}): {} edges", rg.n_edges());
-    let report = enumerate_ssfbc(&rg, params, &RunConfig::default());
+    let report = enumerate(&rg, QueryModel::Ssfbc(params), &RunConfig::default());
     println!("fair bicliques ({params}): {}", report.bicliques.len());
 
     let mut ranked: Vec<_> = report.bicliques.iter().collect();

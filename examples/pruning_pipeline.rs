@@ -6,7 +6,7 @@
 //! cargo run --release -p fbe-examples --example pruning_pipeline
 //! ```
 
-use fair_biclique::pipeline::{prune_bi_side, prune_single_side};
+use fair_biclique::pipeline::{prune, run};
 use fair_biclique::prelude::*;
 use fbe_datasets::corpus::{spec, Dataset};
 use std::time::Instant;
@@ -20,14 +20,15 @@ fn main() {
         bigraph::stats::graph_stats(&g)
     );
     let params = spec.single_params();
+    let model = QueryModel::Ssfbc(params);
     println!("single-side params: {params}");
 
     // FCore vs CFCore (Fig. 3's two curves).
     let t = Instant::now();
-    let f = prune_single_side(&g, params, PruneKind::FCore);
+    let f = prune(&g, model, PruneKind::FCore);
     let f_time = t.elapsed();
     let t = Instant::now();
-    let c = prune_single_side(&g, params, PruneKind::Colorful);
+    let c = prune(&g, model, PruneKind::Colorful);
     let c_time = t.elapsed();
     println!(
         "FCore : kept {:>6} vertices ({} edges) in {:?}",
@@ -44,8 +45,8 @@ fn main() {
 
     // Bi-side pruning (Fig. 4's two curves).
     let bi = spec.bi_params();
-    let bf = prune_bi_side(&g, bi, PruneKind::FCore);
-    let bc = prune_bi_side(&g, bi, PruneKind::Colorful);
+    let bf = prune(&g, QueryModel::Bsfbc(bi), PruneKind::FCore);
+    let bc = prune(&g, QueryModel::Bsfbc(bi), PruneKind::Colorful);
     println!(
         "BFCore : kept {:>6} vertices | BCFCore: kept {:>6} vertices ({bi})",
         bf.stats.remaining_vertices(),
@@ -54,16 +55,13 @@ fn main() {
 
     // Enumerate on the pruned graph with both algorithms.
     for (name, algo) in [
-        ("FairBCEM  ", fair_biclique::pipeline::SsAlgorithm::FairBcem),
-        (
-            "FairBCEM++",
-            fair_biclique::pipeline::SsAlgorithm::FairBcemPP,
-        ),
+        ("FairBCEM  ", Algorithm::FairBcem),
+        ("FairBCEM++", Algorithm::FairBcemPP),
     ] {
         let mut sink = CountSink::default();
         let t = Instant::now();
-        let (_, stats) =
-            fair_biclique::pipeline::run_ssfbc(&g, params, algo, &RunConfig::default(), &mut sink);
+        let (_, stats) = run(&g, model, algo, &RunConfig::default(), &mut sink)
+            .expect("every algorithm runs the absolute models");
         println!(
             "{name}: {} SSFBCs, {} search nodes, {:?}",
             sink.count,

@@ -31,7 +31,7 @@ fn main() {
     // Single-side fair bicliques: teams backed by >= 2 projects with
     // >= 2 seniors, >= 2 juniors, and senior/junior gap <= 1.
     let params = FairParams::new(2, 2, 1).expect("valid params");
-    let report = enumerate_ssfbc(&g, params, &RunConfig::default());
+    let report = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
     println!(
         "\nSSFBC ({params}): {} result(s); pruning kept {}/{} vertices; {} search nodes",
         report.bicliques.len(),
@@ -45,7 +45,7 @@ fn main() {
 
     // Bi-side fair bicliques additionally balance the project types.
     let bi = FairParams::new(1, 2, 1).expect("valid params");
-    let report = enumerate_bsfbc(&g, bi, &RunConfig::default());
+    let report = enumerate(&g, QueryModel::Bsfbc(bi), &RunConfig::default());
     println!("\nBSFBC ({bi}): {} result(s)", report.bicliques.len());
     for bc in &report.bicliques {
         println!("  {bc}");
@@ -54,7 +54,7 @@ fn main() {
     // Proportion variant: every attribute must also hold >= 40% of its
     // side.
     let pro = ProParams::new(2, 2, 1, 0.4).expect("valid params");
-    let report = enumerate_pssfbc(&g, pro, &RunConfig::default());
+    let report = enumerate(&g, QueryModel::Pssfbc(pro), &RunConfig::default());
     println!("\nPSSFBC ({pro}): {} result(s)", report.bicliques.len());
     for bc in &report.bicliques {
         println!("  {bc}");

@@ -14,12 +14,12 @@
 //!   vertex addition, weak fair cliques are exactly the maximal
 //!   cliques passing the filter).
 //!
-//! The test suite uses these to certify Lemma 2 empirically: every
-//! weak fair clique survives [`crate::coloring`]-based ego colorful
-//! core peeling.
+//! Only the test suite needs it: `substrate_properties` certifies
+//! Lemma 2 with it, checking that every weak fair clique survives
+//! [`fair_biclique::cfcore::ego_colorful_core`].
 
-use crate::graph::{AttrValueId, VertexId};
-use crate::unigraph::UniGraph;
+use bigraph::{UniGraph, VertexId};
+use rand::prelude::*;
 
 /// Visit every maximal clique of `g` (Bron–Kerbosch with pivoting).
 /// Cliques are reported as sorted vertex lists.
@@ -103,7 +103,7 @@ pub fn collect_weak_fair_cliques(g: &UniGraph, k: u32) -> Vec<Vec<VertexId>> {
     out
 }
 
-/// Oracle used in tests: maximal cliques by subset enumeration
+/// Oracle: maximal cliques by subset enumeration
 /// (`n ≤ 20`).
 pub fn maximal_cliques_bruteforce(g: &UniGraph) -> Vec<Vec<VertexId>> {
     let n = g.n();
@@ -139,7 +139,7 @@ pub fn maximal_cliques_bruteforce(g: &UniGraph) -> Vec<Vec<VertexId>> {
     out
 }
 
-/// Attribute counts of a vertex set (helper shared with tests).
+/// Attribute counts of a vertex set.
 pub fn attr_counts_of(g: &UniGraph, vs: &[VertexId]) -> Vec<u32> {
     let mut counts = vec![0u32; (g.n_attr_values() as usize).max(1)];
     for &v in vs {
@@ -153,28 +153,26 @@ pub fn is_k_fair(g: &UniGraph, vs: &[VertexId], k: u32) -> bool {
     attr_counts_of(g, vs).iter().all(|&c| c >= k)
 }
 
-#[allow(unused)]
-fn _assert_attr_type(_: AttrValueId) {}
+/// A seeded `G(n, p)` graph whose vertices draw one of two attribute
+/// values uniformly.
+pub fn random_unigraph(n: usize, p: f64, seed: u64) -> UniGraph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for a in 0..n as VertexId {
+        for b in (a + 1)..n as VertexId {
+            if rng.random_bool(p) {
+                edges.push((a, b));
+            }
+        }
+    }
+    let attrs: Vec<u16> = (0..n).map(|_| rng.random_range(0..2)).collect();
+    UniGraph::from_edges(2, attrs, &edges)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
     use std::collections::BTreeSet;
-
-    fn random_unigraph(n: usize, p: f64, seed: u64) -> UniGraph {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut edges = Vec::new();
-        for a in 0..n as VertexId {
-            for b in (a + 1)..n as VertexId {
-                if rng.random_bool(p) {
-                    edges.push((a, b));
-                }
-            }
-        }
-        let attrs: Vec<u16> = (0..n).map(|_| rng.random_range(0..2)).collect();
-        UniGraph::from_edges(2, attrs, &edges)
-    }
 
     #[test]
     fn triangle_plus_edge() {
@@ -222,36 +220,6 @@ mod tests {
         // {3,4} has attrs {1,0}: qualifies at k=1.
         assert!(wfc1.contains(&vec![3, 4]));
         assert!(collect_weak_fair_cliques(&g, 3).is_empty());
-    }
-
-    #[test]
-    fn weak_fair_cliques_survive_ego_colorful_core() {
-        // Lemma 2's substrate claim (from Pan et al. [31]): every
-        // vertex of a weak fair k-clique is in the ego colorful k-core.
-        // We check via the core crate's peeling... but to keep this
-        // crate self-contained, verify the *colorful degree bound*
-        // directly: inside a clique all vertices have distinct colors,
-        // so each member sees >= k colors per attribute among
-        // N(v) ∪ {v}.
-        use crate::coloring::greedy_color_by_degree;
-        for seed in 0..10u64 {
-            let g = random_unigraph(12, 0.5, seed);
-            let coloring = greedy_color_by_degree(&g);
-            for k in 1..3u32 {
-                for clique in collect_weak_fair_cliques(&g, k) {
-                    for &v in &clique {
-                        let mut per_attr: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); 2];
-                        for &w in g.neighbors(v) {
-                            per_attr[g.attr(w) as usize].insert(coloring.color[w as usize]);
-                        }
-                        per_attr[g.attr(v) as usize].insert(coloring.color[v as usize]);
-                        for (a, colors) in per_attr.iter().enumerate() {
-                            assert!(colors.len() as u32 >= k, "seed {seed} k {k} v {v} attr {a}");
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

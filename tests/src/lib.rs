@@ -5,6 +5,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cliques;
+
 use bigraph::{BipartiteGraph, Side, VertexId};
 use fair_biclique::biclique::Biclique;
 use fair_biclique::config::{FairParams, ProParams, RunConfig};
@@ -177,7 +179,7 @@ mod tests {
     fn checkers_accept_enumerator_output() {
         let g = medium_graph(1);
         let params = FairParams::unchecked(2, 2, 1);
-        let report = enumerate_ssfbc(&g, params, &RunConfig::default());
+        let report = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
         assert!(!report.bicliques.is_empty());
         for bc in &report.bicliques {
             assert_valid_ssfbc(&g, bc, params);

@@ -7,10 +7,9 @@ use fair_biclique::biclique::{Biclique, CollectSink};
 use fair_biclique::config::{
     Budget, FairParams, ProParams, PruneKind, RunConfig, Substrate, VertexOrder,
 };
-use fair_biclique::pipeline::{
-    enumerate_pbsfbc, enumerate_pssfbc, run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm,
-};
-use fair_biclique::verify::{oracle_bsfbc, oracle_pbsfbc, oracle_pssfbc, oracle_ssfbc};
+use fair_biclique::pipeline::{enumerate, run, Algorithm};
+use fair_biclique::prepared::QueryModel;
+use fair_biclique::verify::oracle;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -48,7 +47,7 @@ fn params_strategy() -> impl Strategy<Value = FairParams> {
 fn collect_ss(
     g: &BipartiteGraph,
     params: FairParams,
-    algo: SsAlgorithm,
+    algo: Algorithm,
     prune: PruneKind,
     order: VertexOrder,
 ) -> BTreeSet<Biclique> {
@@ -59,7 +58,7 @@ fn collect_ss(
         ..RunConfig::default()
     };
     let mut sink = CollectSink::default();
-    run_ssfbc(g, params, algo, &cfg, &mut sink);
+    run(g, QueryModel::Ssfbc(params), algo, &cfg, &mut sink).unwrap();
     let set: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
     assert_eq!(set.len(), sink.bicliques.len(), "duplicate emissions");
     set
@@ -74,8 +73,8 @@ proptest! {
         params in params_strategy(),
         order in prop_oneof![Just(VertexOrder::IdAsc), Just(VertexOrder::DegreeDesc)],
     ) {
-        let want = oracle_ssfbc(&g, params);
-        for algo in [SsAlgorithm::Nsf, SsAlgorithm::FairBcem, SsAlgorithm::FairBcemPP] {
+        let want = oracle(&g, QueryModel::Ssfbc(params));
+        for algo in [Algorithm::Nsf, Algorithm::FairBcem, Algorithm::FairBcemPP] {
             for prune in [PruneKind::None, PruneKind::Colorful] {
                 let got = collect_ss(&g, params, algo, prune, order);
                 prop_assert_eq!(&got, &want, "algo {:?} prune {:?}", algo, prune);
@@ -89,12 +88,12 @@ proptest! {
         params in (1u32..3, 0u32..3, 0u32..3)
             .prop_map(|(a, b, d)| FairParams::unchecked(a, b, d)),
     ) {
-        let want = oracle_bsfbc(&g, params);
-        for algo in [BiAlgorithm::Bnsf, BiAlgorithm::BFairBcem, BiAlgorithm::BFairBcemPP] {
+        let want = oracle(&g, QueryModel::Bsfbc(params));
+        for algo in [Algorithm::Nsf, Algorithm::FairBcem, Algorithm::FairBcemPP] {
             for prune in [PruneKind::None, PruneKind::FCore, PruneKind::Colorful] {
                 let cfg = RunConfig { prune, order: VertexOrder::DegreeDesc, ..RunConfig::default() };
                 let mut sink = CollectSink::default();
-                run_bsfbc(&g, params, algo, &cfg, &mut sink);
+                run(&g, QueryModel::Bsfbc(params), algo, &cfg, &mut sink).unwrap();
                 let got: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
                 prop_assert_eq!(got.len(), sink.bicliques.len(), "duplicates from {:?}", algo);
                 prop_assert_eq!(&got, &want, "algo {:?} prune {:?}", algo, prune);
@@ -109,10 +108,10 @@ proptest! {
         (a, b, d) in (1u32..3, 1u32..3, 0u32..3),
     ) {
         let pro = ProParams::new(a, b, d, theta).unwrap();
-        let want = oracle_pssfbc(&g, pro);
+        let want = oracle(&g, QueryModel::Pssfbc(pro));
         for prune in [PruneKind::None, PruneKind::Colorful] {
             let cfg = RunConfig { prune, order: VertexOrder::DegreeDesc, ..RunConfig::default() };
-            let got: BTreeSet<Biclique> = enumerate_pssfbc(&g, pro, &cfg).bicliques.into_iter().collect();
+            let got: BTreeSet<Biclique> = enumerate(&g, QueryModel::Pssfbc(pro), &cfg).bicliques.into_iter().collect();
             prop_assert_eq!(&got, &want, "prune {:?}", prune);
         }
     }
@@ -124,9 +123,9 @@ proptest! {
         (a, b, d) in (1u32..3, 0u32..3, 0u32..3),
     ) {
         let pro = ProParams::new(a, b, d, theta).unwrap();
-        let want = oracle_pbsfbc(&g, pro);
+        let want = oracle(&g, QueryModel::Pbsfbc(pro));
         let cfg = RunConfig::default();
-        let got: BTreeSet<Biclique> = enumerate_pbsfbc(&g, pro, &cfg).bicliques.into_iter().collect();
+        let got: BTreeSet<Biclique> = enumerate(&g, QueryModel::Pbsfbc(pro), &cfg).bicliques.into_iter().collect();
         prop_assert_eq!(&got, &want);
     }
 

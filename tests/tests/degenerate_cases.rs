@@ -6,9 +6,8 @@ use bigraph::{GraphBuilder, Side};
 use fair_biclique::biclique::{Biclique, CollectSink};
 use fair_biclique::config::{Budget, FairParams, ProParams, RunConfig, Substrate, VertexOrder};
 use fair_biclique::mbea::maximal_bicliques;
-use fair_biclique::pipeline::{
-    enumerate_bsfbc, enumerate_pssfbc, enumerate_ssfbc, run_ssfbc, SsAlgorithm,
-};
+use fair_biclique::pipeline::{enumerate, run, Algorithm};
+use fair_biclique::prepared::QueryModel;
 use std::collections::BTreeSet;
 
 #[test]
@@ -19,7 +18,7 @@ fn degenerate_params_reduce_to_maximal_biclique_enumeration() {
         let g = bigraph::generate::random_uniform(9, 9, 35, 2, 2, seed);
         let n = (g.n_upper() + g.n_lower()) as u32;
         let params = FairParams::unchecked(1, 0, n);
-        let report = enumerate_ssfbc(&g, params, &RunConfig::default());
+        let report = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
         let ssfbc: BTreeSet<Biclique> = report.bicliques.into_iter().collect();
         let mut sink = CollectSink::default();
         maximal_bicliques(
@@ -40,28 +39,34 @@ fn degenerate_params_reduce_to_maximal_biclique_enumeration() {
 fn empty_and_tiny_graphs() {
     let empty = GraphBuilder::new(2, 2).build().unwrap();
     let params = FairParams::unchecked(1, 1, 1);
-    assert!(enumerate_ssfbc(&empty, params, &RunConfig::default())
-        .bicliques
-        .is_empty());
-    assert!(enumerate_bsfbc(&empty, params, &RunConfig::default())
-        .bicliques
-        .is_empty());
+    assert!(
+        enumerate(&empty, QueryModel::Ssfbc(params), &RunConfig::default())
+            .bicliques
+            .is_empty()
+    );
+    assert!(
+        enumerate(&empty, QueryModel::Bsfbc(params), &RunConfig::default())
+            .bicliques
+            .is_empty()
+    );
 
     // Single edge, both attrs 0 of a 2-value domain: beta=1 needs the
     // missing attribute value -> nothing.
     let mut b = GraphBuilder::new(2, 2);
     b.add_edge(0, 0);
     let g = b.build().unwrap();
-    assert!(enumerate_ssfbc(&g, params, &RunConfig::default())
-        .bicliques
-        .is_empty());
+    assert!(
+        enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
+            .bicliques
+            .is_empty()
+    );
 
     // Same edge with a single-value domain: {({0},{0})} is the unique
     // fair biclique.
     let mut b = GraphBuilder::new(1, 1);
     b.add_edge(0, 0);
     let g = b.build().unwrap();
-    let got = enumerate_ssfbc(&g, params, &RunConfig::default()).bicliques;
+    let got = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default()).bicliques;
     assert_eq!(got, vec![Biclique::new(vec![0], vec![0])]);
 }
 
@@ -72,11 +77,12 @@ fn attr_domain_of_one_behaves_like_size_constraint() {
         let g = bigraph::generate::random_uniform(8, 9, 30, 1, 1, seed);
         for beta in 0..3u32 {
             let params = FairParams::unchecked(2, beta, 0);
-            let want = fair_biclique::verify::oracle_ssfbc(&g, params);
-            let got: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &RunConfig::default())
-                .bicliques
-                .into_iter()
-                .collect();
+            let want = fair_biclique::verify::oracle(&g, QueryModel::Ssfbc(params));
+            let got: BTreeSet<Biclique> =
+                enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
+                    .bicliques
+                    .into_iter()
+                    .collect();
             assert_eq!(got, want, "seed {seed} beta {beta}");
         }
     }
@@ -100,7 +106,7 @@ fn disconnected_components_enumerate_independently() {
     b.set_attrs_lower(&[0, 1, 0, 1, 0, 1, 0, 1]);
     let g = b.build().unwrap();
     let params = FairParams::unchecked(2, 2, 0);
-    let got: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &RunConfig::default())
+    let got: BTreeSet<Biclique> = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
         .bicliques
         .into_iter()
         .collect();
@@ -125,7 +131,11 @@ fn all_same_attribute_on_fair_side_yields_nothing_for_beta_one() {
     b.set_attrs_upper(&[0, 1, 0, 1]);
     b.set_attrs_lower(&[0, 0, 0, 0]);
     let g = b.build().unwrap();
-    let report = enumerate_ssfbc(&g, FairParams::unchecked(1, 1, 4), &RunConfig::default());
+    let report = enumerate(
+        &g,
+        QueryModel::Ssfbc(FairParams::unchecked(1, 1, 4)),
+        &RunConfig::default(),
+    );
     assert!(
         report.bicliques.is_empty(),
         "missing attribute value can never reach beta=1"
@@ -137,7 +147,7 @@ fn theta_at_half_forces_perfect_balance() {
     for seed in 0..6u64 {
         let g = bigraph::generate::random_uniform(9, 10, 40, 2, 2, seed);
         let pro = ProParams::new(1, 1, 3, 0.5).unwrap();
-        let report = enumerate_pssfbc(&g, pro, &RunConfig::default());
+        let report = enumerate(&g, QueryModel::Pssfbc(pro), &RunConfig::default());
         for bc in &report.bicliques {
             let mut counts = [0u32; 2];
             for &v in &bc.lower {
@@ -155,8 +165,16 @@ fn theta_at_half_forces_perfect_balance() {
 fn huge_delta_equals_delta_free_model() {
     // Once delta exceeds the graph size it stops constraining.
     let g = bigraph::generate::random_uniform(9, 10, 40, 2, 2, 3);
-    let a = enumerate_ssfbc(&g, FairParams::unchecked(2, 1, 100), &RunConfig::default());
-    let b = enumerate_ssfbc(&g, FairParams::unchecked(2, 1, 19), &RunConfig::default());
+    let a = enumerate(
+        &g,
+        QueryModel::Ssfbc(FairParams::unchecked(2, 1, 100)),
+        &RunConfig::default(),
+    );
+    let b = enumerate(
+        &g,
+        QueryModel::Ssfbc(FairParams::unchecked(2, 1, 19)),
+        &RunConfig::default(),
+    );
     let sa: BTreeSet<Biclique> = a.bicliques.into_iter().collect();
     let sb: BTreeSet<Biclique> = b.bicliques.into_iter().collect();
     assert_eq!(sa, sb);
@@ -176,7 +194,11 @@ fn duplicate_edges_in_input_are_harmless() {
     b.set_attrs_lower(&[0, 0, 1, 1]);
     let g = b.build().unwrap();
     assert_eq!(g.n_edges(), 12);
-    let report = enumerate_ssfbc(&g, FairParams::unchecked(2, 2, 0), &RunConfig::default());
+    let report = enumerate(
+        &g,
+        QueryModel::Ssfbc(FairParams::unchecked(2, 2, 0)),
+        &RunConfig::default(),
+    );
     assert_eq!(report.bicliques.len(), 1);
 }
 
@@ -188,13 +210,14 @@ fn zero_node_budget_aborts_immediately_without_panicking() {
         ..RunConfig::default()
     };
     let mut sink = CollectSink::default();
-    let (_, stats) = run_ssfbc(
+    let (_, stats) = run(
         &g,
-        FairParams::unchecked(1, 1, 1),
-        SsAlgorithm::FairBcemPP,
+        QueryModel::Ssfbc(FairParams::unchecked(1, 1, 1)),
+        Algorithm::FairBcemPP,
         &cfg,
         &mut sink,
-    );
+    )
+    .unwrap();
     assert!(stats.aborted);
     assert!(sink.bicliques.is_empty());
 }
@@ -211,7 +234,11 @@ fn isolated_vertices_do_not_disturb_results() {
     b.set_attrs_lower(&[0, 0, 1, 1]);
     b.ensure_vertices(30, 40); // plenty of isolated vertices
     let g = b.build().unwrap();
-    let report = enumerate_ssfbc(&g, FairParams::unchecked(2, 2, 0), &RunConfig::default());
+    let report = enumerate(
+        &g,
+        QueryModel::Ssfbc(FairParams::unchecked(2, 2, 0)),
+        &RunConfig::default(),
+    );
     assert_eq!(
         report.bicliques,
         vec![Biclique::new(vec![0, 1, 2], vec![0, 1, 2, 3])]

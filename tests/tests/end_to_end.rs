@@ -5,7 +5,8 @@
 use bigraph::{Side, VertexId};
 use fair_biclique::biclique::CountSink;
 use fair_biclique::config::{Budget, PruneKind, RunConfig, VertexOrder};
-use fair_biclique::pipeline::{prune_single_side, run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm};
+use fair_biclique::pipeline::{prune, run, Algorithm};
+use fair_biclique::prepared::QueryModel;
 use fbe_datasets::case_studies::{dbda, jobs, movies};
 use fbe_datasets::cf::{recommend, recommendation_graph};
 use fbe_datasets::corpus::{spec, Dataset};
@@ -24,13 +25,14 @@ fn youtube_corpus_pipeline_finds_planted_structure() {
     let s = spec(Dataset::Youtube);
     let g = s.build();
     let mut sink = CountSink::default();
-    let (prune, stats) = run_ssfbc(
+    let (prune, stats) = run(
         &g,
-        s.single_params(),
-        SsAlgorithm::FairBcemPP,
+        QueryModel::Ssfbc(s.single_params()),
+        Algorithm::FairBcemPP,
         &default_cfg(),
         &mut sink,
-    );
+    )
+    .unwrap();
     assert!(!stats.aborted, "scaled Youtube must finish in seconds");
     assert!(sink.count > 0, "planted blocks must yield SSFBCs");
     assert!(prune.remaining_vertices() < prune.upper_before + prune.lower_before);
@@ -41,13 +43,14 @@ fn youtube_corpus_bi_side_pipeline() {
     let s = spec(Dataset::Youtube);
     let g = s.build();
     let mut sink = CountSink::default();
-    let (_, stats) = run_bsfbc(
+    let (_, stats) = run(
         &g,
-        s.bi_params(),
-        BiAlgorithm::BFairBcemPP,
+        QueryModel::Bsfbc(s.bi_params()),
+        Algorithm::FairBcemPP,
         &default_cfg(),
         &mut sink,
-    );
+    )
+    .unwrap();
     assert!(!stats.aborted);
     assert!(sink.count > 0, "planted blocks must yield BSFBCs");
 }
@@ -58,21 +61,23 @@ fn fairbcem_pp_dominates_fairbcem_on_corpus() {
     let s = spec(Dataset::Youtube);
     let g = s.build();
     let mut a = CountSink::default();
-    let (_, slow) = run_ssfbc(
+    let (_, slow) = run(
         &g,
-        s.single_params(),
-        SsAlgorithm::FairBcem,
+        QueryModel::Ssfbc(s.single_params()),
+        Algorithm::FairBcem,
         &default_cfg(),
         &mut a,
-    );
+    )
+    .unwrap();
     let mut b = CountSink::default();
-    let (_, fast) = run_ssfbc(
+    let (_, fast) = run(
         &g,
-        s.single_params(),
-        SsAlgorithm::FairBcemPP,
+        QueryModel::Ssfbc(s.single_params()),
+        Algorithm::FairBcemPP,
         &default_cfg(),
         &mut b,
-    );
+    )
+    .unwrap();
     assert_eq!(a.count, b.count, "same result count");
     assert!(
         fast.nodes * 10 <= slow.nodes,
@@ -88,8 +93,8 @@ fn dblp_scale_pruning_is_fast_and_consistent() {
     let g = s.build();
     assert!(g.n_edges() > 100_000, "DBLP analog is the big one");
     let p = s.single_params();
-    let f = prune_single_side(&g, p, PruneKind::FCore);
-    let c = prune_single_side(&g, p, PruneKind::Colorful);
+    let f = prune(&g, QueryModel::Ssfbc(p), PruneKind::FCore);
+    let c = prune(&g, QueryModel::Ssfbc(p), PruneKind::Colorful);
     assert!(c.stats.remaining_vertices() <= f.stats.remaining_vertices());
     // Pruning must preserve all results.
     let mut full = CountSink::default();
@@ -97,9 +102,23 @@ fn dblp_scale_pruning_is_fast_and_consistent() {
         prune: PruneKind::FCore,
         ..default_cfg()
     };
-    run_ssfbc(&g, p, SsAlgorithm::FairBcemPP, &cfg_none, &mut full);
+    run(
+        &g,
+        QueryModel::Ssfbc(p),
+        Algorithm::FairBcemPP,
+        &cfg_none,
+        &mut full,
+    )
+    .unwrap();
     let mut pruned = CountSink::default();
-    run_ssfbc(&g, p, SsAlgorithm::FairBcemPP, &default_cfg(), &mut pruned);
+    run(
+        &g,
+        QueryModel::Ssfbc(p),
+        Algorithm::FairBcemPP,
+        &default_cfg(),
+        &mut pruned,
+    )
+    .unwrap();
     assert_eq!(full.count, pruned.count);
 }
 
@@ -107,7 +126,8 @@ fn dblp_scale_pruning_is_fast_and_consistent() {
 fn case_study_dbda_finds_fair_teams() {
     let cs = dbda(2023);
     let params = fair_biclique::config::FairParams::unchecked(3, 3, 2);
-    let report = fair_biclique::pipeline::enumerate_ssfbc(&cs.graph, params, &default_cfg());
+    let report =
+        fair_biclique::pipeline::enumerate(&cs.graph, QueryModel::Ssfbc(params), &default_cfg());
     assert!(!report.bicliques.is_empty(), "DBDA must contain fair teams");
     for bc in &report.bicliques {
         // Senior/junior balance within delta.
@@ -142,7 +162,8 @@ fn case_study_recommendation_bias_is_corrected() {
         // Fair bicliques on the top-10 graph balance the classes.
         let rg = recommendation_graph(&cs.graph, 10);
         let params = fair_biclique::config::FairParams::unchecked(2, 2, 1);
-        let report = fair_biclique::pipeline::enumerate_ssfbc(&rg, params, &default_cfg());
+        let report =
+            fair_biclique::pipeline::enumerate(&rg, QueryModel::Ssfbc(params), &default_cfg());
         assert!(
             !report.bicliques.is_empty(),
             "{}: no fair bicliques",
@@ -174,20 +195,22 @@ fn io_roundtrip_preserves_enumeration_results() {
     let g2 = bigraph::io::load_graph(&ep, Some(&up), Some(&lp), 2, 2).unwrap();
     let mut c1 = CountSink::default();
     let mut c2 = CountSink::default();
-    run_ssfbc(
+    run(
         &g,
-        s.single_params(),
-        SsAlgorithm::FairBcemPP,
+        QueryModel::Ssfbc(s.single_params()),
+        Algorithm::FairBcemPP,
         &default_cfg(),
         &mut c1,
-    );
-    run_ssfbc(
+    )
+    .unwrap();
+    run(
         &g2,
-        s.single_params(),
-        SsAlgorithm::FairBcemPP,
+        QueryModel::Ssfbc(s.single_params()),
+        Algorithm::FairBcemPP,
         &default_cfg(),
         &mut c2,
-    );
+    )
+    .unwrap();
     assert_eq!(c1.count, c2.count);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -202,20 +225,22 @@ fn edge_sampling_scales_results_monotonically_in_structure() {
         let sub = bigraph::subgraph::sample_edges(&g, frac, 11);
         let mut a = CountSink::default();
         let mut b = CountSink::default();
-        run_ssfbc(
+        run(
             &sub,
-            s.single_params(),
-            SsAlgorithm::FairBcem,
+            QueryModel::Ssfbc(s.single_params()),
+            Algorithm::FairBcem,
             &default_cfg(),
             &mut a,
-        );
-        run_ssfbc(
+        )
+        .unwrap();
+        run(
             &sub,
-            s.single_params(),
-            SsAlgorithm::FairBcemPP,
+            QueryModel::Ssfbc(s.single_params()),
+            Algorithm::FairBcemPP,
             &default_cfg(),
             &mut b,
-        );
+        )
+        .unwrap();
         assert_eq!(a.count, b.count, "frac {frac}");
     }
 }

@@ -17,7 +17,8 @@ use bigraph::{BipartiteGraph, GraphBuilder, Side, VertexId};
 use fair_biclique::config::{FairParams, RunConfig};
 use fair_biclique::fcore::fcore_masks;
 use fair_biclique::incremental::CoreTracker;
-use fair_biclique::pipeline::{enumerate_bsfbc, enumerate_ssfbc};
+use fair_biclique::pipeline::enumerate;
+use fair_biclique::prepared::QueryModel;
 use proptest::prelude::*;
 
 /// Rebuild the graph from scratch out of its edge list — the oracle
@@ -119,13 +120,13 @@ proptest! {
         for threads in [1usize, 4] {
             let c = cfg(threads);
             prop_assert_eq!(
-                enumerate_ssfbc(&g, ss, &c).bicliques,
-                enumerate_ssfbc(&fresh, ss, &c).bicliques,
+                enumerate(&g, QueryModel::Ssfbc(ss), &c).bicliques,
+                enumerate(&fresh, QueryModel::Ssfbc(ss), &c).bicliques,
                 "ssfbc diverges at {} threads", threads
             );
             prop_assert_eq!(
-                enumerate_bsfbc(&g, bi, &c).bicliques,
-                enumerate_bsfbc(&fresh, bi, &c).bicliques,
+                enumerate(&g, QueryModel::Bsfbc(bi), &c).bicliques,
+                enumerate(&fresh, QueryModel::Bsfbc(bi), &c).bicliques,
                 "bsfbc diverges at {} threads", threads
             );
         }

@@ -5,9 +5,7 @@
 use fair_biclique::biclique::Biclique;
 use fair_biclique::config::{FairParams, RunConfig};
 use fair_biclique::maximum::SizeMetric;
-use fair_biclique::pipeline::{
-    enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc,
-};
+use fair_biclique::pipeline::enumerate;
 use fair_biclique::prepared::QueryModel;
 use fbe_datasets::corpus::{spec, Dataset};
 use fbe_integration::maximum_of;
@@ -18,15 +16,16 @@ fn parallel_matches_serial_on_youtube_corpus() {
     let s = spec(Dataset::Youtube);
     let g = s.build();
     let params = s.single_params();
-    let serial: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &RunConfig::default())
-        .bicliques
-        .into_iter()
-        .collect();
+    let serial: BTreeSet<Biclique> =
+        enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
+            .bicliques
+            .into_iter()
+            .collect();
     assert!(!serial.is_empty());
     for threads in [2usize, 4, 8] {
-        let par = enumerate_ssfbc(
+        let par = enumerate(
             &g,
-            params,
+            QueryModel::Ssfbc(params),
             &RunConfig {
                 threads,
                 sorted: true,
@@ -56,10 +55,10 @@ fn all_parallel_miners_match_serial_on_youtube_corpus() {
         ..RunConfig::default()
     };
     let want = (
-        enumerate_ssfbc(&g, params, &sorted).bicliques,
-        enumerate_bsfbc(&g, bi, &sorted).bicliques,
-        enumerate_pssfbc(&g, pro, &sorted).bicliques,
-        enumerate_pbsfbc(&g, bi_pro, &sorted).bicliques,
+        enumerate(&g, QueryModel::Ssfbc(params), &sorted).bicliques,
+        enumerate(&g, QueryModel::Bsfbc(bi), &sorted).bicliques,
+        enumerate(&g, QueryModel::Pssfbc(pro), &sorted).bicliques,
+        enumerate(&g, QueryModel::Pbsfbc(bi_pro), &sorted).bicliques,
         maximum_of(&g, QueryModel::Ssfbc(params), SizeMetric::Edges, &sorted),
         maximum_of(&g, QueryModel::Bsfbc(bi), SizeMetric::Vertices, &sorted),
     );
@@ -70,10 +69,10 @@ fn all_parallel_miners_match_serial_on_youtube_corpus() {
             ..sorted.clone()
         };
         let got = (
-            enumerate_ssfbc(&g, params, &cfg).bicliques,
-            enumerate_bsfbc(&g, bi, &cfg).bicliques,
-            enumerate_pssfbc(&g, pro, &cfg).bicliques,
-            enumerate_pbsfbc(&g, bi_pro, &cfg).bicliques,
+            enumerate(&g, QueryModel::Ssfbc(params), &cfg).bicliques,
+            enumerate(&g, QueryModel::Bsfbc(bi), &cfg).bicliques,
+            enumerate(&g, QueryModel::Pssfbc(pro), &cfg).bicliques,
+            enumerate(&g, QueryModel::Pbsfbc(bi_pro), &cfg).bicliques,
             maximum_of(&g, QueryModel::Ssfbc(params), SizeMetric::Edges, &cfg),
             maximum_of(&g, QueryModel::Bsfbc(bi), SizeMetric::Vertices, &cfg),
         );
@@ -91,7 +90,7 @@ fn attribute_skew_starves_fair_bicliques() {
     let mut counts = Vec::new();
     for p in [0.5, 0.2, 0.05, 0.0] {
         let g = bigraph::generate::with_skewed_lower_attrs(&base, p, 99);
-        let n = enumerate_ssfbc(&g, params, &RunConfig::default())
+        let n = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
             .bicliques
             .len();
         counts.push(n);

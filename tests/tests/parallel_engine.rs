@@ -8,11 +8,9 @@ use bigraph::{BipartiteGraph, GraphBuilder};
 use fair_biclique::biclique::Biclique;
 use fair_biclique::config::{Budget, FairParams, ProParams, RunConfig};
 use fair_biclique::maximum::SizeMetric;
-use fair_biclique::pipeline::{
-    enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc, RunReport,
-};
+use fair_biclique::pipeline::{enumerate, RunReport};
 use fair_biclique::prepared::QueryModel;
-use fair_biclique::verify::{oracle_bsfbc, oracle_pbsfbc, oracle_pssfbc, oracle_ssfbc};
+use fair_biclique::verify::oracle;
 use fbe_integration::{assert_valid_bsfbc, assert_valid_ssfbc, maximum_of, medium_graph};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -71,17 +69,17 @@ proptest! {
     ) {
         let params = FairParams::unchecked(a, b, d);
         let pro = ProParams::new(a, b, d, theta).unwrap();
-        let want_ss = oracle_ssfbc(&g, params);
-        let want_bs = oracle_bsfbc(&g, params);
-        let want_pss = oracle_pssfbc(&g, pro);
-        let want_pbs = oracle_pbsfbc(&g, pro);
+        let want_ss = oracle(&g, QueryModel::Ssfbc(params));
+        let want_bs = oracle(&g, QueryModel::Bsfbc(params));
+        let want_pss = oracle(&g, QueryModel::Pssfbc(pro));
+        let want_pbs = oracle(&g, QueryModel::Pbsfbc(pro));
         for threads in THREADS {
             let cfg = par_cfg(threads);
             let tag = format!("threads {threads}");
-            prop_assert_eq!(&set_of(enumerate_ssfbc(&g, params, &cfg)), &want_ss, "SSFBC {}", &tag);
-            prop_assert_eq!(&set_of(enumerate_bsfbc(&g, params, &cfg)), &want_bs, "BSFBC {}", &tag);
-            prop_assert_eq!(&set_of(enumerate_pssfbc(&g, pro, &cfg)), &want_pss, "PSSFBC {}", &tag);
-            prop_assert_eq!(&set_of(enumerate_pbsfbc(&g, pro, &cfg)), &want_pbs, "PBSFBC {}", &tag);
+            prop_assert_eq!(&set_of(enumerate(&g, QueryModel::Ssfbc(params), &cfg)), &want_ss, "SSFBC {}", &tag);
+            prop_assert_eq!(&set_of(enumerate(&g, QueryModel::Bsfbc(params), &cfg)), &want_bs, "BSFBC {}", &tag);
+            prop_assert_eq!(&set_of(enumerate(&g, QueryModel::Pssfbc(pro), &cfg)), &want_pss, "PSSFBC {}", &tag);
+            prop_assert_eq!(&set_of(enumerate(&g, QueryModel::Pbsfbc(pro), &cfg)), &want_pbs, "PBSFBC {}", &tag);
         }
     }
 
@@ -116,16 +114,16 @@ proptest! {
         (a, b, d) in (1u32..3, 1u32..3, 0u32..3),
     ) {
         let params = FairParams::unchecked(a, b, d);
-        let ser_ss = enumerate_ssfbc(&g, params, &RunConfig::default());
-        let ser_bs = enumerate_bsfbc(&g, params, &RunConfig::default());
+        let ser_ss = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
+        let ser_bs = enumerate(&g, QueryModel::Bsfbc(params), &RunConfig::default());
         for threads in THREADS {
             let cfg = par_cfg(threads);
-            let par_ss = enumerate_ssfbc(&g, params, &cfg);
+            let par_ss = enumerate(&g, QueryModel::Ssfbc(params), &cfg);
             prop_assert_eq!(par_ss.stats.nodes, ser_ss.stats.nodes,
                 "ss nodes, threads {}", threads);
             prop_assert_eq!(par_ss.stats.emitted, ser_ss.stats.emitted);
             prop_assert_eq!(par_ss.prune, ser_ss.prune, "prune stats are run-identical");
-            let par_bs = enumerate_bsfbc(&g, params, &cfg);
+            let par_bs = enumerate(&g, QueryModel::Bsfbc(params), &cfg);
             prop_assert_eq!(par_bs.stats.nodes, ser_bs.stats.nodes,
                 "bs nodes, threads {}", threads);
             prop_assert_eq!(par_bs.stats.emitted, ser_bs.stats.emitted);
@@ -146,16 +144,16 @@ fn result_budget_cutoff_is_exact_for_all_miners() {
     let params = FairParams::unchecked(2, 1, 1);
     let pro = ProParams::new(2, 1, 1, 0.25).unwrap();
     let totals = (
-        enumerate_ssfbc(&g, params, &RunConfig::default())
+        enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
             .bicliques
             .len(),
-        enumerate_bsfbc(&g, params, &RunConfig::default())
+        enumerate(&g, QueryModel::Bsfbc(params), &RunConfig::default())
             .bicliques
             .len(),
-        enumerate_pssfbc(&g, pro, &RunConfig::default())
+        enumerate(&g, QueryModel::Pssfbc(pro), &RunConfig::default())
             .bicliques
             .len(),
-        enumerate_pbsfbc(&g, pro, &RunConfig::default())
+        enumerate(&g, QueryModel::Pbsfbc(pro), &RunConfig::default())
             .bicliques
             .len(),
     );
@@ -168,10 +166,14 @@ fn result_budget_cutoff_is_exact_for_all_miners() {
                 ..RunConfig::default()
             };
             let got = (
-                enumerate_ssfbc(&g, params, &cfg).bicliques.len(),
-                enumerate_bsfbc(&g, params, &cfg).bicliques.len(),
-                enumerate_pssfbc(&g, pro, &cfg).bicliques.len(),
-                enumerate_pbsfbc(&g, pro, &cfg).bicliques.len(),
+                enumerate(&g, QueryModel::Ssfbc(params), &cfg)
+                    .bicliques
+                    .len(),
+                enumerate(&g, QueryModel::Bsfbc(params), &cfg)
+                    .bicliques
+                    .len(),
+                enumerate(&g, QueryModel::Pssfbc(pro), &cfg).bicliques.len(),
+                enumerate(&g, QueryModel::Pbsfbc(pro), &cfg).bicliques.len(),
             );
             let want = (
                 k.min(totals.0),
@@ -192,9 +194,9 @@ fn node_budget_is_not_multiplied_by_thread_count() {
     let g = medium_graph(7);
     let params = FairParams::unchecked(1, 0, 4);
     let k = 40u64;
-    let serial = enumerate_ssfbc(
+    let serial = enumerate(
         &g,
-        params,
+        QueryModel::Ssfbc(params),
         &RunConfig {
             budget: Budget::nodes(k),
             ..RunConfig::default()
@@ -207,7 +209,7 @@ fn node_budget_is_not_multiplied_by_thread_count() {
             budget: Budget::nodes(k),
             ..RunConfig::default()
         };
-        let par = enumerate_ssfbc(&g, params, &cfg);
+        let par = enumerate(&g, QueryModel::Ssfbc(params), &cfg);
         assert!(par.stats.aborted, "threads {threads}");
         assert!(
             par.stats.nodes <= k + threads as u64,
@@ -222,10 +224,11 @@ fn node_budget_is_not_multiplied_by_thread_count() {
         );
         // Budget-hit results are always a subset of the full set
         // (serial unlimited run; the graph exceeds the oracle's cap).
-        let full: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &RunConfig::default())
-            .bicliques
-            .into_iter()
-            .collect();
+        let full: BTreeSet<Biclique> =
+            enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
+                .bicliques
+                .into_iter()
+                .collect();
         for bc in &par.bicliques {
             assert!(full.contains(bc), "threads {threads}: {bc} not a result");
         }
@@ -242,9 +245,9 @@ fn node_budget_is_not_multiplied_by_thread_count() {
 fn sorted_output_is_byte_identical_across_thread_counts() {
     let g = medium_graph(11);
     let params = FairParams::unchecked(2, 1, 1);
-    let serial = enumerate_ssfbc(
+    let serial = enumerate(
         &g,
-        params,
+        QueryModel::Ssfbc(params),
         &RunConfig {
             sorted: true,
             ..RunConfig::default()
@@ -254,7 +257,7 @@ fn sorted_output_is_byte_identical_across_thread_counts() {
     let mut serial_bytes = Vec::new();
     fair_biclique::results::write_tsv(&serial.bicliques, &mut serial_bytes).unwrap();
     for threads in THREADS {
-        let par = enumerate_ssfbc(&g, params, &par_cfg(threads));
+        let par = enumerate(&g, QueryModel::Ssfbc(params), &par_cfg(threads));
         let mut bytes = Vec::new();
         fair_biclique::results::write_tsv(&par.bicliques, &mut bytes).unwrap();
         assert_eq!(bytes, serial_bytes, "threads {threads}: bytes differ");
@@ -267,13 +270,13 @@ fn sorted_output_is_byte_identical_across_thread_counts() {
 fn parallel_output_is_valid_on_medium_graphs() {
     let g = medium_graph(3);
     let params = FairParams::unchecked(2, 2, 1);
-    let ss = enumerate_ssfbc(&g, params, &par_cfg(4));
+    let ss = enumerate(&g, QueryModel::Ssfbc(params), &par_cfg(4));
     assert!(!ss.bicliques.is_empty());
     for bc in &ss.bicliques {
         assert_valid_ssfbc(&g, bc, params);
     }
     let params_bi = FairParams::unchecked(1, 1, 1);
-    let bs = enumerate_bsfbc(&g, params_bi, &par_cfg(4));
+    let bs = enumerate(&g, QueryModel::Bsfbc(params_bi), &par_cfg(4));
     for bc in &bs.bicliques {
         assert_valid_bsfbc(&g, bc, params_bi);
     }
@@ -288,7 +291,7 @@ fn empty_graph_on_many_threads() {
     let g = GraphBuilder::new(2, 2).build().unwrap();
     let params = FairParams::unchecked(1, 1, 1);
     for threads in [1usize, 4, 16] {
-        let r = enumerate_ssfbc(&g, params, &par_cfg(threads));
+        let r = enumerate(&g, QueryModel::Ssfbc(params), &par_cfg(threads));
         assert!(r.bicliques.is_empty(), "threads {threads}");
         assert!(!r.stats.aborted);
         assert_eq!(r.threads, threads);
@@ -320,10 +323,10 @@ fn single_branch_graph_and_more_threads_than_branches() {
     b.set_attrs_lower(&[0, 0, 1, 1]);
     let g = b.build().unwrap();
     let params = FairParams::unchecked(2, 1, 1);
-    let want = oracle_ssfbc(&g, params);
+    let want = oracle(&g, QueryModel::Ssfbc(params));
     assert_eq!(want.len(), 1, "the block is the unique SSFBC");
     for threads in [1usize, 2, 16] {
-        let r = enumerate_ssfbc(&g, params, &par_cfg(threads));
+        let r = enumerate(&g, QueryModel::Ssfbc(params), &par_cfg(threads));
         let got: BTreeSet<Biclique> = r.bicliques.into_iter().collect();
         assert_eq!(got, want, "threads {threads}");
     }
@@ -335,7 +338,7 @@ fn single_branch_graph_and_more_threads_than_branches() {
 fn tiny_node_budgets_across_thread_counts() {
     let g = medium_graph(2);
     let params = FairParams::unchecked(2, 1, 1);
-    let full: BTreeSet<Biclique> = enumerate_ssfbc(&g, params, &RunConfig::default())
+    let full: BTreeSet<Biclique> = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
         .bicliques
         .into_iter()
         .collect();
@@ -347,7 +350,7 @@ fn tiny_node_budgets_across_thread_counts() {
                 budget: Budget::nodes(budget_nodes),
                 ..RunConfig::default()
             };
-            let r = enumerate_ssfbc(&g, params, &cfg);
+            let r = enumerate(&g, QueryModel::Ssfbc(params), &cfg);
             assert!(r.stats.aborted, "nodes {budget_nodes} threads {threads}");
             for bc in &r.bicliques {
                 assert!(full.contains(bc));
@@ -368,7 +371,7 @@ fn tiny_result_budgets_across_thread_counts() {
                 budget: Budget::results(k),
                 ..RunConfig::default()
             };
-            let r = enumerate_ssfbc(&g, params, &cfg);
+            let r = enumerate(&g, QueryModel::Ssfbc(params), &cfg);
             assert_eq!(
                 r.bicliques.len(),
                 want,

@@ -11,9 +11,8 @@ use bigraph::partition::{plan_shards, shard_edges};
 use bigraph::{BipartiteGraph, Side};
 use fair_biclique::biclique::Biclique;
 use fair_biclique::config::{FairParams, ProParams, RunConfig};
-use fair_biclique::pipeline::{
-    enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc,
-};
+use fair_biclique::pipeline::enumerate;
+use fair_biclique::prepared::QueryModel;
 use fair_biclique::results::canonical_order;
 
 fn sorted_cfg() -> RunConfig {
@@ -27,15 +26,15 @@ fn sorted_cfg() -> RunConfig {
 fn run_model(g: &BipartiteGraph, model: &str, params: FairParams, theta: f64) -> Vec<Biclique> {
     let cfg = sorted_cfg();
     match model {
-        "ssfbc" => enumerate_ssfbc(g, params, &cfg).bicliques,
-        "bsfbc" => enumerate_bsfbc(g, params, &cfg).bicliques,
+        "ssfbc" => enumerate(g, QueryModel::Ssfbc(params), &cfg).bicliques,
+        "bsfbc" => enumerate(g, QueryModel::Bsfbc(params), &cfg).bicliques,
         "pssfbc" => {
             let p = ProParams::new(params.alpha, params.beta, params.delta, theta).unwrap();
-            enumerate_pssfbc(g, p, &cfg).bicliques
+            enumerate(g, QueryModel::Pssfbc(p), &cfg).bicliques
         }
         "pbsfbc" => {
             let p = ProParams::new(params.alpha, params.beta, params.delta, theta).unwrap();
-            enumerate_pbsfbc(g, p, &cfg).bicliques
+            enumerate(g, QueryModel::Pbsfbc(p), &cfg).bicliques
         }
         other => panic!("unknown model {other}"),
     }

@@ -243,6 +243,32 @@ fn scripted_session_matches_cli_caches_plans_and_survives_deadlines() {
 }
 
 #[test]
+fn shutdown_ends_every_other_connection() {
+    let (addr, handle) = start_server(ServiceConfig::default());
+    let mut requester = Client::connect(&addr);
+    let mut bystander = Client::connect(&addr);
+    bystander.ok("PING");
+    let (status, _) = requester.cmd("SHUTDOWN");
+    assert_eq!(status, "OK bye");
+    // `run` returns only once every connection is closed and its
+    // thread joined.
+    handle.join().unwrap().unwrap();
+    // So the bystander reads EOF: no thread is left to answer it with
+    // ERR SHUTDOWN.
+    bystander
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut line = String::new();
+    let n = bystander
+        .reader
+        .read_line(&mut line)
+        .expect("EOF, not a read timeout");
+    assert_eq!(n, 0, "bystander read {line:?} instead of EOF");
+}
+
+#[test]
 fn unknown_graphs_and_bad_commands_do_not_kill_the_session() {
     let (addr, handle) = start_server(ServiceConfig::default());
     let mut c = Client::connect(&addr);

@@ -242,6 +242,10 @@ fn killed_shard_answers_err_shard_within_the_deadline() {
         status.contains(&shard_addrs[1]),
         "failing address named: {status}"
     );
+    // The stopped shard closed the pooled connection too: the
+    // coordinator's reconnect is refused, and no shard thread is left
+    // to answer ERR SHUTDOWN.
+    assert!(!status.contains("ERR SHUTDOWN"), "{status}");
     assert!(payload.is_empty(), "no partial payload leaks to the client");
     assert!(
         elapsed < Duration::from_secs(10),

@@ -12,9 +12,7 @@ use bigraph::{BipartiteGraph, VertexId};
 use fair_biclique::biclique::{Biclique, CollectSink};
 use fair_biclique::config::{FairParams, ProParams, RunConfig, Substrate};
 use fair_biclique::maximum::SizeMetric;
-use fair_biclique::pipeline::{
-    enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc, run_ssfbc, SsAlgorithm,
-};
+use fair_biclique::pipeline::{enumerate, run, Algorithm};
 use fair_biclique::prepared::QueryModel;
 use fbe_integration::maximum_of;
 use proptest::prelude::*;
@@ -77,10 +75,10 @@ proptest! {
     fn ssfbc_differential(seed in 0u64..1000, m in 28usize..46) {
         let g = graph(seed, 9, 10, m);
         let params = FairParams::unchecked(2, 1, 1);
-        let got = assert_differential("ssfbc", |c| enumerate_ssfbc(&g, params, c));
+        let got = assert_differential("ssfbc", |c| enumerate(&g, QueryModel::Ssfbc(params), c));
         // FairBCEM (branch-and-bound, sorted-vec only) agrees on the set.
         let mut bcem = CollectSink::default();
-        run_ssfbc(&g, params, SsAlgorithm::FairBcem, &RunConfig::default(), &mut bcem);
+        run(&g, QueryModel::Ssfbc(params), Algorithm::FairBcem, &RunConfig::default(), &mut bcem).unwrap();
         let want: BTreeSet<Biclique> = bcem.bicliques.into_iter().collect();
         let got: BTreeSet<Biclique> = got.into_iter().collect();
         prop_assert_eq!(got, want);
@@ -92,7 +90,7 @@ proptest! {
     fn bsfbc_differential(seed in 0u64..1000, m in 24usize..40) {
         let g = graph(seed, 8, 9, m);
         let params = FairParams::unchecked(1, 1, 1);
-        assert_differential("bsfbc", |c| enumerate_bsfbc(&g, params, c));
+        assert_differential("bsfbc", |c| enumerate(&g, QueryModel::Bsfbc(params), c));
     }
 
     /// The proportion miners (PSSFBC / PBSFBC).
@@ -100,8 +98,8 @@ proptest! {
     fn proportion_differential(seed in 0u64..1000, theta in 0.0f64..0.5) {
         let g = graph(seed, 8, 10, 32);
         let pro = ProParams::new(2, 1, 2, theta).unwrap();
-        assert_differential("pssfbc", |c| enumerate_pssfbc(&g, pro, c));
-        assert_differential("pbsfbc", |c| enumerate_pbsfbc(&g, pro, c));
+        assert_differential("pssfbc", |c| enumerate(&g, QueryModel::Pssfbc(pro), c));
+        assert_differential("pbsfbc", |c| enumerate(&g, QueryModel::Pbsfbc(pro), c));
     }
 
     /// Maximum fair biclique search: the deterministically tie-broken
@@ -164,8 +162,10 @@ fn degenerate_graphs_differential() {
     let one = one.build().unwrap();
     let params = FairParams::unchecked(1, 1, 1);
     for g in [&empty, &one] {
-        assert_differential("degenerate", |c| enumerate_ssfbc(g, params, c));
-        assert_differential("degenerate-bi", |c| enumerate_bsfbc(g, params, c));
+        assert_differential("degenerate", |c| enumerate(g, QueryModel::Ssfbc(params), c));
+        assert_differential("degenerate-bi", |c| {
+            enumerate(g, QueryModel::Bsfbc(params), c)
+        });
     }
 }
 
@@ -178,6 +178,6 @@ fn planted_blocks_differential_multiword() {
     let base = random_uniform(80, 90, 500, 2, 2, 5);
     let g = plant_bicliques(&base, 3, 6, 8, 1.0, 6);
     let params = FairParams::unchecked(2, 2, 1);
-    let got = assert_differential("planted", |c| enumerate_ssfbc(&g, params, c));
+    let got = assert_differential("planted", |c| enumerate(&g, QueryModel::Ssfbc(params), c));
     assert!(!got.is_empty(), "planted blocks must yield SSFBCs");
 }

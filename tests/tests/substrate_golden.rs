@@ -12,9 +12,7 @@ use bigraph::generate::{chung_lu_power_law, plant_bicliques, random_uniform};
 use bigraph::BipartiteGraph;
 use fair_biclique::config::{FairParams, ProParams, RunConfig, Substrate};
 use fair_biclique::maximum::SizeMetric;
-use fair_biclique::pipeline::{
-    enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc,
-};
+use fair_biclique::pipeline::enumerate;
 use fair_biclique::prepared::QueryModel;
 use fair_biclique::results::write_tsv;
 use fbe_integration::maximum_of;
@@ -86,14 +84,14 @@ fn golden_enumeration_snapshots() {
             for threads in THREADS {
                 let c = cfg(substrate, threads);
                 let tag = format!("{substrate}/{threads}t");
-                let ss = enumerate_ssfbc(&g, params, &c);
+                let ss = enumerate(&g, QueryModel::Ssfbc(params), &c);
                 assert!(!ss.stats.aborted);
                 check(&format!("{corpus}_ssfbc"), &tsv(&ss.bicliques));
-                let bs = enumerate_bsfbc(&g, bi_params, &c);
+                let bs = enumerate(&g, QueryModel::Bsfbc(bi_params), &c);
                 check(&format!("{corpus}_bsfbc"), &tsv(&bs.bicliques));
-                let ps = enumerate_pssfbc(&g, pro, &c);
+                let ps = enumerate(&g, QueryModel::Pssfbc(pro), &c);
                 check(&format!("{corpus}_pssfbc"), &tsv(&ps.bicliques));
-                let pb = enumerate_pbsfbc(&g, pro, &c);
+                let pb = enumerate(&g, QueryModel::Pbsfbc(pro), &c);
                 check(&format!("{corpus}_pbsfbc"), &tsv(&pb.bicliques));
                 // Bless mode writes each snapshot several times (once
                 // per combination) — identical content by the

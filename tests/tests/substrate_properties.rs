@@ -5,6 +5,7 @@
 use bigraph::coloring::greedy_color_by_degree;
 use bigraph::twohop::{construct_2hop, construct_2hop_biside};
 use bigraph::{BipartiteGraph, GraphBuilder, Side, UniGraph, VertexId};
+use fair_biclique::prepared::QueryModel;
 use proptest::prelude::*;
 
 fn graph_strategy() -> impl Strategy<Value = BipartiteGraph> {
@@ -122,7 +123,7 @@ proptest! {
         prop_assert!(is_fair_core(&g, &ku, &kv, alpha, beta));
         // Every oracle SSFBC survives the mask (Lemma 1).
         let params = fair_biclique::config::FairParams::unchecked(alpha, beta, 5);
-        for bc in fair_biclique::verify::oracle_ssfbc(&g, params) {
+        for bc in fair_biclique::verify::oracle(&g, QueryModel::Ssfbc(params)) {
             for &u in &bc.upper {
                 prop_assert!(ku[u as usize], "upper {} of {} peeled", u, bc);
             }
@@ -135,13 +136,13 @@ proptest! {
     #[test]
     fn cfcore_preserves_all_ssfbcs(g in graph_strategy(), alpha in 1u32..3, beta in 1u32..3) {
         use fair_biclique::config::PruneKind;
-        use fair_biclique::pipeline::prune_single_side;
+        use fair_biclique::pipeline::prune;
         use std::collections::BTreeSet;
         let params = fair_biclique::config::FairParams::unchecked(alpha, beta, 2);
-        let out = prune_single_side(&g, params, PruneKind::Colorful);
+        let out = prune(&g, QueryModel::Ssfbc(params), PruneKind::Colorful);
         let keep_u: BTreeSet<u32> = out.sub.upper_to_parent.iter().copied().collect();
         let keep_v: BTreeSet<u32> = out.sub.lower_to_parent.iter().copied().collect();
-        for bc in fair_biclique::verify::oracle_ssfbc(&g, params) {
+        for bc in fair_biclique::verify::oracle(&g, QueryModel::Ssfbc(params)) {
             for &u in &bc.upper {
                 prop_assert!(keep_u.contains(&u), "upper {} of {} peeled by CFCore", u, bc);
             }
@@ -154,13 +155,13 @@ proptest! {
     #[test]
     fn bcfcore_preserves_all_bsfbcs(g in graph_strategy(), delta in 0u32..3) {
         use fair_biclique::config::PruneKind;
-        use fair_biclique::pipeline::prune_bi_side;
+        use fair_biclique::pipeline::prune;
         use std::collections::BTreeSet;
         let params = fair_biclique::config::FairParams::unchecked(1, 1, delta);
-        let out = prune_bi_side(&g, params, PruneKind::Colorful);
+        let out = prune(&g, QueryModel::Bsfbc(params), PruneKind::Colorful);
         let keep_u: BTreeSet<u32> = out.sub.upper_to_parent.iter().copied().collect();
         let keep_v: BTreeSet<u32> = out.sub.lower_to_parent.iter().copied().collect();
-        for bc in fair_biclique::verify::oracle_bsfbc(&g, params) {
+        for bc in fair_biclique::verify::oracle(&g, QueryModel::Bsfbc(params)) {
             for &u in &bc.upper {
                 prop_assert!(keep_u.contains(&u), "upper {} of {} peeled by BCFCore", u, bc);
             }
@@ -183,7 +184,7 @@ proptest! {
     fn tsv_results_roundtrip(g in graph_strategy()) {
         use fair_biclique::prelude::*;
         let params = FairParams::unchecked(1, 1, 1);
-        let report = enumerate_ssfbc(&g, params, &RunConfig::default());
+        let report = enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default());
         let mut buf = Vec::new();
         fair_biclique::results::write_tsv(&report.bicliques, &mut buf).unwrap();
         let back = fair_biclique::results::read_tsv(buf.as_slice()).unwrap();
@@ -197,6 +198,30 @@ proptest! {
         prop_assert_eq!(f.n_edges(), g.n_edges());
         for (u, v) in g.edges() {
             prop_assert!(f.has_edge(v, u));
+        }
+    }
+}
+
+/// Lemma 2's substrate claim (from Pan et al. \[31\]): every vertex of a
+/// weak fair `k`-clique survives the ego colorful `k`-core peel. Inside
+/// a clique all vertices have distinct colors, so each member keeps
+/// `≥ k` colors per attribute among `N(v) ∪ {v}` while the peel runs.
+#[test]
+fn weak_fair_cliques_survive_ego_colorful_core() {
+    use fair_biclique::cfcore::ego_colorful_core;
+    use fbe_integration::cliques::{collect_weak_fair_cliques, random_unigraph};
+    for seed in 0..10u64 {
+        let g = random_unigraph(12, 0.5, seed);
+        for k in 1..3u32 {
+            let core = ego_colorful_core(&g, k);
+            for clique in collect_weak_fair_cliques(&g, k) {
+                for &v in &clique {
+                    assert!(
+                        core[v as usize],
+                        "seed {seed} k {k}: vertex {v} of {clique:?} peeled"
+                    );
+                }
+            }
         }
     }
 }
