@@ -94,7 +94,7 @@ cargo run "${profile_flag[@]}" --example quickstart >/dev/null
 step "smoke: cargo run --bin fbe -- --help"
 cargo run "${profile_flag[@]}" --bin fbe -- --help >/dev/null
 
-step "smoke: parallel engine — sorted (all four models), count, top-k and maximum output identical at 1 vs 4 threads"
+step "smoke: parallel engine — sorted (all four models), count, top-k and maximum (single- and bi-side) output identical at 1 vs 4 threads"
 smokedir=$(mktemp -d)
 serve_pid=""
 shard1_pid=""
@@ -124,16 +124,19 @@ for model in "--bi" "--theta 0.4" "--bi --theta 0.4"; do
     diff "$smokedir/model_t1.out" "$smokedir/model_t4.out"
 done
 # Every streaming mode runs the same prepared path at any thread
-# count: count-only, top-k and maximum must match too.
-for mode in "enumerate --count-only" "enumerate --top 5" "maximum"; do
-    read -r cmd flags <<< "$mode"
-    for t in 1 4; do
-        # shellcheck disable=SC2086 # $flags holds zero or more words
-        cargo run "${profile_flag[@]}" --bin fbe -- \
-            "$cmd" "$smokedir/g" --alpha 2 --beta 1 --delta 1 $flags --threads "$t" \
-            > "$smokedir/mode_t$t.out"
+# count: count-only, top-k and maximum must match too, single-side and
+# through the bi-side chain.
+for model in "" "--bi"; do
+    for mode in "enumerate --count-only" "enumerate --top 5" "maximum"; do
+        read -r cmd flags <<< "$mode"
+        for t in 1 4; do
+            # shellcheck disable=SC2086 # $flags and $model hold zero or more words
+            cargo run "${profile_flag[@]}" --bin fbe -- \
+                "$cmd" "$smokedir/g" --alpha 2 --beta 1 --delta 1 $flags $model --threads "$t" \
+                > "$smokedir/mode_t$t.out"
+        done
+        diff "$smokedir/mode_t1.out" "$smokedir/mode_t4.out"
     done
-    diff "$smokedir/mode_t1.out" "$smokedir/mode_t4.out"
 done
 
 step "smoke: candidate substrates — sorted output identical bitset vs sorted-vec"

@@ -774,7 +774,7 @@ pub fn ablation_pruning(opts: &Opts) -> Vec<Table> {
 // Exp-8: parallel engine scaling (extension; not in the paper).
 // ---------------------------------------------------------------
 
-/// Runtime of every miner on the work-stealing engine at 1/2/4/8
+/// Runtime of every miner on the root-split parallel engine at 1/2/4/8
 /// worker threads (1 = the serial pipeline; all runs on one shared
 /// global budget).
 pub fn exp8_parallel_scaling(opts: &Opts) -> Vec<Table> {
@@ -790,7 +790,7 @@ pub fn exp8_parallel_scaling(opts: &Opts) -> Vec<Table> {
     let g = graph_for(d);
     let threads = [1usize, 2, 4, 8];
     let mut t = Table::new(
-        format!("Parallel scaling {d} (work-stealing engine, vary threads)"),
+        format!("Parallel scaling {d} (root-split engine, vary threads)"),
         &["miner", "t=1(s)", "t=2(s)", "t=4(s)", "t=8(s)", "results"],
     );
     let params = s.single_params();

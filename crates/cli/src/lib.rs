@@ -19,8 +19,8 @@
 //! Every mining subcommand runs the `++` miners through the same
 //! [`fair_biclique::prepared::PreparedQuery`] path the service uses,
 //! in every output mode; `--threads <N>` above 1 runs that path on the
-//! work-stealing parallel engine with a global budget
-//! ([`fair_biclique::parallel`]), and `--sorted` makes enumerate
+//! parallel engine, which splits the walk's root across the workers
+//! under a global budget ([`fair_biclique::parallel`]), and `--sorted` makes enumerate
 //! output byte-identical across thread counts.
 //!
 //! The binary is a thin wrapper around [`run`], which is fully unit
@@ -67,8 +67,9 @@ bcem++ (FairBCEM++; BFairBCEM++). The baselines run serially (no
 bcem++.
 
 --threads <N> with N > 1 runs any model (enumerate or maximum) on the
-work-stealing parallel engine; budgets stay global, and with --sorted
-the output is byte-identical across thread counts.
+parallel engine, which hands the subtrees below the root to N workers;
+budgets stay global, and with --sorted the output is byte-identical
+across thread counts.
 
 --substrate selects the candidate-set representation of the hot path:
 sorted-vec merge intersections, u64 bitset rows with popcount, or

@@ -24,7 +24,7 @@ use crate::config::{
     Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, Substrate, VertexOrder,
 };
 use crate::fairset::{for_each_max_fair_subset, is_maximal_fair_subset, AttrCounts};
-use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
+use bigraph::candidate::{AdjOps, BitOps, BitRows, CandidateOps, SortedOps};
 use bigraph::{BipartiteGraph, Side, VertexId};
 
 /// The upper-side expansion step of Algorithm 9 (lines 4–8): given an
@@ -161,6 +161,14 @@ impl BicliqueSink for BiChainSink<'_, '_> {
 pub(crate) type SsBaseline =
     fn(&BipartiteGraph, FairParams, VertexOrder, BudgetClock, &mut dyn BicliqueSink) -> EnumStats;
 
+/// The bitset rows [`bi_side_baseline`] builds on `substrate`: the
+/// upper side's only, since the single-side baselines walk CSR
+/// adjacency and only the upper-side expansion reads rows. `None` on
+/// the sorted-vec substrate.
+pub(crate) fn upper_rows(g: &BipartiteGraph, substrate: Substrate) -> Option<BitRows> {
+    (substrate.resolve_for(g) == Substrate::Bitset).then(|| BitRows::from_side(g, Side::Upper))
+}
+
 /// Algorithm 9 over a single-side baseline: `BNSF` over `NSF`, or
 /// `BFairBCEM` over `FairBCEM`, with the upper-side expansion on the
 /// given candidate substrate. (`BFairBCEM++` runs on the
@@ -177,15 +185,14 @@ pub(crate) fn bi_side_baseline(
     // One shared budget across all stages: the SSFBC stage is
     // intermediate (exempt from the result cap — only BSFBCs are
     // final results), but any tripped limit stops the whole chain.
-    let plan = CandidatePlan::build(g, substrate, true);
+    let rows = upper_rows(g, substrate);
+    let ops = match &rows {
+        Some(rows) => AdjOps::Bit(BitOps::new(g, Side::Upper, rows)),
+        None => AdjOps::Sorted(SortedOps::new(g, Side::Upper)),
+    };
     let shared = SharedBudget::new(budget);
-    let mut expander = BiSideExpander::with_clock(
-        g,
-        params,
-        None,
-        plan.ops(g, Side::Upper),
-        shared.clock(BudgetLane::Expand),
-    );
+    let mut expander =
+        BiSideExpander::with_clock(g, params, None, ops, shared.clock(BudgetLane::Expand));
     let mut chain = BiChainSink {
         exp: &mut expander,
         sink,

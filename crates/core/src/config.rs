@@ -276,29 +276,18 @@ impl Budget {
         }
     }
 
+    /// A clock for a run with one role: its own [`SharedBudget`],
+    /// drawing node ticks from the walk lane.
     pub(crate) fn start(&self) -> BudgetClock {
-        BudgetClock {
-            max_nodes: self.max_nodes.unwrap_or(u64::MAX),
-            deadline: self.max_time.map(|d| Instant::now() + d),
-            nodes: 0,
-            exhausted: false,
-            stop: None,
-            max_results: self.max_results.unwrap_or(u64::MAX),
-            results: 0,
-            results_exempt: false,
-            cancel: self.cancel.clone(),
-            shared: None,
-        }
+        SharedBudget::new(self.clone()).clock(BudgetLane::Walk)
     }
 }
 
 /// Which shared countdown a clock's node ticks draw from.
 ///
-/// Mirroring the serial enumerators — where the maximal-biclique
-/// walker and the combinatorial expander each start their own
-/// [`BudgetClock`] from the same [`Budget`] — a shared budget keeps
-/// two independent node countdowns, one per role. Results always
-/// share a single countdown.
+/// The maximal-biclique walker and the combinatorial expander each
+/// get the full node cap: a shared budget keeps two independent node
+/// countdowns, one per role. Results always share a single countdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BudgetLane {
     /// Search-tree nodes of the maximal-biclique walk.
@@ -307,7 +296,8 @@ pub(crate) enum BudgetLane {
     Expand,
 }
 
-/// Atomic countdowns shared by every worker of a parallel run.
+/// Atomic countdowns shared by every clock of a run (every worker of
+/// a parallel one).
 ///
 /// `tick`/`try_result` acquire from these *before* doing work, so the
 /// totals are exact: across all workers at most `max_nodes` node
@@ -347,16 +337,14 @@ impl SharedBudget {
     /// A worker-local clock drawing node ticks from `lane`.
     pub(crate) fn clock(self: &Arc<Self>, lane: BudgetLane) -> BudgetClock {
         BudgetClock {
-            max_nodes: u64::MAX, // enforced via the shared countdown
             deadline: self.deadline,
             nodes: 0,
             exhausted: false,
             stop: None,
-            max_results: u64::MAX,
-            results: 0,
             results_exempt: false,
             cancel: self.cancel.clone(),
-            shared: Some((Arc::clone(self), lane)),
+            shared: Arc::clone(self),
+            lane,
         }
     }
 
@@ -401,29 +389,25 @@ impl SharedBudget {
     }
 }
 
-/// Running budget state threaded through the enumerators.
-///
-/// Standalone by default; [`SharedBudget::clock`] produces clocks
-/// whose ticks draw from a run-global atomic countdown instead, so
-/// concurrent workers stop together. `nodes` always counts this
-/// clock's local tick attempts (per-worker statistics).
+/// Running budget state threaded through the enumerators: a
+/// worker-local view of a [`SharedBudget`] whose node ticks draw from
+/// one lane's countdown, so concurrent workers stop together. `nodes`
+/// counts this clock's local tick attempts (per-worker statistics).
 #[derive(Debug, Clone)]
 pub(crate) struct BudgetClock {
-    max_nodes: u64,
     deadline: Option<Instant>,
     pub(crate) nodes: u64,
     pub(crate) exhausted: bool,
     /// Why this clock stopped (local cause; see
     /// [`BudgetClock::stop_reason`] for the run-wide answer).
     stop: Option<StopReason>,
-    max_results: u64,
-    results: u64,
     /// When set, `try_result` does not draw from the result budget
     /// (this clock feeds an intermediate stage, not final output).
     results_exempt: bool,
     /// Cooperative cancellation, checked on every tick.
     cancel: Option<CancelToken>,
-    shared: Option<(Arc<SharedBudget>, BudgetLane)>,
+    shared: Arc<SharedBudget>,
+    lane: BudgetLane,
 }
 
 impl BudgetClock {
@@ -455,11 +439,10 @@ impl BudgetClock {
         self
     }
 
-    /// Why the run stopped: this clock's own cause, or — for shared
-    /// clocks — whatever limit tripped run-wide first.
+    /// Why the run stopped: this clock's own cause, or whatever limit
+    /// tripped run-wide first.
     pub(crate) fn stop_reason(&self) -> Option<StopReason> {
-        self.stop
-            .or_else(|| self.shared.as_ref().and_then(|(s, _)| s.stop_reason()))
+        self.stop.or_else(|| self.shared.stop_reason())
     }
 
     /// Fold this clock's stop state into a run's statistics (the
@@ -470,16 +453,23 @@ impl BudgetClock {
     }
 
     /// Stop this clock for `reason`, propagating to the shared budget
-    /// (and thereby every sibling worker) when there is one.
+    /// (and thereby every sibling worker).
     #[cold]
     fn fail(&mut self, reason: StopReason) -> bool {
         self.exhausted = true;
         if self.stop.is_none() {
             self.stop = Some(reason);
         }
-        if let Some((shared, _)) = &self.shared {
-            shared.trip(reason);
-        }
+        self.shared.trip(reason);
+        false
+    }
+
+    /// Stop this clock because the shared budget is spent, adopting
+    /// the run-wide cause.
+    #[cold]
+    fn spent(&mut self) -> bool {
+        self.exhausted = true;
+        self.stop = self.stop.or_else(|| self.shared.stop_reason());
         false
     }
 
@@ -495,14 +485,8 @@ impl BudgetClock {
             }
         }
         self.nodes += 1;
-        if let Some((shared, lane)) = &self.shared {
-            if shared.is_exhausted() || !shared.acquire_node(*lane) {
-                self.exhausted = true;
-                self.stop = self.stop.or_else(|| shared.stop_reason());
-                return false;
-            }
-        } else if self.nodes > self.max_nodes {
-            return self.fail(StopReason::NodeCap);
+        if self.shared.is_exhausted() || !self.shared.acquire_node(self.lane) {
+            return self.spent();
         }
         // Check the clock rarely; Instant::now is not free.
         if self.nodes % 1024 == 0 {
@@ -523,27 +507,9 @@ impl BudgetClock {
         if self.exhausted {
             return false;
         }
-        if self.results_exempt {
-            if let Some((shared, _)) = &self.shared {
-                if shared.is_exhausted() {
-                    self.exhausted = true;
-                    self.stop = self.stop.or_else(|| shared.stop_reason());
-                    return false;
-                }
-            }
-            return true;
-        }
-        if let Some((shared, _)) = &self.shared {
-            if shared.is_exhausted() || !shared.acquire_result() {
-                self.exhausted = true;
-                self.stop = self.stop.or_else(|| shared.stop_reason());
-                return false;
-            }
-        } else {
-            if self.results >= self.max_results {
-                return self.fail(StopReason::ResultCap);
-            }
-            self.results += 1;
+        // An exempt clock stops with the run but draws no result slot.
+        if self.shared.is_exhausted() || !(self.results_exempt || self.shared.acquire_result()) {
+            return self.spent();
         }
         true
     }
@@ -560,9 +526,10 @@ pub struct RunConfig {
     pub budget: Budget,
     /// Worker threads for the collected pipelines (default 1 =
     /// serial). Values above 1 run `FairBCEM++` / `BFairBCEM++` / the
-    /// proportion enumerators / maximum search on the work-stealing
-    /// engine in [`crate::parallel`]. The engine clamps the actual
-    /// worker count to the available work and a hard cap of 512.
+    /// proportion enumerators / maximum search on the engine in
+    /// [`crate::parallel`], which splits the walk's root across the
+    /// workers. The engine clamps the actual worker count to the root's
+    /// candidate count and a hard cap of 512.
     pub threads: usize,
     /// Opt-in deterministic output: sort results into the canonical
     /// order ([`crate::results::canonical_order`]) so collected runs

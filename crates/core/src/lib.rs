@@ -23,7 +23,7 @@
 //!   so they share one driver: a [`prepared::PreparedQuery`] prunes
 //!   and resolves the candidate plan once, and
 //!   [`prepared::PreparedQuery::stream`] runs the walk — on the calling
-//!   thread, or on the work-stealing engine ([`parallel`]) when
+//!   thread, or split at its root across workers ([`parallel`]) when
 //!   [`config::RunConfig::threads`] is above 1 — into per-worker sinks.
 //!   Collecting, counting, top-k and maximum search ([`maximum`]) are
 //!   sink choices; the CLI, the query service, the benches and

@@ -61,7 +61,7 @@ impl RBound<'_> {
 /// duplicate-suppression set `q` makes tasks independent: the
 /// fully-connected-`Q` check kills exactly the subtrees the serial
 /// algorithm never enters.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct BranchTask {
     /// Upper side `L` of the subtree root (sorted).
     pub(crate) l: Vec<VertexId>,
@@ -71,19 +71,13 @@ pub(crate) struct BranchTask {
     pub(crate) p: Vec<VertexId>,
     /// Expanded/consumed vertices (duplicate suppression).
     pub(crate) q: Vec<VertexId>,
-    /// Enumeration-tree depth of this subtree's root (root = 0).
-    pub(crate) depth: u32,
-    /// The run's resolved candidate substrate (never `Auto`). Split
-    /// subtrees carry the choice so a re-queued task is executed on
-    /// the same representation it was spawned under.
-    pub(crate) substrate: Substrate,
 }
 
 impl BranchTask {
-    /// Copy-on-steal snapshot of a live branch frame — the **only**
+    /// Copy-on-split snapshot of a live branch frame — the **only**
     /// place branch state is cloned. The serial walker mutates pooled
-    /// frames in place and restores on backtrack; only at a task-split
-    /// point does the engine need an owned `(L, R, P, Q)`, and the
+    /// frames in place and restores on backtrack; only when the root is
+    /// split does the engine need an owned `(L, R, P, Q)`, and the
     /// snapshot is byte-identical to the state the serial recursion
     /// would have passed down, so the Q-seeding correctness argument
     /// of [`crate::parallel`] is untouched.
@@ -92,16 +86,12 @@ impl BranchTask {
         r: &[VertexId],
         p: &[VertexId],
         q: &[VertexId],
-        depth: u32,
-        substrate: Substrate,
     ) -> BranchTask {
         BranchTask {
             l: l.to_vec(),
             r: r.to_vec(),
             p: p.to_vec(),
             q: q.to_vec(),
-            depth,
-            substrate,
         }
     }
 }
@@ -131,20 +121,13 @@ struct BranchFrame {
     r_sorted: Vec<VertexId>,
 }
 
-/// The whole-graph root task under `order`, on a resolved `substrate`.
-pub(crate) fn root_task(
-    g: &BipartiteGraph,
-    order: VertexOrder,
-    substrate: Substrate,
-) -> BranchTask {
-    debug_assert_ne!(substrate, Substrate::Auto, "resolve before rooting");
+/// The whole-graph root task under `order`.
+pub(crate) fn root_task(g: &BipartiteGraph, order: VertexOrder) -> BranchTask {
     BranchTask {
         l: (0..g.n_upper() as VertexId).collect(),
         r: Vec::new(),
         p: side_order(g, Side::Lower, order),
         q: Vec::new(),
-        depth: 0,
-        substrate,
     }
 }
 
@@ -207,45 +190,26 @@ impl<'a> Walker<'a> {
         }
     }
 
-    /// Execute `task` to completion, recursing into its subtree.
+    /// Execute `task`: to completion when `spawn` is `None`; otherwise
+    /// only its top level, handing each child subtree to `spawn`
+    /// instead of recursing (how the engine splits the root task).
     pub(crate) fn run(
-        &mut self,
-        task: BranchTask,
-        visit: &mut dyn FnMut(&[VertexId], &[VertexId]),
-    ) {
-        self.execute(task, visit, None);
-    }
-
-    /// Execute only `task`'s top level, handing each child subtree to
-    /// `spawn` instead of recursing (how the engine splits the root task).
-    pub(crate) fn split(
-        &mut self,
-        task: BranchTask,
-        visit: &mut dyn FnMut(&[VertexId], &[VertexId]),
-        spawn: &mut dyn FnMut(BranchTask),
-    ) {
-        self.execute(task, visit, Some(spawn));
-    }
-
-    fn execute(
         &mut self,
         task: BranchTask,
         visit: &mut dyn FnMut(&[VertexId], &[VertexId]),
         spawn: Option<&mut dyn FnMut(BranchTask)>,
     ) {
-        debug_assert_eq!(
-            task.substrate,
-            self.ops.substrate(),
-            "task substrate must match the worker's candidate index"
-        );
         let n_attrs = (self.g.n_attr_values(Side::Lower) as usize).max(1);
         let mut r = task.r;
         let mut r_counts = AttrCounts::of(&r, self.attrs, n_attrs);
-        // Approximate the ancestor frames a mid-tree task inherits
-        // (the root task starts at zero, matching the serial walk).
-        let frame = (task.l.len() + task.p.len() + task.q.len() + r.len())
-            * std::mem::size_of::<VertexId>();
-        let seed = if task.depth > 0 { frame } else { 0 };
+        // Approximate the ancestor frames a split-off task inherits.
+        // The root, the only task with an empty `R`, starts at zero,
+        // matching the serial walk.
+        let seed = if r.is_empty() {
+            0
+        } else {
+            (task.l.len() + task.p.len() + task.q.len() + r.len()) * std::mem::size_of::<VertexId>()
+        };
         self.cur_bytes += seed;
         // Move the task's owned state into a frame; the pooled scratch
         // vectors ride along.
@@ -255,7 +219,7 @@ impl<'a> Walker<'a> {
             q: task.q,
             ..self.pool.pop().unwrap_or_default()
         };
-        let fr = self.level(fr, &mut r, &mut r_counts, task.depth, visit, spawn);
+        let fr = self.level(fr, &mut r, &mut r_counts, visit, spawn);
         self.pool.push(fr);
         self.cur_bytes -= seed;
     }
@@ -277,7 +241,6 @@ impl<'a> Walker<'a> {
         mut fr: BranchFrame,
         r: &mut Vec<VertexId>,
         r_counts: &mut AttrCounts,
-        depth: u32,
         visit: &mut dyn FnMut(&[VertexId], &[VertexId]),
         mut spawn: Option<&mut dyn FnMut(BranchTask)>,
     ) -> BranchFrame {
@@ -354,20 +317,13 @@ impl<'a> Walker<'a> {
 
                 if !child.p.is_empty() && self.rbound.admits(r, r_counts, &child.p) {
                     match spawn.as_deref_mut() {
-                        Some(sp) => sp(BranchTask::snapshot(
-                            &child.l,
-                            r,
-                            &child.p,
-                            &child.q,
-                            depth + 1,
-                            self.ops.substrate(),
-                        )),
+                        Some(sp) => sp(BranchTask::snapshot(&child.l, r, &child.p, &child.q)),
                         None => {
                             let frame = (child.l.len() + child.p.len() + child.q.len())
                                 * std::mem::size_of::<VertexId>();
                             self.cur_bytes += frame;
                             self.peak_bytes = self.peak_bytes.max(self.cur_bytes);
-                            child = self.level(child, r, r_counts, depth + 1, visit, None);
+                            child = self.level(child, r, r_counts, visit, None);
                             self.cur_bytes -= frame;
                         }
                     }
@@ -442,12 +398,16 @@ pub fn maximal_bicliques(
     );
     let mut emitted = 0u64;
     let mut results_clock = budget.start();
-    walker.run(root_task(g, order, plan.choice()), &mut |l, r| {
-        if r.len() >= min_r && results_clock.try_result() {
-            sink.emit(l, r);
-            emitted += 1;
-        }
-    });
+    walker.run(
+        root_task(g, order),
+        &mut |l, r| {
+            if r.len() >= min_r && results_clock.try_result() {
+                sink.emit(l, r);
+                emitted += 1;
+            }
+        },
+        None,
+    );
     let mut stats = walker.stats();
     stats.emitted = emitted;
     results_clock.settle(&mut stats);

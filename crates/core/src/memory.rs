@@ -8,6 +8,7 @@
 //! paper's accounting for any model and algorithm: bytes beyond the
 //! input graph itself.
 
+use crate::bfairbcem::upper_rows;
 use crate::config::{ParamError, PruneKind, RunConfig};
 use crate::pipeline::{prune, run, Algorithm};
 use crate::prepared::QueryModel;
@@ -39,8 +40,8 @@ pub struct MemoryReport {
     /// but the *accounted* bytes are the logical per-level set sizes —
     /// the same formula as the previous clone-per-branch walkers, so
     /// Exp-6 numbers stay comparable across versions. Parallel runs
-    /// additionally snapshot branch state at task-split points
-    /// (copy-on-steal); those snapshots are transient task payloads
+    /// additionally snapshot branch state where the root is split
+    /// (copy-on-split); those snapshots are transient task payloads
     /// and are not part of this peak.
     pub search_bytes: usize,
 }
@@ -85,14 +86,16 @@ pub fn measure(
     } else {
         (0, 0)
     };
-    // The enumeration run builds the same plan internally; rebuild it
-    // here to account the row bytes it allocates. FairBCEM++ runs on
-    // the substrate, and so does BFairBCEM's upper-side expansion
-    // (bi-side chains build rows for both sides); the single-side
-    // baselines and BNSF never build rows.
+    // The enumeration run builds the same rows internally; rebuild
+    // them here to account the bytes they allocate. FairBCEM++ runs on
+    // the substrate (bi-side chains build rows for both sides), and
+    // BFairBCEM's upper-side expansion builds the upper rows only; the
+    // single-side baselines and BNSF never build rows.
+    let core = &pruned.sub.graph;
     let bitset_rows_bytes = match (algo, bi) {
-        (Algorithm::FairBcemPP, _) | (Algorithm::FairBcem, true) => {
-            CandidatePlan::build(&pruned.sub.graph, cfg.substrate, bi).heap_bytes()
+        (Algorithm::FairBcemPP, _) => CandidatePlan::build(core, cfg.substrate, bi).heap_bytes(),
+        (Algorithm::FairBcem, true) => {
+            upper_rows(core, cfg.substrate).map_or(0, |r| r.heap_bytes())
         }
         _ => 0,
     };
@@ -108,7 +111,8 @@ pub fn measure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FairParams;
+    use crate::config::{FairParams, Substrate};
+    use bigraph::candidate::BitRows;
     use bigraph::generate::{plant_bicliques, random_uniform};
 
     #[test]
@@ -122,6 +126,22 @@ mod tests {
         assert!(m.total() >= m.pruned_graph_bytes);
         let mb = measure(&g, QueryModel::Bsfbc(params), Algorithm::FairBcemPP, &cfg).unwrap();
         assert!(mb.total() > 0);
+    }
+
+    #[test]
+    fn bfairbcem_rows_are_the_upper_side_only() {
+        let base = random_uniform(30, 30, 200, 2, 2, 5);
+        let g = plant_bicliques(&base, 2, 4, 6, 1.0, 6);
+        let model = QueryModel::Bsfbc(FairParams::unchecked(1, 1, 1));
+        let cfg = RunConfig {
+            substrate: Substrate::Bitset,
+            ..RunConfig::default()
+        };
+        let m = measure(&g, model, Algorithm::FairBcem, &cfg).unwrap();
+        let core = prune(&g, model, cfg.prune).sub.graph;
+        let upper = BitRows::from_side(&core, Side::Upper).heap_bytes();
+        assert!(upper > 0, "the pruned core must keep upper vertices");
+        assert_eq!(m.bitset_rows_bytes, upper);
     }
 
     #[test]

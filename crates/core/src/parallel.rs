@@ -1,5 +1,5 @@
 //! The enumeration engine: one walk of the maximal-biclique tree,
-//! run on the calling thread or spread over work-stealing workers.
+//! run on the calling thread or split at its root across workers.
 //!
 //! Every `++` miner — `FairBCEM++`, `BFairBCEM++` and the proportion
 //! enumerators `FairBCEMPro++` / `BFairBCEMPro++` — runs one pipeline:
@@ -10,7 +10,7 @@
 //! one visitor per worker. A `Walk` drives those visitors two ways:
 //!
 //! * `Walk::run_serial` executes the root task to completion on the
-//!   calling thread — no spawn, no queue lock (`threads ≤ 1`);
+//!   calling thread — no spawn, no lock (`threads ≤ 1`);
 //! * `Walk::run_parallel` splits the same tree across up to
 //!   `RunConfig::threads` workers (the paper's extension section
 //!   parallelizes single-side `FairBCEM++`; this engine generalizes it
@@ -18,14 +18,15 @@
 //!
 //! # Design
 //!
-//! * **Shared branch deque.** Work units are `BranchTask`s: exact
-//!   search states `(L, R, P, Q)` of the serial enumeration tree,
-//!   held in a shared deque that idle workers steal from. The whole
-//!   run starts as one root task; the worker that takes it runs only
-//!   its top level and pushes each child subtree onto the deque, and
-//!   every child task then runs to completion on the worker that
-//!   steals it.
-//! * **Correctness (Q-seeding under stealing).** A spawned task
+//! * **Root split over a channel.** Work units are `BranchTask`s:
+//!   exact search states `(L, R, P, Q)` of the serial enumeration
+//!   tree. Worker 0 runs only the root's top level and sends each
+//!   child subtree down a `std::sync::mpsc` channel; it then drops
+//!   its sender and, like every other worker, takes tasks off the
+//!   channel and runs each to completion. The run ends when the
+//!   channel is empty and closed — also when the splitter panics,
+//!   since unwinding drops its sender.
+//! * **Correctness (Q-seeding of split tasks).** A split-off task
 //!   carries the same duplicate-suppression set `Q` the serial
 //!   recursion would have passed down: when the splitting worker
 //!   expands branch `i` of a level, the earlier branches' vertices
@@ -76,7 +77,7 @@
 //!   (deadline, node or result cap) tripped first, in which case the
 //!   first cause wins;
 //! * cancellation is sticky and one-way: the token cannot be reset,
-//!   and a cancelled run's workers drain the task deque without
+//!   and a cancelled run's workers drain the task channel without
 //!   executing further work, so threads join promptly;
 //! * tokens may be shared across runs (e.g. a server cancelling every
 //!   in-flight query at shutdown) — each run observes it
@@ -87,8 +88,7 @@ use crate::config::{BudgetClock, BudgetLane, RunConfig, SharedBudget};
 use crate::mbea::{root_task, BranchTask, RBound, Walker};
 use bigraph::candidate::CandidatePlan;
 use bigraph::{BipartiteGraph, Side, VertexId};
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Hard ceiling on engine worker threads (values beyond this waste
 /// spawns and can hit OS thread limits long before they help).
@@ -100,82 +100,6 @@ pub(crate) trait WalkVisitor {
     /// One maximal biclique (both sides sorted; borrow only for the
     /// call).
     fn visit(&mut self, l: &[VertexId], r: &[VertexId]);
-}
-
-/// The shared branch deque plus termination tracking.
-///
-/// `active` counts tasks currently executing; workers block on the
-/// condvar while the deque is empty but producers may still spawn,
-/// and exit once the deque is empty with nothing in flight.
-struct TaskQueue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-}
-
-struct QueueState {
-    deque: VecDeque<BranchTask>,
-    active: usize,
-}
-
-impl TaskQueue {
-    fn new(root: BranchTask) -> Self {
-        let mut deque = VecDeque::new();
-        deque.push_back(root);
-        TaskQueue {
-            state: Mutex::new(QueueState { deque, active: 0 }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, task: BranchTask) {
-        let mut st = self.state.lock().expect("task queue poisoned");
-        st.deque.push_back(task);
-        drop(st);
-        self.cv.notify_one();
-    }
-
-    /// Steal the next task, blocking while producers are active.
-    /// `None` means the run is complete.
-    fn steal(&self) -> Option<BranchTask> {
-        let mut st = self.state.lock().expect("task queue poisoned");
-        loop {
-            if let Some(task) = st.deque.pop_front() {
-                st.active += 1;
-                return Some(task);
-            }
-            if st.active == 0 {
-                return None;
-            }
-            st = self.cv.wait(st).expect("task queue poisoned");
-        }
-    }
-
-    /// Mark the last stolen task finished (children already pushed).
-    fn finish(&self) {
-        let mut st = self.state.lock().expect("task queue poisoned");
-        st.active -= 1;
-        if st.active == 0 && st.deque.is_empty() {
-            drop(st);
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// Unwind guard for one stolen task: `finish()` must run even when the
-/// task's sink or expander panics. Without it, `active` stays positive
-/// forever, peer workers block on the queue condvar, and
-/// `thread::scope` waits on those peers — so the panicked worker's
-/// `join` (which would surface the panic) is never reached. Dropping
-/// the guard during unwind releases the task slot and wakes every
-/// waiter; the panic itself is re-raised after all workers joined.
-struct TaskGuard<'q> {
-    queue: &'q TaskQueue,
-}
-
-impl Drop for TaskGuard<'_> {
-    fn drop(&mut self) {
-        self.queue.finish();
-    }
 }
 
 /// The maximal-biclique walk of one plan: the enumeration graph, the
@@ -200,10 +124,6 @@ impl<'g> Walk<'g> {
         )
     }
 
-    fn root(&self, cfg: &RunConfig) -> BranchTask {
-        root_task(self.g, cfg.order, self.plan.choice())
-    }
-
     /// Run the whole walk in `cfg.order` on the calling thread, under
     /// `cfg.budget`, with one visitor built by `make` (which receives a
     /// clock drawing from the run's expansion countdown). Spawns
@@ -220,7 +140,11 @@ impl<'g> Walk<'g> {
         let shared = SharedBudget::new(cfg.budget.clone());
         let mut visitor = make(shared.clock(BudgetLane::Expand));
         let mut walker = self.walker(&shared);
-        walker.run(self.root(cfg), &mut |l, r| visitor.visit(l, r));
+        walker.run(
+            root_task(self.g, cfg.order),
+            &mut |l, r| visitor.visit(l, r),
+            None,
+        );
         (visitor, merge_shared(walker.stats(), &shared))
     }
 
@@ -233,45 +157,54 @@ impl<'g> Walk<'g> {
         cfg: &RunConfig,
         make: &(dyn Fn(BudgetClock) -> V + Sync),
     ) -> (Vec<V>, EnumStats) {
-        let root = self.root(cfg);
+        let root = root_task(self.g, cfg.order);
         // Clamp the worker count: no more than one task per root
         // candidate ever exists, and an absolute cap keeps a huge
         // `--threads` from hitting OS spawn limits.
         let threads = cfg.threads.clamp(1, root.p.len().clamp(1, MAX_THREADS));
         let shared = SharedBudget::new(cfg.budget.clone());
-        let queue = TaskQueue::new(root);
+        // Worker 0 splits the root onto the channel, drops its sender
+        // and then drains like its peers; the run ends when the
+        // channel is empty and closed. A panicking splitter drops the
+        // sender while unwinding, so its peers still finish.
+        let (tx, rx) = mpsc::channel::<BranchTask>();
+        let rx = Mutex::new(rx);
+        let mut split = Some((root, tx));
 
         let mut per_worker: Vec<(V, EnumStats)> = Vec::with_capacity(threads);
         std::thread::scope(|s| {
             let mut handles = Vec::new();
             for _ in 0..threads {
-                let queue = &queue;
-                let shared = &shared;
+                let split = split.take();
+                let (rx, shared) = (&rx, &shared);
                 handles.push(s.spawn(move || {
                     let mut visitor = make(shared.clock(BudgetLane::Expand));
                     let mut walker = self.walker(shared);
-                    while let Some(task) = queue.steal() {
-                        // Release the task slot even if the visitor panics
-                        // (a stuck `active` count would deadlock peers).
-                        let _guard = TaskGuard { queue };
+                    let mut visit = |l: &[VertexId], r: &[VertexId]| visitor.visit(l, r);
+                    if let Some((root, tx)) = split {
+                        if !shared.is_exhausted() {
+                            let send =
+                                &mut |t| tx.send(t).expect("the receiver outlives the workers");
+                            walker.run(root, &mut visit, Some(send));
+                        }
+                    }
+                    loop {
+                        // Its own statement: the lock is released before
+                        // the task runs.
+                        let task = rx.lock().expect("task channel poisoned").recv();
+                        let Ok(task) = task else { break };
                         // Drain without work once any global limit trips.
                         if !shared.is_exhausted() {
-                            if task.depth == 0 {
-                                walker.split(task, &mut |l, r| visitor.visit(l, r), &mut |t| {
-                                    queue.push(t)
-                                });
-                            } else {
-                                walker.run(task, &mut |l, r| visitor.visit(l, r));
-                            }
+                            walker.run(task, &mut visit, None);
                         }
                     }
                     (visitor, walker.stats())
                 }));
             }
             // Join every worker before re-raising a panic: peers keep
-            // draining the queue (the panicked task's subtree is simply
-            // lost, which is fine — the run aborts anyway), so joins
-            // complete promptly instead of deadlocking the scope.
+            // draining the channel (the panicked task's subtree is
+            // simply lost, which is fine — the run aborts anyway), so
+            // joins complete promptly instead of deadlocking the scope.
             let mut panic_payload = None;
             for h in handles {
                 match h.join() {
@@ -596,6 +529,62 @@ mod tests {
         // The engine stays usable after a panicked run.
         let again = par_ssfbc(&g, params, &RunConfig::default(), 4);
         assert_eq!(again.bicliques.len() as u64, total);
+    }
+
+    #[test]
+    fn splitter_panic_ends_the_run() {
+        use bigraph::GraphBuilder;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// Panics on every emission.
+        struct PanicSink;
+        impl BicliqueSink for PanicSink {
+            fn emit(&mut self, _l: &[VertexId], _r: &[VertexId]) {
+                panic!("injected sink panic");
+            }
+        }
+
+        // Four disjoint K(3,4) blocks with balanced lower attributes.
+        // Each block is found by a root-level branch with nothing below
+        // it, and it is a fair result: the splitting worker panics on
+        // its first branch, before it sends any task, and the peers
+        // are left waiting on an empty channel.
+        let mut b = GraphBuilder::new(2, 2);
+        let mut blocks = BTreeSet::new();
+        for k in 0..4u32 {
+            let us: Vec<VertexId> = (0..3).map(|i| 3 * k + i).collect();
+            let vs: Vec<VertexId> = (0..4).map(|i| 4 * k + i).collect();
+            for &v in &vs {
+                b.set_attr_lower(v, (v % 2) as bigraph::AttrValueId);
+                for &u in &us {
+                    b.add_edge(u, v);
+                }
+            }
+            blocks.insert(Biclique::new(us, vs));
+        }
+        let g = b.build().unwrap();
+        let params = FairParams::unchecked(1, 1, 1);
+        let all: BTreeSet<Biclique> =
+            enumerate(&g, QueryModel::Ssfbc(params), &RunConfig::default())
+                .bicliques
+                .into_iter()
+                .collect();
+        assert_eq!(all, blocks, "the root level itself must emit");
+
+        for threads in [2usize, 4] {
+            let cfg = RunConfig {
+                threads,
+                ..RunConfig::default()
+            };
+            let prepared = prepared_ssfbc(&g, params, &cfg);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                prepared.stream(&cfg, &|| PanicSink, &mut SpanRecorder::disabled())
+            }));
+            assert!(
+                result.is_err(),
+                "threads {threads}: the panic must reach the caller"
+            );
+        }
     }
 
     #[test]

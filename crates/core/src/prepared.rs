@@ -14,7 +14,7 @@
 //!
 //! Phase (3) has exactly one implementation, [`PreparedQuery::stream`]:
 //! the walk of [`crate::parallel`] (in-thread at `threads ≤ 1`,
-//! work-stealing above) visits the maximal bicliques, and one worker
+//! split at the root across workers above) visits the maximal bicliques, and one worker
 //! per thread expands each into the model's results (the `Expansion`
 //! built from the [`QueryModel`]) and hands them, translated to
 //! original ids, to that worker's own sink. Collecting
@@ -218,9 +218,9 @@ impl PreparedQuery {
     /// path of the `++` miners.
     ///
     /// At `cfg.threads ≤ 1` a single worker walks the whole tree on the
-    /// calling thread (nothing is spawned, no queue lock is taken);
-    /// above that the work-stealing engine runs up to `cfg.threads`
-    /// workers on one global budget ([`crate::parallel`]). Honors
+    /// calling thread (nothing is spawned, no lock is taken); above
+    /// that the root is split across up to `cfg.threads` workers on
+    /// one global budget ([`crate::parallel`]). Honors
     /// `cfg.order` and the budget/cancellation in `cfg.budget`;
     /// `cfg.sorted` is left to the caller, which owns the
     /// results. Returns the sinks in worker order for the caller to

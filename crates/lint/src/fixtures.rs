@@ -337,7 +337,7 @@ fn snapshot(
     l: &[u32],
     nl: &[u32],
 ) -> Task {
-    // The blessed copy-on-steal site: owned copies are the point.
+    // The blessed copy-on-split site: owned copies are the point.
     let mut owned = l.to_vec();
     owned.extend_from_slice(&nl.to_vec());
     Task { l: owned }

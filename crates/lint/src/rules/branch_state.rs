@@ -14,7 +14,7 @@
 //! is still correct, only the perf trajectory silently decays.
 //!
 //! The one place branch state legitimately becomes an owned copy is
-//! the copy-on-steal snapshot at a task-split point
+//! the copy-on-split snapshot at the root split
 //! (`BranchTask::snapshot`): the parallel engine needs an immutable,
 //! exactly-serial `(L, R, P, Q)` payload there, and nowhere else.
 //!
@@ -47,7 +47,7 @@ const BRANCH_SETS: &[&str] = &["l", "r", "p", "q", "nl"];
 const CLONE_TOKENS: &[&str] = &[".clone()", ".to_vec()"];
 
 /// Per-line mask: true inside the body (signature through closing
-/// brace) of any `fn snapshot` — the blessed copy-on-steal helper.
+/// brace) of any `fn snapshot` — the blessed copy-on-split helper.
 fn snapshot_mask(file: &SourceFile) -> Vec<bool> {
     let mut mask = vec![false; file.scrub.lines.len()];
     let mut inside = false;

@@ -2,8 +2,8 @@
 //!
 //! # Rationale
 //!
-//! The workspace's concurrency stack is hand-rolled: the work-stealing
-//! engine (`core::parallel`) and the service (`service::engine`,
+//! The workspace's concurrency stack is hand-rolled: the parallel
+//! engine's task channel (`core::parallel`) and the service (`service::engine`,
 //! `service::catalog`) each guard state with `std::sync::Mutex`. Two
 //! invariants are cheap to violate silently and expensive to debug:
 //!

@@ -84,7 +84,7 @@ const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(30);
 const FANOUT_GRACE: Duration = Duration::from_secs(1);
 
 /// Execute `req` by fanning out to `engine.cfg.shards`.
-pub fn handle(engine: &Engine, req: Request, ctx: QueryCtx<'_>) -> Outcome {
+pub(crate) fn handle(engine: &Engine, req: Request, ctx: QueryCtx<'_>) -> Outcome {
     match &req {
         Request::Ping => Outcome::Reply(Reply::ok("pong")),
         Request::Shutdown => {

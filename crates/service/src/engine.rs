@@ -204,15 +204,13 @@ impl Session {
 
 /// Per-request context derived from connection state, carried into
 /// the query path (and, on coordinators, the fan-out).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryCtx<'a> {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueryCtx<'a> {
     /// Append a `# span ...` breakdown block to the reply and record
     /// the span tree in the slow-query log.
-    pub traced: bool,
-    /// The raw request line, stored in slow-query log entries. Empty
-    /// when the request arrived through the typed API; the log then
-    /// stores the rendered [`Request`] instead.
-    pub line: &'a str,
+    pub(crate) traced: bool,
+    /// The raw request line, stored in slow-query log entries.
+    pub(crate) line: &'a str,
 }
 
 /// A resident query engine. Shared across connection threads via
@@ -321,13 +319,8 @@ impl Engine {
         }
     }
 
-    /// Execute a parsed request (tracing off, no slow-log query text).
-    pub fn handle(&self, req: Request) -> Outcome {
-        self.handle_ctx(req, QueryCtx::default())
-    }
-
     /// Execute a parsed request under a per-request [`QueryCtx`].
-    pub fn handle_ctx(&self, req: Request, ctx: QueryCtx<'_>) -> Outcome {
+    pub(crate) fn handle_ctx(&self, req: Request, ctx: QueryCtx<'_>) -> Outcome {
         // Observability verbs answer from the local registry even on a
         // coordinator: its metrics/slow-log describe the fan-outs it
         // ran (shard servers keep their own, reachable directly).
@@ -656,16 +649,7 @@ impl Engine {
         }
         self.slowlog.record(SlowEntry {
             seq: 0,
-            query: if ctx.line.is_empty() {
-                Request::Enum {
-                    graph: graph.to_string(),
-                    model,
-                    opts,
-                }
-                .to_string()
-            } else {
-                ctx.line.to_string()
-            },
+            query: ctx.line.to_string(),
             graph: graph.to_string(),
             epoch: done.epoch,
             elapsed,

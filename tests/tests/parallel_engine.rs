@@ -1,4 +1,5 @@
-//! Certification battery for the work-stealing parallel engine:
+//! Certification battery for the parallel engine (the walk's root split
+//! across workers):
 //! property-based cross-validation of every parallel miner against
 //! its serial counterpart and the brute-force oracles, global-budget
 //! semantics, deterministic-output guarantees, statistics merging,
@@ -310,7 +311,7 @@ fn empty_graph_on_many_threads() {
 
 /// A complete bipartite block has a single top-level branch (every
 /// other root candidate is absorbed into it), so workers beyond the
-/// first find an empty deque and must exit cleanly.
+/// first find an empty, closed task channel and must exit cleanly.
 #[test]
 fn single_branch_graph_and_more_threads_than_branches() {
     let mut b = GraphBuilder::new(2, 2);
