@@ -139,6 +139,26 @@ for model in "" "--bi"; do
     done
 done
 
+step "smoke: count-only counts equal the collected result lines (plain, proportion and bi-side, at 1 and 4 threads)"
+# Count mode takes whole subtrees of the expansion as one number;
+# collect mode lists every result. Both must agree.
+for model in "" "--theta 0.4" "--bi"; do
+    for t in 1 4; do
+        # shellcheck disable=SC2086 # $model holds zero or more words
+        counted=$(cargo run "${profile_flag[@]}" --bin fbe -- \
+            enumerate "$smokedir/g" --alpha 2 --beta 1 --delta 1 $model --count-only --threads "$t" \
+            | sed -n 's/^[A-Z]* count: //p')
+        # shellcheck disable=SC2086 # $model holds zero or more words
+        listed=$(cargo run "${profile_flag[@]}" --bin fbe -- \
+            enumerate "$smokedir/g" --alpha 2 --beta 1 --delta 1 $model --threads "$t" \
+            | awk '/^  L=/ { n++ } END { print n + 0 }')
+        if [[ -z "$counted" || "$counted" != "$listed" ]]; then
+            echo "count-only says ${counted:-nothing}, collect lists $listed ($model, $t threads)"
+            exit 1
+        fi
+    done
+done
+
 step "smoke: candidate substrates — sorted output identical bitset vs sorted-vec"
 cargo run "${profile_flag[@]}" --bin fbe -- \
     enumerate "$smokedir/g" --alpha 2 --beta 1 --delta 1 --sorted \

@@ -290,11 +290,6 @@ pub trait CandidateOps {
     /// [`CandidateOps::load`].
     fn loaded_count(&mut self, x: VertexId) -> usize;
 
-    /// Does `|∩_{v ∈ s} N(v)| == len`? Callers guarantee a known
-    /// `len`-sized subset of the closure exists (so the intersection
-    /// can never be smaller than `len`). `s` must be non-empty.
-    fn closure_matches(&mut self, s: &[VertexId], len: usize) -> bool;
-
     /// `out =` common neighborhood of `s` (ascending; the full
     /// opposite side when `s` is empty, matching
     /// [`BipartiteGraph::common_neighbors`]).
@@ -307,7 +302,6 @@ pub struct SortedOps<'a> {
     g: &'a BipartiteGraph,
     side: Side,
     staged: Vec<VertexId>,
-    acc: Vec<VertexId>,
     tmp: Vec<VertexId>,
 }
 
@@ -318,7 +312,6 @@ impl<'a> SortedOps<'a> {
             g,
             side,
             staged: Vec::new(),
-            acc: Vec::new(),
             tmp: Vec::new(),
         }
     }
@@ -348,23 +341,6 @@ impl CandidateOps for SortedOps<'_> {
     #[inline]
     fn loaded_count(&mut self, x: VertexId) -> usize {
         crate::intersect_sorted_count(self.g.neighbors(self.side, x), &self.staged)
-    }
-
-    fn closure_matches(&mut self, s: &[VertexId], len: usize) -> bool {
-        debug_assert!(!s.is_empty());
-        self.acc.clear();
-        self.acc
-            .extend_from_slice(self.g.neighbors(self.side, s[0]));
-        for &v in &s[1..] {
-            if self.acc.len() == len {
-                // Already shrunk to `len`; a known len-sized subset of
-                // the closure exists, so it can only stay equal.
-                break;
-            }
-            crate::intersect_sorted_into(&self.acc, self.g.neighbors(self.side, v), &mut self.tmp);
-            std::mem::swap(&mut self.acc, &mut self.tmp);
-        }
-        self.acc.len() == len
     }
 
     fn common_neighbors_into(&mut self, s: &[VertexId], out: &mut Vec<VertexId>) {
@@ -445,15 +421,6 @@ impl CandidateOps for BitOps<'_> {
         and_count(self.rows.row(x), &self.staged)
     }
 
-    fn closure_matches(&mut self, s: &[VertexId], len: usize) -> bool {
-        debug_assert!(!s.is_empty());
-        self.acc.copy_from_slice(self.rows.row(s[0]));
-        for &v in &s[1..] {
-            and_assign(&mut self.acc, self.rows.row(v));
-        }
-        count_ones(&self.acc) == len
-    }
-
     fn common_neighbors_into(&mut self, s: &[VertexId], out: &mut Vec<VertexId>) {
         if s.is_empty() {
             out.clear();
@@ -510,11 +477,6 @@ impl CandidateOps for AdjOps<'_> {
     #[inline]
     fn loaded_count(&mut self, x: VertexId) -> usize {
         dispatch!(self, o, o.loaded_count(x))
-    }
-
-    #[inline]
-    fn closure_matches(&mut self, s: &[VertexId], len: usize) -> bool {
-        dispatch!(self, o, o.closure_matches(s, len))
     }
 
     #[inline]
@@ -682,7 +644,7 @@ mod tests {
                 sorted.common_neighbors_into(&[x], &mut os);
                 assert_eq!(ob, os);
             }
-            // Multi-vertex closures and common neighborhoods.
+            // Multi-vertex common neighborhoods.
             for s in [vec![0, 1], vec![0, 2, 3], vec![]] {
                 if s.iter().any(|&v| (v as usize) >= g.n(side)) {
                     continue;
@@ -690,18 +652,6 @@ mod tests {
                 bit.common_neighbors_into(&s, &mut ob);
                 sorted.common_neighbors_into(&s, &mut os);
                 assert_eq!(ob, os, "{side} common {s:?}");
-                if !s.is_empty() {
-                    for len in [ob.len(), ob.len().saturating_sub(1)] {
-                        assert_eq!(
-                            bit.closure_matches(&s, len),
-                            // Sorted closure_matches assumes a known
-                            // len-sized subset exists; len == |closure|
-                            // and len < |closure| both satisfy that.
-                            sorted.closure_matches(&s, len),
-                            "{side} closure {s:?} len {len}"
-                        );
-                    }
-                }
             }
         }
     }

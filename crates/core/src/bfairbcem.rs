@@ -23,7 +23,7 @@ use crate::biclique::{BicliqueSink, EnumStats};
 use crate::config::{
     Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, Substrate, VertexOrder,
 };
-use crate::fairset::{for_each_max_fair_subset, is_maximal_fair_subset, AttrCounts};
+use crate::fairset::{is_maximal_fair_subset, AttrCounts, Combiner};
 use bigraph::candidate::{AdjOps, BitOps, BitRows, CandidateOps, SortedOps};
 use bigraph::{BipartiteGraph, Side, VertexId};
 
@@ -47,7 +47,9 @@ pub(crate) struct BiSideExpander<'a> {
     pub(crate) clock: BudgetClock,
     /// Results emitted so far.
     pub emitted: u64,
-    groups: Vec<Vec<VertexId>>,
+    /// `L'` grouped by upper attribute, and `Combination` over it.
+    comb: Combiner,
+    n_attrs_u: usize,
     /// Long-lived scratch for the per-subset MFSCheck: `N(l')`, the
     /// lower counts of `R'`, and the candidate counts of `N(l') − R'`.
     nl: Vec<VertexId>,
@@ -75,7 +77,8 @@ impl<'a> BiSideExpander<'a> {
             ops,
             clock,
             emitted: 0,
-            groups: vec![Vec::new(); n_attrs_u],
+            comb: Combiner::default(),
+            n_attrs_u,
             nl: Vec::new(),
             base: AttrCounts::zeros(n_attrs_l),
             cand: AttrCounts::zeros(n_attrs_l),
@@ -87,14 +90,9 @@ impl<'a> BiSideExpander<'a> {
             return;
         }
         // Group L' by upper attribute for Combination.
-        let attrs_u = self.g.attrs(Side::Upper);
         let attrs_l = self.g.attrs(Side::Lower);
-        for g_attr in self.groups.iter_mut() {
-            g_attr.clear();
-        }
-        for &u in l {
-            self.groups[attrs_u[u as usize] as usize].push(u);
-        }
+        self.comb
+            .load_by_attr(l, self.g.attrs(Side::Upper), self.n_attrs_u);
 
         self.base.recount(r, attrs_l);
         let (params, theta) = (self.params, self.theta);
@@ -104,12 +102,8 @@ impl<'a> BiSideExpander<'a> {
         let nl = &mut self.nl;
         let base = &self.base;
         let cand = &mut self.cand;
-        for_each_max_fair_subset(
-            &self.groups,
-            params.alpha,
-            params.delta,
-            theta,
-            &mut |l_sub| {
+        self.comb
+            .for_each_max_fair_subset(params.alpha, params.delta, theta, &mut |l_sub| {
                 // Candidates for extending R': N(l_sub) \ R'.
                 ops.common_neighbors_into(l_sub, nl);
                 debug_assert!(bigraph::is_sorted_subset(r, nl), "R' ⊆ N(l')");
@@ -136,8 +130,7 @@ impl<'a> BiSideExpander<'a> {
                     *emitted += 1;
                 }
                 clock.tick()
-            },
-        );
+            });
     }
 }
 

@@ -79,6 +79,14 @@ impl std::str::FromStr for Biclique {
 pub trait BicliqueSink {
     /// One result. `upper`/`lower` are sorted ascending.
     fn emit(&mut self, upper: &[VertexId], lower: &[VertexId]);
+
+    /// Take `n` results as a bare count, without their vertex sets.
+    /// Returns false, taking nothing, when the sink needs every result
+    /// (the default); enumerators probe with `tally(0)` and, on false,
+    /// emit each result through [`BicliqueSink::emit`].
+    fn tally(&mut self, _n: u64) -> bool {
+        false
+    }
 }
 
 /// Counts results without storing them.
@@ -92,6 +100,11 @@ impl BicliqueSink for CountSink {
     #[inline]
     fn emit(&mut self, _upper: &[VertexId], _lower: &[VertexId]) {
         self.count += 1;
+    }
+
+    fn tally(&mut self, n: u64) -> bool {
+        self.count += n;
+        true
     }
 }
 
@@ -117,6 +130,10 @@ impl<T: BicliqueSink + ?Sized> BicliqueSink for &mut T {
     #[inline]
     fn emit(&mut self, upper: &[VertexId], lower: &[VertexId]) {
         (**self).emit(upper, lower);
+    }
+
+    fn tally(&mut self, n: u64) -> bool {
+        (**self).tally(n)
     }
 }
 
@@ -163,6 +180,11 @@ impl<S: BicliqueSink> BicliqueSink for MappingSink<'_, S> {
             .extend(lower.iter().map(|&v| self.lower_map[v as usize]));
         self.lower_buf.sort_unstable();
         self.inner.emit(&self.upper_buf, &self.lower_buf);
+    }
+
+    /// A count carries no ids to translate.
+    fn tally(&mut self, n: u64) -> bool {
+        self.inner.tally(n)
     }
 }
 
@@ -257,6 +279,12 @@ pub struct EnumStats {
     /// Rough peak heap bytes attributable to the search state (graph
     /// storage excluded, matching the paper's Exp-6 protocol).
     pub peak_search_bytes: usize,
+    /// Lower-side `Combination` subsets the single-side expansion
+    /// tested at a leaf of its covering-filter search.
+    pub subsets: u64,
+    /// Subtrees of that search whose results a counting run took as one
+    /// number, without visiting them.
+    pub tallied: u64,
 }
 
 #[cfg(test)]
@@ -280,6 +308,15 @@ mod tests {
         c.emit(&[0], &[1]);
         c.emit(&[0], &[2]);
         assert_eq!(c.count, 2);
+        assert!(c.tally(5));
+        assert_eq!(c.count, 7);
+        // Through a borrow and an id map, a count still lands.
+        let mut m = MappingSink::new(&[], &[], &mut c);
+        assert!(m.tally(3));
+        assert_eq!(c.count, 10);
+        // Sinks that keep results refuse a bare count.
+        assert!(!CollectSink::default().tally(1));
+        assert!(!TopKSink::new(2).tally(1));
 
         let mut v = CollectSink::default();
         v.emit(&[0, 1], &[2]);

@@ -225,7 +225,8 @@ pub enum VertexOrder {
 /// interrupt preparation.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
-    /// Abort after visiting this many search-tree nodes.
+    /// Abort after visiting this many search-tree nodes (or taking this
+    /// many expansion steps; see [`Budget::nodes`]).
     pub max_nodes: Option<u64>,
     /// Abort after this much wall-clock time.
     pub max_time: Option<Duration>,
@@ -244,7 +245,11 @@ impl Budget {
         cancel: None,
     };
 
-    /// Only a node cap.
+    /// Only a node cap: at most `max_nodes` walk nodes, and at most
+    /// `max_nodes` expansion steps. An expansion step is one tested
+    /// subset, one cut subtree, or one subtree of results that a
+    /// counting run tallies at once, so a capped count may include many
+    /// results per step.
     pub fn nodes(max_nodes: u64) -> Budget {
         Budget {
             max_nodes: Some(max_nodes),
@@ -292,7 +297,9 @@ impl Budget {
 pub(crate) enum BudgetLane {
     /// Search-tree nodes of the maximal-biclique walk.
     Walk,
-    /// Expansion steps (`Combination` subsets and fair-set checks).
+    /// Expansion steps: one per `Combination` subset tested at a leaf,
+    /// per subtree the covering filter cuts, and per subtree a count
+    /// sink takes as one tally (however many results it holds).
     Expand,
 }
 
@@ -386,6 +393,16 @@ impl SharedBudget {
             return false;
         }
         true
+    }
+
+    /// Acquire the right to emit `n` results at once, all or nothing:
+    /// false, without tripping, when fewer than `n` remain.
+    fn acquire_results(&self, n: u64) -> bool {
+        self.results
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |taken| {
+                taken.checked_add(n).filter(|&t| t <= self.max_results)
+            })
+            .is_ok()
     }
 }
 
@@ -513,6 +530,21 @@ impl BudgetClock {
         }
         true
     }
+
+    /// Acquire the right to emit `n` results at once (a tallied
+    /// subtree), all or nothing. False when the run has stopped, and
+    /// also — without stopping anything — when fewer than `n` results
+    /// remain under the cap: the caller then emits one by one through
+    /// [`BudgetClock::try_result`], so the cap still binds exactly.
+    pub(crate) fn try_results(&mut self, n: u64) -> bool {
+        if self.exhausted {
+            return false;
+        }
+        if self.shared.is_exhausted() {
+            return self.spent();
+        }
+        self.results_exempt || self.shared.acquire_results(n)
+    }
 }
 
 /// Full configuration of an enumeration run.
@@ -626,6 +658,16 @@ mod tests {
 
         let mut z = Budget::results(0).start();
         assert!(!z.try_result(), "zero budget admits nothing");
+
+        // A tally is granted whole or refused without stopping the run.
+        let mut t = Budget::results(3).start();
+        assert!(t.try_results(2));
+        assert!(!t.try_results(2), "only one left");
+        assert!(!t.exhausted, "a refused tally trips nothing");
+        assert!(t.try_result());
+        assert!(!t.try_result());
+        assert_eq!(t.stop_reason(), Some(StopReason::ResultCap));
+        assert!(Budget::UNLIMITED.start().try_results(u64::MAX));
     }
 
     #[test]

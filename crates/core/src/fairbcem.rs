@@ -63,6 +63,7 @@ pub(crate) fn fairbcem(
         aborted: search.clock.exhausted,
         stop: search.clock.stop_reason(),
         peak_search_bytes: search.peak_bytes,
+        ..EnumStats::default()
     }
 }
 

@@ -47,7 +47,7 @@
 //!
 //! The enumerators take `θ` as an `Option<f64>` next to `(k, δ)`:
 //! `None` is the absolute model, `Some(θ)` the proportion model, even at
-//! `θ = 0`. [`for_each_max_fair_subset`] is the one place that picks
+//! `θ = 0`. `Combiner::for_each_max_fair_subset` is the one place that picks
 //! `Combination` or `CombinationPro`; the latter is the exact lattice
 //! search for any attribute-domain size, equal to the paper's closed
 //! form on its two-value domains (property-tested).
@@ -124,17 +124,7 @@ impl AttrCounts {
 
 /// Is `counts` a fair set for `(k, δ)` (Definition 11)?
 pub fn is_fair(counts: &[u32], k: u32, delta: u32) -> bool {
-    debug_assert!(!counts.is_empty());
-    let mut min = u32::MAX;
-    let mut max = 0u32;
-    for &c in counts {
-        if c < k {
-            return false;
-        }
-        min = min.min(c);
-        max = max.max(c);
-    }
-    max - min <= delta
+    fair_counts(counts.iter().copied(), k, delta, None)
 }
 
 /// Is `counts` proportion-fair for `(k, δ, θ)`: fair and every
@@ -143,22 +133,34 @@ pub fn is_fair(counts: &[u32], k: u32, delta: u32) -> bool {
 /// An all-zero vector is proportion-fair iff `k == 0` (the ratio
 /// constraint is vacuous on the empty set).
 pub fn is_fair_pro(counts: &[u32], k: u32, delta: u32, theta: f64) -> bool {
-    if !is_fair(counts, k, delta) {
-        return false;
-    }
-    let total: u32 = counts.iter().sum();
-    if total == 0 {
-        return true; // is_fair already enforced k == 0
-    }
-    let min = *counts.iter().min().expect("non-empty counts");
-    ratio_ok(min, total, theta)
+    fair_counts(counts.iter().copied(), k, delta, Some(theta))
 }
 
 /// [`is_fair`] for `theta = None`, [`is_fair_pro`] for `Some(θ)`.
 pub(crate) fn is_fair_with(counts: &[u32], k: u32, delta: u32, theta: Option<f64>) -> bool {
+    fair_counts(counts.iter().copied(), k, delta, theta)
+}
+
+/// The fairness test over a count sequence, so callers can test a
+/// modified vector without materialising it.
+fn fair_counts(counts: impl Iterator<Item = u32>, k: u32, delta: u32, theta: Option<f64>) -> bool {
+    let (mut min, mut max, mut total) = (u32::MAX, 0u32, 0u32);
+    for c in counts {
+        if c < k {
+            return false;
+        }
+        min = min.min(c);
+        max = max.max(c);
+        total += c;
+    }
+    debug_assert!(min <= max, "non-empty counts");
+    if max - min > delta {
+        return false;
+    }
     match theta {
-        None => is_fair(counts, k, delta),
-        Some(t) => is_fair_pro(counts, k, delta, t),
+        // An empty set passed `is_fair` only with k == 0.
+        Some(t) => total == 0 || ratio_ok(min, total, t),
+        None => true,
     }
 }
 
@@ -196,18 +198,10 @@ pub fn is_maximal_fair_subset(
         return false;
     }
     // Lines 4-6: any single-vertex addition that stays fair?
-    let mut scratch = base.to_vec();
-    for i in 0..base.len() {
-        if cand[i] > 0 {
-            scratch[i] += 1;
-            let ok = is_fair_with(&scratch, k, delta, theta);
-            scratch[i] -= 1;
-            if ok {
-                return false;
-            }
-        }
-    }
-    true
+    !(0..base.len()).any(|i| {
+        let plus_one = base.iter().enumerate().map(|(j, &c)| c + u32::from(j == i));
+        cand[i] > 0 && fair_counts(plus_one, k, delta, theta)
+    })
 }
 
 /// Exhaustive extension search (the oracle's maximality test): does any
@@ -253,19 +247,17 @@ pub fn exists_fair_extension(
 
 /// The unique maximal-fair-subset size vector of a set with
 /// per-attribute availabilities `counts` (`Combination`, Algorithm 7,
-/// lines 3–5), or `None` when no fair subset exists.
-pub fn combination_sizes(counts: &[u32], k: u32, delta: u32) -> Option<Vec<u32>> {
+/// lines 3–5), written to `sizes`; false (and `sizes` untouched) when
+/// no fair subset exists.
+pub fn combination_sizes(counts: &[u32], k: u32, delta: u32, sizes: &mut Vec<u32>) -> bool {
     debug_assert!(!counts.is_empty());
     let msize = *counts.iter().min().expect("non-empty counts");
     if msize < k {
-        return None;
+        return false;
     }
-    Some(
-        counts
-            .iter()
-            .map(|&c| c.min(msize.saturating_add(delta)))
-            .collect(),
-    )
+    sizes.clear();
+    sizes.extend(counts.iter().map(|&c| c.min(msize.saturating_add(delta))));
+    true
 }
 
 /// The paper's closed-form `CombinationPro` size vector:
@@ -382,140 +374,425 @@ pub fn max_pro_fair_size_vectors(counts: &[u32], k: u32, delta: u32, theta: f64)
     maximal
 }
 
-/// Visit every `k_`-subset of `items` (ascending index order) without
-/// allocation beyond one scratch buffer. `k_ == 0` visits the empty
-/// subset once; `k_ > items.len()` visits nothing.
+/// At most this many cover members at a node let the product DFS count
+/// the node's kept subsets by inclusion–exclusion (`2^3` terms) instead
+/// of visiting them.
+const TALLY_COVER: usize = 3;
+
+/// What the product DFS of [`Combiner`] reports to its caller.
+pub(crate) trait ProductVisitor {
+    /// A kept subset, sorted ascending. Returns false to stop.
+    fn keep(&mut self, subset: &[VertexId]) -> bool;
+
+    /// A subset rejected at its leaf, or a subtree cut without a
+    /// visit. Returns false to stop.
+    fn skip(&mut self) -> bool {
+        true
+    }
+
+    /// Take `n ≥ 1` kept subsets of one subtree as a bare number, or
+    /// `None` to have the DFS visit them one by one. Returns
+    /// `Some(false)` to stop.
+    fn tally(&mut self, _n: u64) -> Option<bool> {
+        None
+    }
+}
+
+/// The product step of `Combination` (Algorithm 7, lines 6–9), with
+/// its scratch: every choice of `sizes[a]` members from each group `a`,
+/// visited in lexicographic order of member positions (group 0
+/// outermost), merged and sorted. Once a group's remaining members are
+/// exactly the ones still to choose, they are taken in one step.
 ///
-/// The callback returns `true` to continue; returning `false` stops
-/// the enumeration early (budget enforcement — per-subset counts can
-/// be astronomically large). The function returns `false` iff stopped.
-pub fn for_each_ksubset(
-    items: &[VertexId],
-    k_: usize,
-    f: &mut dyn FnMut(&[VertexId]) -> bool,
-) -> bool {
-    if k_ > items.len() {
-        return true;
-    }
-    if k_ == 0 {
-        return f(&[]);
-    }
-    let mut idx: Vec<usize> = (0..k_).collect();
-    let mut scratch: Vec<VertexId> = Vec::with_capacity(k_);
-    loop {
-        scratch.clear();
-        scratch.extend(idx.iter().map(|&i| items[i]));
-        if !f(&scratch) {
-            return false;
-        }
-        // Advance to next lexicographic combination.
-        let mut i = k_;
-        loop {
-            if i == 0 {
-                return true;
-            }
-            i -= 1;
-            if idx[i] != i + items.len() - k_ {
-                break;
-            }
-        }
-        idx[i] += 1;
-        for j in i + 1..k_ {
-            idx[j] = idx[j - 1] + 1;
-        }
-    }
-}
-
-/// Emit the cartesian product of per-group `sizes[i]`-subsets, merged
-/// and sorted (the set expansion step of Algorithm 7, lines 6–9).
+/// A caller may install a **cover**: a set `W` of outside vertices and,
+/// per group member, a bit row of the `W` members adjacent to it. A
+/// subset is then kept only if no `W` member is adjacent to all of it.
+/// The DFS carries `W_cur`, the members adjacent to every pick so far,
+/// and
+/// * keeps a leaf iff `W_cur` is empty;
+/// * cuts a subtree when a member of `W_cur` is adjacent to every
+///   candidate that is still to be chosen from (every completion is
+///   then covered);
+/// * for tallying callers, counts a subtree whose `W_cur` has at most
+///   [`TALLY_COVER`] members by inclusion–exclusion over subsets of
+///   `W_cur`, without visiting it.
 ///
-/// Generic over the group storage (`&[&[VertexId]]` or
-/// `&[Vec<VertexId>]`) so hot callers can pass their long-lived
-/// per-attribute scratch buffers without building a slice-of-slices
-/// view per call. Early-terminates (returning `false`) when the
-/// callback does.
-pub fn for_each_sized_product<G: AsRef<[VertexId]>>(
-    groups: &[G],
-    sizes: &[u32],
-    f: &mut dyn FnMut(&[VertexId]) -> bool,
-) -> bool {
-    debug_assert_eq!(groups.len(), sizes.len());
-    struct Emitter<'f> {
-        f: &'f mut dyn FnMut(&[VertexId]) -> bool,
-        buf: Vec<VertexId>,
-        scratch: Vec<VertexId>,
+/// Without a cover every subset is kept. All buffers live in the
+/// struct, so a combiner reused across calls allocates nothing once
+/// warm.
+#[derive(Debug, Default)]
+pub(crate) struct Combiner {
+    /// Group members, flattened in group order: group `a` is
+    /// `flat[off[a]..off[a + 1]]`. A member's index in `flat` is its
+    /// position.
+    flat: Vec<VertexId>,
+    off: Vec<usize>,
+    /// Group sizes.
+    counts: Vec<u32>,
+    /// The size vector being enumerated.
+    sizes: Vec<u32>,
+    /// Cover members, and `words = ⌈members/64⌉` words per bit row.
+    members: usize,
+    words: usize,
+    /// One bit row per position: the cover members adjacent to it.
+    rows: Vec<u64>,
+    /// Per position `p`: the cover members adjacent to every member at
+    /// or after `p` in `p`'s group.
+    suffix: Vec<u64>,
+    /// Per group `a`, and one more row past the last: the cover members
+    /// adjacent to every member of each group from `a` on that has a
+    /// positive size.
+    tail: Vec<u64>,
+    /// `W_cur` per DFS depth.
+    cur: Vec<u64>,
+    picks: Vec<VertexId>,
+    sorted: Vec<VertexId>,
+    /// Leaves visited (subsets tested) and subtrees tallied so far.
+    pub(crate) leaves: u64,
+    pub(crate) tallied: u64,
+}
+
+/// [`ProductVisitor`] over a plain callback: every subset is kept.
+struct EachSubset<'f>(&'f mut dyn FnMut(&[VertexId]) -> bool);
+
+impl ProductVisitor for EachSubset<'_> {
+    fn keep(&mut self, subset: &[VertexId]) -> bool {
+        (self.0)(subset)
     }
-    impl Emitter<'_> {
-        fn rec<G: AsRef<[VertexId]>>(&mut self, groups: &[G], sizes: &[u32]) -> bool {
-            match groups.split_first() {
-                None => {
-                    self.scratch.clear();
-                    self.scratch.extend_from_slice(&self.buf);
-                    self.scratch.sort_unstable();
-                    (self.f)(&self.scratch)
-                }
-                Some((g0, rest)) => {
-                    let (s0, sr) = sizes.split_first().expect("sizes match groups");
-                    let this = self;
-                    for_each_ksubset(g0.as_ref(), *s0 as usize, &mut |sub| {
-                        let base = this.buf.len();
-                        this.buf.extend_from_slice(sub);
-                        let go_on = this.rec(rest, sr);
-                        this.buf.truncate(base);
-                        go_on
-                    })
+}
+
+impl Combiner {
+    /// Load `groups` as the sets to combine.
+    pub(crate) fn load<G: AsRef<[VertexId]>>(&mut self, groups: &[G]) {
+        self.flat.clear();
+        self.off.clear();
+        self.off.push(0);
+        self.counts.clear();
+        for g in groups {
+            self.flat.extend_from_slice(g.as_ref());
+            self.off.push(self.flat.len());
+            self.counts.push(g.as_ref().len() as u32);
+        }
+    }
+
+    /// Load `members` grouped by attribute value into `n_attrs` groups,
+    /// each keeping the order of `members`.
+    pub(crate) fn load_by_attr(
+        &mut self,
+        members: &[VertexId],
+        attrs: &[bigraph::AttrValueId],
+        n_attrs: usize,
+    ) {
+        self.flat.clear();
+        self.off.clear();
+        self.off.push(0);
+        self.counts.clear();
+        for a in 0..n_attrs {
+            let start = self.flat.len();
+            self.flat
+                .extend(members.iter().filter(|&&v| attrs[v as usize] as usize == a));
+            self.off.push(self.flat.len());
+            self.counts.push((self.flat.len() - start) as u32);
+        }
+    }
+
+    /// Group sizes of the loaded groups.
+    pub(crate) fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// The members of group `a`.
+    pub(crate) fn group(&self, a: usize) -> &[VertexId] {
+        &self.flat[self.off[a]..self.off[a + 1]]
+    }
+
+    /// The loaded members in position order.
+    pub(crate) fn positions(&self) -> &[VertexId] {
+        &self.flat
+    }
+
+    /// The size vector set for the next [`Combiner::run`].
+    pub(crate) fn sizes(&self) -> &[u32] {
+        &self.sizes
+    }
+
+    /// Set the size vector for the next [`Combiner::run`].
+    pub(crate) fn set_sizes(&mut self, sizes: &[u32]) {
+        self.sizes.clear();
+        self.sizes.extend_from_slice(sizes);
+    }
+
+    /// Set `Combination`'s unique size vector for the loaded groups
+    /// ([`combination_sizes`]); false when no fair subset exists.
+    pub(crate) fn set_combination_sizes(&mut self, k: u32, delta: u32) -> bool {
+        combination_sizes(&self.counts, k, delta, &mut self.sizes)
+    }
+
+    /// Install a cover of `members` vertices and return its bit rows,
+    /// zeroed, one row of `⌈members/64⌉` words per position, for the
+    /// caller to fill. `cover(0)` removes the cover.
+    pub(crate) fn cover(&mut self, members: usize) -> &mut [u64] {
+        self.members = members;
+        self.words = members.div_ceil(64);
+        self.rows.clear();
+        self.rows.resize(self.flat.len() * self.words, 0);
+        &mut self.rows
+    }
+
+    /// `Combination` (Algorithm 7), or with `theta` the exact
+    /// `CombinationPro`: every maximal (proportion-)fair subset of the
+    /// loaded groups, sorted, in the product's order. Removes any
+    /// cover. Returns false iff `f` stopped the enumeration.
+    pub(crate) fn for_each_max_fair_subset(
+        &mut self,
+        k: u32,
+        delta: u32,
+        theta: Option<f64>,
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
+        self.cover(0);
+        let mut each = EachSubset(f);
+        match theta {
+            None => !self.set_combination_sizes(k, delta) || self.run(false, &mut each),
+            Some(t) => max_pro_fair_size_vectors(&self.counts, k, delta, t)
+                .iter()
+                .all(|sizes| {
+                    self.set_sizes(sizes);
+                    self.run(false, &mut each)
+                }),
+        }
+    }
+
+    /// The product of `sizes[a]`-subsets of the loaded groups, without a
+    /// cover. Returns false iff `f` stopped the enumeration.
+    #[cfg(test)]
+    pub(crate) fn for_each_product(
+        &mut self,
+        sizes: &[u32],
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
+        self.cover(0);
+        self.set_sizes(sizes);
+        self.run(false, &mut EachSubset(f))
+    }
+
+    /// Run the product DFS for the current size vector and cover.
+    /// `tally` lets the DFS offer whole subtrees to
+    /// [`ProductVisitor::tally`]. Returns false iff the visitor stopped
+    /// it.
+    pub(crate) fn run(&mut self, tally: bool, v: &mut dyn ProductVisitor) -> bool {
+        let n = self.sizes.len();
+        debug_assert_eq!(n, self.counts.len());
+        if self.sizes.iter().zip(&self.counts).any(|(k, c)| k > c) {
+            return true;
+        }
+        let w = self.words;
+        let depth: usize = self.sizes.iter().map(|&k| k as usize).sum();
+        self.cur.clear();
+        self.cur.resize((depth + 1) * w, 0);
+        self.suffix.clear();
+        self.suffix.resize(self.rows.len(), u64::MAX);
+        self.tail.clear();
+        self.tail.resize((n + 1) * w, u64::MAX);
+        for a in (0..n).rev() {
+            let (lo, hi) = (self.off[a], self.off[a + 1]);
+            for p in (lo..hi).rev() {
+                for i in 0..w {
+                    let after = if p + 1 < hi {
+                        self.suffix[(p + 1) * w + i]
+                    } else {
+                        u64::MAX
+                    };
+                    self.suffix[p * w + i] = self.rows[p * w + i] & after;
                 }
             }
+            for i in 0..w {
+                let whole = if self.sizes[a] > 0 {
+                    self.suffix[lo * w + i]
+                } else {
+                    u64::MAX
+                };
+                self.tail[a * w + i] = self.tail[(a + 1) * w + i] & whole;
+            }
         }
-    }
-    let mut e = Emitter {
-        f,
-        buf: Vec::new(),
-        scratch: Vec::new(),
-    };
-    e.rec(groups, sizes)
-}
-
-/// `Combination` (Algorithm 7), or with `theta` the exact
-/// `CombinationPro`: all maximal (proportion-)fair subsets of the set
-/// whose members are given per attribute in `groups`. Results sorted.
-/// Early-terminates (returning `false`) when the callback does.
-pub fn for_each_max_fair_subset<G: AsRef<[VertexId]>>(
-    groups: &[G],
-    k: u32,
-    delta: u32,
-    theta: Option<f64>,
-    f: &mut dyn FnMut(&[VertexId]) -> bool,
-) -> bool {
-    let counts: Vec<u32> = groups.iter().map(|g| g.as_ref().len() as u32).collect();
-    if let Some(t) = theta {
-        return for_each_max_pro_fair_subset(groups, &counts, k, delta, t, f);
-    }
-    match combination_sizes(&counts, k, delta) {
-        Some(sizes) => for_each_sized_product(groups, &sizes, f),
-        None => true,
-    }
-}
-
-/// Exact `CombinationPro` over `groups` with sizes `counts`: the
-/// products of every maximal proportion-fair size vector.
-fn for_each_max_pro_fair_subset<G: AsRef<[VertexId]>>(
-    groups: &[G],
-    counts: &[u32],
-    k: u32,
-    delta: u32,
-    theta: f64,
-    f: &mut dyn FnMut(&[VertexId]) -> bool,
-) -> bool {
-    for sizes in max_pro_fair_size_vectors(counts, k, delta, theta) {
-        if !for_each_sized_product(groups, &sizes, f) {
-            return false;
+        // W_cur at the root: every cover member.
+        for (i, x) in self.cur[..w].iter_mut().enumerate() {
+            let bits = self.members - 64 * i;
+            *x = if bits >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << bits) - 1
+            };
         }
+        self.picks.clear();
+        self.node(0, self.off[0], self.sizes[0], 0, tally, v)
     }
-    true
+
+    /// The DFS node choosing the next member of group `a` from position
+    /// `p` on, with `left` members of group `a` still to choose and
+    /// `W_cur` at depth `d`.
+    fn node(
+        &mut self,
+        mut a: usize,
+        mut p: usize,
+        mut left: u32,
+        d: usize,
+        tally: bool,
+        v: &mut dyn ProductVisitor,
+    ) -> bool {
+        while left == 0 {
+            a += 1;
+            if a == self.sizes.len() {
+                return self.leaf(d, tally, v);
+            }
+            p = self.off[a];
+            left = self.sizes[a];
+        }
+        let w = self.words;
+        let end = self.off[a + 1];
+        let cur = &self.cur[d * w..(d + 1) * w];
+        let suffix = &self.suffix[p * w..(p + 1) * w];
+        let tail = &self.tail[(a + 1) * w..(a + 2) * w];
+        if (0..w).any(|i| cur[i] & suffix[i] & tail[i] != 0) {
+            return v.skip();
+        }
+        if tally && cur.iter().map(|x| x.count_ones() as usize).sum::<usize>() <= TALLY_COVER {
+            match self.count_kept(a, p, left, d) {
+                Some(0) => return v.skip(),
+                Some(n) => {
+                    if let Some(go_on) = v.tally(n) {
+                        self.tallied += 1;
+                        return go_on;
+                    }
+                }
+                None => {}
+            }
+        }
+        if end - p == left as usize {
+            // The rest of group `a` is the only way to finish it: take
+            // it in one step.
+            let (done, next) = self.cur.split_at_mut((d + 1) * w);
+            let suffix = &self.suffix[p * w..(p + 1) * w];
+            for ((x, c), s) in next[..w].iter_mut().zip(&done[d * w..]).zip(suffix) {
+                *x = c & s;
+            }
+            let base = self.picks.len();
+            self.picks.extend_from_slice(&self.flat[p..end]);
+            let go_on = self.node(a, end, 0, d + 1, tally, v);
+            self.picks.truncate(base);
+            return go_on;
+        }
+        for q in p..=end - left as usize {
+            let (done, next) = self.cur.split_at_mut((d + 1) * w);
+            let row = &self.rows[q * w..(q + 1) * w];
+            for ((x, c), r) in next[..w].iter_mut().zip(&done[d * w..]).zip(row) {
+                *x = c & r;
+            }
+            self.picks.push(self.flat[q]);
+            let go_on = self.node(a, q + 1, left - 1, d + 1, tally, v);
+            self.picks.pop();
+            if !go_on {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn leaf(&mut self, d: usize, tally: bool, v: &mut dyn ProductVisitor) -> bool {
+        self.leaves += 1;
+        let w = self.words;
+        if self.cur[d * w..(d + 1) * w].iter().any(|&c| c != 0) {
+            return v.skip();
+        }
+        if tally {
+            if let Some(go_on) = v.tally(1) {
+                return go_on;
+            }
+        }
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.picks);
+        self.sorted.sort_unstable();
+        v.keep(&self.sorted)
+    }
+
+    /// The number of kept subsets below node `(a, p, left)` at depth
+    /// `d`, whose `W_cur` has at most [`TALLY_COVER`] members:
+    /// `Σ_{T ⊆ W_cur} (−1)^{|T|} Π_segments C(|segment ∩ N(T)|, need)`,
+    /// over the segments still to choose from (the rest of group `a`,
+    /// then every later group with a positive size). `None` when a term
+    /// overflows `u64`.
+    fn count_kept(&self, a: usize, p: usize, left: u32, d: usize) -> Option<u64> {
+        let w = self.words;
+        // The members of W_cur, as (word, bit).
+        let mut members = [(0usize, 0u64); TALLY_COVER];
+        let mut m = 0;
+        for (i, &word) in self.cur[d * w..(d + 1) * w].iter().enumerate() {
+            let mut x = word;
+            while x != 0 {
+                members[m] = (i, x & x.wrapping_neg());
+                m += 1;
+                x &= x - 1;
+            }
+        }
+        let subsets = 1usize << m;
+        let mut terms = [1u64; 1 << TALLY_COVER];
+        let mut segment = |lo: usize, hi: usize, need: u32| -> Option<()> {
+            // hist[s]: positions adjacent to exactly the members in s.
+            let mut hist = [0u64; 1 << TALLY_COVER];
+            for q in lo..hi {
+                let row = &self.rows[q * w..(q + 1) * w];
+                let s = members[..m]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &(i, bit))| row[i] & bit != 0)
+                    .fold(0, |s, (j, _)| s | 1 << j);
+                hist[s] += 1;
+            }
+            for (t, term) in terms[..subsets].iter_mut().enumerate() {
+                let adjacent: u64 = (0..subsets).filter(|s| s & t == t).map(|s| hist[s]).sum();
+                *term = term.checked_mul(binomial(adjacent, u64::from(need))?)?;
+            }
+            Some(())
+        };
+        segment(p, self.off[a + 1], left)?;
+        for b in a + 1..self.sizes.len() {
+            if self.sizes[b] > 0 {
+                segment(self.off[b], self.off[b + 1], self.sizes[b])?;
+            }
+        }
+        let signed: i128 = terms[..subsets]
+            .iter()
+            .enumerate()
+            .map(|(t, &x)| {
+                let x = i128::from(x);
+                if t.count_ones() % 2 == 0 {
+                    x
+                } else {
+                    -x
+                }
+            })
+            .sum();
+        u64::try_from(signed).ok()
+    }
 }
 
-/// Collecting wrapper around [`for_each_max_fair_subset`].
+/// `C(n, k)`, or `None` when it overflows `u64`.
+fn binomial(n: u64, k: u64) -> Option<u64> {
+    if k > n {
+        return Some(0);
+    }
+    let k = k.min(n - k);
+    let mut r = 1u64;
+    for i in 1..=k {
+        // r·(n−k+i)/i = C(n−k+i, i), an integer at every step.
+        r = u64::try_from(u128::from(r) * u128::from(n - k + i) / u128::from(i)).ok()?;
+    }
+    Some(r)
+}
+
+/// All maximal (proportion-)fair subsets of the set whose members are
+/// given per attribute in `groups` (`Combination`, or with `theta` the
+/// exact `CombinationPro`), each sorted.
 pub fn max_fair_subsets(
     groups: &[&[VertexId]],
     k: u32,
@@ -523,7 +800,9 @@ pub fn max_fair_subsets(
     theta: Option<f64>,
 ) -> Vec<Vec<VertexId>> {
     let mut out = Vec::new();
-    for_each_max_fair_subset(groups, k, delta, theta, &mut |s| {
+    let mut comb = Combiner::default();
+    comb.load(groups);
+    comb.for_each_max_fair_subset(k, delta, theta, &mut |s| {
         out.push(s.to_vec());
         true
     });
@@ -649,44 +928,41 @@ mod tests {
 
     #[test]
     fn combination_sizes_formula() {
-        assert_eq!(combination_sizes(&[3, 10], 1, 1), Some(vec![3, 4]));
-        assert_eq!(combination_sizes(&[5, 2], 1, 1), Some(vec![3, 2]));
-        assert_eq!(combination_sizes(&[5, 2, 9], 1, 1), Some(vec![3, 2, 3]));
-        assert_eq!(combination_sizes(&[5, 1], 2, 1), None); // attr 1 below k
-        assert_eq!(combination_sizes(&[4, 4], 2, 0), Some(vec![4, 4]));
+        let sizes = |counts: &[u32], k, delta| {
+            let mut out = vec![7];
+            combination_sizes(counts, k, delta, &mut out).then_some(out)
+        };
+        assert_eq!(sizes(&[3, 10], 1, 1), Some(vec![3, 4]));
+        assert_eq!(sizes(&[5, 2], 1, 1), Some(vec![3, 2]));
+        assert_eq!(sizes(&[5, 2, 9], 1, 1), Some(vec![3, 2, 3]));
+        assert_eq!(sizes(&[5, 1], 2, 1), None); // attr 1 below k
+        assert_eq!(sizes(&[4, 4], 2, 0), Some(vec![4, 4]));
+    }
+
+    /// Every subset the product of `groups` keeps at `sizes`, in order.
+    fn product(groups: &[&[VertexId]], sizes: &[u32]) -> Vec<Vec<VertexId>> {
+        let mut comb = Combiner::default();
+        comb.load(groups);
+        let mut seen = Vec::new();
+        comb.for_each_product(sizes, &mut |s| {
+            seen.push(s.to_vec());
+            true
+        });
+        seen
     }
 
     #[test]
     fn ksubsets_enumeration() {
+        // One group: its k-subsets in lexicographic order.
         let items = [10u32, 20, 30, 40];
-        let mut seen = Vec::new();
-        for_each_ksubset(&items, 2, &mut |s| {
-            seen.push(s.to_vec());
-            true
-        });
+        let seen = product(&[&items], &[2]);
         assert_eq!(seen.len(), 6);
         assert_eq!(seen[0], vec![10, 20]);
+        assert_eq!(seen[1], vec![10, 30]);
         assert_eq!(seen[5], vec![30, 40]);
-        let mut n0 = 0;
-        for_each_ksubset(&items, 0, &mut |s| {
-            assert!(s.is_empty());
-            n0 += 1;
-            true
-        });
-        assert_eq!(n0, 1);
-        let mut n5 = 0;
-        for_each_ksubset(&items, 5, &mut |_| {
-            n5 += 1;
-            true
-        });
-        assert_eq!(n5, 0);
-        let mut n4 = 0;
-        for_each_ksubset(&items, 4, &mut |s| {
-            assert_eq!(s, &items);
-            n4 += 1;
-            true
-        });
-        assert_eq!(n4, 1);
+        assert_eq!(product(&[&items], &[0]), vec![Vec::<VertexId>::new()]);
+        assert!(product(&[&items], &[5]).is_empty());
+        assert_eq!(product(&[&items], &[4]), vec![items.to_vec()]);
     }
 
     #[test]
@@ -695,8 +971,10 @@ mod tests {
         // product immediately (budget enforcement path).
         let g0: Vec<VertexId> = (0..6).collect();
         let g1: Vec<VertexId> = (10..16).collect();
+        let mut comb = Combiner::default();
+        comb.load(&[&g0, &g1]);
         let mut n = 0;
-        let stopped = for_each_sized_product(&[&g0, &g1], &[3, 3], &mut |_| {
+        let stopped = comb.for_each_product(&[3, 3], &mut |_| {
             n += 1;
             n < 5
         });
@@ -704,7 +982,7 @@ mod tests {
         assert_eq!(n, 5, "stopped after the 5th emission");
         // And a full run visits C(6,3)^2 = 400 subsets.
         let mut total = 0;
-        let finished = for_each_sized_product(&[&g0, &g1], &[3, 3], &mut |s| {
+        let finished = comb.for_each_product(&[3, 3], &mut |s| {
             assert_eq!(s.len(), 6);
             total += 1;
             true
@@ -809,7 +1087,8 @@ mod tests {
             for s1 in 1..6u32 {
                 for delta in 0..3u32 {
                     let counts = [s0, s1];
-                    let plain = combination_sizes(&counts, 1, delta).unwrap();
+                    let mut plain = Vec::new();
+                    assert!(combination_sizes(&counts, 1, delta, &mut plain));
                     let pro = max_pro_fair_size_vectors(&counts, 1, delta, 0.0);
                     assert_eq!(pro, vec![plain]);
                 }

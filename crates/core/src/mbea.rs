@@ -187,6 +187,7 @@ impl<'a> Walker<'a> {
             aborted: self.clock.exhausted,
             stop: self.clock.stop_reason(),
             peak_search_bytes: self.peak_bytes,
+            ..EnumStats::default()
         }
     }
 

@@ -50,6 +50,7 @@ pub(crate) fn nsf(
         aborted: s.clock.exhausted,
         stop: s.clock.stop_reason(),
         peak_search_bytes: 0,
+        ..EnumStats::default()
     }
 }
 

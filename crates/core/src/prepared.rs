@@ -229,7 +229,7 @@ impl PreparedQuery {
     ///
     /// The run is recorded as one `enumerate` span of `rec`, carrying
     /// the run's [`EnumStats`] as `threads= nodes= emitted= aborted=
-    /// peak_bytes=` detail. Spans are recorded only at this
+    /// peak_bytes= subsets= tallied=` detail. Spans are recorded only at this
     /// single-threaded orchestration boundary — never inside the
     /// parallel workers — so the recorder cannot perturb enumeration.
     pub fn stream<S: BicliqueSink + Send>(
@@ -250,12 +250,14 @@ impl PreparedQuery {
         });
         rec.annotate_last(|| {
             format!(
-                "threads={} nodes={} emitted={} aborted={} peak_bytes={}",
+                "threads={} nodes={} emitted={} aborted={} peak_bytes={} subsets={} tallied={}",
                 cfg.threads.max(1),
                 stats.nodes,
                 stats.emitted,
                 stats.aborted,
-                stats.peak_search_bytes
+                stats.peak_search_bytes,
+                stats.subsets,
+                stats.tallied
             )
         });
         (sinks, stats)
@@ -408,7 +410,7 @@ impl<'g> Expansion<'g> {
         clock: BudgetClock,
     ) -> Self {
         let (p, theta) = (model.base(), model.theta());
-        let ss = |clock| SsExpander::with_clock(g, p, theta, plan.ops(g, Side::Lower), clock);
+        let ss = |clock| SsExpander::new(g, p, theta, clock);
         if model.is_bi_side() {
             let bi =
                 BiSideExpander::with_clock(g, p, theta, plan.ops(g, Side::Upper), clock.clone());
@@ -428,17 +430,21 @@ impl<'g> Expansion<'g> {
     /// Add this expansion's final-stage emissions to `stats` and fold
     /// in each stage's stop state.
     fn settle(&self, stats: &mut EnumStats) {
-        match self {
+        let ss = match self {
             Expansion::Ss(ss) => {
                 stats.emitted += ss.emitted;
-                ss.clock.settle(stats);
+                ss
             }
             Expansion::Bi(ss, bi) => {
                 stats.emitted += bi.emitted;
-                ss.clock.settle(stats);
                 bi.clock.settle(stats);
+                ss
             }
-        }
+        };
+        ss.clock.settle(stats);
+        let (subsets, tallied) = ss.search_counts();
+        stats.subsets += subsets;
+        stats.tallied += tallied;
     }
 }
 

@@ -5,10 +5,10 @@
 use bigraph::{BipartiteGraph, GraphBuilder};
 use fair_biclique::biclique::{Biclique, CollectSink};
 use fair_biclique::config::{
-    Budget, FairParams, ProParams, PruneKind, RunConfig, Substrate, VertexOrder,
+    Budget, FairParams, ProParams, PruneKind, RunConfig, StopReason, Substrate, VertexOrder,
 };
 use fair_biclique::pipeline::{enumerate, run, Algorithm};
-use fair_biclique::prepared::QueryModel;
+use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use fair_biclique::verify::oracle;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -142,5 +142,41 @@ proptest! {
         maximal_bicliques(&g, min_l, min_r, VertexOrder::DegreeDesc, Budget::UNLIMITED, Substrate::Auto, &mut sink);
         let got: BTreeSet<Biclique> = sink.bicliques.into_iter().collect();
         prop_assert_eq!(&got, &want);
+    }
+
+    /// Count mode, where whole subtrees are tallied, counts what the
+    /// oracle enumerates, for all four models at 1 and 3 threads; and a
+    /// result cap `K` yields exactly `min(K, total)` with the cap
+    /// reported iff it cut something off.
+    #[test]
+    fn count_mode_matches_oracle_and_honours_result_caps(
+        g in graph_strategy(7, 9),
+        (a, b, d) in (1u32..3, 0u32..3, 0u32..3),
+        theta in prop_oneof![Just(0.0), Just(0.3), Just(0.5)],
+    ) {
+        let fair = FairParams::unchecked(a, b, d);
+        let pro = ProParams::new(a, b, d, theta).unwrap();
+        let models = [
+            QueryModel::Ssfbc(fair),
+            QueryModel::Bsfbc(fair),
+            QueryModel::Pssfbc(pro),
+            QueryModel::Pbsfbc(pro),
+        ];
+        for model in models {
+            let total = oracle(&g, model).len() as u64;
+            let prepared = PreparedQuery::prepare(&g, model, PruneKind::default(), Substrate::Auto);
+            for threads in [1usize, 3] {
+                let cfg = RunConfig { threads, ..RunConfig::default() };
+                let counted = prepared.count(&cfg);
+                prop_assert_eq!(counted.stats.emitted, total, "{} threads {}", model, threads);
+                prop_assert_eq!(counted.truncated_by, None);
+                for k in [0, 1, total / 2, total] {
+                    let capped = prepared.count(&RunConfig { budget: Budget::results(k), ..cfg.clone() });
+                    prop_assert_eq!(capped.stats.emitted, k.min(total), "{} threads {} K {}", model, threads, k);
+                    let want_stop = (k < total).then_some(StopReason::ResultCap);
+                    prop_assert_eq!(capped.truncated_by, want_stop, "{} threads {} K {}", model, threads, k);
+                }
+            }
+        }
     }
 }
