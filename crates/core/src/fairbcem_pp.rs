@@ -69,9 +69,7 @@
 
 use crate::biclique::BicliqueSink;
 use crate::config::{BudgetClock, FairParams};
-use crate::fairset::{
-    is_fair_with, max_pro_fair_size_vectors, AttrCounts, Combiner, ProductVisitor,
-};
+use crate::fairset::{combination_vectors, is_fair_with, AttrCounts, Combiner, ProductVisitor};
 use bigraph::{AttrValueId, BipartiteGraph, Side, VertexId};
 
 /// `CoverScratch::mark` of an upper vertex the expansion has not met,
@@ -97,6 +95,8 @@ pub(crate) struct SsExpander<'a> {
     counts: AttrCounts,
     /// `R` grouped by attribute, and the product DFS over the groups.
     comb: Combiner,
+    /// The expansion's size vectors, back to back.
+    vectors: Vec<u32>,
     cover: CoverScratch,
     /// Budget over expansion steps: a single `Combination` can produce
     /// binomially many subsets, so the walker's node budget alone
@@ -296,6 +296,7 @@ impl<'a> SsExpander<'a> {
             attrs: g.attrs(Side::Lower),
             counts: AttrCounts::zeros(n_attrs),
             comb: Combiner::default(),
+            vectors: Vec::new(),
             cover: CoverScratch::new(g, n_attrs),
             clock,
             emitted: 0,
@@ -323,8 +324,23 @@ impl<'a> SsExpander<'a> {
         }
         // Expand into maximal fair subsets (Algorithm 7), filtered by
         // the cover of each size vector (module docs).
-        self.comb
-            .load_by_attr(r, self.attrs, self.counts.as_slice().len());
+        let (comb, cover, g) = (&mut self.comb, &mut self.cover, self.g);
+        let n = self.counts.as_slice().len();
+        comb.load_by_attr(r, self.attrs, n);
+        let vectors = &mut self.vectors;
+        combination_vectors(comb.counts(), beta, delta, self.theta, vectors);
+        if vectors.is_empty() {
+            return;
+        }
+        // One candidate collection serves every size vector.
+        cover.k_min.clear();
+        cover.k_min.extend_from_slice(&vectors[..n]);
+        for sizes in vectors.chunks(n).skip(1) {
+            for (k, &s) in cover.k_min.iter_mut().zip(sizes) {
+                *k = (*k).min(s);
+            }
+        }
+        cover.collect(g, self.attrs, l, comb);
         let tally = sink.tally(0);
         let mut emit = Emit {
             l,
@@ -332,36 +348,13 @@ impl<'a> SsExpander<'a> {
             clock: &mut self.clock,
             emitted: &mut self.emitted,
         };
-        let (comb, cover, g) = (&mut self.comb, &mut self.cover, self.g);
-        match self.theta {
-            None => {
-                if comb.set_combination_sizes(beta, delta) {
-                    cover.k_min.clear();
-                    cover.k_min.extend_from_slice(comb.sizes());
-                    cover.collect(g, self.attrs, l, comb);
-                    cover.run(g, comb, tally, &mut emit);
-                }
-            }
-            Some(t) => {
-                let vectors = max_pro_fair_size_vectors(comb.counts(), beta, delta, t);
-                if let Some((first, rest)) = vectors.split_first() {
-                    cover.k_min.clone_from(first);
-                    for sizes in rest {
-                        for (k, &s) in cover.k_min.iter_mut().zip(sizes) {
-                            *k = (*k).min(s);
-                        }
-                    }
-                    cover.collect(g, self.attrs, l, comb);
-                    for sizes in &vectors {
-                        comb.set_sizes(sizes);
-                        if !cover.run(g, comb, tally, &mut emit) {
-                            break;
-                        }
-                    }
-                }
+        for sizes in vectors.chunks(n) {
+            comb.set_sizes(sizes);
+            if !cover.run(g, comb, tally, &mut emit) {
+                break;
             }
         }
-        self.cover.reset(l, &self.comb);
+        cover.reset(l, comb);
     }
 }
 

@@ -47,7 +47,7 @@
 //!
 //! The enumerators take `θ` as an `Option<f64>` next to `(k, δ)`:
 //! `None` is the absolute model, `Some(θ)` the proportion model, even at
-//! `θ = 0`. `Combiner::for_each_max_fair_subset` is the one place that picks
+//! `θ = 0`. `combination_vectors` is the one place that picks
 //! `Combination` or `CombinationPro`; the latter is the exact lattice
 //! search for any attribute-domain size, equal to the paper's closed
 //! form on its two-value domains (property-tested).
@@ -295,19 +295,29 @@ pub fn combination_pro_paper_sizes(
 /// All maximal proportion-fair size vectors for availabilities
 /// `counts`: size vectors `c` with `k ≤ c_i ≤ counts_i`, fair spread,
 /// every ratio `≥ θ`, and no componentwise-larger feasible vector.
+/// They are written to `out` one after another, `counts.len()` entries
+/// each, in lexicographic order.
 ///
 /// This is the exact `CombinationPro` used by the enumerators; the
 /// feasible lattice is tiny (`O(msize·(δ+1)^n)`) because the spread
 /// constraint pins all components within `δ` of the minimum.
-pub fn max_pro_fair_size_vectors(counts: &[u32], k: u32, delta: u32, theta: f64) -> Vec<Vec<u32>> {
+pub fn max_pro_fair_size_vectors(
+    counts: &[u32],
+    k: u32,
+    delta: u32,
+    theta: f64,
+    out: &mut Vec<u32>,
+) {
     debug_assert!(!counts.is_empty());
+    out.clear();
+    let n = counts.len();
     let msize = *counts.iter().min().expect("non-empty counts");
     if msize < k {
-        return Vec::new();
+        return;
     }
     // Enumerate all feasible vectors, pruning by the spread constraint.
-    let mut feasible: Vec<Vec<u32>> = Vec::new();
-    let mut cur = vec![0u32; counts.len()];
+    // The vector being built is the last `n` entries of `out`; a
+    // feasible one is kept by appending a copy to build on.
     #[allow(clippy::too_many_arguments)]
     fn rec(
         counts: &[u32],
@@ -317,14 +327,15 @@ pub fn max_pro_fair_size_vectors(counts: &[u32], k: u32, delta: u32, theta: f64)
         i: usize,
         lo_seen: u32,
         hi_seen: u32,
-        cur: &mut Vec<u32>,
-        out: &mut Vec<Vec<u32>>,
+        out: &mut Vec<u32>,
     ) {
-        if i == counts.len() {
-            let total: u32 = cur.iter().sum();
-            let min = *cur.iter().min().expect("non-empty");
+        let n = counts.len();
+        let cur = out.len() - n;
+        if i == n {
+            let total: u32 = out[cur..].iter().sum();
+            let min = *out[cur..].iter().min().expect("non-empty");
             if total == 0 || ratio_ok(min, total, theta) {
-                out.push(cur.clone());
+                out.extend_from_within(cur..);
             }
             return;
         }
@@ -332,9 +343,9 @@ pub fn max_pro_fair_size_vectors(counts: &[u32], k: u32, delta: u32, theta: f64)
         // everything chosen so far.
         let lo = k.max(hi_seen.saturating_sub(delta));
         let hi = counts[i].min(lo_seen.saturating_add(delta));
-        let mut c = lo;
-        while c <= hi {
-            cur[i] = c;
+        for c in lo..=hi {
+            let cur = out.len() - n;
+            out[cur + i] = c;
             rec(
                 counts,
                 k,
@@ -343,35 +354,53 @@ pub fn max_pro_fair_size_vectors(counts: &[u32], k: u32, delta: u32, theta: f64)
                 i + 1,
                 lo_seen.min(c),
                 hi_seen.max(c),
-                cur,
                 out,
             );
-            c += 1;
         }
     }
-    rec(
-        counts,
-        k,
-        delta,
-        theta,
-        0,
-        u32::MAX,
-        0,
-        &mut cur,
-        &mut feasible,
-    );
+    out.resize(n, 0);
+    rec(counts, k, delta, theta, 0, u32::MAX, 0, out);
+    out.truncate(out.len() - n);
 
-    // Keep only the maximal elements of the componentwise order.
-    let mut maximal: Vec<Vec<u32>> = Vec::new();
-    'outer: for v in &feasible {
-        for w in &feasible {
-            if w != v && v.iter().zip(w).all(|(a, b)| a <= b) {
-                continue 'outer;
+    // Keep only the maximal elements of the componentwise order, in
+    // place and in order. A vector dominated by a dropped one is also
+    // dominated by a maximal one, which is either already kept or not
+    // yet visited, so checking those two ranges suffices.
+    let total = out.len() / n;
+    let dominates = |w: &[u32], v: &[u32]| w != v && v.iter().zip(w).all(|(a, b)| a <= b);
+    let mut kept = 0;
+    for i in 0..total {
+        let v = &out[i * n..(i + 1) * n];
+        let dominated = (0..kept)
+            .chain(i + 1..total)
+            .any(|j| dominates(&out[j * n..(j + 1) * n], v));
+        if !dominated {
+            out.copy_within(i * n..(i + 1) * n, kept * n);
+            kept += 1;
+        }
+    }
+    out.truncate(kept * n);
+}
+
+/// The size vectors of `Combination` (its unique one), or with `theta`
+/// of `CombinationPro`, written to `out` back to back; empty when no
+/// (proportion-)fair subset exists. The one place that picks between
+/// the two.
+pub(crate) fn combination_vectors(
+    counts: &[u32],
+    k: u32,
+    delta: u32,
+    theta: Option<f64>,
+    out: &mut Vec<u32>,
+) {
+    match theta {
+        None => {
+            if !combination_sizes(counts, k, delta, out) {
+                out.clear();
             }
         }
-        maximal.push(v.clone());
+        Some(t) => max_pro_fair_size_vectors(counts, k, delta, t, out),
     }
-    maximal
 }
 
 /// At most this many cover members at a node let the product DFS count
@@ -429,8 +458,10 @@ pub(crate) struct Combiner {
     off: Vec<usize>,
     /// Group sizes.
     counts: Vec<u32>,
-    /// The size vector being enumerated.
+    /// The size vector being enumerated, and all of the expansion's
+    /// size vectors back to back.
     sizes: Vec<u32>,
+    vectors: Vec<u32>,
     /// Cover members, and `words = ⌈members/64⌉` words per bit row.
     members: usize,
     words: usize,
@@ -522,12 +553,6 @@ impl Combiner {
         self.sizes.extend_from_slice(sizes);
     }
 
-    /// Set `Combination`'s unique size vector for the loaded groups
-    /// ([`combination_sizes`]); false when no fair subset exists.
-    pub(crate) fn set_combination_sizes(&mut self, k: u32, delta: u32) -> bool {
-        combination_sizes(&self.counts, k, delta, &mut self.sizes)
-    }
-
     /// Install a cover of `members` vertices and return its bit rows,
     /// zeroed, one row of `⌈members/64⌉` words per position, for the
     /// caller to fill. `cover(0)` removes the cover.
@@ -551,16 +576,14 @@ impl Combiner {
         f: &mut dyn FnMut(&[VertexId]) -> bool,
     ) -> bool {
         self.cover(0);
-        let mut each = EachSubset(f);
-        match theta {
-            None => !self.set_combination_sizes(k, delta) || self.run(false, &mut each),
-            Some(t) => max_pro_fair_size_vectors(&self.counts, k, delta, t)
-                .iter()
-                .all(|sizes| {
-                    self.set_sizes(sizes);
-                    self.run(false, &mut each)
-                }),
-        }
+        let mut vectors = std::mem::take(&mut self.vectors);
+        combination_vectors(&self.counts, k, delta, theta, &mut vectors);
+        let go_on = vectors.chunks(self.counts.len()).all(|sizes| {
+            self.set_sizes(sizes);
+            self.run(false, &mut EachSubset(f))
+        });
+        self.vectors = vectors;
+        go_on
     }
 
     /// The product of `sizes[a]`-subsets of the loaded groups, without a
@@ -939,6 +962,13 @@ mod tests {
         assert_eq!(sizes(&[4, 4], 2, 0), Some(vec![4, 4]));
     }
 
+    /// [`max_pro_fair_size_vectors`], one `Vec` per vector.
+    fn lattice(counts: &[u32], k: u32, delta: u32, theta: f64) -> Vec<Vec<u32>> {
+        let mut out = vec![9; 4];
+        max_pro_fair_size_vectors(counts, k, delta, theta, &mut out);
+        out.chunks(counts.len()).map(<[u32]>::to_vec).collect()
+    }
+
     /// Every subset the product of `groups` keeps at `sizes`, in order.
     fn product(groups: &[&[VertexId]], sizes: &[u32]) -> Vec<Vec<VertexId>> {
         let mut comb = Combiner::default();
@@ -1027,7 +1057,7 @@ mod tests {
                     for delta in 0..3u32 {
                         for theta in [0.3, 0.4, 0.45, 0.5] {
                             let counts = [s0, s1];
-                            let lattice = max_pro_fair_size_vectors(&counts, k, delta, theta);
+                            let lattice = lattice(&counts, k, delta, theta);
                             let paper = combination_pro_paper_sizes(&counts, k, delta, theta);
                             match paper {
                                 Some(sz) => {
@@ -1054,7 +1084,7 @@ mod tests {
         let counts = [6u32, 4, 9];
         for theta in [0.0, 0.2, 0.3] {
             for delta in 0..3u32 {
-                let vecs = max_pro_fair_size_vectors(&counts, 1, delta, theta);
+                let vecs = lattice(&counts, 1, delta, theta);
                 for v in &vecs {
                     assert!(is_fair_pro(v, 1, delta, theta), "{v:?}");
                     assert!(v.iter().zip(&counts).all(|(a, b)| a <= b));
@@ -1089,7 +1119,7 @@ mod tests {
                     let counts = [s0, s1];
                     let mut plain = Vec::new();
                     assert!(combination_sizes(&counts, 1, delta, &mut plain));
-                    let pro = max_pro_fair_size_vectors(&counts, 1, delta, 0.0);
+                    let pro = lattice(&counts, 1, delta, 0.0);
                     assert_eq!(pro, vec![plain]);
                 }
             }
