@@ -187,6 +187,20 @@ for model in "" "--bi"; do
     done
 done
 
+step "smoke: fbe prune — FCore and colorful cores, single- and bi-side, equal tests/golden/prune_smoke.txt"
+# The golden file holds one line per (alpha, beta), kind and side, in
+# this loop's order.
+for ab in "2 1" "3 2"; do
+    read -r a b <<< "$ab"
+    for kind in fcore colorful; do
+        for bi in "" "--bi"; do
+            # shellcheck disable=SC2086 # $bi holds zero or one word
+            "$bindir/fbe" prune "$smokedir/g" --alpha "$a" --beta "$b" --kind "$kind" $bi
+        done
+    done
+done > "$smokedir/prune.out"
+diff tests/golden/prune_smoke.txt "$smokedir/prune.out"
+
 step "smoke: fbe serve — scripted session (cache hit + mutations + shutdown)"
 # The smoke graph from above is reused; the server picks an ephemeral
 # port and prints it, the client script LOADs, runs the same query

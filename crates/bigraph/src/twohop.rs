@@ -76,22 +76,28 @@ fn construct_2hop_bitset(g: &BipartiteGraph, fair_side: Side, alpha: usize) -> U
             }
         }
     }
-    UniGraph::from_edges(
-        g.n_attr_values(fair_side),
-        g.attrs(fair_side).to_vec(),
-        &edges,
-    )
+    projection(g, fair_side, &edges)
 }
 
 /// Counting-pass 2-hop (the classic `O(Σ_u d(u)²)` construction).
 fn construct_2hop_counting(g: &BipartiteGraph, fair_side: Side, alpha: usize) -> UniGraph {
-    let n = g.n(fair_side);
-    let alpha = alpha.max(1);
-    let mut count = vec![0u32; n];
+    let edges = count_2hop_range(g, fair_side, alpha.max(1), 0..g.n(fair_side) as VertexId);
+    projection(g, fair_side, &edges)
+}
+
+/// The counting pass over the fair-side vertices `range`: the edges
+/// `(w, v)` with `v` in `range`, `w < v` and at least `alpha` common
+/// neighbours.
+fn count_2hop_range(
+    g: &BipartiteGraph,
+    fair_side: Side,
+    alpha: usize,
+    range: std::ops::Range<VertexId>,
+) -> Vec<(VertexId, VertexId)> {
+    let mut count = vec![0u32; g.n(fair_side)];
     let mut touched: Vec<VertexId> = Vec::new();
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-
-    for v in 0..n as VertexId {
+    for v in range {
         debug_assert!(touched.is_empty());
         for &u in g.neighbors(fair_side, v) {
             for &w in g.neighbors(fair_side.other(), u) {
@@ -112,11 +118,16 @@ fn construct_2hop_counting(g: &BipartiteGraph, fair_side: Side, alpha: usize) ->
         }
         touched.clear();
     }
+    edges
+}
 
+/// `H` on `fair_side` of `g` with `edges`: vertex ids and attributes
+/// are those of `fair_side`.
+fn projection(g: &BipartiteGraph, fair_side: Side, edges: &[(VertexId, VertexId)]) -> UniGraph {
     UniGraph::from_edges(
         g.n_attr_values(fair_side),
         g.attrs(fair_side).to_vec(),
-        &edges,
+        edges,
     )
 }
 
@@ -164,12 +175,7 @@ pub fn construct_2hop_biside(g: &BipartiteGraph, fair_side: Side, alpha: usize) 
         }
         touched.clear();
     }
-
-    UniGraph::from_edges(
-        g.n_attr_values(fair_side),
-        g.attrs(fair_side).to_vec(),
-        &edges,
-    )
+    projection(g, fair_side, &edges)
 }
 
 /// Parallel [`construct_2hop`]: partitions the fair side across
@@ -194,48 +200,19 @@ pub fn construct_2hop_par(
         return construct_2hop(g, fair_side, alpha);
     }
     let chunk = n.div_ceil(n_threads);
-    let mut all_edges: Vec<Vec<(VertexId, VertexId)>> = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..n_threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            handles.push(s.spawn(move || {
-                let mut count = vec![0u32; n];
-                let mut touched: Vec<VertexId> = Vec::new();
-                let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-                for v in lo as VertexId..hi as VertexId {
-                    for &u in g.neighbors(fair_side, v) {
-                        for &w in g.neighbors(fair_side.other(), u) {
-                            if w != v {
-                                if count[w as usize] == 0 {
-                                    touched.push(w);
-                                }
-                                count[w as usize] += 1;
-                            }
-                        }
-                    }
-                    for &w in &touched {
-                        if w < v && count[w as usize] as usize >= alpha {
-                            edges.push((w, v));
-                        }
-                        count[w as usize] = 0;
-                    }
-                    touched.clear();
-                }
-                edges
-            }));
-        }
-        for h in handles {
-            all_edges.push(h.join().expect("2-hop worker panicked"));
-        }
+    let edges: Vec<(VertexId, VertexId)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..n_threads)
+            .map(|t| {
+                let range = (t * chunk) as VertexId..((t + 1) * chunk).min(n) as VertexId;
+                s.spawn(move || count_2hop_range(g, fair_side, alpha, range))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("2-hop worker panicked"))
+            .collect()
     });
-    let edges: Vec<(VertexId, VertexId)> = all_edges.concat();
-    UniGraph::from_edges(
-        g.n_attr_values(fair_side),
-        g.attrs(fair_side).to_vec(),
-        &edges,
-    )
+    projection(g, fair_side, &edges)
 }
 
 #[cfg(test)]

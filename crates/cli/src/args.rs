@@ -298,9 +298,13 @@ fn parse_prune(c: &mut Cursor<'_>) -> Result<Command, String> {
             other => return Err(format!("prune: unknown argument {other:?}")),
         }
     }
+    let alpha = alpha.ok_or("prune: --alpha required")?;
+    if alpha == 0 {
+        return Err("prune: alpha must be >= 1".into());
+    }
     Ok(Command::Prune {
         source,
-        alpha: alpha.ok_or("prune: --alpha required")?,
+        alpha,
         beta: beta.ok_or("prune: --beta required")?,
         bi,
         kind,

@@ -224,7 +224,7 @@ fn prune(
     kind: fair_biclique::config::PruneKind,
 ) -> Result<String, String> {
     let g = load(source)?;
-    let params = FairParams::new(alpha.max(1), beta, 0).map_err(|e| e.to_string())?;
+    let params = FairParams::new(alpha, beta, 0).map_err(|e| e.to_string())?;
     let model = if bi {
         QueryModel::Bsfbc(params)
     } else {

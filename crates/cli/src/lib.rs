@@ -412,6 +412,9 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("alpha"), "{err}");
+        // prune refuses alpha = 0 the same way (it once ran as 1).
+        let err = run(&sv(&["prune", "/tmp/x", "--alpha", "0", "--beta", "1"])).unwrap_err();
+        assert!(err.contains("prune: alpha must be >= 1"), "{err}");
         // The proportion models have no baselines: --theta with a
         // non-default --algo is refused, not run as bcem++.
         let err = run(&sv(&[

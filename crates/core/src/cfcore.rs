@@ -17,6 +17,9 @@
 //! 5. remove the peeled fair-side vertices from the bipartite graph and
 //!    run `FCore` once more.
 //!
+//! Steps 3–4 are `colorful_mask`, which `BCFCore`
+//! ([`crate::bfcore`]) runs on its bi-side 2-hop graphs too.
+//!
 //! Losslessness: a vertex removed here is in no *maximal* fair biclique
 //! (Lemma 2); and any witness that would extend a candidate biclique is
 //! itself inside a maximal fair biclique, hence inside this core — so
@@ -24,7 +27,7 @@
 //! original.
 
 use crate::config::{BudgetClock, FairParams, StopReason};
-use crate::fcore::{compact, compose, fcore, stats_of, PruneOutcome};
+use crate::fcore::{compose, core_prune, stats_of, PruneOutcome};
 use crate::obs::SpanRecorder;
 use bigraph::coloring::greedy_color_by_degree;
 use bigraph::subgraph::induce;
@@ -104,6 +107,23 @@ pub fn ego_colorful_core(h: &UniGraph, k: u32) -> Vec<bool> {
     alive
 }
 
+/// The colorful stage on a fair side's 2-hop graph `h` (steps 3–4 of
+/// the module docs): a fair clique has at least `A_n·k` vertices, so
+/// drop the `h`-vertices of degree `< A_n·k − 1`, peel the rest to the
+/// ego colorful `k`-core, and return the survivors as a mask over `h`.
+pub(crate) fn colorful_mask(h: &UniGraph, k: u32) -> Vec<bool> {
+    let deg_thresh = h.n_attr_values() as i64 * k as i64 - 1;
+    let keep_deg: Vec<bool> = (0..h.n() as VertexId)
+        .map(|v| h.degree(v) as i64 >= deg_thresh)
+        .collect();
+    let (h2, map) = h.induce(&keep_deg);
+    let mut keep = vec![false; h.n()];
+    for (alive, &old) in ego_colorful_core(&h2, k).into_iter().zip(&map) {
+        keep[old as usize] = alive;
+    }
+    keep
+}
+
 /// `CFCore` (Algorithm 2): colorful fair α-β core pruning for the
 /// single-side model.
 ///
@@ -121,11 +141,8 @@ pub(crate) fn cfcore(
 ) -> Result<PruneOutcome, StopReason> {
     let (alpha, beta) = (params.alpha, params.beta);
     // Stage 1: fair α-β core.
-    let s1 = rec.timed("core-peel", || {
-        fcore(g, alpha, beta, clock).map(|m| compact(g, m))
-    })?;
+    let s1 = rec.timed("core-peel", || core_prune(g, alpha, beta, false, clock))?;
     let g1 = &s1.sub.graph;
-    let n_attrs = g1.n_attr_values(Side::Lower) as i64;
     if let Some(r) = clock.interrupted() {
         return Err(r);
     }
@@ -144,35 +161,16 @@ pub(crate) fn cfcore(
         return Err(r);
     }
 
-    // Stages 3+4: fair cliques have >= A_n * beta vertices, so each
-    // member needs >= A_n * beta - 1 neighbors in H; then peel the
-    // reduced 2-hop graph to its ego colorful beta-core.
-    let (h2_map, ego_alive) = rec.timed("ego-core", || {
-        let deg_thresh = n_attrs * beta as i64 - 1;
-        let keep_deg: Vec<bool> = (0..h.n() as VertexId)
-            .map(|v| h.degree(v) as i64 >= deg_thresh)
-            .collect();
-        let (h2, h2_map) = h.induce(&keep_deg);
-        (h2_map, ego_colorful_core(&h2, beta))
-    });
+    // Stages 3+4: degree filter and ego colorful beta-core.
+    let keep_lower = rec.timed("ego-core", || colorful_mask(&h, beta));
     if let Some(r) = clock.interrupted() {
         return Err(r);
     }
 
-    // Stage 5: project survivors back to the bipartite graph and
-    // re-run FCore.
+    // Stage 5: drop the peeled fair-side vertices and re-run FCore.
     let (s2, s3) = rec.timed("re-peel", || {
-        let mut keep_lower = vec![false; g1.n_lower()];
-        for (i, &old) in h2_map.iter().enumerate() {
-            if ego_alive[i] {
-                keep_lower[old as usize] = true;
-            }
-        }
         let s2 = induce(g1, &vec![true; g1.n_upper()], &keep_lower);
-        fcore(&s2.graph, alpha, beta, clock).map(|m| {
-            let s3 = compact(&s2.graph, m);
-            (s2, s3)
-        })
+        core_prune(&s2.graph, alpha, beta, false, clock).map(|s3| (s2, s3))
     })?;
 
     let total = compose(&s1.sub, compose(&s2, s3.sub));

@@ -19,8 +19,8 @@
 //!   either endpoint is outside `C` the induced core subgraph does not
 //!   contain the edge and `C` itself is still fair and maximal in
 //!   `G'`, so nothing changes at all. Otherwise decrement the two
-//!   endpoint counters and cascade the classic Batagelj–Zaversnik peel
-//!   from the endpoints — exactly the vertices whose support transited
+//!   endpoint counters and cascade the Batagelj–Zaversnik peel from
+//!   the endpoints — exactly the vertices whose support transited
 //!   below threshold are touched.
 //! * **Insertion of `(u, v)`.** Cores only grow. A vertex `j ∉ C` can
 //!   join only if its deficit is covered by other joiners or by the
@@ -38,6 +38,12 @@
 //!   constraints hold (`β = 0` upper / `α = 0` lower); no other
 //!   membership can change.
 //!
+//! The tracker's state is the one-shot peel's own
+//! ([`crate::fcore`]'s `FairPeel`), and both repairs drain the same
+//! cascade. The peel's live-counter invariant — every member's
+//! counters count exactly its member neighbours — holds when a cascade
+//! drains, so it holds between updates with no recount.
+//!
 //! The reported [`UpdateEffect`] is the dirty region: every vertex
 //! whose membership changed, plus whether the updated edge itself lies
 //! inside the core. The service invalidates a cached plan **only**
@@ -47,6 +53,7 @@
 //! colorful cores are subsets of it), so the plan's enumeration output
 //! is provably byte-identical and the plan stays resident.
 
+use crate::fcore::FairPeel;
 use bigraph::{BipartiteGraph, Side, VertexId};
 
 /// The dirty region of one update at a fixed `(α, β)`.
@@ -78,125 +85,72 @@ impl UpdateEffect {
 }
 
 /// Incrementally maintained fair α-β core membership of one graph at
-/// one `(α, β)` pair.
-///
-/// Invariants between updates: `alive_*` are exactly the FCore masks
-/// of the current graph; for every member, `attr_deg` / `deg` count
-/// **member** neighbors only (dead vertices' counters are stale, as in
-/// the one-shot peel).
+/// one `(α, β)` pair: the state of an `FCore` peel, kept between
+/// updates (masks are exactly the FCore masks of the current graph).
 #[derive(Debug, Clone)]
 pub struct CoreTracker {
-    alpha: u32,
-    beta: u32,
-    /// Lower-side attribute domain size (`max(1)`).
-    n_attrs: usize,
-    alive_u: Vec<bool>,
-    alive_v: Vec<bool>,
-    /// Member attribute degrees of upper members, `[u * n_attrs + a]`.
-    attr_deg: Vec<u32>,
-    /// Member degrees of lower members.
-    deg: Vec<u32>,
+    peel: FairPeel,
 }
 
 impl CoreTracker {
-    /// Full peel of `g` (one-shot [`crate::fcore::fcore_masks`]) plus
-    /// the counter state needed to repair later updates.
+    /// Full peel of `g` (the one-shot [`crate::fcore::fcore_masks`]
+    /// peel), whose counters later updates repair.
     pub fn new(g: &BipartiteGraph, alpha: u32, beta: u32) -> CoreTracker {
-        let (alive_u, alive_v) = crate::fcore::fcore_masks(g, alpha, beta);
-        let n_attrs = (g.n_attr_values(Side::Lower) as usize).max(1);
-        let lower_attrs = g.attrs(Side::Lower);
-        let mut attr_deg = vec![0u32; g.n_upper() * n_attrs];
-        let mut deg = vec![0u32; g.n_lower()];
-        for u in 0..g.n_upper() as VertexId {
-            if !alive_u[u as usize] {
-                continue;
-            }
-            for &v in g.neighbors(Side::Upper, u) {
-                if alive_v[v as usize] {
-                    attr_deg[u as usize * n_attrs + lower_attrs[v as usize] as usize] += 1;
-                    deg[v as usize] += 1;
-                }
-            }
-        }
-        CoreTracker {
-            alpha,
-            beta,
-            n_attrs,
-            alive_u,
-            alive_v,
-            attr_deg,
-            deg,
-        }
+        let peel = FairPeel::peel(g, alpha, beta, false, None)
+            .expect("a peel without a clock never interrupts");
+        CoreTracker { peel }
     }
 
     /// The `(α, β)` this tracker maintains.
     pub fn params(&self) -> (u32, u32) {
-        (self.alpha, self.beta)
+        self.peel.params()
     }
 
     /// Current membership masks `(upper, lower)`.
     pub fn masks(&self) -> (&[bool], &[bool]) {
-        (&self.alive_u, &self.alive_v)
+        (&self.peel.alive[0], &self.peel.alive[1])
     }
 
     /// Whether vertex `x` on `side` is currently a core member.
     pub fn in_core(&self, side: Side, x: VertexId) -> bool {
-        match side {
-            Side::Upper => self.alive_u[x as usize],
-            Side::Lower => self.alive_v[x as usize],
-        }
+        self.peel.alive[side as usize][x as usize]
     }
 
     /// Number of core members (upper + lower).
     pub fn members(&self) -> usize {
-        let count = |m: &[bool]| m.iter().filter(|&&a| a).count();
-        count(&self.alive_u) + count(&self.alive_v)
+        self.peel.alive.iter().flatten().filter(|&&a| a).count()
     }
 
-    fn upper_ok(&self, u: usize) -> bool {
-        self.attr_deg[u * self.n_attrs..(u + 1) * self.n_attrs]
-            .iter()
-            .all(|&d| d >= self.beta)
-    }
-
-    /// Cascade a peel from the seeds already pushed on `stack`
-    /// (vertices already marked dead), recording every death.
-    fn cascade(
+    /// Peel from `seeds` (live vertices to check, by side); `on_death`
+    /// sees every vertex the cascade kills.
+    fn repeel(
         &mut self,
         g: &BipartiteGraph,
-        stack: &mut Vec<(Side, VertexId)>,
-        died_u: &mut Vec<VertexId>,
-        died_v: &mut Vec<VertexId>,
+        seeds: [&[VertexId]; 2],
+        on_death: impl FnMut(Side, VertexId),
     ) {
-        let lower_attrs = g.attrs(Side::Lower);
-        while let Some((side, x)) = stack.pop() {
-            match side {
-                Side::Upper => {
-                    died_u.push(x);
-                    for &v in g.neighbors(Side::Upper, x) {
-                        if self.alive_v[v as usize] {
-                            self.deg[v as usize] -= 1;
-                            if self.deg[v as usize] < self.alpha {
-                                self.alive_v[v as usize] = false;
-                                stack.push((Side::Lower, v));
-                            }
-                        }
-                    }
-                }
-                Side::Lower => {
-                    died_v.push(x);
-                    let a = lower_attrs[x as usize] as usize;
-                    for &u in g.neighbors(Side::Lower, x) {
-                        if self.alive_u[u as usize] {
-                            let slot = u as usize * self.n_attrs + a;
-                            self.attr_deg[slot] -= 1;
-                            if self.attr_deg[slot] < self.beta {
-                                self.alive_u[u as usize] = false;
-                                stack.push((Side::Upper, u));
-                            }
-                        }
-                    }
-                }
+        let mut stack = Vec::new();
+        for (side, xs) in [Side::Upper, Side::Lower].into_iter().zip(seeds) {
+            self.peel.seed(side, xs.iter().copied(), &mut stack);
+        }
+        self.peel
+            .cascade(g, &mut stack, None, on_death)
+            .expect("a cascade without a clock never interrupts");
+    }
+
+    /// Count the edge `(u, v)` in (`add`) or out of both counters it
+    /// feeds.
+    fn credit_edge(&mut self, g: &BipartiteGraph, u: VertexId, v: VertexId, add: bool) {
+        let (ku, kv) = (
+            self.peel.slot_of(g, Side::Upper, u),
+            self.peel.slot_of(g, Side::Lower, v),
+        );
+        for (side, x, slot) in [(Side::Upper, u, kv), (Side::Lower, v, ku)] {
+            let c = &mut self.peel.counters_mut(side, x)[slot];
+            if add {
+                *c += 1;
+            } else {
+                *c -= 1;
             }
         }
     }
@@ -204,26 +158,16 @@ impl CoreTracker {
     /// Repair after edge `(u, v)` was **removed**; `g` is the new
     /// graph (without the edge).
     pub fn remove_edge(&mut self, g: &BipartiteGraph, u: VertexId, v: VertexId) -> UpdateEffect {
-        if !self.alive_u[u as usize] || !self.alive_v[v as usize] {
+        if !self.in_core(Side::Upper, u) || !self.in_core(Side::Lower, v) {
             // The edge was not part of the induced core subgraph: the
             // core is still fair and still maximal (deletion is
             // monotone), and member counters never counted it.
             return UpdateEffect::default();
         }
-        let a = g.attr(Side::Lower, v) as usize;
-        self.attr_deg[u as usize * self.n_attrs + a] -= 1;
-        self.deg[v as usize] -= 1;
-        let mut stack = Vec::new();
-        if !self.upper_ok(u as usize) {
-            self.alive_u[u as usize] = false;
-            stack.push((Side::Upper, u));
-        }
-        if self.alive_v[v as usize] && self.deg[v as usize] < self.alpha {
-            self.alive_v[v as usize] = false;
-            stack.push((Side::Lower, v));
-        }
-        let (mut died_u, mut died_v) = (Vec::new(), Vec::new());
-        self.cascade(g, &mut stack, &mut died_u, &mut died_v);
+        self.credit_edge(g, u, v, false);
+        let mut died = [Vec::new(), Vec::new()];
+        self.repeel(g, [&[u], &[v]], |side, x| died[side as usize].push(x));
+        let [mut died_u, mut died_v] = died;
         died_u.sort_unstable();
         died_v.sort_unstable();
         UpdateEffect {
@@ -236,55 +180,40 @@ impl CoreTracker {
     /// Repair after edge `(u, v)` was **added**; `g` is the new graph
     /// (with the edge).
     pub fn add_edge(&mut self, g: &BipartiteGraph, u: VertexId, v: VertexId) -> UpdateEffect {
-        let lower_attrs = g.attrs(Side::Lower);
-        if self.alive_u[u as usize] && self.alive_v[v as usize] {
+        if self.in_core(Side::Upper, u) && self.in_core(Side::Lower, v) {
             // Both endpoints already members: insertion cannot revive
             // anything (a joiner chain must end at a non-core
             // endpoint), only the member counters grow.
-            self.attr_deg[u as usize * self.n_attrs + lower_attrs[v as usize] as usize] += 1;
-            self.deg[v as usize] += 1;
+            self.credit_edge(g, u, v, true);
             return UpdateEffect {
-                changed_upper: Vec::new(),
-                changed_lower: Vec::new(),
                 core_edge_touched: true,
+                ..UpdateEffect::default()
             };
         }
 
-        // Candidate region: non-members reachable from the non-member
-        // endpoint(s) through non-members. Every possible joiner is in
-        // here (see module docs).
-        let mut cand_u: Vec<VertexId> = Vec::new();
-        let mut cand_v: Vec<VertexId> = Vec::new();
-        let mut in_cand_u = vec![false; g.n_upper()];
-        let mut in_cand_v = vec![false; g.n_lower()];
+        // Candidate region, by side: non-members reachable from the
+        // non-member endpoint(s) through non-members. Every possible
+        // joiner is in here (see module docs).
+        let mut in_cand = [vec![false; g.n_upper()], vec![false; g.n_lower()]];
+        let mut cand: [Vec<VertexId>; 2] = [Vec::new(), Vec::new()];
         let mut queue: Vec<(Side, VertexId)> = Vec::new();
-        if !self.alive_u[u as usize] {
-            in_cand_u[u as usize] = true;
-            queue.push((Side::Upper, u));
-        }
-        if !self.alive_v[v as usize] {
-            in_cand_v[v as usize] = true;
-            queue.push((Side::Lower, v));
+        for (side, x) in [(Side::Upper, u), (Side::Lower, v)] {
+            if !self.in_core(side, x) {
+                in_cand[side as usize][x as usize] = true;
+                queue.push((side, x));
+            }
         }
         while let Some((side, x)) = queue.pop() {
-            match side {
-                Side::Upper => cand_u.push(x),
-                Side::Lower => cand_v.push(x),
-            }
+            cand[side as usize].push(x);
+            let other = side.other();
+            let (alive, in_other) = (
+                &self.peel.alive[other as usize],
+                &mut in_cand[other as usize],
+            );
             for &w in g.neighbors(side, x) {
-                match side {
-                    Side::Upper => {
-                        if !self.alive_v[w as usize] && !in_cand_v[w as usize] {
-                            in_cand_v[w as usize] = true;
-                            queue.push((Side::Lower, w));
-                        }
-                    }
-                    Side::Lower => {
-                        if !self.alive_u[w as usize] && !in_cand_u[w as usize] {
-                            in_cand_u[w as usize] = true;
-                            queue.push((Side::Upper, w));
-                        }
-                    }
+                if !alive[w as usize] && !in_other[w as usize] {
+                    in_other[w as usize] = true;
+                    queue.push((other, w));
                 }
             }
         }
@@ -292,106 +221,44 @@ impl CoreTracker {
         // Optimistically revive the candidates: recompute their
         // counters over members ∪ candidates, and credit their
         // contributions to adjacent members.
-        for &cu in &cand_u {
-            let base = cu as usize * self.n_attrs;
-            self.attr_deg[base..base + self.n_attrs].fill(0);
-            for &w in g.neighbors(Side::Upper, cu) {
-                if self.alive_v[w as usize] || in_cand_v[w as usize] {
-                    self.attr_deg[base + lower_attrs[w as usize] as usize] += 1;
-                }
-                if self.alive_v[w as usize] {
-                    self.deg[w as usize] += 1;
-                }
-            }
-        }
-        for &cv in &cand_v {
-            self.deg[cv as usize] = 0;
-            let a = lower_attrs[cv as usize] as usize;
-            for &w in g.neighbors(Side::Lower, cv) {
-                if self.alive_u[w as usize] || in_cand_u[w as usize] {
-                    self.deg[cv as usize] += 1;
-                }
-                if self.alive_u[w as usize] {
-                    self.attr_deg[w as usize * self.n_attrs + a] += 1;
-                }
-            }
-        }
-        for &cu in &cand_u {
-            self.alive_u[cu as usize] = true;
-        }
-        for &cv in &cand_v {
-            self.alive_v[cv as usize] = true;
-        }
+        self.peel.revive(g, &cand, &in_cand);
 
         // Localized peel over the candidate region.
-        let mut stack = Vec::new();
-        for &cu in &cand_u {
-            if !self.upper_ok(cu as usize) {
-                self.alive_u[cu as usize] = false;
-                stack.push((Side::Upper, cu));
-            }
-        }
-        for &cv in &cand_v {
-            if self.alive_v[cv as usize] && self.deg[cv as usize] < self.alpha {
-                self.alive_v[cv as usize] = false;
-                stack.push((Side::Lower, cv));
-            }
-        }
-        let (mut died_u, mut died_v) = (Vec::new(), Vec::new());
-        self.cascade(g, &mut stack, &mut died_u, &mut died_v);
-        debug_assert!(
-            died_u.iter().all(|&x| in_cand_u[x as usize])
-                && died_v.iter().all(|&x| in_cand_v[x as usize]),
-            "insertion repair must never peel a pre-existing member"
-        );
+        self.repeel(g, [&cand[0], &cand[1]], |side, x| {
+            debug_assert!(
+                in_cand[side as usize][x as usize],
+                "insertion repair must never peel a pre-existing member"
+            );
+        });
 
-        let mut joined_u: Vec<VertexId> = cand_u
-            .iter()
-            .copied()
-            .filter(|&x| self.alive_u[x as usize])
-            .collect();
-        let mut joined_v: Vec<VertexId> = cand_v
-            .iter()
-            .copied()
-            .filter(|&x| self.alive_v[x as usize])
-            .collect();
-        joined_u.sort_unstable();
-        joined_v.sort_unstable();
+        let [joined_u, joined_v] = [0, 1].map(|s| {
+            let mut j: Vec<VertexId> = cand[s]
+                .iter()
+                .copied()
+                .filter(|&x| self.peel.alive[s][x as usize])
+                .collect();
+            j.sort_unstable();
+            j
+        });
         UpdateEffect {
             changed_upper: joined_u,
             changed_lower: joined_v,
-            core_edge_touched: self.alive_u[u as usize] && self.alive_v[v as usize],
+            core_edge_touched: self.in_core(Side::Upper, u) && self.in_core(Side::Lower, v),
         }
     }
 
     /// Extend the tracker after an isolated vertex was appended to
     /// `side` of `g` (the new graph, which already contains it).
     pub fn add_vertex(&mut self, g: &BipartiteGraph, side: Side, id: VertexId) -> UpdateEffect {
+        debug_assert_eq!(id as usize, self.peel.alive[side as usize].len());
+        debug_assert!((id as usize) < g.n(side));
         let mut effect = UpdateEffect::default();
-        match side {
-            Side::Upper => {
-                debug_assert_eq!(id as usize, self.alive_u.len());
-                // An isolated upper vertex satisfies "≥ β of every
-                // attribute" only when β = 0.
-                let joins = self.beta == 0;
-                self.alive_u.push(joins);
-                self.attr_deg
-                    .extend(std::iter::repeat(0).take(self.n_attrs));
-                if joins {
-                    effect.changed_upper.push(id);
-                }
-            }
-            Side::Lower => {
-                debug_assert_eq!(id as usize, self.alive_v.len());
-                let joins = self.alpha == 0;
-                self.alive_v.push(joins);
-                self.deg.push(0);
-                if joins {
-                    effect.changed_lower.push(id);
-                }
+        if self.peel.push_vertex(side) {
+            match side {
+                Side::Upper => effect.changed_upper.push(id),
+                Side::Lower => effect.changed_lower.push(id),
             }
         }
-        debug_assert!((id as usize) < g.n(side));
         effect
     }
 }
@@ -404,23 +271,31 @@ mod tests {
     use bigraph::GraphBuilder;
 
     fn assert_tracker_matches(t: &CoreTracker, g: &BipartiteGraph) {
-        let (ku, kv) = fcore_masks(g, t.alpha, t.beta);
-        assert_eq!(t.alive_u, ku, "upper masks diverge");
-        assert_eq!(t.alive_v, kv, "lower masks diverge");
-        // Counter invariant: member counters count member neighbors.
-        let fresh = CoreTracker::new(g, t.alpha, t.beta);
-        for (u, member) in ku.iter().enumerate() {
-            if *member {
+        let (alpha, beta) = t.params();
+        let (ku, kv) = fcore_masks(g, alpha, beta);
+        let (tu, tv) = t.masks();
+        assert_eq!(tu, ku, "upper masks diverge");
+        assert_eq!(tv, kv, "lower masks diverge");
+        // Live-counter invariant: a member's counters count its member
+        // neighbours, per lower attribute (upper) or in total (lower).
+        let mut peel = t.peel.clone();
+        for (side, keep, other_keep) in [(Side::Upper, &ku, &kv), (Side::Lower, &kv, &ku)] {
+            for x in (0..g.n(side) as VertexId).filter(|&x| keep[x as usize]) {
+                let mut want = vec![0u32; peel.counters_mut(side, x).len()];
+                for &y in g.neighbors(side, x) {
+                    if other_keep[y as usize] {
+                        want[if side == Side::Upper {
+                            g.attr(Side::Lower, y) as usize
+                        } else {
+                            0
+                        }] += 1;
+                    }
+                }
                 assert_eq!(
-                    t.attr_deg[u * t.n_attrs..(u + 1) * t.n_attrs],
-                    fresh.attr_deg[u * t.n_attrs..(u + 1) * t.n_attrs],
-                    "attr_deg of member {u}"
+                    peel.counters_mut(side, x),
+                    want,
+                    "counters of {side} member {x}"
                 );
-            }
-        }
-        for (v, member) in kv.iter().enumerate() {
-            if *member {
-                assert_eq!(t.deg[v], fresh.deg[v], "deg of member {v}");
             }
         }
     }

@@ -17,12 +17,12 @@
 //!   with results translated back to the caller's vertex ids.
 
 use crate::bfairbcem::{bi_side_baseline, SsBaseline};
-use crate::bfcore::{bcfcore, bfcore};
+use crate::bfcore::bcfcore;
 use crate::biclique::{Biclique, BicliqueSink, EnumStats, MappingSink};
 use crate::cfcore::cfcore;
 use crate::config::{Budget, BudgetClock, ParamError, PruneKind, RunConfig, StopReason, Substrate};
 use crate::fairbcem::fairbcem;
-use crate::fcore::{compact, fcore, no_prune, PruneOutcome, PruneStats};
+use crate::fcore::{core_prune, no_prune, PruneOutcome, PruneStats};
 use crate::naive::nsf;
 use crate::obs::SpanRecorder;
 use crate::prepared::{PreparedQuery, QueryModel};
@@ -101,12 +101,7 @@ pub(crate) fn cascade(
     let (alpha, beta) = (params.alpha, params.beta);
     match (kind, model.is_bi_side()) {
         (PruneKind::None, _) => Ok(no_prune(g)),
-        (PruneKind::FCore, false) => rec.timed("core-peel", || {
-            fcore(g, alpha, beta, clock).map(|m| compact(g, m))
-        }),
-        (PruneKind::FCore, true) => rec.timed("core-peel", || {
-            bfcore(g, alpha, beta, clock).map(|m| compact(g, m))
-        }),
+        (PruneKind::FCore, bi) => rec.timed("core-peel", || core_prune(g, alpha, beta, bi, clock)),
         (PruneKind::Colorful, false) => cfcore(g, params, clock, rec),
         (PruneKind::Colorful, true) => bcfcore(g, params, clock, rec),
     }

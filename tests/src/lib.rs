@@ -170,6 +170,59 @@ pub fn medium_graph(seed: u64) -> BipartiteGraph {
     bigraph::generate::plant_bicliques(&base, 2, 5, 8, 1.0, seed ^ 0xb10c)
 }
 
+/// Naive fixpoint reference for the fair α-β core (Definition 8) or,
+/// with `bi`, the bi-fair α-β core (Definition 13): drop every kept
+/// vertex that breaks its rule against the vertices still kept, and
+/// repeat until a pass drops none. An upper vertex needs `≥ β` kept
+/// neighbours of each lower attribute value; a lower vertex needs
+/// `≥ α` kept neighbours in total, or of each upper attribute value
+/// with `bi`. Returns `(keep_upper, keep_lower)`.
+pub fn fair_core_fixpoint(
+    g: &BipartiteGraph,
+    alpha: u32,
+    beta: u32,
+    bi: bool,
+) -> (Vec<bool>, Vec<bool>) {
+    let mut keep_upper = vec![true; g.n_upper()];
+    let mut keep_lower = vec![true; g.n_lower()];
+    loop {
+        let mut dropped = false;
+        for u in 0..g.n_upper() as VertexId {
+            let kept: Vec<VertexId> = g
+                .neighbors(Side::Upper, u)
+                .iter()
+                .copied()
+                .filter(|&v| keep_lower[v as usize])
+                .collect();
+            let counts = lower_counts(g, &kept);
+            if keep_upper[u as usize] && counts.as_slice().iter().any(|&c| c < beta) {
+                keep_upper[u as usize] = false;
+                dropped = true;
+            }
+        }
+        for v in 0..g.n_lower() as VertexId {
+            let kept: Vec<VertexId> = g
+                .neighbors(Side::Lower, v)
+                .iter()
+                .copied()
+                .filter(|&u| keep_upper[u as usize])
+                .collect();
+            let breaks = if bi {
+                upper_counts(g, &kept).as_slice().iter().any(|&c| c < alpha)
+            } else {
+                (kept.len() as u32) < alpha
+            };
+            if keep_lower[v as usize] && breaks {
+                keep_lower[v as usize] = false;
+                dropped = true;
+            }
+        }
+        if !dropped {
+            return (keep_upper, keep_lower);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,27 +9,54 @@ use fair_biclique::prepared::QueryModel;
 use proptest::prelude::*;
 
 fn graph_strategy() -> impl Strategy<Value = BipartiteGraph> {
-    (2usize..9, 2usize..9).prop_flat_map(|(nu, nv)| {
-        (
-            Just(nu),
-            Just(nv),
-            proptest::collection::vec(proptest::bool::weighted(0.35), nu * nv),
-            proptest::collection::vec(0u16..2, nu),
-            proptest::collection::vec(0u16..2, nv),
-        )
-            .prop_map(|(nu, nv, cells, ua, la)| {
-                let mut b = GraphBuilder::new(2, 2);
-                b.ensure_vertices(nu, nv);
-                for (i, &on) in cells.iter().enumerate() {
-                    if on {
-                        b.add_edge((i / nv) as u32, (i % nv) as u32);
-                    }
+    (2usize..9, 2usize..9).prop_flat_map(|(nu, nv)| graph_cells(nu, nv, 2, 2))
+}
+
+/// [`graph_strategy`] with a 2- or 3-valued attribute domain on each
+/// side.
+fn domains_graph_strategy() -> impl Strategy<Value = BipartiteGraph> {
+    (2usize..9, 2usize..9, 2u16..4, 2u16..4)
+        .prop_flat_map(|(nu, nv, au, al)| graph_cells(nu, nv, au, al))
+}
+
+/// An `nu × nv` graph with edge density 0.35 and attribute domains of
+/// sizes `au` (upper) and `al` (lower).
+fn graph_cells(nu: usize, nv: usize, au: u16, al: u16) -> impl Strategy<Value = BipartiteGraph> {
+    (
+        proptest::collection::vec(proptest::bool::weighted(0.35), nu * nv),
+        proptest::collection::vec(0u16..au, nu),
+        proptest::collection::vec(0u16..al, nv),
+    )
+        .prop_map(move |(cells, ua, la)| {
+            let mut b = GraphBuilder::new(au, al);
+            b.ensure_vertices(nu, nv);
+            for (i, &on) in cells.iter().enumerate() {
+                if on {
+                    b.add_edge((i / nv) as u32, (i % nv) as u32);
                 }
-                b.set_attrs_upper(&ua);
-                b.set_attrs_lower(&la);
-                b.build().expect("valid")
-            })
-    })
+            }
+            b.set_attrs_upper(&ua);
+            b.set_attrs_lower(&la);
+            b.build().expect("valid")
+        })
+}
+
+/// The membership masks of a pruned subgraph, over `g`'s vertices.
+fn kept_masks(
+    g: &BipartiteGraph,
+    sub: &bigraph::subgraph::InducedSubgraph,
+) -> (Vec<bool>, Vec<bool>) {
+    let mask = |n: usize, kept: &[VertexId]| {
+        let mut m = vec![false; n];
+        for &x in kept {
+            m[x as usize] = true;
+        }
+        m
+    };
+    (
+        mask(g.n_upper(), &sub.upper_to_parent),
+        mask(g.n_lower(), &sub.lower_to_parent),
+    )
 }
 
 proptest! {
@@ -117,24 +144,7 @@ proptest! {
     }
 
     #[test]
-    fn fcore_mask_is_maximal_fair_core(g in graph_strategy(), alpha in 1u32..3, beta in 0u32..3) {
-        use fair_biclique::fcore::{fcore_masks, is_fair_core};
-        let (ku, kv) = fcore_masks(&g, alpha, beta);
-        prop_assert!(is_fair_core(&g, &ku, &kv, alpha, beta));
-        // Every oracle SSFBC survives the mask (Lemma 1).
-        let params = fair_biclique::config::FairParams::unchecked(alpha, beta, 5);
-        for bc in fair_biclique::verify::oracle(&g, QueryModel::Ssfbc(params)) {
-            for &u in &bc.upper {
-                prop_assert!(ku[u as usize], "upper {} of {} peeled", u, bc);
-            }
-            for &v in &bc.lower {
-                prop_assert!(kv[v as usize], "lower {} of {} peeled", v, bc);
-            }
-        }
-    }
-
-    #[test]
-    fn cfcore_preserves_all_ssfbcs(g in graph_strategy(), alpha in 1u32..3, beta in 1u32..3) {
+    fn cfcore_preserves_all_ssfbcs(g in graph_strategy(), alpha in 1u32..3, beta in 0u32..3) {
         use fair_biclique::config::PruneKind;
         use fair_biclique::pipeline::prune;
         use std::collections::BTreeSet;
@@ -153,11 +163,16 @@ proptest! {
     }
 
     #[test]
-    fn bcfcore_preserves_all_bsfbcs(g in graph_strategy(), delta in 0u32..3) {
+    fn bcfcore_preserves_all_bsfbcs(
+        g in domains_graph_strategy(),
+        alpha in 1u32..3,
+        beta in 0u32..3,
+        delta in 0u32..3,
+    ) {
         use fair_biclique::config::PruneKind;
         use fair_biclique::pipeline::prune;
         use std::collections::BTreeSet;
-        let params = fair_biclique::config::FairParams::unchecked(1, 1, delta);
+        let params = fair_biclique::config::FairParams::unchecked(alpha, beta, delta);
         let out = prune(&g, QueryModel::Bsfbc(params), PruneKind::Colorful);
         let keep_u: BTreeSet<u32> = out.sub.upper_to_parent.iter().copied().collect();
         let keep_v: BTreeSet<u32> = out.sub.lower_to_parent.iter().copied().collect();
@@ -198,6 +213,39 @@ proptest! {
         prop_assert_eq!(f.n_edges(), g.n_edges());
         for (u, v) in g.edges() {
             prop_assert!(f.has_edge(v, u));
+        }
+    }
+}
+
+// The peel is cheap on these graphs and a seeded defect in one side's
+// rule can take a few hundred cases to show, so this block runs more.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn fcore_mask_is_maximal_fair_core(
+        g in domains_graph_strategy(),
+        alpha in 1u32..=3,
+        beta in 0u32..=3,
+    ) {
+        use fair_biclique::config::{FairParams, PruneKind};
+        use fair_biclique::pipeline::prune;
+        let params = FairParams::unchecked(alpha, beta, 5);
+        for (model, bi) in [(QueryModel::Ssfbc(params), false), (QueryModel::Bsfbc(params), true)] {
+            // The peel's core equals the naive fixpoint: fair and maximal.
+            let (ku, kv) = kept_masks(&g, &prune(&g, model, PruneKind::FCore).sub);
+            let (ru, rv) = fbe_integration::fair_core_fixpoint(&g, alpha, beta, bi);
+            prop_assert_eq!(&ku, &ru, "upper masks, bi={}", bi);
+            prop_assert_eq!(&kv, &rv, "lower masks, bi={}", bi);
+            // Every oracle biclique survives the mask (Lemmas 1 and 3).
+            for bc in fair_biclique::verify::oracle(&g, model) {
+                for &u in &bc.upper {
+                    prop_assert!(ku[u as usize], "upper {} of {} peeled", u, bc);
+                }
+                for &v in &bc.lower {
+                    prop_assert!(kv[v as usize], "lower {} of {} peeled", v, bc);
+                }
+            }
         }
     }
 }
