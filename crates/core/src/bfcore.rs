@@ -122,6 +122,37 @@ mod tests {
     }
 
     #[test]
+    fn bfcore_maximality() {
+        let g = random_uniform(25, 25, 180, 2, 2, 13);
+        let (ku, kv) = bfcore_masks(&g, 2, 2);
+        // Any removed vertex violates its constraint against the kept set.
+        for v in 0..25u32 {
+            if kv[v as usize] {
+                continue;
+            }
+            let mut ad = [0u32; 2];
+            for &u in g.neighbors(Side::Lower, v) {
+                if ku[u as usize] {
+                    ad[g.attr(Side::Upper, u) as usize] += 1;
+                }
+            }
+            assert!(ad.iter().any(|&d| d < 2), "lower {v} wrongly peeled");
+        }
+        for u in 0..25u32 {
+            if ku[u as usize] {
+                continue;
+            }
+            let mut ad = [0u32; 2];
+            for &v in g.neighbors(Side::Upper, u) {
+                if kv[v as usize] {
+                    ad[g.attr(Side::Lower, v) as usize] += 1;
+                }
+            }
+            assert!(ad.iter().any(|&d| d < 2), "upper {u} wrongly peeled");
+        }
+    }
+
+    #[test]
     fn bfcore_stricter_than_fcore() {
         for seed in 0..6u64 {
             let g = random_uniform(30, 35, 280, 2, 2, seed);

@@ -481,6 +481,41 @@ mod tests {
     }
 
     #[test]
+    fn core_is_maximal() {
+        // No peeled vertex could have survived: adding any single
+        // removed vertex back violates its own constraint (standard
+        // core-decomposition maximality, checked empirically).
+        let g = random_uniform(20, 20, 120, 2, 2, 3);
+        let (ku, kv) = fcore_masks(&g, 2, 2);
+        let n_attrs = 2;
+        for u in 0..20u32 {
+            if ku[u as usize] {
+                continue;
+            }
+            // With everything alive that is alive plus u itself, u must
+            // still violate (otherwise peeling removed it wrongly).
+            let mut ad = vec![0u32; n_attrs];
+            for &v in g.neighbors(Side::Upper, u) {
+                if kv[v as usize] {
+                    ad[g.attr(Side::Lower, v) as usize] += 1;
+                }
+            }
+            assert!(ad.iter().any(|&d| d < 2), "upper {u} wrongly peeled");
+        }
+        for v in 0..20u32 {
+            if kv[v as usize] {
+                continue;
+            }
+            let d = g
+                .neighbors(Side::Lower, v)
+                .iter()
+                .filter(|&&u| ku[u as usize])
+                .count();
+            assert!(d < 2, "lower {v} wrongly peeled");
+        }
+    }
+
+    #[test]
     fn alpha_beta_monotone() {
         let g = random_uniform(30, 30, 250, 2, 2, 9);
         let mut prev = usize::MAX;
