@@ -28,7 +28,8 @@
 //! **Live-counter invariant.** When a cascade has drained, every live
 //! vertex's counters count exactly its live neighbours: each dead
 //! neighbour decremented them once, when it was popped. Dead
-//! vertices' counters are stale and never read.
+//! vertices' counters are stale and never read; the insertion repair
+//! uses them as scratch.
 //! [`crate::incremental::CoreTracker`] keeps the state between updates
 //! on this invariant and repairs it with the same cascade.
 //!
@@ -286,6 +287,33 @@ impl FairPeel {
                 alive[x as usize] = true;
             }
         }
+    }
+
+    /// Whether the dead `x` on `side` meets its rule counting *all* its
+    /// neighbours in `g`, live or not. A vertex that fails is in no
+    /// fair core of `g`, since every core of `g` is a subgraph of it.
+    /// Counts into `x`'s stale counters.
+    pub(crate) fn could_join(&mut self, g: &BipartiteGraph, side: Side, x: VertexId) -> bool {
+        let s = side as usize;
+        debug_assert!(!self.alive[s][x as usize]);
+        let (k, min) = (self.stride[s], self.min[s]);
+        // Every slot needs `min`, so the degree needs `k·min`; with one
+        // slot that is the whole rule.
+        if g.degree(side, x) < k * min as usize {
+            return false;
+        }
+        if k == 1 {
+            return true;
+        }
+        let slots = self
+            .slots(g, side.other())
+            .expect("several slots are keyed by the neighbours' attributes");
+        let own = &mut self.cnt[s][x as usize * k..(x as usize + 1) * k];
+        own.fill(0);
+        for &w in g.neighbors(side, x) {
+            own[slots[w as usize] as usize] += 1;
+        }
+        own.iter().all(|&c| c >= min)
     }
 
     /// Append a vertex with zeroed counters to `side`. It is live iff

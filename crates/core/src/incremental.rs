@@ -28,12 +28,27 @@
 //!   `j` needs at least one neighbor that also joins (or is an
 //!   endpoint benefiting from `e`). Inductively every joiner lies on a
 //!   path of joiners ending at a **non-core** endpoint of `e` — and if
-//!   both endpoints were already in `C`, nothing joins. The repair
-//!   therefore BFS-collects the non-core vertices reachable from the
-//!   non-core endpoint(s) through non-core vertices, optimistically
-//!   revives them, and peels that candidate set; survivors are the
-//!   joiners. Core vertices never get peeled here (their counters only
-//!   gained candidate contributions), matching monotonicity.
+//!   both endpoints were already in `C`, nothing joins.
+//!
+//!   A joiner also meets its rule inside the new core, which is a
+//!   subgraph of the new graph `G'`; so it meets its rule counting
+//!   *all* its neighbours in `G'`. A lower vertex of degree `< α`, or
+//!   an upper vertex with `< β` neighbours of some lower attribute,
+//!   never joins — and since the joiner paths above consist of
+//!   joiners, none of them passes through such a vertex. The repair
+//!   therefore BFS-collects the non-core vertices that pass this
+//!   filter and are reachable from the non-core endpoint(s) through
+//!   vertices that pass it, optimistically revives them, and peels
+//!   that candidate set; survivors are the joiners. If the non-core
+//!   endpoints fail the filter, nothing joins and the BFS stops at
+//!   them. Core vertices never get peeled here (their counters only
+//!   gained candidate contributions), matching monotonicity. The
+//!   filter matters most at high `(α, β)` on a sparse graph, where the
+//!   non-core region reachable through non-core vertices is most of
+//!   the graph but few of its vertices could ever qualify. It is a
+//!   coarser form of the bound the streaming k-core repair of Sariyüce
+//!   et al. (*Streaming algorithms for k-core decomposition*, PVLDB
+//!   2013) puts on its traversal, with the fair core's rule.
 //! * **Vertex addition.** An isolated vertex joins iff its (empty)
 //!   constraints hold (`β = 0` upper / `α = 0` lower); no other
 //!   membership can change.
@@ -90,6 +105,46 @@ impl UpdateEffect {
 #[derive(Debug, Clone)]
 pub struct CoreTracker {
     peel: FairPeel,
+    scratch: Scratch,
+}
+
+/// A repair's working memory, kept so that a repair allocates nothing
+/// once it has grown to the graph. It carries nothing from one repair
+/// to the next, so a clone starts empty.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Vertices the insertion BFS has reached, by side; all false
+    /// between repairs, cleared through `cand` and `rejected`.
+    seen: [Vec<bool>; 2],
+    /// Insertion candidates, by side.
+    cand: [Vec<VertexId>; 2],
+    /// Reached vertices that cannot join.
+    rejected: Vec<(Side, VertexId)>,
+    /// The insertion BFS's work list, then the cascade stack; empty
+    /// between uses.
+    stack: Vec<(Side, VertexId)>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
+    }
+}
+
+/// Peel `peel` from `seeds` (live vertices to check, by side) on
+/// `stack`; `on_death` sees every vertex the cascade kills.
+fn repeel(
+    peel: &mut FairPeel,
+    g: &BipartiteGraph,
+    stack: &mut Vec<(Side, VertexId)>,
+    seeds: [&[VertexId]; 2],
+    on_death: impl FnMut(Side, VertexId),
+) {
+    for (side, xs) in [Side::Upper, Side::Lower].into_iter().zip(seeds) {
+        peel.seed(side, xs.iter().copied(), stack);
+    }
+    peel.cascade(g, stack, None, on_death)
+        .expect("a cascade without a clock never interrupts");
 }
 
 impl CoreTracker {
@@ -98,7 +153,10 @@ impl CoreTracker {
     pub fn new(g: &BipartiteGraph, alpha: u32, beta: u32) -> CoreTracker {
         let peel = FairPeel::peel(g, alpha, beta, false, None)
             .expect("a peel without a clock never interrupts");
-        CoreTracker { peel }
+        CoreTracker {
+            peel,
+            scratch: Scratch::default(),
+        }
     }
 
     /// The `(α, β)` this tracker maintains.
@@ -119,23 +177,6 @@ impl CoreTracker {
     /// Number of core members (upper + lower).
     pub fn members(&self) -> usize {
         self.peel.alive.iter().flatten().filter(|&&a| a).count()
-    }
-
-    /// Peel from `seeds` (live vertices to check, by side); `on_death`
-    /// sees every vertex the cascade kills.
-    fn repeel(
-        &mut self,
-        g: &BipartiteGraph,
-        seeds: [&[VertexId]; 2],
-        on_death: impl FnMut(Side, VertexId),
-    ) {
-        let mut stack = Vec::new();
-        for (side, xs) in [Side::Upper, Side::Lower].into_iter().zip(seeds) {
-            self.peel.seed(side, xs.iter().copied(), &mut stack);
-        }
-        self.peel
-            .cascade(g, &mut stack, None, on_death)
-            .expect("a cascade without a clock never interrupts");
     }
 
     /// Count the edge `(u, v)` in (`add`) or out of both counters it
@@ -166,7 +207,13 @@ impl CoreTracker {
         }
         self.credit_edge(g, u, v, false);
         let mut died = [Vec::new(), Vec::new()];
-        self.repeel(g, [&[u], &[v]], |side, x| died[side as usize].push(x));
+        repeel(
+            &mut self.peel,
+            g,
+            &mut self.scratch.stack,
+            [&[u], &[v]],
+            |side, x| died[side as usize].push(x),
+        );
         let [mut died_u, mut died_v] = died;
         died_u.sort_unstable();
         died_v.sort_unstable();
@@ -190,43 +237,55 @@ impl CoreTracker {
                 ..UpdateEffect::default()
             };
         }
+        let CoreTracker { peel, scratch } = self;
+        let Scratch {
+            seen,
+            cand,
+            rejected,
+            stack,
+        } = scratch;
+        for (s, side) in [Side::Upper, Side::Lower].into_iter().enumerate() {
+            seen[s].resize(g.n(side), false);
+        }
 
-        // Candidate region, by side: non-members reachable from the
-        // non-member endpoint(s) through non-members. Every possible
-        // joiner is in here (see module docs).
-        let mut in_cand = [vec![false; g.n_upper()], vec![false; g.n_lower()]];
-        let mut cand: [Vec<VertexId>; 2] = [Vec::new(), Vec::new()];
-        let mut queue: Vec<(Side, VertexId)> = Vec::new();
+        // Candidate region, by side: the non-members that could join
+        // (`could_join`), reachable from the non-member endpoint(s)
+        // through such vertices. Every joiner is in here (see module
+        // docs).
         for (side, x) in [(Side::Upper, u), (Side::Lower, v)] {
-            if !self.in_core(side, x) {
-                in_cand[side as usize][x as usize] = true;
-                queue.push((side, x));
+            if !peel.alive[side as usize][x as usize] {
+                seen[side as usize][x as usize] = true;
+                stack.push((side, x));
             }
         }
-        while let Some((side, x)) = queue.pop() {
+        while let Some((side, x)) = stack.pop() {
+            if !peel.could_join(g, side, x) {
+                rejected.push((side, x));
+                continue;
+            }
             cand[side as usize].push(x);
-            let other = side.other();
-            let (alive, in_other) = (
-                &self.peel.alive[other as usize],
-                &mut in_cand[other as usize],
-            );
+            let o = side.other() as usize;
             for &w in g.neighbors(side, x) {
-                if !alive[w as usize] && !in_other[w as usize] {
-                    in_other[w as usize] = true;
-                    queue.push((other, w));
+                if !peel.alive[o][w as usize] && !seen[o][w as usize] {
+                    seen[o][w as usize] = true;
+                    stack.push((side.other(), w));
                 }
             }
+        }
+        // Now `seen` flags exactly the candidates.
+        for (side, x) in rejected.drain(..) {
+            seen[side as usize][x as usize] = false;
         }
 
         // Optimistically revive the candidates: recompute their
         // counters over members ∪ candidates, and credit their
         // contributions to adjacent members.
-        self.peel.revive(g, &cand, &in_cand);
+        peel.revive(g, cand, seen);
 
         // Localized peel over the candidate region.
-        self.repeel(g, [&cand[0], &cand[1]], |side, x| {
+        repeel(peel, g, stack, [&cand[0], &cand[1]], |side, x| {
             debug_assert!(
-                in_cand[side as usize][x as usize],
+                seen[side as usize][x as usize],
                 "insertion repair must never peel a pre-existing member"
             );
         });
@@ -235,11 +294,16 @@ impl CoreTracker {
             let mut j: Vec<VertexId> = cand[s]
                 .iter()
                 .copied()
-                .filter(|&x| self.peel.alive[s][x as usize])
+                .filter(|&x| peel.alive[s][x as usize])
                 .collect();
             j.sort_unstable();
             j
         });
+        for (seen, cand) in seen.iter_mut().zip(cand.iter_mut()) {
+            for x in cand.drain(..) {
+                seen[x as usize] = false;
+            }
+        }
         UpdateEffect {
             changed_upper: joined_u,
             changed_lower: joined_v,
@@ -298,6 +362,25 @@ mod tests {
                 );
             }
         }
+        assert!(
+            t.scratch.seen.iter().flatten().all(|&s| !s),
+            "a repair leaves its scratch clear"
+        );
+    }
+
+    /// A graph with the given lower attributes (one upper attribute).
+    fn graph(
+        n_upper: usize,
+        lower_attrs: &[u16],
+        edges: &[(VertexId, VertexId)],
+    ) -> BipartiteGraph {
+        let mut b = GraphBuilder::new(1, lower_attrs.iter().max().map_or(1, |&a| a + 1));
+        b.ensure_vertices(n_upper, lower_attrs.len());
+        for &(u, v) in edges {
+            b.add_edge(u, v);
+        }
+        b.set_attrs_lower(lower_attrs);
+        b.build().unwrap()
     }
 
     /// Deterministic xorshift so the sequence is reproducible without
@@ -371,6 +454,68 @@ mod tests {
         assert_eq!(eff.flips(), 4);
         assert_tracker_matches(&t, &g5);
         assert_eq!(t.members(), 0);
+    }
+
+    #[test]
+    fn insertion_revives_a_lower_vertex_with_exactly_alpha_neighbours() {
+        // Core at (2, 1): the block u0,u1 × v1,v2. v0 has one neighbour.
+        let g = graph(2, &[0, 0, 0], &[(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)]);
+        let mut t = CoreTracker::new(&g, 2, 1);
+        assert!(!t.in_core(Side::Lower, 0));
+        // u1–v0 gives v0 degree 2 = α: it joins.
+        let g2 = g.with_edge(1, 0).unwrap();
+        let eff = t.add_edge(&g2, 1, 0);
+        assert_eq!(eff.changed_upper, Vec::<VertexId>::new());
+        assert_eq!(eff.changed_lower, vec![0]);
+        assert!(eff.core_edge_touched);
+        assert_tracker_matches(&t, &g2);
+    }
+
+    #[test]
+    fn insertion_revives_an_upper_vertex_with_exactly_beta_of_one_attribute() {
+        // Lower attributes: v0, v1, v4 → 0; v2, v3 → 1. Core at (1, 2):
+        // u1 × v0..v3. u0 sees v0, v1, v4 (attribute 0) but only v2 of
+        // attribute 1; v4's one neighbour is u0.
+        let edges = [
+            (1, 0),
+            (1, 1),
+            (1, 2),
+            (1, 3),
+            (0, 0),
+            (0, 1),
+            (0, 2),
+            (0, 4),
+        ];
+        let g = graph(2, &[0, 0, 1, 1, 0], &edges);
+        let mut t = CoreTracker::new(&g, 1, 2);
+        assert!(!t.in_core(Side::Upper, 0) && !t.in_core(Side::Lower, 4));
+        // u0–v3 gives u0 exactly β = 2 of attribute 1: u0 joins, and
+        // with it v4, whose degree is exactly α = 1.
+        let g2 = g.with_edge(0, 3).unwrap();
+        let eff = t.add_edge(&g2, 0, 3);
+        assert_eq!(eff.changed_upper, vec![0]);
+        assert_eq!(eff.changed_lower, vec![4]);
+        assert!(eff.core_edge_touched);
+        assert_tracker_matches(&t, &g2);
+    }
+
+    #[test]
+    fn insertion_at_an_endpoint_that_cannot_join_is_clean() {
+        // Core at (2, 2): the block u0,u1 × v0,v1; u2 and v2 are
+        // isolated.
+        let g = graph(3, &[0, 0, 0], &[(0, 0), (0, 1), (1, 0), (1, 1)]);
+        let mut t = CoreTracker::new(&g, 2, 2);
+        let before = (t.masks().0.to_vec(), t.masks().1.to_vec());
+        // u2–v2: both endpoints have degree 1 < 2, so neither can join.
+        let g2 = g.with_edge(2, 2).unwrap();
+        assert_eq!(t.add_edge(&g2, 2, 2), UpdateEffect::default());
+        // u0–v2: v2 could join, but its only other neighbour u2 cannot,
+        // and u0 alone leaves v2 one short of α.
+        let g3 = g2.with_edge(0, 2).unwrap();
+        assert_eq!(t.add_edge(&g3, 0, 2), UpdateEffect::default());
+        assert_eq!((t.masks().0, t.masks().1), (&before.0[..], &before.1[..]));
+        assert_tracker_matches(&t, &g3);
+        assert!(t.clone().scratch.seen.iter().all(Vec::is_empty));
     }
 
     #[test]
