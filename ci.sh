@@ -201,6 +201,26 @@ for ab in "2 1" "3 2"; do
 done > "$smokedir/prune.out"
 diff tests/golden/prune_smoke.txt "$smokedir/prune.out"
 
+step "smoke: fbe prune on the benchmark graphs — equal tests/golden/prune_bench.txt"
+# The Youtube analog and enum-heavy's uniform graph, at serve-mix's
+# eight (alpha, beta) pairs plus (3, 2) and (5, 5). Each group starts
+# with a "# graph alpha beta" line, then one line per kind and side.
+"$bindir/fbe" generate --dataset youtube --out "$smokedir/yt" >/dev/null
+"$bindir/fbe" generate --uniform 300,300,9000 --seed 7 --out "$smokedir/un" >/dev/null
+for graph in yt un; do
+    for ab in "4 8" "6 8" "8 8" "10 8" "5 6" "9 6" "4 10" "8 10" "3 2" "5 5"; do
+        read -r a b <<< "$ab"
+        echo "# $graph $a $b"
+        for kind in fcore colorful; do
+            for bi in "" "--bi"; do
+                # shellcheck disable=SC2086 # $bi holds zero or one word
+                "$bindir/fbe" prune "$smokedir/$graph" --alpha "$a" --beta "$b" --kind "$kind" $bi
+            done
+        done
+    done
+done > "$smokedir/prune_bench.out"
+diff tests/golden/prune_bench.txt "$smokedir/prune_bench.out"
+
 step "smoke: fbe serve — scripted session (cache hit + mutations + shutdown)"
 # The smoke graph from above is reused; the server picks an ephemeral
 # port and prints it, the client script LOADs, runs the same query
