@@ -1,4 +1,4 @@
-//! Criterion micro-benchmarks for the core primitives: sorted
+//! Micro-benchmarks for the core primitives: sorted
 //! intersection, 2-hop construction, greedy coloring, FCore/CFCore
 //! peeling, `Combination` expansion, and the two main enumerators on
 //! the pruned Youtube analog.
@@ -8,13 +8,17 @@
 //! versions reused one graph across cases, so later benches measured
 //! allocations the earlier ones had already warmed in cache — which is
 //! exactly the bias a substrate comparison cannot afford.
+//!
+//! Run: `cargo bench --bench micro` (add an id filter, e.g.
+//! `-- fcore`, to run only the matching cases; see
+//! [`fbe_bench::MicroBench`]).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fair_biclique::biclique::CountSink;
 use fair_biclique::config::{Budget, PruneKind, RunConfig, VertexOrder};
 use fair_biclique::fairset::max_fair_subsets;
 use fair_biclique::pipeline::{prune, run, Algorithm};
 use fair_biclique::prepared::QueryModel;
+use fbe_bench::MicroBench;
 use fbe_datasets::corpus::{spec, Dataset, DatasetSpec};
 use std::hint::black_box;
 
@@ -41,14 +45,14 @@ fn random_ascending(width: u32, density: f64, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-fn bench_primitives(c: &mut Criterion) {
+fn bench_primitives(c: &MicroBench) {
     // Sorted intersection at several widths, each width on freshly
     // seeded vectors (not slices of one shared allocation).
     for (width, seed) in [(1024u32, 0xB01u64), (4096, 0xB02), (16384, 0xB03)] {
         let a = random_ascending(width, 0.33, seed);
         let b = random_ascending(width, 0.25, seed ^ 0xFFFF);
-        c.bench_function(&format!("intersect_sorted_count_{width}"), |bch| {
-            bch.iter(|| bigraph::intersect_sorted_count(black_box(&a), black_box(&b)))
+        c.bench_function(&format!("intersect_sorted_count_{width}"), || {
+            bigraph::intersect_sorted_count(black_box(&a), black_box(&b))
         });
     }
 
@@ -56,8 +60,8 @@ fn bench_primitives(c: &mut Criterion) {
         let s = yt(0xC01);
         let g = s.build();
         let params = s.single_params();
-        c.bench_function("fcore_youtube", |bch| {
-            bch.iter(|| fair_biclique::fcore::fcore_masks(black_box(&g), params.alpha, params.beta))
+        c.bench_function("fcore_youtube", || {
+            fair_biclique::fcore::fcore_masks(black_box(&g), params.alpha, params.beta)
         });
     }
 
@@ -65,14 +69,12 @@ fn bench_primitives(c: &mut Criterion) {
         let s = yt(0xC02);
         let g = s.build();
         let params = s.single_params();
-        c.bench_function("cfcore_youtube", |bch| {
-            bch.iter(|| {
-                prune(
-                    black_box(&g),
-                    QueryModel::Ssfbc(params),
-                    PruneKind::Colorful,
-                )
-            })
+        c.bench_function("cfcore_youtube", || {
+            prune(
+                black_box(&g),
+                QueryModel::Ssfbc(params),
+                PruneKind::Colorful,
+            )
         });
     }
 
@@ -81,14 +83,13 @@ fn bench_primitives(c: &mut Criterion) {
         let g = s.build();
         let params = s.single_params();
         let pruned = prune(&g, QueryModel::Ssfbc(params), PruneKind::FCore);
-        c.bench_function("twohop_on_fcore_pruned", |bch| {
-            bch.iter(|| {
-                bigraph::twohop::construct_2hop(
-                    black_box(&pruned.sub.graph),
-                    bigraph::Side::Lower,
-                    params.alpha as usize,
-                )
-            })
+        c.bench_function("twohop_on_fcore_pruned", || {
+            bigraph::twohop::construct_2hop(
+                black_box(&pruned.sub.graph),
+                bigraph::Side::Lower,
+                params.alpha as usize,
+                false,
+            )
         });
     }
 
@@ -101,21 +102,22 @@ fn bench_primitives(c: &mut Criterion) {
             &pruned.sub.graph,
             bigraph::Side::Lower,
             params.alpha as usize,
+            false,
         );
-        c.bench_function("greedy_coloring", |bch| {
-            bch.iter(|| bigraph::coloring::greedy_color_by_degree(black_box(&h)))
+        c.bench_function("greedy_coloring", || {
+            bigraph::coloring::greedy_color_by_degree(black_box(&h))
         });
     }
 
     let g0: Vec<u32> = (0..12).collect();
     let g1: Vec<u32> = (100..110).collect();
-    c.bench_function("combination_12x10", |bch| {
-        bch.iter(|| max_fair_subsets(black_box(&[&g0, &g1]), 4, 2, None))
+    c.bench_function("combination_12x10", || {
+        max_fair_subsets(black_box(&[&g0, &g1]), 4, 2, None)
     });
 }
 
-fn bench_enumeration(c: &mut Criterion) {
-    // One corpus for this group: the two algorithms are compared on
+fn bench_enumeration(c: &MicroBench) {
+    // One corpus for both cases: the two algorithms are compared on
     // the SAME graph by design (seeded apart from the primitives').
     let s = yt(0xD01);
     let g = s.build();
@@ -126,38 +128,28 @@ fn bench_enumeration(c: &mut Criterion) {
         budget: Budget::UNLIMITED,
         ..RunConfig::default()
     };
-    let mut group = c.benchmark_group("enumeration_youtube");
-    group.sample_size(10);
-    group.bench_function("fairbcem", |bch| {
-        bch.iter(|| {
+    let c = c.samples(10);
+    for (id, algo) in [
+        ("enumeration_youtube/fairbcem", Algorithm::FairBcem),
+        ("enumeration_youtube/fairbcem_pp", Algorithm::FairBcemPP),
+    ] {
+        c.bench_function(id, || {
             let mut sink = CountSink::default();
             run(
                 black_box(&g),
                 QueryModel::Ssfbc(params),
-                Algorithm::FairBcem,
+                algo,
                 &cfg,
                 &mut sink,
             )
             .unwrap();
             sink.count
-        })
-    });
-    group.bench_function("fairbcem_pp", |bch| {
-        bch.iter(|| {
-            let mut sink = CountSink::default();
-            run(
-                black_box(&g),
-                QueryModel::Ssfbc(params),
-                Algorithm::FairBcemPP,
-                &cfg,
-                &mut sink,
-            )
-            .unwrap();
-            sink.count
-        })
-    });
-    group.finish();
+        });
+    }
 }
 
-criterion_group!(benches, bench_primitives, bench_enumeration);
-criterion_main!(benches);
+fn main() {
+    let c = MicroBench::from_args();
+    bench_primitives(&c);
+    bench_enumeration(&c);
+}

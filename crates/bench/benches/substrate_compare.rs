@@ -11,12 +11,16 @@
 //! * a sparse skewed case where `Auto` resolves to the merge on the
 //!   raw graph but re-resolves (and usually flips to bitsets) on the
 //!   pruned core.
+//!
+//! Run: `cargo bench --bench substrate_compare` (an id filter such as
+//! `-- bitset` runs only the matching cases; see
+//! [`fbe_bench::MicroBench`]).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fair_biclique::biclique::CountSink;
 use fair_biclique::config::{PruneKind, RunConfig, Substrate};
 use fair_biclique::pipeline::{run, Algorithm};
 use fair_biclique::prepared::QueryModel;
+use fbe_bench::MicroBench;
 use std::hint::black_box;
 
 /// Deterministic splitmix64 — the bench crate carries no RNG
@@ -37,7 +41,7 @@ fn random_set(width: u32, density: f64, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-fn bench_intersection_widths(c: &mut Criterion) {
+fn bench_intersection_widths(c: &MicroBench) {
     // Each width gets its own independently seeded corpus.
     for (width, seed) in [
         (256u32, 0xA11C_E001u64),
@@ -51,48 +55,39 @@ fn bench_intersection_widths(c: &mut Criterion) {
         let refs: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
         let rows = bigraph::BitRows::from_sets(width as usize, &refs);
 
-        let mut group = c.benchmark_group(&format!("substrate_intersect_{width}"));
-        group.bench_function("sorted_vec", |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for i in 0..n_rows {
-                    for j in (i + 1)..n_rows {
-                        total += bigraph::intersect_sorted_count(
-                            black_box(&sets[i]),
-                            black_box(&sets[j]),
-                        );
-                    }
+        c.bench_function(&format!("substrate_intersect_{width}/sorted_vec"), || {
+            let mut total = 0usize;
+            for i in 0..n_rows {
+                for j in (i + 1)..n_rows {
+                    total +=
+                        bigraph::intersect_sorted_count(black_box(&sets[i]), black_box(&sets[j]));
                 }
-                total
-            })
+            }
+            total
         });
-        group.bench_function("bitset", |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for i in 0..n_rows as u32 {
-                    for j in (i + 1)..n_rows as u32 {
-                        total += bigraph::candidate::and_count(
-                            black_box(rows.row(i)),
-                            black_box(rows.row(j)),
-                        );
-                    }
+        c.bench_function(&format!("substrate_intersect_{width}/bitset"), || {
+            let mut total = 0usize;
+            for i in 0..n_rows as u32 {
+                for j in (i + 1)..n_rows as u32 {
+                    total += bigraph::candidate::and_count(
+                        black_box(rows.row(i)),
+                        black_box(rows.row(j)),
+                    );
                 }
-                total
-            })
+            }
+            total
         });
-        group.finish();
     }
 }
 
 /// The dense pruned-core case: after CFCore pruning the surviving
 /// planted blocks are small and dense — the bitset regime.
-fn bench_dense_pruned_core(c: &mut Criterion) {
+fn bench_dense_pruned_core(c: &MicroBench) {
     let base = bigraph::generate::random_uniform(150, 150, 1800, 2, 2, 71);
     let g = bigraph::generate::plant_bicliques(&base, 4, 12, 14, 1.0, 72);
     let params = fair_biclique::config::FairParams::unchecked(3, 2, 2);
 
-    let mut group = c.benchmark_group("substrate_dense_pruned_core");
-    group.sample_size(10);
+    let c = c.samples(10);
     let mut counts = std::collections::BTreeMap::new();
     for substrate in [Substrate::SortedVec, Substrate::Bitset, Substrate::Auto] {
         let cfg = RunConfig {
@@ -100,19 +95,17 @@ fn bench_dense_pruned_core(c: &mut Criterion) {
             substrate,
             ..RunConfig::default()
         };
-        group.bench_function(&substrate.to_string(), |b| {
-            b.iter(|| {
-                let mut sink = CountSink::default();
-                run(
-                    black_box(&g),
-                    QueryModel::Ssfbc(params),
-                    Algorithm::FairBcemPP,
-                    &cfg,
-                    &mut sink,
-                )
-                .unwrap();
-                sink.count
-            })
+        c.bench_function(&format!("substrate_dense_pruned_core/{substrate}"), || {
+            let mut sink = CountSink::default();
+            run(
+                black_box(&g),
+                QueryModel::Ssfbc(params),
+                Algorithm::FairBcemPP,
+                &cfg,
+                &mut sink,
+            )
+            .unwrap();
+            sink.count
         });
         let mut sink = CountSink::default();
         run(
@@ -125,7 +118,6 @@ fn bench_dense_pruned_core(c: &mut Criterion) {
         .unwrap();
         counts.insert(substrate.to_string(), sink.count);
     }
-    group.finish();
     let distinct: std::collections::BTreeSet<u64> = counts.values().copied().collect();
     assert_eq!(
         distinct.len(),
@@ -142,7 +134,7 @@ fn bench_dense_pruned_core(c: &mut Criterion) {
 /// search is node-budgeted — sparse instances can hold astronomically
 /// many maximal bicliques, and a fixed budget keeps the variants on
 /// the same deterministic slice of the tree.
-fn bench_sparse_skewed(c: &mut Criterion) {
+fn bench_sparse_skewed(c: &MicroBench) {
     let g = bigraph::generate::chung_lu_power_law(3000, 3000, 9000, 2.1, 2.1, 2, 2, 73);
     assert_eq!(
         Substrate::Auto.resolve_for(&g),
@@ -150,8 +142,7 @@ fn bench_sparse_skewed(c: &mut Criterion) {
         "Auto must fall back to the merge on sparse skewed inputs"
     );
     let params = fair_biclique::config::FairParams::unchecked(2, 1, 1);
-    let mut group = c.benchmark_group("substrate_sparse_skewed");
-    group.sample_size(10);
+    let c = c.samples(10);
     for substrate in [Substrate::SortedVec, Substrate::Auto] {
         let cfg = RunConfig {
             prune: PruneKind::Colorful,
@@ -159,28 +150,24 @@ fn bench_sparse_skewed(c: &mut Criterion) {
             budget: fair_biclique::config::Budget::nodes(50_000),
             ..RunConfig::default()
         };
-        group.bench_function(&substrate.to_string(), |b| {
-            b.iter(|| {
-                let mut sink = CountSink::default();
-                run(
-                    black_box(&g),
-                    QueryModel::Ssfbc(params),
-                    Algorithm::FairBcemPP,
-                    &cfg,
-                    &mut sink,
-                )
-                .unwrap();
-                sink.count
-            })
+        c.bench_function(&format!("substrate_sparse_skewed/{substrate}"), || {
+            let mut sink = CountSink::default();
+            run(
+                black_box(&g),
+                QueryModel::Ssfbc(params),
+                Algorithm::FairBcemPP,
+                &cfg,
+                &mut sink,
+            )
+            .unwrap();
+            sink.count
         });
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_intersection_widths,
-    bench_dense_pruned_core,
-    bench_sparse_skewed
-);
-criterion_main!(benches);
+fn main() {
+    let c = MicroBench::from_args();
+    bench_intersection_widths(&c);
+    bench_dense_pruned_core(&c);
+    bench_sparse_skewed(&c);
+}

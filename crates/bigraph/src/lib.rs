@@ -13,7 +13,8 @@
 //!   trait, with an adaptive `Auto` policy for pruned dense cores.
 //! * [`UniGraph`] — an attributed *unipartite* graph used for the 2-hop
 //!   projections of Algorithms 3 and 8 of the paper.
-//! * [`twohop`] — `Construct2HopGraph` / `BiConstruct2HopGraph`.
+//! * [`twohop`] — `Construct2HopGraph` / `BiConstruct2HopGraph`: one
+//!   builder counting shared neighbors in one class or per attribute.
 //! * [`coloring`] — degree-ordered greedy coloring (used by the colorful
 //!   core pruning).
 //! * [`butterfly`] — butterfly (2×2 biclique) counting, including the

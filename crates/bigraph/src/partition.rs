@@ -102,7 +102,7 @@ pub fn connected_components(h: &UniGraph) -> (Vec<u32>, usize) {
 /// index), so independent processes agree on the same plan.
 pub fn plan_shards(g: &BipartiteGraph, fair_side: Side, alpha: usize, k: usize) -> ShardPlan {
     let k = k.max(1);
-    let h = construct_2hop(g, fair_side, alpha.max(1));
+    let h = construct_2hop(g, fair_side, alpha.max(1), false);
     let (labels, raw_count) = connected_components(&h);
 
     // Weight per raw component = incident bipartite edges; drop the
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn components_match_bruteforce() {
         let g = random_uniform(15, 25, 90, 2, 2, 5);
-        let h = construct_2hop(&g, Side::Lower, 2);
+        let h = construct_2hop(&g, Side::Lower, 2, false);
         let (labels, count) = connected_components(&h);
         assert_eq!(labels.len(), h.n());
         assert!(count >= 1);
@@ -284,7 +284,7 @@ mod tests {
     fn twohop_edges_never_cross_shards() {
         let g = random_uniform(20, 30, 140, 2, 2, 11);
         for alpha in [1usize, 2, 3] {
-            let h = construct_2hop(&g, Side::Lower, alpha);
+            let h = construct_2hop(&g, Side::Lower, alpha, false);
             for k in [1usize, 2, 3, 5] {
                 let plan = plan_shards(&g, Side::Lower, alpha, k);
                 for x in 0..h.n() as VertexId {
@@ -361,7 +361,7 @@ mod tests {
         // LPT bound: no shard exceeds the mean by more than the
         // largest component's weight.
         let max_comp = {
-            let h = construct_2hop(&g, Side::Lower, 1);
+            let h = construct_2hop(&g, Side::Lower, 1, false);
             let (labels, count) = connected_components(&h);
             let mut w = vec![0u64; count];
             for v in 0..g.n_lower() as VertexId {

@@ -7,10 +7,11 @@
 //! * **Models** — single-side fair bicliques (SSFBC), bi-side fair
 //!   bicliques (BSFBC), and their proportion variants (PSSFBC /
 //!   PBSFBC); see [`config::FairParams`] and [`config::ProParams`].
-//! * **Pruning** — fair α-β core ([`fcore`], Algorithm 1), colorful
-//!   fair α-β core ([`cfcore`], Algorithm 2), and the bi-side variants
-//!   BFCore / BCFCore ([`bfcore`]), run through [`pipeline::prune`]
-//!   for the model's side.
+//! * **Pruning** — the fair α-β core and its bi-side form
+//!   (FCore / BFCore, [`fcore`], Algorithm 1) and the colorful fair
+//!   α-β core and its bi-side form (CFCore / BCFCore, [`cfcore`],
+//!   Algorithm 2), run through [`pipeline::prune`] for the model's
+//!   side.
 //! * **Enumeration** — the branch-and-bound `FairBCEM` ([`fairbcem`],
 //!   Algorithm 5), the combinatorial `FairBCEM++` ([`fairbcem_pp`],
 //!   Algorithm 6), the bi-side `BFairBCEM` / `BFairBCEM++`
@@ -77,7 +78,6 @@
 #![warn(missing_docs)]
 
 pub mod bfairbcem;
-pub mod bfcore;
 pub mod biclique;
 pub mod cfcore;
 pub mod config;

@@ -14,7 +14,7 @@ use crate::pipeline::{prune, run, Algorithm};
 use crate::prepared::QueryModel;
 use bigraph::candidate::CandidatePlan;
 use bigraph::coloring::greedy_color_by_degree;
-use bigraph::twohop::{construct_2hop, construct_2hop_biside};
+use bigraph::twohop::construct_2hop;
 use bigraph::{BipartiteGraph, Side};
 use serde::{Deserialize, Serialize};
 
@@ -58,11 +58,7 @@ impl MemoryReport {
 }
 
 fn colorful_cost(g: &BipartiteGraph, alpha: u32, bi: bool) -> (usize, usize) {
-    let h = if bi {
-        construct_2hop_biside(g, Side::Lower, alpha as usize)
-    } else {
-        construct_2hop(g, Side::Lower, alpha as usize)
-    };
+    let h = construct_2hop(g, Side::Lower, alpha as usize, bi);
     let coloring = greedy_color_by_degree(&h);
     let n_attrs = (h.n_attr_values() as usize).max(1);
     let tables = h.n() * n_attrs * (coloring.n_colors as usize).max(1) * std::mem::size_of::<u32>();

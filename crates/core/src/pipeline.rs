@@ -17,7 +17,6 @@
 //!   with results translated back to the caller's vertex ids.
 
 use crate::bfairbcem::{bi_side_baseline, SsBaseline};
-use crate::bfcore::bcfcore;
 use crate::biclique::{Biclique, BicliqueSink, EnumStats, MappingSink};
 use crate::cfcore::cfcore;
 use crate::config::{Budget, BudgetClock, ParamError, PruneKind, RunConfig, StopReason, Substrate};
@@ -102,8 +101,7 @@ pub(crate) fn cascade(
     match (kind, model.is_bi_side()) {
         (PruneKind::None, _) => Ok(no_prune(g)),
         (PruneKind::FCore, bi) => rec.timed("core-peel", || core_prune(g, alpha, beta, bi, clock)),
-        (PruneKind::Colorful, false) => cfcore(g, params, clock, rec),
-        (PruneKind::Colorful, true) => bcfcore(g, params, clock, rec),
+        (PruneKind::Colorful, bi) => cfcore(g, params, bi, clock, rec),
     }
 }
 

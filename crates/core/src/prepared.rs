@@ -144,7 +144,8 @@ impl PreparedQuery {
     /// The preparation runs under a `prepare` scope span whose children
     /// attribute wall time to the prune cascade's stages (`core-peel`,
     /// `2hop`, `ego-core`, `colorful-lower`, `colorful-upper`,
-    /// `re-peel` — whichever the prune kind runs) and to
+    /// `re-peel` — whichever the prune kind runs; the bi-side colorful
+    /// stages nest their own `2hop` and `ego-core`) and to
     /// `plan-resolve` (degree relabel + candidate-plan construction).
     /// A disabled recorder records nothing.
     pub fn prepare_rec(

@@ -15,7 +15,7 @@
 //!   contains another's.
 
 use crate::biclique::Biclique;
-use bigraph::{AttrValueId, BipartiteGraph, Side, VertexId};
+use bigraph::{BipartiteGraph, Side, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -202,9 +202,6 @@ pub fn group_by_lower_signature(
     }
     map.into_iter().collect()
 }
-
-#[allow(unused)]
-fn _attr_type(_: AttrValueId) {}
 
 #[cfg(test)]
 mod tests {

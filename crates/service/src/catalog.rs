@@ -29,10 +29,6 @@ pub struct GraphEntry {
     pub graph: BipartiteGraph,
     /// Where it came from (`path` or generation spec), for `GRAPHS`.
     pub source: String,
-    /// Incrementally maintained fair-core membership, one tracker per
-    /// `(α, β)` that ever had a cached plan — repaired in place on
-    /// every update so plan invalidation can be judged per pair.
-    pub(crate) trackers: Vec<CoreTracker>,
 }
 
 impl GraphEntry {
@@ -90,8 +86,20 @@ pub struct UpdateOutcome {
 /// Thread-safe name → graph map.
 #[derive(Debug, Default)]
 pub struct GraphCatalog {
-    graphs: RwLock<BTreeMap<String, Arc<GraphEntry>>>,
+    graphs: RwLock<BTreeMap<String, Slot>>,
     epoch: AtomicU64,
+}
+
+/// One catalog name: the published entry, and beside it the mutable
+/// state only [`GraphCatalog::update`] touches.
+#[derive(Debug)]
+struct Slot {
+    entry: Arc<GraphEntry>,
+    /// Incrementally maintained fair-core membership of `entry.graph`,
+    /// one tracker per `(α, β)` that had a cached plan at an update —
+    /// repaired in place on every update so plan invalidation can be
+    /// judged per pair. Replacing or dropping the graph clears them.
+    trackers: Vec<CoreTracker>,
 }
 
 impl GraphCatalog {
@@ -111,9 +119,12 @@ impl GraphCatalog {
             version: 0,
             graph,
             source,
-            trackers: Vec::new(),
         });
-        write_unpoisoned(&self.graphs).insert(name.to_string(), Arc::clone(&entry));
+        let slot = Slot {
+            entry: Arc::clone(&entry),
+            trackers: Vec::new(),
+        };
+        write_unpoisoned(&self.graphs).insert(name.to_string(), slot);
         entry
     }
 
@@ -130,6 +141,14 @@ impl GraphCatalog {
     /// The catalog write lock is held across the splice and repair so
     /// concurrent updates to one graph serialize; readers holding the
     /// old `Arc<GraphEntry>` are unaffected.
+    ///
+    /// The trackers are repaired in place, keeping their scratch
+    /// buffers across updates. They are taken out of the graph's slot
+    /// for the repair and put back only after the new entry is
+    /// published. So a panic that unwinds mid-repair (the engine
+    /// catches it and replies `ERR INTERNAL`) leaves the old entry
+    /// published with no trackers, never a half-repaired one, and the
+    /// next update rebuilds them from that entry's graph.
     pub fn update(
         &self,
         name: &str,
@@ -137,15 +156,10 @@ impl GraphCatalog {
         tracked: &[(u32, u32)],
     ) -> Result<UpdateOutcome, UpdateError> {
         let mut map = write_unpoisoned(&self.graphs);
-        let Some(old) = map.get(name) else {
+        let Some(slot) = map.get_mut(name) else {
             return Err(UpdateError::NoSuchGraph(name.to_string()));
         };
-        let mut trackers = old.trackers.clone();
-        for &(alpha, beta) in tracked {
-            if !trackers.iter().any(|t| t.params() == (alpha, beta)) {
-                trackers.push(CoreTracker::new(&old.graph, alpha, beta));
-            }
-        }
+        let old = Arc::clone(&slot.entry);
         // Resolve the update to the mutated graph before repairing.
         enum Applied {
             Edge { add: bool, u: VertexId, v: VertexId },
@@ -168,6 +182,12 @@ impl GraphCatalog {
                 (g, Applied::Vertex { side, id })
             }
         };
+        let mut trackers = std::mem::take(&mut slot.trackers);
+        for &(alpha, beta) in tracked {
+            if !trackers.iter().any(|t| t.params() == (alpha, beta)) {
+                trackers.push(CoreTracker::new(&old.graph, alpha, beta));
+            }
+        }
         let (mut stale_pairs, mut clean_pairs) = (Vec::new(), Vec::new());
         for t in &mut trackers {
             let effect: UpdateEffect = match applied {
@@ -189,9 +209,9 @@ impl GraphCatalog {
             version: old.version + 1,
             graph,
             source: old.source.clone(),
-            trackers,
         });
-        map.insert(name.to_string(), Arc::clone(&entry));
+        slot.entry = Arc::clone(&entry);
+        slot.trackers = trackers;
         let new_vertex = match applied {
             Applied::Vertex { id, .. } => Some(id),
             Applied::Edge { .. } => None,
@@ -206,7 +226,9 @@ impl GraphCatalog {
 
     /// Look up `name`.
     pub fn get(&self, name: &str) -> Option<Arc<GraphEntry>> {
-        read_unpoisoned(&self.graphs).get(name).cloned()
+        read_unpoisoned(&self.graphs)
+            .get(name)
+            .map(|slot| Arc::clone(&slot.entry))
     }
 
     /// Remove `name`; true when it existed.
@@ -228,7 +250,7 @@ impl GraphCatalog {
     pub fn summaries(&self) -> Vec<String> {
         read_unpoisoned(&self.graphs)
             .values()
-            .map(|e| e.summary())
+            .map(|slot| slot.entry.summary())
             .collect()
     }
 }
@@ -325,6 +347,33 @@ mod tests {
             c.update("g", GraphUpdate::DelEdge(u, v), &[]).unwrap_err(),
             UpdateError::Mutate(MutateError::EdgeMissing(_, _))
         ));
+    }
+
+    #[test]
+    fn replacing_or_dropping_a_graph_clears_its_trackers() {
+        let c = GraphCatalog::new();
+        let g = random_uniform(8, 8, 20, 2, 2, 1);
+        let (u, v) = (0..8u32)
+            .flat_map(|u| (0..8u32).map(move |v| (u, v)))
+            .find(|&(u, v)| !g.has_edge(u, v))
+            .expect("graph is not complete");
+        let pairs = |out: UpdateOutcome| out.stale_pairs.len() + out.clean_pairs.len();
+        c.insert("g", g.clone(), "test".into());
+        let out = c.update("g", GraphUpdate::AddEdge(u, v), &[(1, 1), (2, 1)]);
+        assert_eq!(pairs(out.unwrap()), 2);
+        // A failed splice keeps the trackers.
+        assert!(c.update("g", GraphUpdate::AddEdge(u, v), &[]).is_err());
+        let out = c.update("g", GraphUpdate::DelEdge(u, v), &[]);
+        assert_eq!(pairs(out.unwrap()), 2);
+        // Replacing the graph (LOAD / GEN / SHARD) starts untracked.
+        c.insert("g", g.clone(), "test".into());
+        let out = c.update("g", GraphUpdate::AddEdge(u, v), &[(1, 1)]);
+        assert_eq!(pairs(out.unwrap()), 1);
+        // So does a graph dropped and loaded again.
+        assert!(c.remove("g"));
+        c.insert("g", g, "test".into());
+        let out = c.update("g", GraphUpdate::AddEdge(u, v), &[]);
+        assert_eq!(pairs(out.unwrap()), 0);
     }
 
     #[test]

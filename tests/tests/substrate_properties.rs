@@ -3,7 +3,7 @@
 //! peeling invariants.
 
 use bigraph::coloring::greedy_color_by_degree;
-use bigraph::twohop::{construct_2hop, construct_2hop_biside};
+use bigraph::twohop::construct_2hop;
 use bigraph::{BipartiteGraph, GraphBuilder, Side, UniGraph, VertexId};
 use fair_biclique::prepared::QueryModel;
 use proptest::prelude::*;
@@ -90,7 +90,7 @@ proptest! {
 
     #[test]
     fn twohop_edges_iff_common_neighbors(g in graph_strategy(), alpha in 1usize..4) {
-        let h = construct_2hop(&g, Side::Lower, alpha);
+        let h = construct_2hop(&g, Side::Lower, alpha, false);
         prop_assert_eq!(h.n(), g.n_lower());
         for x in 0..g.n_lower() as VertexId {
             for y in (x + 1)..g.n_lower() as VertexId {
@@ -105,8 +105,8 @@ proptest! {
 
     #[test]
     fn biside_twohop_is_subgraph_of_twohop(g in graph_strategy(), alpha in 1usize..3) {
-        let h = construct_2hop(&g, Side::Lower, alpha);
-        let hb = construct_2hop_biside(&g, Side::Lower, alpha);
+        let h = construct_2hop(&g, Side::Lower, alpha, false);
+        let hb = construct_2hop(&g, Side::Lower, alpha, true);
         for x in 0..hb.n() as VertexId {
             for &y in hb.neighbors(x) {
                 // >= alpha per attribute implies >= alpha in total.
