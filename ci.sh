@@ -187,6 +187,36 @@ for model in "" "--bi"; do
     done
 done
 
+step "smoke: fbe enumerate and maximum in every output mode equal tests/golden/cli_smoke.txt"
+# Pins the CLI's stdout across commits, where the steps above compare
+# runs within one commit. Each run prints a "# <subcommand> <flags>"
+# line, then its stdout, in this loop's order.
+run_logged() {
+    echo "#" "$@"
+    "$bindir/fbe" "$1" "$smokedir/g" "${@:2}"
+}
+{
+    for model in "" "--bi" "--theta 0.4" "--bi --theta 0.4"; do
+        for mode in "--sorted" "--count-only" "--top 3"; do
+            # shellcheck disable=SC2086 # $model and $mode hold zero or more words
+            run_logged enumerate --alpha 2 --beta 1 --delta 1 $model $mode
+        done
+    done
+    for model in "" "--bi"; do
+        for algo in nsf bcem; do
+            # shellcheck disable=SC2086 # $model holds zero or one word
+            run_logged enumerate --alpha 2 --beta 1 --delta 1 $model --algo "$algo" --count-only
+        done
+        for metric in vertices edges; do
+            for t in 1 4; do
+                # shellcheck disable=SC2086 # $model holds zero or one word
+                run_logged maximum --alpha 2 --beta 1 --delta 1 $model --metric "$metric" --threads "$t"
+            done
+        done
+    done
+} > "$smokedir/cli_smoke.out"
+diff tests/golden/cli_smoke.txt "$smokedir/cli_smoke.out"
+
 step "smoke: fbe prune — FCore and colorful cores, single- and bi-side, equal tests/golden/prune_smoke.txt"
 # The golden file holds one line per (alpha, beta), kind and side, in
 # this loop's order.
