@@ -287,82 +287,56 @@ impl Axis {
 /// Youtube therefore has no NSF column, where every run would hit the
 /// budget).
 pub fn exp2_fig2(opts: &Opts) -> Vec<Table> {
-    let mut out = Vec::new();
-    for s in datasets(opts) {
-        let g = graph_for(s.dataset);
-        let with_nsf = s.dataset == Dataset::Dblp;
-        for axis in [Axis::Alpha, Axis::Beta, Axis::Delta] {
-            let range = match axis {
-                Axis::Delta => delta_range(opts),
-                _ => fig2_range(s.dataset, opts),
-            };
-            let mut headers = vec![axis.name(), "FairBCEM(s)", "FairBCEM++(s)", "#SSFBC"];
-            if with_nsf {
-                headers.insert(1, "NSF(s)");
-            }
-            let mut t = Table::new(
-                format!("Fig. 2 {} (vary {})", s.dataset, axis.name()),
-                &headers,
-            );
-            for &x in &range {
-                let p = axis.apply(s.single_params(), x);
-                let time = |algo| {
-                    time_run(
-                        &g,
-                        QueryModel::Ssfbc(p),
-                        algo,
-                        opts,
-                        VertexOrder::DegreeDesc,
-                    )
-                };
-                let mut row = vec![x.to_string()];
-                if with_nsf {
-                    row.push(time(Algorithm::Nsf).cell());
-                }
-                let bcem = time(Algorithm::FairBcem);
-                let pp = time(Algorithm::FairBcemPP);
-                row.push(bcem.cell());
-                row.push(pp.cell());
-                row.push(pp.count.to_string());
-                t.push(row);
-            }
-            out.push(t);
-        }
-    }
-    out
+    runtime_sweep(opts, false)
 }
 
-/// Fig. 5: BNSF / BFairBCEM / BFairBCEM++ runtimes, varying α, β, δ.
+/// Fig. 5: BNSF / BFairBCEM / BFairBCEM++ runtimes, varying α, β, δ
+/// (BNSF on DBLP, and on the quick sweep's Youtube).
 pub fn exp3_fig5(opts: &Opts) -> Vec<Table> {
+    runtime_sweep(opts, true)
+}
+
+/// The sweep of Fig. 2 (SSFBC) or, with `bi`, Fig. 5 (BSFBC): one
+/// table per dataset and axis, a row per value with the runtimes of
+/// the three algorithms and the result count.
+fn runtime_sweep(opts: &Opts, bi: bool) -> Vec<Table> {
+    let (fig, b, model_name) = if bi {
+        (5, "B", "BSFBC")
+    } else {
+        (2, "", "SSFBC")
+    };
     let mut out = Vec::new();
     for s in datasets(opts) {
         let g = graph_for(s.dataset);
-        let with_nsf = s.dataset == Dataset::Dblp || opts.quick;
+        let with_nsf = s.dataset == Dataset::Dblp || (bi && opts.quick);
         for axis in [Axis::Alpha, Axis::Beta, Axis::Delta] {
-            let range = match axis {
-                Axis::Alpha => fig5_alpha_range(s.dataset, opts),
-                Axis::Beta => fig5_beta_range(s.dataset, opts),
-                Axis::Delta => delta_range(opts),
+            let range = match (axis, bi) {
+                (Axis::Delta, _) => delta_range(opts),
+                (_, false) => fig2_range(s.dataset, opts),
+                (Axis::Alpha, true) => fig5_alpha_range(s.dataset, opts),
+                (Axis::Beta, true) => fig5_beta_range(s.dataset, opts),
             };
-            let mut headers = vec![axis.name(), "BFairBCEM(s)", "BFairBCEM++(s)", "#BSFBC"];
+            let mut headers = vec![
+                axis.name().to_string(),
+                format!("{b}FairBCEM(s)"),
+                format!("{b}FairBCEM++(s)"),
+                format!("#{model_name}"),
+            ];
             if with_nsf {
-                headers.insert(1, "BNSF(s)");
+                headers.insert(1, format!("{b}NSF(s)"));
             }
+            let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
             let mut t = Table::new(
-                format!("Fig. 5 {} (vary {})", s.dataset, axis.name()),
+                format!("Fig. {fig} {} (vary {})", s.dataset, axis.name()),
                 &headers,
             );
             for &x in &range {
-                let p = axis.apply(s.bi_params(), x);
-                let time = |algo| {
-                    time_run(
-                        &g,
-                        QueryModel::Bsfbc(p),
-                        algo,
-                        opts,
-                        VertexOrder::DegreeDesc,
-                    )
+                let model = if bi {
+                    QueryModel::Bsfbc(axis.apply(s.bi_params(), x))
+                } else {
+                    QueryModel::Ssfbc(axis.apply(s.single_params(), x))
                 };
+                let time = |algo| time_run(&g, model, algo, opts, VertexOrder::DegreeDesc);
                 let mut row = vec![x.to_string()];
                 if with_nsf {
                     row.push(time(Algorithm::Nsf).cell());
@@ -403,50 +377,27 @@ pub fn exp2_table2(opts: &Opts) -> Vec<Table> {
     if opts.quick {
         t.headers = vec!["Algorithm".into(), "Ordering".into(), "Youtube".into()];
     }
-    for (name, algo) in [
-        ("FairBCEM", Algorithm::FairBcem),
-        ("FairBCEM++", Algorithm::FairBcemPP),
-    ] {
-        for (oname, order) in [
-            ("IDOrd", VertexOrder::IdAsc),
-            ("DegOrd", VertexOrder::DegreeDesc),
+    for bi in [false, true] {
+        let b = if bi { "B" } else { "" };
+        for (name, algo) in [
+            ("FairBCEM", Algorithm::FairBcem),
+            ("FairBCEM++", Algorithm::FairBcemPP),
         ] {
-            let mut row = vec![name.to_string(), oname.to_string()];
-            for &d in &ds {
-                let g = graph_for(d);
-                let r = time_run(
-                    &g,
-                    QueryModel::Ssfbc(spec(d).single_params()),
-                    algo,
-                    opts,
-                    order,
-                );
-                row.push(r.cell());
+            for (oname, order) in [
+                ("IDOrd", VertexOrder::IdAsc),
+                ("DegOrd", VertexOrder::DegreeDesc),
+            ] {
+                let mut row = vec![format!("{b}{name}"), oname.to_string()];
+                for &d in &ds {
+                    let model = if bi {
+                        QueryModel::Bsfbc(spec(d).bi_params())
+                    } else {
+                        QueryModel::Ssfbc(spec(d).single_params())
+                    };
+                    row.push(time_run(&graph_for(d), model, algo, opts, order).cell());
+                }
+                t.push(row);
             }
-            t.push(row);
-        }
-    }
-    for (name, algo) in [
-        ("BFairBCEM", Algorithm::FairBcem),
-        ("BFairBCEM++", Algorithm::FairBcemPP),
-    ] {
-        for (oname, order) in [
-            ("IDOrd", VertexOrder::IdAsc),
-            ("DegOrd", VertexOrder::DegreeDesc),
-        ] {
-            let mut row = vec![name.to_string(), oname.to_string()];
-            for &d in &ds {
-                let g = graph_for(d);
-                let r = time_run(
-                    &g,
-                    QueryModel::Bsfbc(spec(d).bi_params()),
-                    algo,
-                    opts,
-                    order,
-                );
-                row.push(r.cell());
-            }
-            t.push(row);
         }
     }
     vec![t]
@@ -781,7 +732,9 @@ pub fn ablation_pruning(opts: &Opts) -> Vec<Table> {
 /// global budget).
 pub fn exp8_parallel_scaling(opts: &Opts) -> Vec<Table> {
     use fair_biclique::maximum::SizeMetric;
+    use fair_biclique::obs::SpanRecorder;
     use fair_biclique::pipeline::enumerate;
+    use fair_biclique::prepared::ResultMode;
 
     let d = if opts.quick {
         Dataset::Youtube
@@ -823,8 +776,8 @@ pub fn exp8_parallel_scaling(opts: &Opts) -> Vec<Table> {
             Box::new(|cfg: &RunConfig| {
                 let query =
                     PreparedQuery::prepare(&g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
-                let (best, _) = query.maximum(SizeMetric::Vertices, cfg);
-                (usize::from(best.is_some()), false)
+                let mode = ResultMode::Maximum(SizeMetric::Vertices);
+                report(query.answer(mode, cfg, &mut SpanRecorder::disabled()))
             }),
         ),
     ];

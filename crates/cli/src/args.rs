@@ -1,11 +1,13 @@
 //! Hand-rolled argument parsing (no CLI dependency needed for five
 //! subcommands) producing a typed [`Command`].
 
-use fair_biclique::config::{Substrate, VertexOrder};
+use fair_biclique::config::{Budget, FairParams, ParamError, ProParams, RunConfig, VertexOrder};
 use fair_biclique::maximum::SizeMetric;
 use fair_biclique::pipeline::Algorithm;
-use fbe_datasets::corpus::Dataset;
-use fbe_service::protocol::parse_pair_u16;
+use fair_biclique::prepared::{QueryModel, ResultMode};
+use fbe_service::protocol::{parse_pair_u16, GenSpec};
+use fbe_service::ServiceConfig;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// What the graph source of a command is.
@@ -20,35 +22,15 @@ pub enum GraphSource {
     },
 }
 
-/// What to generate.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GenerateKind {
-    /// A scaled corpus dataset.
-    Dataset(Dataset),
-    /// Uniform random bipartite graph `(n_upper, n_lower, m)`.
-    Uniform {
-        /// `|U|`.
-        n_upper: usize,
-        /// `|V|`.
-        n_lower: usize,
-        /// Edge count.
-        m: usize,
-        /// Attribute domains.
-        attrs: (u16, u16),
-        /// Seed.
-        seed: u64,
-    },
-}
-
 /// A fully parsed invocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Command {
     /// Print usage.
     Help,
     /// `fbe generate`.
     Generate {
         /// What to generate.
-        kind: GenerateKind,
+        spec: GenSpec,
         /// Output file stem.
         out: String,
     },
@@ -70,37 +52,22 @@ pub enum Command {
         /// Pruning kind (`none`, `fcore`, `colorful`).
         kind: fair_biclique::config::PruneKind,
     },
-    /// `fbe enumerate`.
-    Enumerate {
+    /// `fbe enumerate` and `fbe maximum`: one query in one output
+    /// mode.
+    Query {
         /// Input graph.
         source: GraphSource,
-        /// `α`.
-        alpha: u32,
-        /// `β`.
-        beta: u32,
-        /// `δ`.
-        delta: u32,
-        /// Optional `θ` (switches to the proportion models).
-        theta: Option<f64>,
-        /// Bi-side model.
-        bi: bool,
+        /// The model and its validated parameters.
+        model: QueryModel,
+        /// How the search runs: order, budget, threads, sorting and
+        /// substrate.
+        cfg: RunConfig,
         /// Enumeration algorithm; the model's side picks its bi-side
         /// form (`BNSF` / `BFairBCEM` / `BFairBCEM++` with `--bi`).
         algo: Algorithm,
-        /// Vertex ordering.
-        order: VertexOrder,
-        /// Print only the count.
-        count_only: bool,
-        /// Print only the top-k largest results.
-        top: Option<usize>,
-        /// Per-run wall-clock budget.
-        budget: Option<Duration>,
-        /// Worker threads (>1 runs any model on the parallel engine).
-        threads: usize,
-        /// Sort results into the canonical deterministic order.
-        sorted: bool,
-        /// Candidate-set substrate for the enumeration hot path.
-        substrate: Substrate,
+        /// What the run prints: every result, the count, the top k or
+        /// the maximum.
+        mode: ResultMode,
         /// Print a per-stage span tree on stderr after the timing line.
         trace: bool,
     },
@@ -110,20 +77,9 @@ pub enum Command {
         host: String,
         /// Bind port (0 = ephemeral; the bound port is printed).
         port: u16,
-        /// Max concurrently executing queries.
-        workers: usize,
-        /// Max queries waiting for a worker before `ERR BUSY`.
-        queue: usize,
-        /// Prepared-plan cache capacity.
-        plan_cache: usize,
-        /// Default result cap for collecting queries.
-        default_limit: u64,
-        /// Confine `LOAD` stems under this directory (`ERR PARSE` for
-        /// absolute stems and `..`). Absent = trusted-client mode.
-        data_root: Option<String>,
-        /// Shard server addresses; non-empty turns this instance into
-        /// a scatter-gather coordinator.
-        shards: Vec<String>,
+        /// The service's tunables: workers, queue, plan cache, default
+        /// result limit, data root and shards.
+        config: ServiceConfig,
     },
     /// `fbe batch` — run protocol lines from a file/stdin, either
     /// against an in-process engine or a live server (`--connect`).
@@ -132,29 +88,6 @@ pub enum Command {
         connect: Option<String>,
         /// Script path (`-` or absent = stdin).
         path: Option<String>,
-    },
-    /// `fbe maximum`.
-    Maximum {
-        /// Input graph.
-        source: GraphSource,
-        /// `α`.
-        alpha: u32,
-        /// `β`.
-        beta: u32,
-        /// `δ`.
-        delta: u32,
-        /// Bi-side model.
-        bi: bool,
-        /// Size metric.
-        metric: SizeMetric,
-        /// Vertex ordering.
-        order: VertexOrder,
-        /// Per-run wall-clock budget.
-        budget: Option<Duration>,
-        /// Worker threads (>1 searches on the parallel engine).
-        threads: usize,
-        /// Candidate-set substrate for the search hot path.
-        substrate: Substrate,
     },
 }
 
@@ -173,6 +106,16 @@ impl<'a> Cursor<'a> {
     fn value(&mut self, flag: &str) -> Result<&'a str, String> {
         self.next()
             .ok_or_else(|| format!("missing value for {flag}"))
+    }
+
+    /// The value of `flag`, parsed; errors name the flag.
+    fn parsed<T: FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)?
+            .parse()
+            .map_err(|e| format!("{flag}: {e}"))
     }
 }
 
@@ -203,7 +146,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
 }
 
 fn parse_generate(c: &mut Cursor<'_>) -> Result<Command, String> {
-    let mut dataset: Option<Dataset> = None;
+    let mut dataset = None;
     let mut uniform: Option<(usize, usize, usize)> = None;
     let mut attrs = (2u16, 2u16);
     let mut seed = 42u64;
@@ -225,30 +168,30 @@ fn parse_generate(c: &mut Cursor<'_>) -> Result<Command, String> {
                 uniform = Some((parse_dim(nu)?, parse_dim(nv)?, parse_dim(m)?));
             }
             "--attrs" => attrs = parse_pair_u16(c.value("--attrs")?, "--attrs")?,
-            "--seed" => {
-                seed = c
-                    .value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--seed" => seed = c.parsed("--seed")?,
             "--out" => out = Some(c.value("--out")?.to_string()),
             other => return Err(format!("generate: unknown argument {other:?}")),
         }
     }
     let out = out.ok_or("generate: --out is required")?;
-    let kind = match (dataset, uniform) {
-        (Some(d), None) => GenerateKind::Dataset(d),
-        (None, Some((nu, nv, m))) => GenerateKind::Uniform {
-            n_upper: nu,
-            n_lower: nv,
-            m,
-            attrs,
-            seed,
-        },
+    let spec = match (dataset, uniform) {
+        (Some(d), None) => GenSpec::Dataset(d),
+        (None, Some((n_upper, n_lower, m))) => {
+            if n_upper == 0 || n_lower == 0 {
+                return Err("generate: sides must be non-empty".into());
+            }
+            GenSpec::Uniform {
+                n_upper,
+                n_lower,
+                m,
+                seed,
+                attrs,
+            }
+        }
         (Some(_), Some(_)) => return Err("generate: pass --dataset OR --uniform".into()),
         (None, None) => return Err("generate: one of --dataset / --uniform required".into()),
     };
-    Ok(Command::Generate { kind, out })
+    Ok(Command::Generate { spec, out })
 }
 
 /// Parse `<stem> [--attrs AU,AV]`; returns the source and whether the
@@ -284,8 +227,8 @@ fn parse_prune(c: &mut Cursor<'_>) -> Result<Command, String> {
     let mut kind = fair_biclique::config::PruneKind::Colorful;
     while let Some(a) = c.next() {
         match a {
-            "--alpha" => alpha = Some(parse_u32(c.value("--alpha")?, "--alpha")?),
-            "--beta" => beta = Some(parse_u32(c.value("--beta")?, "--beta")?),
+            "--alpha" => alpha = Some(c.parsed("--alpha")?),
+            "--beta" => beta = Some(c.parsed("--beta")?),
             "--bi" => bi = true,
             "--kind" => {
                 kind = match c.value("--kind")? {
@@ -311,24 +254,16 @@ fn parse_prune(c: &mut Cursor<'_>) -> Result<Command, String> {
     })
 }
 
-fn parse_u32(s: &str, what: &str) -> Result<u32, String> {
-    s.parse().map_err(|e| format!("{what}: {e}"))
-}
-
 /// The options `enumerate` and `maximum` share: the thresholds and
 /// side of the model, and how the search runs. The defaults are
-/// `DegOrd`, no budget, one thread (`0` reads as 1) and the `auto`
-/// substrate.
+/// `DegOrd`, no budget, one thread and the `auto` substrate.
 #[derive(Default)]
 struct SearchOpts {
     alpha: Option<u32>,
     beta: Option<u32>,
     delta: Option<u32>,
     bi: bool,
-    order: VertexOrder,
-    budget: Option<Duration>,
-    threads: usize,
-    substrate: Substrate,
+    cfg: RunConfig,
 }
 
 impl SearchOpts {
@@ -336,52 +271,51 @@ impl SearchOpts {
     /// `Ok(false)` leaves it to the subcommand.
     fn parse_flag(&mut self, flag: &str, c: &mut Cursor<'_>) -> Result<bool, String> {
         match flag {
-            "--alpha" => self.alpha = Some(parse_u32(c.value("--alpha")?, "--alpha")?),
-            "--beta" => self.beta = Some(parse_u32(c.value("--beta")?, "--beta")?),
-            "--delta" => self.delta = Some(parse_u32(c.value("--delta")?, "--delta")?),
+            "--alpha" => self.alpha = Some(c.parsed("--alpha")?),
+            "--beta" => self.beta = Some(c.parsed("--beta")?),
+            "--delta" => self.delta = Some(c.parsed("--delta")?),
             "--bi" => self.bi = true,
             "--order" => {
-                self.order = match c.value("--order")? {
+                self.cfg.order = match c.value("--order")? {
                     "id" => VertexOrder::IdAsc,
                     "degree" | "deg" => VertexOrder::DegreeDesc,
                     other => return Err(format!("--order: unknown {other:?}")),
                 }
             }
             "--budget-secs" => {
-                self.budget = Some(Duration::from_secs(
-                    c.value("--budget-secs")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("--budget-secs: {e}"))?,
-                ))
+                self.cfg.budget = Budget::time(Duration::from_secs(c.parsed("--budget-secs")?))
             }
-            "--threads" => {
-                self.threads = c
-                    .value("--threads")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--substrate" => {
-                self.substrate = c
-                    .value("--substrate")?
-                    .parse()
-                    .map_err(|e| format!("--substrate: {e}"))?
-            }
+            // `0` reads as 1.
+            "--threads" => self.cfg.threads = c.parsed::<usize>("--threads")?.max(1),
+            "--substrate" => self.cfg.substrate = c.parsed("--substrate")?,
             _ => return Ok(false),
         }
         Ok(true)
     }
 
-    /// The required `(α, β, δ)` of subcommand `cmd`, with `α ≥ 1`.
-    fn thresholds(&self, cmd: &str) -> Result<(u32, u32, u32), String> {
+    /// The model of subcommand `cmd`: the required `(α, β, δ)` with
+    /// `α ≥ 1`, the side, and `θ ∈ [0, 0.5]` for the proportion models.
+    fn model(&self, cmd: &str, theta: Option<f64>) -> Result<QueryModel, String> {
         let alpha = self.alpha.ok_or(format!("{cmd}: --alpha required"))?;
-        if alpha == 0 {
-            return Err(format!("{cmd}: alpha must be >= 1"));
-        }
-        Ok((
-            alpha,
-            self.beta.ok_or(format!("{cmd}: --beta required"))?,
-            self.delta.ok_or(format!("{cmd}: --delta required"))?,
-        ))
+        let beta = self.beta.ok_or(format!("{cmd}: --beta required"))?;
+        let delta = self.delta.ok_or(format!("{cmd}: --delta required"))?;
+        let invalid = |e| match e {
+            ParamError::ThetaOutOfRange(_) => format!("{cmd}: theta must be in [0, 0.5]"),
+            e => format!("{cmd}: {e}"),
+        };
+        let fair = FairParams::new(alpha, beta, delta).map_err(invalid)?;
+        Ok(match theta {
+            None if self.bi => QueryModel::Bsfbc(fair),
+            None => QueryModel::Ssfbc(fair),
+            Some(t) => {
+                let pro = ProParams::new(alpha, beta, delta, t).map_err(invalid)?;
+                if self.bi {
+                    QueryModel::Pbsfbc(pro)
+                } else {
+                    QueryModel::Pssfbc(pro)
+                }
+            }
+        })
     }
 }
 
@@ -392,20 +326,13 @@ fn parse_enumerate(c: &mut Cursor<'_>) -> Result<Command, String> {
     let mut algo = Algorithm::FairBcemPP;
     let mut count_only = false;
     let mut top = None;
-    let mut sorted = false;
     let mut trace = false;
     while let Some(a) = c.next() {
         if opts.parse_flag(a, c)? {
             continue;
         }
         match a {
-            "--theta" => {
-                theta = Some(
-                    c.value("--theta")?
-                        .parse::<f64>()
-                        .map_err(|e| format!("--theta: {e}"))?,
-                )
-            }
+            "--theta" => theta = Some(c.parsed("--theta")?),
             "--algo" => {
                 algo = match c.value("--algo")? {
                     "nsf" => Algorithm::Nsf,
@@ -415,39 +342,37 @@ fn parse_enumerate(c: &mut Cursor<'_>) -> Result<Command, String> {
                 }
             }
             "--count-only" => count_only = true,
-            "--top" => {
-                top = Some(
-                    c.value("--top")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--top: {e}"))?,
-                )
-            }
-            "--sorted" => sorted = true,
+            "--top" => top = Some(c.parsed("--top")?),
+            "--sorted" => opts.cfg.sorted = true,
             "--trace" => trace = true,
             other => return Err(format!("enumerate: unknown argument {other:?}")),
         }
     }
-    let (alpha, beta, delta) = opts.thresholds("enumerate")?;
-    if let Some(t) = theta {
-        if !(0.0..=0.5).contains(&t) {
-            return Err("enumerate: theta must be in [0, 0.5]".into());
+    let model = opts.model("enumerate", theta)?;
+    // `--algo` selects among the paper's serial algorithms for the
+    // absolute models: only the default `++` miners run on the parallel
+    // engine, and the proportion models have no baselines.
+    if algo != Algorithm::FairBcemPP {
+        if opts.cfg.threads > 1 {
+            return Err("enumerate: --threads > 1 requires the default --algo bcem++".into());
+        }
+        if theta.is_some() {
+            return Err("enumerate: --theta requires the default --algo bcem++ \
+                 (the proportion models have no baselines)"
+                .into());
         }
     }
-    Ok(Command::Enumerate {
+    let mode = match (count_only, top) {
+        (true, _) => ResultMode::Count,
+        (false, Some(k)) => ResultMode::Top(k),
+        (false, None) => ResultMode::Collect,
+    };
+    Ok(Command::Query {
         source,
-        alpha,
-        beta,
-        delta,
-        theta,
-        bi: opts.bi,
+        model,
+        cfg: opts.cfg,
         algo,
-        order: opts.order,
-        count_only,
-        top,
-        budget: opts.budget,
-        threads: opts.threads.max(1),
-        sorted,
-        substrate: opts.substrate,
+        mode,
         trace,
     })
 }
@@ -471,88 +396,44 @@ fn parse_maximum(c: &mut Cursor<'_>) -> Result<Command, String> {
             other => return Err(format!("maximum: unknown argument {other:?}")),
         }
     }
-    let (alpha, beta, delta) = opts.thresholds("maximum")?;
-    Ok(Command::Maximum {
+    Ok(Command::Query {
         source,
-        alpha,
-        beta,
-        delta,
-        bi: opts.bi,
-        metric,
-        order: opts.order,
-        budget: opts.budget,
-        threads: opts.threads.max(1),
-        substrate: opts.substrate,
+        model: opts.model("maximum", None)?,
+        cfg: opts.cfg,
+        algo: Algorithm::FairBcemPP,
+        mode: ResultMode::Maximum(metric),
+        trace: false,
     })
 }
 
 fn parse_serve(c: &mut Cursor<'_>) -> Result<Command, String> {
     let mut host = "127.0.0.1".to_string();
     let mut port = 7878u16;
-    let mut workers = 4usize;
-    let mut queue = 16usize;
-    let mut plan_cache = 32usize;
-    let mut default_limit = 1000u64;
-    let mut data_root = None;
-    let mut shards = Vec::new();
+    let mut config = ServiceConfig::default();
     while let Some(a) = c.next() {
         match a {
             "--host" => host = c.value("--host")?.to_string(),
-            "--port" => {
-                port = c
-                    .value("--port")?
-                    .parse()
-                    .map_err(|e| format!("--port: {e}"))?
-            }
-            "--workers" => {
-                workers = c
-                    .value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--queue" => {
-                queue = c
-                    .value("--queue")?
-                    .parse()
-                    .map_err(|e| format!("--queue: {e}"))?
-            }
-            "--plan-cache" => {
-                plan_cache = c
-                    .value("--plan-cache")?
-                    .parse()
-                    .map_err(|e| format!("--plan-cache: {e}"))?
-            }
-            "--default-limit" => {
-                default_limit = c
-                    .value("--default-limit")?
-                    .parse()
-                    .map_err(|e| format!("--default-limit: {e}"))?
-            }
-            "--data-root" => data_root = Some(c.value("--data-root")?.to_string()),
+            "--port" => port = c.parsed("--port")?,
+            "--workers" => config.workers = c.parsed::<usize>("--workers")?.max(1),
+            "--queue" => config.queue_depth = c.parsed("--queue")?,
+            "--plan-cache" => config.plan_cache_capacity = c.parsed("--plan-cache")?,
+            "--default-limit" => config.default_result_limit = c.parsed("--default-limit")?,
+            "--data-root" => config.data_root = Some(c.value("--data-root")?.into()),
             "--shards" => {
-                shards = c
+                config.shards = c
                     .value("--shards")?
                     .split(',')
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
                     .collect();
-                if shards.is_empty() {
+                if config.shards.is_empty() {
                     return Err("--shards: expected host:port[,host:port...]".into());
                 }
             }
             other => return Err(format!("serve: unknown argument {other:?}")),
         }
     }
-    Ok(Command::Serve {
-        host,
-        port,
-        workers: workers.max(1),
-        queue,
-        plan_cache,
-        default_limit,
-        data_root,
-        shards,
-    })
+    Ok(Command::Serve { host, port, config })
 }
 
 fn parse_batch(c: &mut Cursor<'_>) -> Result<Command, String> {
@@ -573,6 +454,8 @@ fn parse_batch(c: &mut Cursor<'_>) -> Result<Command, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fair_biclique::config::Substrate;
+    use fbe_datasets::corpus::Dataset;
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -581,12 +464,15 @@ mod tests {
     #[test]
     fn parses_generate_dataset() {
         let cmd = parse(&sv(&["generate", "--dataset", "dblp", "--out", "/tmp/d"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Generate {
-                kind: GenerateKind::Dataset(Dataset::Dblp),
-                out: "/tmp/d".into()
-            }
+        assert!(
+            matches!(
+                &cmd,
+                Command::Generate {
+                    spec: GenSpec::Dataset(Dataset::Dblp),
+                    out,
+                } if out == "/tmp/d"
+            ),
+            "{cmd:?}"
         );
     }
 
@@ -606,8 +492,8 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Generate {
-                kind:
-                    GenerateKind::Uniform {
+                spec:
+                    GenSpec::Uniform {
                         n_upper,
                         n_lower,
                         m,
@@ -623,6 +509,8 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        let err = parse(&sv(&["generate", "--uniform", "0,5,5", "--out", "x"])).unwrap_err();
+        assert_eq!(err, "generate: sides must be non-empty");
     }
 
     #[test]
@@ -639,8 +527,6 @@ mod tests {
             "--theta",
             "0.4",
             "--bi",
-            "--algo",
-            "bcem",
             "--order",
             "id",
             "--top",
@@ -656,37 +542,30 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Enumerate {
-                alpha,
-                beta,
-                delta,
-                theta,
-                bi,
+            Command::Query {
+                model,
+                cfg,
                 algo,
-                order,
-                top,
-                budget,
-                threads,
-                sorted,
-                substrate,
+                mode,
                 trace,
                 ..
             } => {
-                assert_eq!((alpha, beta, delta), (3, 2, 1));
-                assert_eq!(theta, Some(0.4));
-                assert!(bi);
-                assert_eq!(algo, Algorithm::FairBcem);
-                assert_eq!(order, VertexOrder::IdAsc);
-                assert_eq!(top, Some(5));
-                assert_eq!(budget, Some(Duration::from_secs(7)));
-                assert_eq!(threads, 4);
-                assert!(sorted);
-                assert_eq!(substrate, Substrate::Bitset);
+                assert_eq!(
+                    model,
+                    QueryModel::Pbsfbc(ProParams::new(3, 2, 1, 0.4).unwrap())
+                );
+                assert_eq!(algo, Algorithm::FairBcemPP);
+                assert_eq!(cfg.order, VertexOrder::IdAsc);
+                assert_eq!(mode, ResultMode::Top(5));
+                assert_eq!(cfg.budget.max_time, Some(Duration::from_secs(7)));
+                assert_eq!(cfg.threads, 4);
+                assert!(cfg.sorted);
+                assert_eq!(cfg.substrate, Substrate::Bitset);
                 assert!(trace);
             }
             other => panic!("{other:?}"),
         }
-        // --trace defaults off.
+        // A baseline, counting; --trace defaults off.
         let cmd = parse(&sv(&[
             "enumerate",
             "g",
@@ -696,10 +575,30 @@ mod tests {
             "1",
             "--delta",
             "0",
+            "--algo",
+            "bcem",
+            "--count-only",
+            "--top",
+            "3",
         ]))
         .unwrap();
         match cmd {
-            Command::Enumerate { trace, .. } => assert!(!trace),
+            Command::Query {
+                model,
+                cfg,
+                algo,
+                mode,
+                trace,
+                ..
+            } => {
+                assert_eq!(model, QueryModel::Ssfbc(FairParams::new(1, 1, 0).unwrap()));
+                assert_eq!(algo, Algorithm::FairBcem);
+                assert_eq!(mode, ResultMode::Count);
+                assert_eq!(cfg.budget.max_time, None);
+                assert_eq!(cfg.threads, 1);
+                assert!(!cfg.sorted);
+                assert!(!trace);
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -725,21 +624,13 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Maximum {
-                alpha,
-                beta,
-                delta,
-                bi,
-                metric,
-                threads,
-                substrate,
-                ..
+            Command::Query {
+                model, cfg, mode, ..
             } => {
-                assert_eq!((alpha, beta, delta), (2, 1, 1));
-                assert!(bi);
-                assert_eq!(metric, SizeMetric::Edges);
-                assert_eq!(threads, 3);
-                assert_eq!(substrate, Substrate::SortedVec);
+                assert_eq!(model, QueryModel::Bsfbc(FairParams::new(2, 1, 1).unwrap()));
+                assert_eq!(mode, ResultMode::Maximum(SizeMetric::Edges));
+                assert_eq!(cfg.threads, 3);
+                assert_eq!(cfg.substrate, Substrate::SortedVec);
             }
             other => panic!("{other:?}"),
         }
@@ -748,12 +639,17 @@ mod tests {
             "maximum", "g", "--alpha", "1", "--beta", "1", "--delta", "0", "--metric", "bogus",
         ]))
         .is_err());
+        // maximum has no --theta.
+        assert!(parse(&sv(&[
+            "maximum", "g", "--alpha", "1", "--beta", "1", "--delta", "0", "--theta", "0.4",
+        ]))
+        .is_err());
     }
 
     #[test]
     fn rejects_bad_values() {
         assert!(parse(&sv(&["generate", "--dataset", "nope", "--out", "x"])).is_err());
-        assert!(parse(&sv(&[
+        let err = parse(&sv(&[
             "enumerate",
             "g",
             "--alpha",
@@ -763,9 +659,15 @@ mod tests {
             "--delta",
             "0",
             "--theta",
-            "0.9"
+            "0.9",
         ]))
-        .is_err());
+        .unwrap_err();
+        assert_eq!(err, "enumerate: theta must be in [0, 0.5]");
+        let err = parse(&sv(&[
+            "maximum", "g", "--alpha", "0", "--beta", "1", "--delta", "0",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "maximum: alpha must be >= 1");
         assert!(parse(&sv(&["enumerate", "g", "--beta", "1", "--delta", "0"])).is_err());
         assert!(parse(&sv(&[
             "enumerate",
@@ -780,26 +682,40 @@ mod tests {
             "bogus"
         ]))
         .is_err());
+        let err = parse(&sv(&[
+            "enumerate",
+            "g",
+            "--alpha",
+            "1",
+            "--beta",
+            "1",
+            "--delta",
+            "0",
+            "--algo",
+            "nsf",
+            "--threads",
+            "2",
+        ]))
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "enumerate: --threads > 1 requires the default --algo bcem++"
+        );
         assert!(parse(&sv(&["prune", "g", "--alpha", "1"])).is_err());
         assert!(parse(&sv(&["prune", "g", "--alpha", "x", "--beta", "1"])).is_err());
     }
 
     #[test]
     fn parses_serve_and_batch() {
-        let cmd = parse(&sv(&["serve"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve {
-                host: "127.0.0.1".into(),
-                port: 7878,
-                workers: 4,
-                queue: 16,
-                plan_cache: 32,
-                default_limit: 1000,
-                data_root: None,
-                shards: Vec::new(),
+        // No flags: ServiceConfig's own defaults.
+        match parse(&sv(&["serve"])).unwrap() {
+            Command::Serve { host, port, config } => {
+                assert_eq!((host.as_str(), port), ("127.0.0.1", 7878));
+                let want = ServiceConfig::default();
+                assert_eq!(format!("{config:?}"), format!("{want:?}"));
             }
-        );
+            other => panic!("{other:?}"),
+        }
         let cmd = parse(&sv(&[
             "serve",
             "--port",
@@ -815,17 +731,17 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Serve {
-                port,
-                workers,
-                queue,
-                plan_cache,
-                default_limit,
-                ..
-            } => {
+            Command::Serve { port, config, .. } => {
                 assert_eq!(port, 0);
-                assert_eq!((workers, queue, plan_cache), (2, 1, 8));
-                assert_eq!(default_limit, 50);
+                assert_eq!(
+                    (
+                        config.workers,
+                        config.queue_depth,
+                        config.plan_cache_capacity
+                    ),
+                    (2, 1, 8)
+                );
+                assert_eq!(config.default_result_limit, 50);
             }
             other => panic!("{other:?}"),
         }
@@ -841,30 +757,26 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Serve {
-                shards, data_root, ..
-            } => {
-                assert_eq!(shards, vec!["127.0.0.1:7001", "127.0.0.1:7002"]);
-                assert_eq!(data_root.as_deref(), Some("/srv/graphs"));
+            Command::Serve { config, .. } => {
+                assert_eq!(config.shards, vec!["127.0.0.1:7001", "127.0.0.1:7002"]);
+                assert_eq!(
+                    config.data_root.as_deref(),
+                    Some(std::path::Path::new("/srv/graphs"))
+                );
             }
             other => panic!("{other:?}"),
         }
         assert!(parse(&sv(&["serve", "--shards", " , "])).is_err());
         assert!(parse(&sv(&["serve", "--shards"])).is_err());
 
+        let batch = |argv: &[&str]| match parse(&sv(argv)).unwrap() {
+            Command::Batch { connect, path } => (connect, path),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(batch(&["batch"]), (None, None));
         assert_eq!(
-            parse(&sv(&["batch"])).unwrap(),
-            Command::Batch {
-                connect: None,
-                path: None
-            }
-        );
-        assert_eq!(
-            parse(&sv(&["batch", "--connect", "127.0.0.1:7878", "script.fbe"])).unwrap(),
-            Command::Batch {
-                connect: Some("127.0.0.1:7878".into()),
-                path: Some("script.fbe".into())
-            }
+            batch(&["batch", "--connect", "127.0.0.1:7878", "script.fbe"]),
+            (Some("127.0.0.1:7878".into()), Some("script.fbe".into()))
         );
         assert!(parse(&sv(&["batch", "a", "b"])).is_err());
     }
@@ -874,7 +786,7 @@ mod tests {
         for (name, want) in [("wiki", Dataset::WikiCat), ("IMDB", Dataset::Imdb)] {
             match parse(&sv(&["generate", "--dataset", name, "--out", "/tmp/x"])).unwrap() {
                 Command::Generate {
-                    kind: GenerateKind::Dataset(d),
+                    spec: GenSpec::Dataset(d),
                     ..
                 } => assert_eq!(d, want),
                 other => panic!("{other:?}"),

@@ -6,18 +6,21 @@
 //! maps `BrokenPipe` to a clean exit. Timing lines go to stderr so
 //! stdout stays byte-stable across runs.
 
-use crate::args::{Command, GenerateKind, GraphSource};
+use crate::args::{Command, GraphSource};
 use bigraph::{BipartiteGraph, Side};
-use fair_biclique::biclique::{Biclique, BicliqueSink, CollectSink, CountSink, TopKSink};
-use fair_biclique::config::{
-    Budget, FairParams, ProParams, RunConfig, StopReason, Substrate, VertexOrder,
+use fair_biclique::biclique::{
+    Biclique, BicliqueSink, CollectSink, CountSink, EnumStats, TopKSink,
 };
+use fair_biclique::config::{Budget, FairParams, RunConfig};
+use fair_biclique::maximum::MaxSink;
 use fair_biclique::obs::SpanRecorder;
-use fair_biclique::pipeline::{self, Algorithm};
-use fair_biclique::prepared::{PreparedQuery, QueryModel};
+use fair_biclique::pipeline::{self, Algorithm, RunReport};
+use fair_biclique::prepared::{PreparedQuery, QueryModel, ResultMode};
+use fbe_service::protocol::GenSpec;
+use fbe_service::ServiceConfig;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Appended to a result line when the budget cut the run short: the
 /// count (or maximum) is then a lower bound.
@@ -57,8 +60,8 @@ impl std::fmt::Display for CliError {
 pub fn execute_to(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
     match cmd {
         Command::Help => Ok(out.write_all(crate::HELP.as_bytes())?),
-        Command::Generate { kind, out: dest } => {
-            let text = generate(kind, &dest)?;
+        Command::Generate { spec, out: dest } => {
+            let text = generate(spec, &dest)?;
             Ok(out.write_all(text.as_bytes())?)
         }
         Command::Stats { source } => stats(&source, out),
@@ -72,60 +75,36 @@ pub fn execute_to(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             let text = prune(&source, alpha, beta, bi, kind)?;
             Ok(out.write_all(text.as_bytes())?)
         }
-        Command::Enumerate {
+        Command::Query {
             source,
-            alpha,
-            beta,
-            delta,
-            theta,
-            bi,
+            model,
+            cfg,
             algo,
-            order,
-            count_only,
-            top,
-            budget,
-            threads,
-            sorted,
-            substrate,
+            mode,
             trace,
-        } => enumerate(
-            out, &source, alpha, beta, delta, theta, bi, algo, order, count_only, top, budget,
-            threads, sorted, substrate, trace,
-        ),
-        Command::Maximum {
-            source,
-            alpha,
-            beta,
-            delta,
-            bi,
-            metric,
-            order,
-            budget,
-            threads,
-            substrate,
-        } => maximum(
-            out, &source, alpha, beta, delta, bi, metric, order, budget, threads, substrate,
-        ),
-        Command::Serve {
-            host,
-            port,
-            workers,
-            queue,
-            plan_cache,
-            default_limit,
-            data_root,
-            shards,
-        } => serve(
-            out,
-            &host,
-            port,
-            workers,
-            queue,
-            plan_cache,
-            default_limit,
-            data_root,
-            shards,
-        ),
+        } => {
+            let g = load(&source)?;
+            let (stats, shown) = if algo == Algorithm::FairBcemPP {
+                // With --trace the recorder collects the same span tree
+                // the service's TRACE verb shows; a disabled recorder
+                // renders nothing.
+                let mut rec = if trace {
+                    SpanRecorder::enabled()
+                } else {
+                    SpanRecorder::disabled()
+                };
+                let report = query(&g, model, &cfg, mode, &mut rec);
+                report_timing(&report, &rec);
+                (report.stats, report.bicliques)
+            } else {
+                let t0 = Instant::now();
+                let ran = query_baseline(&g, model, algo, &cfg, mode)?;
+                eprintln!("timing: total {:.3?}", t0.elapsed());
+                ran
+            };
+            render(out, model, mode, stats.emitted, stats.aborted, &shown)
+        }
+        Command::Serve { host, port, config } => serve(out, &host, port, config),
         Command::Batch { connect, path } => batch(out, connect.as_deref(), path.as_deref()),
     }
 }
@@ -156,30 +135,20 @@ fn load(source: &GraphSource) -> Result<BipartiteGraph, String> {
         .map_err(|e| format!("loading {stem}: {e}"))
 }
 
-fn generate(kind: GenerateKind, out: &str) -> Result<String, String> {
-    let (g, label) = match kind {
-        GenerateKind::Dataset(d) => {
-            let spec = fbe_datasets::corpus::spec(d);
-            (
-                spec.build(),
-                format!("{d} analog (defaults: {})", spec.single_params()),
-            )
-        }
-        GenerateKind::Uniform {
+fn generate(spec: GenSpec, out: &str) -> Result<String, String> {
+    let (g, _) = fbe_service::catalog::generate(spec);
+    let label = match spec {
+        GenSpec::Dataset(d) => format!(
+            "{d} analog (defaults: {})",
+            fbe_datasets::corpus::spec(d).single_params()
+        ),
+        GenSpec::Uniform {
             n_upper,
             n_lower,
             m,
-            attrs,
             seed,
-        } => {
-            if n_upper == 0 || n_lower == 0 {
-                return Err("generate: sides must be non-empty".into());
-            }
-            (
-                bigraph::generate::random_uniform(n_upper, n_lower, m, attrs.0, attrs.1, seed),
-                format!("uniform({n_upper},{n_lower},{m}) seed {seed}"),
-            )
-        }
+            ..
+        } => format!("uniform({n_upper},{n_lower},{m}) seed {seed}"),
     };
     let (edges, uattr, lattr) = stem_paths(out);
     if let Some(dir) = edges.parent() {
@@ -246,11 +215,15 @@ fn prune(
 /// With `--trace` the recorder holds a span tree and its indented
 /// `span ...` lines follow the summary, so the one-line timing and
 /// the detailed breakdown read as one block.
-fn report_timing(total: Duration, prune: Duration, stop: Option<StopReason>, rec: &SpanRecorder) {
+fn report_timing(report: &RunReport, rec: &SpanRecorder) {
     eprintln!(
-        "timing: total {total:.3?} (prune {prune:.3?}, enumerate {:.3?}){}",
-        total.saturating_sub(prune),
-        stop.map(|r| format!(" truncated by {r}"))
+        "timing: total {:.3?} (prune {:.3?}, enumerate {:.3?}){}",
+        report.elapsed,
+        report.prune_elapsed,
+        report.enumerate_elapsed,
+        report
+            .truncated_by
+            .map(|r| format!(" truncated by {r}"))
             .unwrap_or_default(),
     );
     for line in rec.render() {
@@ -258,230 +231,67 @@ fn report_timing(total: Duration, prune: Duration, stop: Option<StopReason>, rec
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn enumerate(
-    out: &mut dyn Write,
-    source: &GraphSource,
-    alpha: u32,
-    beta: u32,
-    delta: u32,
-    theta: Option<f64>,
-    bi: bool,
-    algo: Algorithm,
-    order: VertexOrder,
-    count_only: bool,
-    top: Option<usize>,
-    budget: Option<Duration>,
-    threads: usize,
-    sorted: bool,
-    substrate: Substrate,
-    trace: bool,
-) -> Result<(), CliError> {
-    // `--algo` selects among the paper's serial algorithms for the
-    // absolute models: only the default `++` miners run on the parallel
-    // engine, and the proportion models have no baselines.
-    if algo != Algorithm::FairBcemPP {
-        if threads > 1 {
-            return Err(CliError::Usage(
-                "enumerate: --threads > 1 requires the default --algo bcem++".into(),
-            ));
-        }
-        if theta.is_some() {
-            return Err(CliError::Usage(
-                "enumerate: --theta requires the default --algo bcem++ \
-                 (the proportion models have no baselines)"
-                    .into(),
-            ));
-        }
-    }
-    let g = load(source)?;
-    let params = FairParams::new(alpha, beta, delta).map_err(|e| e.to_string())?;
-    let cfg = RunConfig {
-        order,
-        budget: budget.map_or(Budget::UNLIMITED, Budget::time),
-        threads,
-        sorted,
-        substrate,
-        ..RunConfig::default()
-    };
-    let pro = match theta {
-        Some(t) => Some(ProParams::new(alpha, beta, delta, t).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let model = match (bi, pro) {
-        (false, None) => QueryModel::Ssfbc(params),
-        (true, None) => QueryModel::Bsfbc(params),
-        (false, Some(p)) => QueryModel::Pssfbc(p),
-        (true, Some(p)) => QueryModel::Pbsfbc(p),
-    };
-    let (count, aborted, shown) = if algo != Algorithm::FairBcemPP {
-        enumerate_baseline(&g, model, algo, &cfg, count_only, top)?
-    } else {
-        // With --trace the recorder collects the same span tree the
-        // service's TRACE verb shows; a disabled recorder renders nothing.
-        let mut rec = if trace {
-            SpanRecorder::enabled()
-        } else {
-            SpanRecorder::disabled()
-        };
-        enumerate_prepared(&g, model, &cfg, count_only, top, &mut rec)
-    };
-    render(out, model.name(), count, aborted, count_only, top, &shown)
-}
-
-/// Run a `++` miner on the prepared path at any thread count: every
-/// mode is a sink choice on [`PreparedQuery::stream`]. Counting and
-/// top-k stream into bounded per-worker sinks — no mode materializes
-/// more than it prints. Returns `(count, aborted, bicliques to show)`;
-/// the run's spans land in `rec`.
-fn enumerate_prepared(
+/// Run a `++` miner on the prepared path in `mode`, at any thread
+/// count; the preparation and the run are traced into `rec`.
+fn query(
     g: &BipartiteGraph,
     model: QueryModel,
     cfg: &RunConfig,
-    count_only: bool,
-    top: Option<usize>,
+    mode: ResultMode,
     rec: &mut SpanRecorder,
-) -> (u64, bool, Vec<Biclique>) {
-    let t0 = Instant::now();
-    let prepared =
-        PreparedQuery::prepare_rec(g, model, cfg.prune, cfg.substrate, &Budget::UNLIMITED, rec)
-            // fbe-lint: allow(no-panic-paths): Budget::UNLIMITED never interrupts, so Err is unreachable — same contract PreparedQuery::prepare relies on
-            .expect("an unlimited budget never interrupts");
-    let (stats, shown) = if count_only {
-        (prepared.count_rec(cfg, rec).stats, Vec::new())
-    } else if let Some(k) = top {
-        let (sinks, stats) = prepared.stream(cfg, &|| TopKSink::new(k), rec);
-        let mut merged = TopKSink::new(k);
-        for bc in sinks.into_iter().flat_map(TopKSink::into_sorted) {
-            merged.emit(&bc.upper, &bc.lower);
-        }
-        (stats, merged.into_sorted())
-    } else {
-        let report = prepared.execute_rec(cfg, rec);
-        (report.stats, report.bicliques)
-    };
-    report_timing(t0.elapsed(), prepared.prune_elapsed(), stats.stop, rec);
-    (stats.emitted, stats.aborted, shown)
+) -> RunReport {
+    PreparedQuery::prepare_rec(g, model, cfg.prune, cfg.substrate, &Budget::UNLIMITED, rec)
+        // fbe-lint: allow(no-panic-paths): Budget::UNLIMITED never interrupts, so Err is unreachable — same contract PreparedQuery::prepare relies on
+        .expect("an unlimited budget never interrupts")
+        .answer(mode, cfg, rec)
 }
 
 /// Run one of the paper's serial baselines (`--algo nsf|bcem`:
-/// `NSF` / `FairBCEM`, or `BNSF` / `BFairBCEM` with `--bi`).
-fn enumerate_baseline(
+/// `NSF` / `FairBCEM`, or `BNSF` / `BFairBCEM` with `--bi`) into the
+/// sink of `mode`. Returns the run's statistics and the results to
+/// show.
+fn query_baseline(
     g: &BipartiteGraph,
     model: QueryModel,
     algo: Algorithm,
     cfg: &RunConfig,
-    count_only: bool,
-    top: Option<usize>,
-) -> Result<(u64, bool, Vec<Biclique>), String> {
-    let t0 = Instant::now();
+    mode: ResultMode,
+) -> Result<(EnumStats, Vec<Biclique>), String> {
     let run = |sink: &mut dyn BicliqueSink| {
         pipeline::run(g, model, algo, cfg, sink)
             .map(|(_, stats)| stats)
             .map_err(|e| format!("enumerate: {e}"))
     };
-    let (stats, shown) = if count_only {
-        (run(&mut CountSink::default())?, Vec::new())
-    } else if let Some(k) = top {
-        let mut sink = TopKSink::new(k);
-        (run(&mut sink)?, sink.into_sorted())
-    } else {
-        let mut sink = CollectSink::default();
-        let stats = run(&mut sink)?;
-        let mut bicliques = sink.bicliques;
-        if cfg.sorted {
-            fair_biclique::results::canonical_order(&mut bicliques);
+    Ok(match mode {
+        ResultMode::Collect => {
+            let mut sink = CollectSink::default();
+            let stats = run(&mut sink)?;
+            let mut bicliques = sink.bicliques;
+            if cfg.sorted {
+                fair_biclique::results::canonical_order(&mut bicliques);
+            }
+            (stats, bicliques)
         }
-        (stats, bicliques)
-    };
-    eprintln!("timing: total {:.3?}", t0.elapsed());
-    Ok((stats.emitted, stats.aborted, shown))
+        ResultMode::Count => (run(&mut CountSink::default())?, Vec::new()),
+        ResultMode::Top(k) => {
+            let mut sink = TopKSink::new(k);
+            (run(&mut sink)?, sink.into_sorted())
+        }
+        ResultMode::Maximum(metric) => {
+            let mut sink = MaxSink::new(metric);
+            (run(&mut sink)?, sink.best.into_iter().collect())
+        }
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn maximum(
-    out: &mut dyn Write,
-    source: &GraphSource,
-    alpha: u32,
-    beta: u32,
-    delta: u32,
-    bi: bool,
-    metric: fair_biclique::maximum::SizeMetric,
-    order: VertexOrder,
-    budget: Option<Duration>,
-    threads: usize,
-    substrate: Substrate,
-) -> Result<(), CliError> {
-    let g = load(source)?;
-    let params = FairParams::new(alpha, beta, delta).map_err(|e| e.to_string())?;
-    let cfg = RunConfig {
-        order,
-        budget: budget.map_or(Budget::UNLIMITED, Budget::time),
-        threads,
-        substrate,
-        ..RunConfig::default()
-    };
-    let model = if bi {
-        QueryModel::Bsfbc(params)
-    } else {
-        QueryModel::Ssfbc(params)
-    };
-    let t0 = Instant::now();
-    let prepared = PreparedQuery::prepare(&g, model, cfg.prune, cfg.substrate);
-    let (best, stats) = prepared.maximum(metric, &cfg);
-    report_timing(
-        t0.elapsed(),
-        prepared.prune_elapsed(),
-        stats.stop,
-        &SpanRecorder::disabled(),
-    );
-    render_max(out, model, metric, best.as_ref(), stats.aborted)
-}
-
-/// Print a maximum search's answer; a truncated search (`aborted`)
-/// reports its best-so-far — or "none" — as a lower bound.
-fn render_max(
-    out: &mut dyn Write,
-    model: QueryModel,
-    metric: fair_biclique::maximum::SizeMetric,
-    best: Option<&Biclique>,
-    aborted: bool,
-) -> Result<(), CliError> {
-    let suffix = if aborted { LOWER_BOUND } else { "" };
-    match best {
-        Some(bc) => writeln!(
-            out,
-            "maximum {model} ({metric:?}): |L|={} |R|={}{suffix}\n  {bc}",
-            bc.upper.len(),
-            bc.lower.len()
-        )?,
-        None => writeln!(out, "maximum {model} ({metric:?}): none{suffix}")?,
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
 fn serve(
     out: &mut dyn Write,
     host: &str,
     port: u16,
-    workers: usize,
-    queue: usize,
-    plan_cache: usize,
-    default_limit: u64,
-    data_root: Option<String>,
-    shards: Vec<String>,
+    config: ServiceConfig,
 ) -> Result<(), CliError> {
-    let coordinator = !shards.is_empty();
-    let engine = fbe_service::engine::Engine::new(fbe_service::ServiceConfig {
-        workers,
-        queue_depth: queue,
-        plan_cache_capacity: plan_cache,
-        default_result_limit: default_limit,
-        data_root: data_root.map(std::path::PathBuf::from),
-        shards,
-        ..fbe_service::ServiceConfig::default()
-    });
+    let coordinator = !config.shards.is_empty();
+    let engine = fbe_service::engine::Engine::new(config);
     let server = fbe_service::server::Server::bind(&format!("{host}:{port}"), engine)
         .map_err(|e| CliError::Usage(format!("serve: binding {host}:{port}: {e}")))?;
     let addr = server.local_addr()?;
@@ -510,21 +320,33 @@ fn batch(out: &mut dyn Write, connect: Option<&str>, path: Option<&str>) -> Resu
     Ok(())
 }
 
+/// Print a run's answer in `mode`: the count line, then the results
+/// (a "top k" header first for top-k); or, for a maximum search, the
+/// best result or "none". A run the budget cut short (`aborted`)
+/// marks its count or best-so-far as a lower bound.
 fn render(
     out: &mut dyn Write,
-    model: &str,
+    model: QueryModel,
+    mode: ResultMode,
     count: u64,
     aborted: bool,
-    count_only: bool,
-    top: Option<usize>,
     bicliques: &[Biclique],
 ) -> Result<(), CliError> {
     let suffix = if aborted { LOWER_BOUND } else { "" };
-    writeln!(out, "{model} count: {count}{suffix}")?;
-    if count_only {
+    if let ResultMode::Maximum(metric) = mode {
+        match bicliques.first() {
+            Some(bc) => writeln!(
+                out,
+                "maximum {model} ({metric:?}): |L|={} |R|={}{suffix}\n  {bc}",
+                bc.upper.len(),
+                bc.lower.len()
+            )?,
+            None => writeln!(out, "maximum {model} ({metric:?}): none{suffix}")?,
+        }
         return Ok(());
     }
-    if let Some(k) = top {
+    writeln!(out, "{model} count: {count}{suffix}")?;
+    if let ResultMode::Top(k) = mode {
         writeln!(out, "top {k} by size:")?;
     }
     for bc in bicliques {
@@ -586,29 +408,28 @@ mod tests {
     }
 
     fn render_str(
-        model: &str,
+        model: QueryModel,
+        mode: ResultMode,
         count: u64,
         aborted: bool,
-        count_only: bool,
-        top: Option<usize>,
-        bicliques: &[fair_biclique::biclique::Biclique],
+        bicliques: &[Biclique],
     ) -> String {
         let mut buf = Vec::new();
-        render(&mut buf, model, count, aborted, count_only, top, bicliques).unwrap();
+        render(&mut buf, model, mode, count, aborted, bicliques).unwrap();
         String::from_utf8(buf).unwrap()
     }
 
     #[test]
     fn render_formats() {
-        let s = render_str("SSFBC", 3, true, true, None, &[]);
-        assert!(s.contains("lower bound"));
+        let fair = FairParams::unchecked(1, 1, 1);
+        let s = render_str(QueryModel::Ssfbc(fair), ResultMode::Count, 3, true, &[]);
+        assert_eq!(s, "SSFBC count: 3 (budget hit; lower bound)\n");
         let s = render_str(
-            "BSFBC",
+            QueryModel::Bsfbc(fair),
+            ResultMode::Top(2),
             1,
             false,
-            false,
-            Some(2),
-            &[fair_biclique::biclique::Biclique::new(vec![0], vec![1])],
+            &[Biclique::new(vec![0], vec![1])],
         );
         assert!(s.contains("top 2"));
         assert!(s.contains("L=[0]"));
@@ -712,11 +533,10 @@ mod tests {
             "{cut}"
         );
         // The "none" answer of a truncated search carries the marker too.
-        let mut buf = Vec::new();
         let model = QueryModel::Ssfbc(FairParams::unchecked(1, 1, 1));
-        render_max(&mut buf, model, Default::default(), None, true).unwrap();
+        let mode = ResultMode::Maximum(Default::default());
         assert_eq!(
-            String::from_utf8(buf).unwrap(),
+            render_str(model, mode, 0, true, &[]),
             "maximum SSFBC (Vertices): none (budget hit; lower bound)\n"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -727,17 +547,25 @@ mod tests {
         let g = bigraph::generate::random_uniform(30, 30, 220, 2, 2, 5);
         let model = QueryModel::Ssfbc(FairParams::unchecked(2, 1, 1));
         let cfg = RunConfig::default();
-        // (count_only, top): count, top-k, collect.
-        for (count_only, top) in [(true, None), (false, Some(3)), (false, None)] {
+        let modes = [
+            ResultMode::Count,
+            ResultMode::Top(3),
+            ResultMode::Collect,
+            ResultMode::Maximum(Default::default()),
+        ];
+        for mode in modes {
             let mut rec = SpanRecorder::enabled();
-            let (count, _, _) = enumerate_prepared(&g, model, &cfg, count_only, top, &mut rec);
+            let count = query(&g, model, &cfg, mode, &mut rec).stats.emitted;
             let span = rec.spans().iter().find(|s| s.name == "enumerate");
             let detail = &span.expect("an enumerate span").detail;
             for key in ["threads=1 ", "nodes=", "aborted=false ", "peak_bytes="] {
-                assert!(detail.contains(key), "{top:?}: {key} missing in {detail:?}");
+                assert!(
+                    detail.contains(key),
+                    "{mode:?}: {key} missing in {detail:?}"
+                );
             }
             let emitted = format!("emitted={count} ");
-            assert!(detail.contains(&emitted), "{top:?}: {detail:?}");
+            assert!(detail.contains(&emitted), "{mode:?}: {detail:?}");
         }
     }
 
@@ -753,7 +581,8 @@ mod tests {
                 Ok(())
             }
         }
-        let err = render(&mut Broken, "SSFBC", 1, false, false, None, &[]).unwrap_err();
+        let model = QueryModel::Ssfbc(FairParams::unchecked(1, 1, 1));
+        let err = render(&mut Broken, model, ResultMode::Collect, 1, false, &[]).unwrap_err();
         match err {
             CliError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::BrokenPipe),
             other => panic!("expected Io, got {other:?}"),

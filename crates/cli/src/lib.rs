@@ -16,9 +16,10 @@
 //! * `fbe batch` — run service-protocol scripts offline or against a
 //!   live server (`--connect`).
 //!
-//! Every mining subcommand runs the `++` miners through the same
-//! [`fair_biclique::prepared::PreparedQuery`] path the service uses,
-//! in every output mode; `--threads <N>` above 1 runs that path on the
+//! `fbe enumerate` and `fbe maximum` parse into one query with a
+//! [`fair_biclique::prepared::ResultMode`], which runs the `++` miners
+//! through [`fair_biclique::prepared::PreparedQuery::answer`], the
+//! call the service makes; `--threads <N>` above 1 runs that path on the
 //! parallel engine, which splits the walk's root across the workers
 //! under a global budget ([`fair_biclique::parallel`]), and `--sorted` makes enumerate
 //! output byte-identical across thread counts.

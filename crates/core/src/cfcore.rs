@@ -47,7 +47,7 @@
 //! original.
 
 use crate::config::{BudgetClock, FairParams, StopReason};
-use crate::fcore::{compose, core_prune, stats_of, PruneOutcome};
+use crate::fcore::{compose, core_prune, stats_of, PruneOutcome, PruneStats};
 use crate::obs::SpanRecorder;
 use bigraph::coloring::greedy_color_by_degree;
 use bigraph::subgraph::{induce, InducedSubgraph};
@@ -61,9 +61,15 @@ use bigraph::{BipartiteGraph, Side, UniGraph, VertexId};
 /// among `{v ∈ N(u) ∪ {u} : v.val = a}`; a vertex survives iff
 /// `min_a ED_a(u) ≥ k` in the remaining graph.
 pub fn ego_colorful_core(h: &UniGraph, k: u32) -> Vec<bool> {
+    ego_core(h, k).0
+}
+
+/// [`ego_colorful_core`], plus the bytes of the `(vertex, attribute,
+/// color)` multiplicity table it built.
+fn ego_core(h: &UniGraph, k: u32) -> (Vec<bool>, usize) {
     let n = h.n();
     if n == 0 {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     let coloring = greedy_color_by_degree(h);
     let n_colors = (coloring.n_colors as usize).max(1);
@@ -124,25 +130,26 @@ pub fn ego_colorful_core(h: &UniGraph, k: u32) -> Vec<bool> {
             }
         }
     }
-    alive
+    (alive, std::mem::size_of_val(m.as_slice()))
 }
 
 /// The degree drop and colorful peel of a stage (module docs) on a
 /// fair side's 2-hop graph `h`: a fair clique has at least `A_n·k`
 /// vertices, so drop the `h`-vertices of degree `< A_n·k − 1`, peel the
 /// rest to the ego colorful `k`-core, and return the survivors as a
-/// mask over `h`.
-fn colorful_mask(h: &UniGraph, k: u32) -> Vec<bool> {
+/// mask over `h`, with the bytes of the peel's color table.
+fn colorful_mask(h: &UniGraph, k: u32) -> (Vec<bool>, usize) {
     let deg_thresh = h.n_attr_values() as i64 * k as i64 - 1;
     let keep_deg: Vec<bool> = (0..h.n() as VertexId)
         .map(|v| h.degree(v) as i64 >= deg_thresh)
         .collect();
     let (h2, map) = h.induce(&keep_deg);
+    let (alive, table_bytes) = ego_core(&h2, k);
     let mut keep = vec![false; h.n()];
-    for (alive, &old) in ego_colorful_core(&h2, k).into_iter().zip(&map) {
+    for (alive, &old) in alive.into_iter().zip(&map) {
         keep[old as usize] = alive;
     }
-    keep
+    (keep, table_bytes)
 }
 
 /// `CFCore` (Algorithm 2), or `BCFCore` for the bi-side model (`bi`):
@@ -171,22 +178,32 @@ pub(crate) fn cfcore(
         ("colorful-lower", Side::Lower, alpha, beta),
         ("colorful-upper", Side::Upper, beta, alpha),
     ];
+    // A stage drops its 2-hop graph and color table before the next
+    // stage builds its own, so the larger stage's bytes are the peak.
+    let (mut twohop_bytes, mut tables_bytes) = (0, 0);
     for (name, side, t, k) in &stages[..if bi { 2 } else { 1 }] {
         if let Some(r) = clock.interrupted() {
             return Err(r);
         }
         let stage = |rec: &mut SpanRecorder| colorful_stage(&core, *side, *t, *k, bi, clock, rec);
-        core = if bi {
+        let (next, (h_bytes, t_bytes)) = if bi {
             rec.scope(name, stage)
         } else {
             stage(rec)
         }?;
+        core = next;
+        twohop_bytes = twohop_bytes.max(h_bytes);
+        tables_bytes = tables_bytes.max(t_bytes);
     }
     rec.timed("re-peel", || {
         let s = core_prune(&core.graph, alpha, beta, bi, clock)?;
         let sub = compose(&core, s.sub);
         Ok(PruneOutcome {
-            stats: stats_of(g, &sub),
+            stats: PruneStats {
+                twohop_bytes,
+                colorful_tables_bytes: tables_bytes,
+                ..stats_of(g, &sub)
+            },
             sub,
         })
     })
@@ -195,7 +212,8 @@ pub(crate) fn cfcore(
 /// One colorful stage (step 2 of the module docs) on `fair_side` of
 /// `core.graph`, with 2-hop threshold `t` (per opposite attribute when
 /// `per_attr`) and clique bound `k`. Returns `core` without the peeled
-/// `fair_side` vertices, its maps still pointing at the original graph.
+/// `fair_side` vertices, its maps still pointing at the original graph,
+/// and the bytes of the stage's 2-hop graph and color table.
 fn colorful_stage(
     core: &InducedSubgraph,
     fair_side: Side,
@@ -204,7 +222,7 @@ fn colorful_stage(
     per_attr: bool,
     clock: &BudgetClock,
     rec: &mut SpanRecorder,
-) -> Result<InducedSubgraph, StopReason> {
+) -> Result<(InducedSubgraph, (usize, usize)), StopReason> {
     let g = &core.graph;
     let h = rec.timed("2hop", || {
         construct_2hop(g, fair_side, t as usize, per_attr)
@@ -213,13 +231,13 @@ fn colorful_stage(
         return Err(r);
     }
     Ok(rec.timed("ego-core", || {
-        let keep = colorful_mask(&h, k);
+        let (keep, table_bytes) = colorful_mask(&h, k);
         let all = vec![true; g.n(fair_side.other())];
         let sub = match fair_side {
             Side::Lower => induce(g, &all, &keep),
             Side::Upper => induce(g, &keep, &all),
         };
-        compose(core, sub)
+        (compose(core, sub), (h.heap_bytes(), table_bytes))
     }))
 }
 

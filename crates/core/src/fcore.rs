@@ -45,7 +45,8 @@ use serde::{Deserialize, Serialize};
 /// this keeps probe overhead well under 1% while bounding overshoot.
 const CTL_PROBE_INTERVAL: u32 = 4096;
 
-/// Before/after sizes of a pruning stage.
+/// Before/after sizes of a pruning stage, and the working bytes of its
+/// colorful stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PruneStats {
     /// `|U|` before pruning.
@@ -60,6 +61,14 @@ pub struct PruneStats {
     pub lower_after: usize,
     /// `|E|` after pruning.
     pub edges_after: usize,
+    /// Heap bytes of the largest 2-hop projection a colorful stage
+    /// built (0 unless the pruning is colorful). The stages project
+    /// the core the peel left, one fair side each.
+    pub twohop_bytes: usize,
+    /// Bytes of the largest `(vertex, attribute, color)` multiplicity
+    /// table of a colorful stage's ego colorful peel (0 unless the
+    /// pruning is colorful).
+    pub colorful_tables_bytes: usize,
 }
 
 impl PruneStats {
@@ -92,6 +101,8 @@ pub(crate) fn stats_of(g: &BipartiteGraph, sub: &InducedSubgraph) -> PruneStats 
         upper_after: sub.graph.n_upper(),
         lower_after: sub.graph.n_lower(),
         edges_after: sub.graph.n_edges(),
+        twohop_bytes: 0,
+        colorful_tables_bytes: 0,
     }
 }
 

@@ -27,8 +27,9 @@
 //!   thread, or split at its root across workers ([`parallel`]) when
 //!   [`config::RunConfig::threads`] is above 1 — into per-worker sinks.
 //!   Collecting, counting, top-k and maximum search ([`maximum`]) are
-//!   sink choices; the CLI, the query service, the benches and
-//!   [`pipeline::enumerate`] all run this path.
+//!   the [`prepared::ResultMode`]s of its one entry point,
+//!   [`prepared::PreparedQuery::answer`]; the CLI, the query service,
+//!   the benches and [`pipeline::enumerate`] all run this path.
 //! * **One model selector** — a [`prepared::QueryModel`] names the
 //!   model and its parameters, and each job has one function over it:
 //!   [`pipeline::prune`], [`pipeline::enumerate`], [`pipeline::run`]
@@ -107,7 +108,7 @@ pub mod prelude {
     };
     pub use crate::obs::{Span, SpanRecorder};
     pub use crate::pipeline::{enumerate, Algorithm, RunReport};
-    pub use crate::prepared::{PreparedQuery, QueryModel};
+    pub use crate::prepared::{PreparedQuery, QueryModel, ResultMode};
 }
 
 pub use prelude::*;

@@ -3,10 +3,11 @@
 //! The paper's related work motivates *maximum* biclique search
 //! (\[17\]–\[20\]) next to enumeration; this module provides the fair
 //! analog: the single largest fair biclique of any of the four models
-//! under a size metric. It is a sink choice on the one enumeration
-//! path — [`crate::prepared::PreparedQuery::maximum`] streams into
-//! per-worker best-so-far [`MaxSink`]s and merges them — exact, and
-//! cheap whenever enumeration itself is feasible.
+//! under a size metric. It is one output mode of the one enumeration
+//! path — [`crate::prepared::PreparedQuery::answer`] in
+//! [`crate::prepared::ResultMode::Maximum`] streams into per-worker
+//! best-so-far [`MaxSink`]s and merges them — exact, and cheap
+//! whenever enumeration itself is feasible.
 
 use crate::biclique::{Biclique, BicliqueSink};
 use bigraph::VertexId;
@@ -97,15 +98,22 @@ pub(crate) fn merge_max(metric: SizeMetric, sinks: impl IntoIterator<Item = MaxS
 mod tests {
     use super::*;
     use crate::config::{FairParams, RunConfig};
-    use crate::prepared::{PreparedQuery, QueryModel};
+    use crate::obs::SpanRecorder;
+    use crate::pipeline::RunReport;
+    use crate::prepared::{PreparedQuery, QueryModel, ResultMode};
     use crate::verify::oracle;
     use bigraph::generate::random_uniform;
     use bigraph::BipartiteGraph;
 
+    fn answer_max(prepared: &PreparedQuery, metric: SizeMetric) -> RunReport {
+        let mode = ResultMode::Maximum(metric);
+        prepared.answer(mode, &RunConfig::default(), &mut SpanRecorder::disabled())
+    }
+
     fn max_of(g: &BipartiteGraph, model: QueryModel, metric: SizeMetric) -> Option<Biclique> {
         let cfg = RunConfig::default();
         let prepared = PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate);
-        prepared.maximum(metric, &cfg).0
+        answer_max(&prepared, metric).bicliques.pop()
     }
 
     fn oracle_max(
@@ -163,9 +171,9 @@ mod tests {
         let cfg = RunConfig::default();
         let prepared =
             PreparedQuery::prepare(&g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
-        let (got, stats) = prepared.maximum(SizeMetric::Vertices, &cfg);
-        assert!(got.is_none());
-        assert!(!stats.aborted);
+        let got = answer_max(&prepared, SizeMetric::Vertices);
+        assert!(got.bicliques.is_empty());
+        assert!(!got.stats.aborted);
         assert_eq!(prepared.prune_stats().remaining_vertices(), 0);
     }
 

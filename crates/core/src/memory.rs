@@ -13,9 +13,7 @@ use crate::config::{ParamError, PruneKind, RunConfig};
 use crate::pipeline::{prune, run, Algorithm};
 use crate::prepared::QueryModel;
 use bigraph::candidate::CandidatePlan;
-use bigraph::coloring::greedy_color_by_degree;
-use bigraph::twohop::construct_2hop;
-use bigraph::{BipartiteGraph, Side};
+use bigraph::BipartiteGraph;
 use serde::{Deserialize, Serialize};
 
 /// Byte breakdown of one run (graph storage excluded).
@@ -23,11 +21,13 @@ use serde::{Deserialize, Serialize};
 pub struct MemoryReport {
     /// Pruned-subgraph copy produced by the pruning stage.
     pub pruned_graph_bytes: usize,
-    /// 2-hop projection used by the colorful pruning (0 when pruning
-    /// is not colorful).
+    /// 2-hop projection built by the colorful pruning: the largest
+    /// of its stages, which project the peeled core, one fair side
+    /// each (0 when pruning is not colorful).
     pub twohop_bytes: usize,
-    /// Per-vertex `(attr, color)` multiplicity tables of the ego
-    /// colorful core (0 when pruning is not colorful).
+    /// Per-vertex `(attr, color)` multiplicity table of the ego
+    /// colorful peel, the largest of the stages (0 when pruning is not
+    /// colorful).
     pub colorful_tables_bytes: usize,
     /// Bitset adjacency rows built over the pruned vertex set (0 on
     /// the sorted-vec substrate; see
@@ -57,37 +57,33 @@ impl MemoryReport {
     }
 }
 
-fn colorful_cost(g: &BipartiteGraph, alpha: u32, bi: bool) -> (usize, usize) {
-    let h = construct_2hop(g, Side::Lower, alpha as usize, bi);
-    let coloring = greedy_color_by_degree(&h);
-    let n_attrs = (h.n_attr_values() as usize).max(1);
-    let tables = h.n() * n_attrs * (coloring.n_colors as usize).max(1) * std::mem::size_of::<u32>();
-    (h.heap_bytes(), tables)
-}
-
 /// Measure the memory overhead of running `model` with `algo` (see
 /// [`crate::pipeline::run`], whose errors it returns).
+///
+/// Prunes once, takes the 2-hop and color-table bytes the cascade
+/// built from its [`crate::fcore::PruneStats`], and runs `algo` on the
+/// pruned core without pruning again: the walk, and so its search
+/// state, is the one a pruning run of `algo` on `g` takes.
 pub fn measure(
     g: &BipartiteGraph,
     model: QueryModel,
     algo: Algorithm,
     cfg: &RunConfig,
 ) -> Result<MemoryReport, ParamError> {
-    let mut sink = crate::biclique::CountSink::default();
-    let (_, stats) = run(g, model, algo, cfg, &mut sink)?;
-    let bi = model.is_bi_side();
     let pruned = prune(g, model, cfg.prune);
-    let (twohop_bytes, colorful_tables_bytes) = if cfg.prune == PruneKind::Colorful {
-        colorful_cost(&pruned.sub.graph, model.base().alpha, bi)
-    } else {
-        (0, 0)
+    let core = &pruned.sub.graph;
+    let unpruned = RunConfig {
+        prune: PruneKind::None,
+        ..cfg.clone()
     };
+    let mut sink = crate::biclique::CountSink::default();
+    let (_, stats) = run(core, model, algo, &unpruned, &mut sink)?;
     // The enumeration run builds the same rows internally; rebuild
     // them here to account the bytes they allocate. FairBCEM++ runs on
     // the substrate (bi-side chains build rows for both sides), and
     // BFairBCEM's upper-side expansion builds the upper rows only; the
     // single-side baselines and BNSF never build rows.
-    let core = &pruned.sub.graph;
+    let bi = model.is_bi_side();
     let bitset_rows_bytes = match (algo, bi) {
         (Algorithm::FairBcemPP, _) => CandidatePlan::build(core, cfg.substrate, bi).heap_bytes(),
         (Algorithm::FairBcem, true) => {
@@ -96,9 +92,9 @@ pub fn measure(
         _ => 0,
     };
     Ok(MemoryReport {
-        pruned_graph_bytes: pruned.sub.graph.heap_bytes(),
-        twohop_bytes,
-        colorful_tables_bytes,
+        pruned_graph_bytes: core.heap_bytes(),
+        twohop_bytes: pruned.stats.twohop_bytes,
+        colorful_tables_bytes: pruned.stats.colorful_tables_bytes,
         bitset_rows_bytes,
         search_bytes: stats.peak_search_bytes,
     })
@@ -110,6 +106,8 @@ mod tests {
     use crate::config::{FairParams, Substrate};
     use bigraph::candidate::BitRows;
     use bigraph::generate::{plant_bicliques, random_uniform};
+    use bigraph::twohop::construct_2hop;
+    use bigraph::Side;
 
     #[test]
     fn reports_are_nonzero_and_consistent() {
@@ -138,6 +136,43 @@ mod tests {
         let upper = BitRows::from_side(&core, Side::Upper).heap_bytes();
         assert!(upper > 0, "the pruned core must keep upper vertices");
         assert_eq!(m.bitset_rows_bytes, upper);
+    }
+
+    #[test]
+    fn twohop_bytes_are_the_projection_of_the_peeled_core() {
+        // The colorful stages project the core the fair-core peel
+        // leaves, not the smaller core the colorful pruning ends with.
+        let base = random_uniform(40, 40, 260, 2, 2, 3);
+        let g = plant_bicliques(&base, 2, 4, 6, 1.0, 6);
+        let params = FairParams::unchecked(2, 2, 1);
+        let cfg = RunConfig::default();
+        for model in [QueryModel::Ssfbc(params), QueryModel::Bsfbc(params)] {
+            let bi = model.is_bi_side();
+            let peeled = prune(&g, model, PruneKind::FCore).sub.graph;
+            let last = prune(&g, model, PruneKind::Colorful).sub.graph;
+            assert!(
+                last.n_lower() < peeled.n_lower(),
+                "{model}: the cores must differ"
+            );
+            let projected = construct_2hop(&peeled, Side::Lower, 2, bi).heap_bytes();
+            assert_ne!(
+                projected,
+                construct_2hop(&last, Side::Lower, 2, bi).heap_bytes()
+            );
+            let m = measure(&g, model, Algorithm::FairBcemPP, &cfg).unwrap();
+            // Bi-side, the upper stage projects the other side after
+            // the lower stage; the report keeps the larger projection.
+            if bi {
+                assert!(m.twohop_bytes >= projected, "{model}");
+            } else {
+                assert_eq!(m.twohop_bytes, projected, "{model}");
+            }
+            assert!(m.colorful_tables_bytes > 0, "{model}");
+            // Pruning once leaves the walk as a pruning run takes it.
+            let mut sink = crate::biclique::CountSink::default();
+            let (_, stats) = run(&g, model, Algorithm::FairBcemPP, &cfg, &mut sink).unwrap();
+            assert_eq!(m.search_bytes, stats.peak_search_bytes, "{model}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`crate::prepared::PreparedQuery::prepare_rec`] (the prune stages
 //! and `plan-resolve`), [`crate::prepared::PreparedQuery::stream`]
 //! (the one `enumerate` span, with its `EnumStats` detail), and
-//! `execute_rec` / `count_rec` / `maximum_rec` on top of it (adding
+//! [`crate::prepared::PreparedQuery::answer`] on top of it (adding
 //! `sort`), and collects one [`Span`] per stage, so a slow query can be
 //! attributed to the stage (or, at the coordinator, the shard) that
 //! actually burned the time.

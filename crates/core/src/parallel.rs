@@ -444,37 +444,70 @@ mod tests {
 
     #[test]
     fn streaming_sinks_match_collected_runs() {
-        use crate::biclique::{CountSink, TopKSink};
+        // Every output mode of `answer`, for the four models at 1 and 4
+        // threads, agrees with a sink run over the collected set.
+        use crate::biclique::TopKSink;
+        use crate::maximum::{MaxSink, SizeMetric};
+        use crate::prepared::ResultMode;
         let g = random_uniform(12, 14, 80, 2, 2, 6);
-        let params = FairParams::unchecked(2, 1, 1);
-        let cfg = RunConfig {
-            threads: 4,
-            ..RunConfig::default()
-        };
-        let report = enumerate(&g, QueryModel::Ssfbc(params), &cfg);
-        let prepared = prepared_ssfbc(&g, params, &cfg);
-        let (counts, stats) =
-            prepared.stream(&cfg, &CountSink::default, &mut SpanRecorder::disabled());
-        assert_eq!(
-            counts.iter().map(|c| c.count).sum::<u64>(),
-            report.bicliques.len() as u64
-        );
-        assert_eq!(stats.emitted as usize, report.bicliques.len());
-        assert_eq!(*prepared.prune_stats(), report.prune);
-        // Per-worker top-k sinks merge to the serial top-k set.
-        let k = 5usize;
-        let (tops, _) = prepared.stream(&cfg, &|| TopKSink::new(k), &mut SpanRecorder::disabled());
-        let mut merged = TopKSink::new(k);
-        for t in tops {
-            for bc in t.into_sorted() {
-                merged.emit(&bc.upper, &bc.lower);
+        let fair = FairParams::unchecked(2, 1, 1);
+        let pro = ProParams::new(2, 1, 1, 0.4).unwrap();
+        let models = [
+            QueryModel::Ssfbc(fair),
+            QueryModel::Bsfbc(fair),
+            QueryModel::Pssfbc(pro),
+            QueryModel::Pbsfbc(pro),
+        ];
+        for model in models {
+            for threads in [1usize, 4] {
+                let cfg = RunConfig {
+                    threads,
+                    ..RunConfig::default()
+                };
+                let prepared = PreparedQuery::prepare(&g, model, cfg.prune, cfg.substrate);
+                let answer = |mode| prepared.answer(mode, &cfg, &mut SpanRecorder::disabled());
+                let all = answer(ResultMode::Collect);
+                let n = all.bicliques.len();
+                assert!(n > 0, "{model} threads {threads}");
+                assert_eq!(all.stats.emitted as usize, n, "{model} threads {threads}");
+                assert_eq!(*prepared.prune_stats(), all.prune);
+                let at = |mode| format!("{model} threads {threads} {mode:?}");
+
+                let counted = answer(ResultMode::Count);
+                assert!(counted.bicliques.is_empty(), "{}", at(ResultMode::Count));
+                assert_eq!(
+                    counted.stats.emitted as usize,
+                    n,
+                    "{}",
+                    at(ResultMode::Count)
+                );
+
+                let k = 5usize;
+                let mut top = TopKSink::new(k);
+                for bc in &all.bicliques {
+                    top.emit(&bc.upper, &bc.lower);
+                }
+                let got = answer(ResultMode::Top(k));
+                assert_eq!(
+                    got.bicliques,
+                    top.into_sorted(),
+                    "{}",
+                    at(ResultMode::Top(k))
+                );
+                assert_eq!(got.stats.emitted as usize, n, "{}", at(ResultMode::Top(k)));
+
+                for metric in [SizeMetric::Vertices, SizeMetric::Edges] {
+                    let mode = ResultMode::Maximum(metric);
+                    let mut best = MaxSink::new(metric);
+                    for bc in &all.bicliques {
+                        best.emit(&bc.upper, &bc.lower);
+                    }
+                    let got = answer(mode);
+                    assert_eq!(got.bicliques, Vec::from_iter(best.best), "{}", at(mode));
+                    assert_eq!(got.stats.emitted as usize, n, "{}", at(mode));
+                }
             }
         }
-        let mut serial_top = TopKSink::new(k);
-        for bc in &report.bicliques {
-            serial_top.emit(&bc.upper, &bc.lower);
-        }
-        assert_eq!(merged.into_sorted(), serial_top.into_sorted());
     }
 
     #[test]

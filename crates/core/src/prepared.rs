@@ -17,15 +17,16 @@
 //! split at the root across workers above) visits the maximal bicliques, and one worker
 //! per thread expands each into the model's results (the `Expansion`
 //! built from the [`QueryModel`]) and hands them, translated to
-//! original ids, to that worker's own sink. Collecting
-//! ([`PreparedQuery::execute`]), counting ([`PreparedQuery::count`]),
-//! maximum search ([`PreparedQuery::maximum`]) and the CLI's top-k are
-//! sink choices on top of it; the one-shot pipelines in
-//! [`crate::pipeline`] prepare and then run this same path, so every
-//! caller — CLI, service, benches, tests — gets bit-identical results.
+//! original ids, to that worker's own sink. [`PreparedQuery::answer`]
+//! is the one entry point on top of it: a [`ResultMode`] picks the
+//! sink — collect, count, top-k or maximum — and how the per-worker
+//! sinks merge. `execute` and `count` are its untraced collect and
+//! count; the one-shot pipelines in [`crate::pipeline`] prepare and
+//! then run this same path, so every caller — CLI, service, benches,
+//! tests — gets bit-identical results.
 
 use crate::bfairbcem::{BiChainSink, BiSideExpander};
-use crate::biclique::{Biclique, BicliqueSink, CollectSink, CountSink, EnumStats, MappingSink};
+use crate::biclique::{BicliqueSink, CollectSink, CountSink, EnumStats, MappingSink, TopKSink};
 use crate::config::{
     Budget, BudgetClock, FairParams, ProParams, PruneKind, RunConfig, StopReason, Substrate,
 };
@@ -94,6 +95,23 @@ impl std::fmt::Display for QueryModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// What [`PreparedQuery::answer`] puts in `RunReport::bicliques`
+/// (original ids). `stats.emitted` counts every result in every mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResultMode {
+    /// Every result: in canonical order when `cfg.sorted`, in
+    /// discovery order otherwise.
+    Collect,
+    /// None; no result is materialized.
+    Count,
+    /// The `k` largest, largest first (the per-worker [`TopKSink`]s
+    /// merged).
+    Top(usize),
+    /// The largest under the metric (ties broken lexicographically,
+    /// see [`MaxSink`]), or none.
+    Maximum(SizeMetric),
 }
 
 /// The reusable, immutable result of the preparation phases of one
@@ -302,13 +320,56 @@ impl PreparedQuery {
         }
     }
 
-    fn report(
-        &self,
-        bicliques: Vec<Biclique>,
-        stats: EnumStats,
-        cfg: &RunConfig,
-        enumerate_elapsed: Duration,
-    ) -> RunReport {
+    /// Run the query once in `mode`: the one entry point of every
+    /// output mode. When `stats.aborted`, the budget cut the run short
+    /// and the answer is what was found before, a lower bound.
+    /// `RunReport::prune_elapsed` is the (possibly amortized)
+    /// preparation cost of this plan.
+    ///
+    /// Spans: the `enumerate` span of [`PreparedQuery::stream`], then
+    /// `sort` for the canonical reorder of a sorted collect, or for the
+    /// cross-worker merge of a maximum search when `cfg.threads > 1`.
+    pub fn answer(&self, mode: ResultMode, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
+        let t0 = Instant::now();
+        let (bicliques, stats) = match mode {
+            ResultMode::Collect => {
+                let (sinks, stats) = self.stream(cfg, &CollectSink::default, rec);
+                let mut sinks = sinks.into_iter();
+                let mut bicliques = sinks.next().map(|s| s.bicliques).unwrap_or_default();
+                for s in sinks {
+                    bicliques.extend(s.bicliques);
+                }
+                if cfg.sorted {
+                    rec.timed("sort", || {
+                        crate::results::canonical_order(&mut bicliques);
+                    });
+                }
+                (bicliques, stats)
+            }
+            ResultMode::Count => {
+                let (_, stats) = self.stream(cfg, &CountSink::default, rec);
+                (Vec::new(), stats)
+            }
+            ResultMode::Top(k) => {
+                let (sinks, stats) = self.stream(cfg, &|| TopKSink::new(k), rec);
+                let mut merged = TopKSink::new(k);
+                for bc in sinks.into_iter().flat_map(TopKSink::into_sorted) {
+                    merged.emit(&bc.upper, &bc.lower);
+                }
+                (merged.into_sorted(), stats)
+            }
+            ResultMode::Maximum(metric) => {
+                let (sinks, stats) = self.stream(cfg, &|| MaxSink::new(metric), rec);
+                let merge = || merge_max(metric, sinks).best;
+                let best = if cfg.threads > 1 {
+                    rec.timed("sort", merge)
+                } else {
+                    merge()
+                };
+                (best.into_iter().collect(), stats)
+            }
+        };
+        let enumerate_elapsed = t0.elapsed();
         RunReport {
             bicliques,
             prune: self.pruned.stats,
@@ -321,73 +382,16 @@ impl PreparedQuery {
         }
     }
 
-    /// Enumerate and collect all results (original ids; honors
-    /// `cfg.sorted`, `cfg.threads`, and the budget/cancellation in
-    /// `cfg.budget`). `RunReport::prune_elapsed` reports the (possibly
-    /// amortized) preparation cost of this plan.
+    /// Enumerate and collect all results: [`PreparedQuery::answer`] in
+    /// [`ResultMode::Collect`], untraced.
     pub fn execute(&self, cfg: &RunConfig) -> RunReport {
-        self.execute_rec(cfg, &mut SpanRecorder::disabled())
+        self.answer(ResultMode::Collect, cfg, &mut SpanRecorder::disabled())
     }
 
-    /// [`PreparedQuery::execute`] with a [`SpanRecorder`]: records the
-    /// `enumerate` span of [`PreparedQuery::stream`] and, when
-    /// `cfg.sorted`, a `sort` span for the canonical reorder/merge. A
-    /// disabled recorder makes this identical to `execute`.
-    pub fn execute_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
-        let t0 = Instant::now();
-        let (sinks, stats) = self.stream(cfg, &CollectSink::default, rec);
-        let mut sinks = sinks.into_iter();
-        let mut bicliques = sinks.next().map(|s| s.bicliques).unwrap_or_default();
-        for s in sinks {
-            bicliques.extend(s.bicliques);
-        }
-        if cfg.sorted {
-            rec.timed("sort", || {
-                crate::results::canonical_order(&mut bicliques);
-            });
-        }
-        self.report(bicliques, stats, cfg, t0.elapsed())
-    }
-
-    /// Count results without materializing them (`stats.emitted` is
-    /// the count; `bicliques` stays empty).
+    /// Count results without materializing them:
+    /// [`PreparedQuery::answer`] in [`ResultMode::Count`], untraced.
     pub fn count(&self, cfg: &RunConfig) -> RunReport {
-        self.count_rec(cfg, &mut SpanRecorder::disabled())
-    }
-
-    /// [`PreparedQuery::count`] with a [`SpanRecorder`] (see
-    /// [`PreparedQuery::execute_rec`]; counting has no `sort` span).
-    pub fn count_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
-        let t0 = Instant::now();
-        let (_, stats) = self.stream(cfg, &CountSink::default, rec);
-        self.report(Vec::new(), stats, cfg, t0.elapsed())
-    }
-
-    /// The single largest result under `metric` (ties broken
-    /// lexicographically, see [`MaxSink`]), plus the run's statistics —
-    /// when `stats.aborted`, the answer is the best found before the
-    /// budget ran out, a lower bound. Works for all four models.
-    pub fn maximum(&self, metric: SizeMetric, cfg: &RunConfig) -> (Option<Biclique>, EnumStats) {
-        self.maximum_rec(metric, cfg, &mut SpanRecorder::disabled())
-    }
-
-    /// [`PreparedQuery::maximum`] with a [`SpanRecorder`]: records
-    /// `enumerate` for the search and `sort` for the cross-worker
-    /// maximum merge (parallel runs only).
-    pub fn maximum_rec(
-        &self,
-        metric: SizeMetric,
-        cfg: &RunConfig,
-        rec: &mut SpanRecorder,
-    ) -> (Option<Biclique>, EnumStats) {
-        let (sinks, stats) = self.stream(cfg, &|| MaxSink::new(metric), rec);
-        let merge = || merge_max(metric, sinks).best;
-        let best = if cfg.threads > 1 {
-            rec.timed("sort", merge)
-        } else {
-            merge()
-        };
-        (best, stats)
+        self.answer(ResultMode::Count, cfg, &mut SpanRecorder::disabled())
     }
 }
 
@@ -576,8 +580,16 @@ mod tests {
                 threads,
                 ..RunConfig::default()
             };
-            let (got, _) = prepared.maximum(SizeMetric::Edges, &cfg);
-            assert_eq!(got, want, "threads {threads}");
+            let got = prepared.answer(
+                ResultMode::Maximum(SizeMetric::Edges),
+                &cfg,
+                &mut SpanRecorder::disabled(),
+            );
+            assert_eq!(
+                got.bicliques,
+                Vec::from_iter(want.clone()),
+                "threads {threads}"
+            );
         }
     }
 

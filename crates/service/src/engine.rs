@@ -11,7 +11,7 @@ use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
 use crate::ServiceConfig;
 use fair_biclique::config::{Budget, CancelToken, RunConfig, StopReason};
 use fair_biclique::obs::SpanRecorder;
-use fair_biclique::prepared::{PreparedQuery, QueryModel};
+use fair_biclique::prepared::{PreparedQuery, QueryModel, ResultMode};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
@@ -737,24 +737,22 @@ impl Engine {
         };
 
         let te = Instant::now();
-        let (count, payload, stop) = match opts.mode {
-            EnumMode::Collect => {
-                let report = plan.execute_rec(&cfg, rec);
-                let lines = report.bicliques.iter().map(|b| b.to_string()).collect();
-                (report.stats.emitted, lines, report.truncated_by)
-            }
-            EnumMode::Count => {
-                let report = plan.count_rec(&cfg, rec);
-                (report.stats.emitted, Vec::new(), report.truncated_by)
-            }
-            EnumMode::Maximum(metric) => {
-                let (best, stats) = plan.maximum_rec(metric, &cfg, rec);
-                let lines: Vec<String> = best.iter().map(|b| b.to_string()).collect();
-                (lines.len() as u64, lines, stats.stop)
-            }
+        // The protocol has no top-k mode.
+        let mode = match opts.mode {
+            EnumMode::Collect => ResultMode::Collect,
+            EnumMode::Count => ResultMode::Count,
+            EnumMode::Maximum(metric) => ResultMode::Maximum(metric),
+        };
+        let report = plan.answer(mode, &cfg, rec);
+        let payload: Vec<String> = report.bicliques.iter().map(|b| b.to_string()).collect();
+        // A maximum reply counts its 0 or 1 answer, not the results
+        // the search visited.
+        let count = match mode {
+            ResultMode::Maximum(_) => payload.len() as u64,
+            _ => report.stats.emitted,
         };
         self.metrics.stage_enumerate.observe(te.elapsed());
-        Ok(done(count, payload, stop, cached))
+        Ok(done(count, payload, report.truncated_by, cached))
     }
 }
 

@@ -4,9 +4,10 @@
 //!
 //! Exercises the one execution path: a single
 //! [`fair_biclique::prepared::PreparedQuery`] is pruned once and then
-//! answers a maximum search ([`fair_biclique::maximum`]), a streamed
-//! top-k ([`fair_biclique::biclique::TopKSink`]) and a 4-thread
-//! collected run summarized with [`fair_biclique::results`].
+//! answers, through [`fair_biclique::prepared::PreparedQuery::answer`],
+//! a maximum search ([`fair_biclique::maximum`]), a streamed top-k
+//! ([`fair_biclique::biclique::TopKSink`]) and a 4-thread collected
+//! run summarized with [`fair_biclique::results`].
 //!
 //! ```text
 //! cargo run --release -p fbe-examples --example team_finder
@@ -39,18 +40,21 @@ fn main() {
         ("most members+papers", SizeMetric::Vertices),
         ("most pairwise collaborations", SizeMetric::Edges),
     ] {
-        let (best, _) = query.maximum(metric, &cfg);
-        match best {
-            Some(bc) => println!("largest team ({name}):\n{}\n", cs.describe(&bc)),
+        let best = query.answer(
+            ResultMode::Maximum(metric),
+            &cfg,
+            &mut SpanRecorder::disabled(),
+        );
+        match best.bicliques.first() {
+            Some(bc) => println!("largest team ({name}):\n{}\n", cs.describe(bc)),
             None => println!("no fair team exists for {params}"),
         }
     }
 
-    // 2. A top-5 shortlist without materialising every result (one
-    //    worker, so one sink).
-    let (sinks, stats) = query.stream(&cfg, &|| TopKSink::new(5), &mut SpanRecorder::disabled());
-    println!("top-5 of {} fair teams:", stats.emitted);
-    for bc in sinks.into_iter().flat_map(TopKSink::into_sorted) {
+    // 2. A top-5 shortlist without materialising every result.
+    let top = query.answer(ResultMode::Top(5), &cfg, &mut SpanRecorder::disabled());
+    println!("top-5 of {} fair teams:", top.stats.emitted);
+    for bc in &top.bicliques {
         let (p, s) = (bc.upper.len(), bc.lower.len());
         println!("  {p} papers x {s} scholars: {bc}");
     }

@@ -12,7 +12,8 @@ use fair_biclique::biclique::Biclique;
 use fair_biclique::config::{FairParams, ProParams, RunConfig};
 use fair_biclique::fairset::{exists_fair_extension, is_fair, is_fair_pro, AttrCounts};
 use fair_biclique::maximum::SizeMetric;
-use fair_biclique::prepared::{PreparedQuery, QueryModel};
+use fair_biclique::obs::SpanRecorder;
+use fair_biclique::prepared::{PreparedQuery, QueryModel, ResultMode};
 
 /// Assert `bc` is a complete bipartite subgraph of `g`.
 pub fn assert_biclique(g: &BipartiteGraph, bc: &Biclique) {
@@ -149,10 +150,9 @@ pub fn assert_valid_bsfbc(g: &BipartiteGraph, bc: &Biclique, params: FairParams)
     );
 }
 
-/// A deterministic medium-size test graph: random background plus
 /// The largest fair biclique of `model` under `metric` (`None` when
 /// none exists), from the one execution path: prepare, then
-/// [`PreparedQuery::maximum`] at `cfg`.
+/// [`PreparedQuery::answer`] in [`ResultMode::Maximum`] at `cfg`.
 pub fn maximum_of(
     g: &BipartiteGraph,
     model: QueryModel,
@@ -160,10 +160,16 @@ pub fn maximum_of(
     cfg: &RunConfig,
 ) -> Option<Biclique> {
     PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate)
-        .maximum(metric, cfg)
-        .0
+        .answer(
+            ResultMode::Maximum(metric),
+            cfg,
+            &mut SpanRecorder::disabled(),
+        )
+        .bicliques
+        .pop()
 }
 
+/// A deterministic medium-size test graph: random background plus
 /// planted dense blocks (the regime the paper's datasets live in).
 pub fn medium_graph(seed: u64) -> BipartiteGraph {
     let base = bigraph::generate::random_uniform(30, 36, 220, 2, 2, seed);
